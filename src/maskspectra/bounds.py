@@ -309,7 +309,6 @@ def sigma_bound(n: int, p: float, m: int, allow_general_m: bool = False) -> floa
 def bound_report(spec: BoundSpec, exact_variance: bool = False) -> BoundReport:
     """Evaluate every bound family for one spec."""
     worst = worst_case_bound(spec.n, spec.n_p)
-    sigma3 = sigma_bound(spec.n, spec.p, 3)
     return BoundReport(
         n=spec.n,
         p=spec.p,
@@ -320,7 +319,7 @@ def bound_report(spec: BoundSpec, exact_variance: bool = False) -> BoundReport:
         worst_case_ratio_np=worst / (spec.n * spec.p),
         gaussian_T=gaussian_bound(spec, exact_variance=exact_variance),
         gaussian_T_approx=gaussian_bound_approx(spec, exact_variance=exact_variance),
-        sigma3=sigma3,
-        sigma4=(4.0 / 3.0) * sigma3,
+        sigma3=sigma_bound(spec.n, spec.p, 3),
+        sigma4=sigma_bound(spec.n, spec.p, 4),
         ratio_approx=ratio_approximation(spec.n, spec.p),
     )

@@ -52,11 +52,10 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     spec_b = bounds.BoundSpec(args.n, args.p, epsilon=args.eps)
-    sigma3 = bounds.sigma_bound(args.n, args.p, 3)
     thresholds = (
         ("gaussian_T", bounds.gaussian_bound(spec_b)),
-        ("sigma3", sigma3),
-        ("sigma4", (4.0 / 3.0) * sigma3),
+        ("sigma3", bounds.sigma_bound(args.n, args.p, 3)),
+        ("sigma4", bounds.sigma_bound(args.n, args.p, 4)),
         ("worst_case", bounds.worst_case_bound(args.n, math.ceil(args.n * args.p))),
     )
     stats = montecarlo.run_experiment(

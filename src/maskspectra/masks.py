@@ -68,11 +68,13 @@ class Mask:
     n_p: int = field(init=False)
 
     def __post_init__(self) -> None:
-        bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1:
+        raw = np.asarray(self.bits)
+        if raw.ndim != 1:
             raise ValueError("mask bits must be one-dimensional")
-        if bits.size and bits.max() > 1:
+        # checked before the uint8 cast, which would truncate 1.7 to 1 and wrap 256 to 0
+        if raw.dtype != np.bool_ and not ((raw == 0) | (raw == 1)).all():
             raise ValueError("mask bits must be 0 or 1")
+        bits = np.ascontiguousarray(raw, dtype=np.uint8)
         support = np.flatnonzero(bits)
         bits.flags.writeable = False
         support.flags.writeable = False
@@ -100,8 +102,7 @@ def generate_mask(config: MaskConfig, trial_index: int = 0) -> Mask:
     if trial_index < 0 or trial_index >= _UINT64_SPAN:
         raise ValueError(f"trial_index must fit in 64 unsigned bits, got {trial_index!r}")
     rng = _trial_rng(config.seed, trial_index)
-    bits = rng.random(config.n) < config.p
-    return Mask(bits.astype(np.uint8))
+    return Mask(rng.random(config.n) < config.p)
 
 
 def worst_case_mask(n: int, n_p: int) -> Mask:

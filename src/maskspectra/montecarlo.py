@@ -1,16 +1,24 @@
 """Monte Carlo validation of the bounds: streaming trial statistics,
 reference-table and figure-curve generation.
 
+One engine serves both runners: the chunk kernel ``_run_chunk`` reduces
+each trial's off-center DFT magnitudes to per-trial statistics and to a
+per-bin max, and the driver ``_run`` runs the chunks in-process or in a
+pool and merges them. ``run_experiment`` keeps the statistics,
+``noise_ratio_curve`` the per-bin max.
+
 Determinism contract: a run is a pure function of (seed, trials,
-thresholds). Trials are processed in fixed-size chunks and chunk results
-are merged in chunk order, so any worker count produces bit-identical
+thresholds). Chunk boundaries do not depend on the worker count and
+chunks are merged in order, so any worker count produces bit-identical
 results; per-trial RNG streams are keyed by trial index.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -18,7 +26,7 @@ import numpy as np
 
 from . import bounds
 from .masks import MaskConfig, generate_mask
-from .spectrum import max_nonzero_bin, spectrum_of_mask
+from .spectrum import spectrum_of_mask
 
 __all__ = [
     "RunningStats",
@@ -182,28 +190,44 @@ class TrialStats:
         }
 
 
-def _run_chunk(args: tuple) -> TrialStats:
+def _run_chunk(args: tuple) -> tuple[TrialStats, np.ndarray]:
     config, start, stop, thresholds = args
     stats = TrialStats(exceedance_counts={label: 0 for label, _ in thresholds})
+    bin_max = np.zeros(config.n - 1)
     for t in range(start, stop):
         mask = generate_mask(config, t)
-        s = spectrum_of_mask(mask)
-        _, peak = max_nonzero_bin(s)
+        mags = np.abs(spectrum_of_mask(mask).coeffs[1:])
+        peak = float(mags.max())
         stats.trials += 1
         stats.per_trial_max.push(peak)
-        stats.mean_abs.push(float(np.abs(s.coeffs[1:]).mean()))
+        stats.mean_abs.push(float(mags.sum()) / mags.size)
         stats.n_p_stats.push(float(mask.n_p))
         for label, value in thresholds:
             if peak > value:  # strict exceedance
                 stats.exceedance_counts[label] += 1
-    return stats
+        np.maximum(bin_max, mags, out=bin_max)
+    return stats, bin_max
 
 
-def _chunk_args(config: MaskConfig, trials: int, thresholds) -> list[tuple]:
-    return [
-        (config, start, min(start + _CHUNK_TRIALS, trials), tuple(thresholds))
-        for start in range(0, trials, _CHUNK_TRIALS)
+def _run(spec: ExperimentSpec) -> tuple[TrialStats, np.ndarray]:
+    """Run every chunk and merge the results in chunk order; the pool gets
+    at most one worker per chunk and per CPU, and one worker runs in-process."""
+    config = spec.config
+    tasks = [
+        (config, start, min(start + _CHUNK_TRIALS, spec.trials), spec.thresholds)
+        for start in range(0, spec.trials, _CHUNK_TRIALS)
     ]
+    total = TrialStats(exceedance_counts={label: 0 for label, _ in spec.thresholds})
+    bin_max = np.zeros(config.n - 1)
+    workers = min(spec.workers, len(tasks), os.cpu_count() or 1)
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for chunk_stats, chunk_bin_max in run(_run_chunk, tasks):
+            total.merge(chunk_stats)
+            np.maximum(bin_max, chunk_bin_max, out=bin_max)
+    return total, bin_max
 
 
 def run_experiment(spec: ExperimentSpec) -> TrialStats:
@@ -212,16 +236,7 @@ def run_experiment(spec: ExperimentSpec) -> TrialStats:
     Any worker failure propagates and the whole result is discarded;
     there are no partial results.
     """
-    tasks = _chunk_args(spec.config, spec.trials, spec.thresholds)
-    total = TrialStats(exceedance_counts={label: 0 for label, _ in spec.thresholds})
-    if spec.workers == 1 or len(tasks) == 1:
-        for task in tasks:
-            total.merge(_run_chunk(task))
-        return total
-    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        for chunk_stats in pool.map(_run_chunk, tasks):
-            total.merge(chunk_stats)
-    return total
+    return _run(spec)[0]
 
 
 def exceedance_rate(stats: TrialStats, label: str) -> float:
@@ -285,7 +300,6 @@ def figure_curves(
     for n in n_values:
         spec = bounds.BoundSpec(n, p, epsilon=eps)
         stats = run_experiment(ExperimentSpec(MaskConfig(n, p, seed), trials, workers=workers))
-        sigma3 = bounds.sigma_bound(n, p, 3)
         out.append(
             {
                 "N": n,
@@ -293,21 +307,12 @@ def figure_curves(
                 "sim_global_max": stats.global_max,
                 "mean_abs": stats.mean_abs_coeff,
                 "gaussian_T": bounds.gaussian_bound(spec),
-                "sigma3": sigma3,
-                "sigma4": (4.0 / 3.0) * sigma3,
+                "sigma3": bounds.sigma_bound(n, p, 3),
+                "sigma4": bounds.sigma_bound(n, p, 4),
                 "worst_case": bounds.worst_case_bound(n, math.ceil(n * p)),
             }
         )
     return out
-
-
-def _noise_ratio_chunk(args: tuple) -> np.ndarray:
-    config, start, stop = args
-    peak = np.zeros(config.n - 1)
-    for t in range(start, stop):
-        s = spectrum_of_mask(generate_mask(config, t))
-        np.maximum(peak, np.abs(s.coeffs[1:]), out=peak)
-    return peak
 
 
 def noise_ratio_curve(config: MaskConfig, trials: int, workers: int = 1) -> np.ndarray:
@@ -317,21 +322,7 @@ def noise_ratio_curve(config: MaskConfig, trials: int, workers: int = 1) -> np.n
     signal line; elementwise max merges are exact, so the reduction is
     order-insensitive.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    tasks = [
-        (config, start, min(start + _CHUNK_TRIALS, trials))
-        for start in range(0, trials, _CHUNK_TRIALS)
-    ]
-    peak = np.zeros(config.n - 1)
-    if workers == 1 or len(tasks) == 1:
-        for task in tasks:
-            np.maximum(peak, _noise_ratio_chunk(task), out=peak)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_noise_ratio_chunk, tasks):
-                np.maximum(peak, part, out=peak)
-    return peak / (config.n * config.p)
+    return _run(ExperimentSpec(config, trials, workers=workers))[1] / (config.n * config.p)
 
 
 def _format_cell(value) -> str:

@@ -234,7 +234,10 @@ def read_signal_csv(path) -> np.ndarray:
     rows.sort()
     if [i for i, _ in rows] != list(range(len(rows))):
         raise ValueError(f"signal fixture indices must be 0..n-1 without gaps: {path}")
-    return np.array([v for _, v in rows], dtype=np.float64)
+    x = np.array([v for _, v in rows], dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError(f"signal fixture values must be finite: {path}")
+    return x
 
 
 def write_signal_csv(path, x) -> None:

@@ -76,9 +76,9 @@ def dft_fast(x) -> Spectrum:
 
 def spectrum_of_mask(mask: Mask, fast: bool = True) -> Spectrum:
     """Transform a mask, recording its support size on the spectrum."""
-    transform = dft_fast if fast else dft_direct
-    s = transform(mask.bits.astype(np.float64))
-    return Spectrum(s.coeffs, source_n_p=mask.n_p)
+    bits = mask.bits.astype(np.float64)
+    coeffs = scipy.fft.fft(bits) if fast else dft_direct(bits).coeffs
+    return Spectrum(coeffs, source_n_p=mask.n_p)
 
 
 def max_nonzero_bin(s: Spectrum) -> tuple[int, float]:

@@ -93,6 +93,11 @@ def test_mask_bits_validation():
         Mask(np.array([0, 1, 2], dtype=np.uint8))
     with pytest.raises(ValueError):
         Mask(np.zeros((2, 2), dtype=np.uint8))
+    # non-binary values are rejected, not truncated by the uint8 cast
+    with pytest.raises(ValueError):
+        Mask(np.array([0.5, 1.7, 0]))
+    with pytest.raises(ValueError):
+        Mask(np.array([0.0, np.nan, 1.0]))
 
 
 def test_mask_immutable():

@@ -205,6 +205,73 @@ def test_noise_ratio_higher_rate_is_quieter():
     assert np.all(high < low)
 
 
+def test_engine_matches_per_trial_oracle():
+    # the plain per-trial path, pushed chunk by chunk and merged in chunk
+    # order as the engine does; 1100 trials span three chunks
+    import maskspectra.montecarlo as mc
+
+    cfg = MaskConfig(257, 0.3, seed=11)
+    thresholds = (("s3", bounds.sigma_bound(257, 0.3, 3)), ("s4", bounds.sigma_bound(257, 0.3, 4)))
+    peaks, means, n_ps = RunningStats(), RunningStats(), RunningStats()
+    exceed = {label: 0 for label, _ in thresholds}
+    bin_max = np.zeros(256)
+    for start in range(0, 1100, mc._CHUNK_TRIALS):
+        chunk = (RunningStats(), RunningStats(), RunningStats())
+        for t in range(start, min(start + mc._CHUNK_TRIALS, 1100)):
+            mask = generate_mask(cfg, t)
+            s = spectrum_of_mask(mask)
+            _, peak = max_nonzero_bin(s)
+            mags = np.abs(s.coeffs[1:])
+            chunk[0].push(peak)
+            chunk[1].push(float(mags.mean()))
+            chunk[2].push(float(mask.n_p))
+            for label, value in thresholds:
+                exceed[label] += peak > value
+            bin_max = np.maximum(bin_max, mags)
+        for total, part in zip((peaks, means, n_ps), chunk):
+            total.merge(part)
+    stats = run_experiment(ExperimentSpec(cfg, trials=1100, thresholds=thresholds))
+    assert stats.trials == 1100
+    assert stats.per_trial_max == peaks
+    assert stats.mean_abs == means
+    assert stats.n_p_stats == n_ps
+    assert stats.exceedance_counts == exceed
+    assert 0 < exceed["s3"] < 1100
+    assert np.array_equal(noise_ratio_curve(cfg, trials=1100), bin_max / (257 * 0.3))
+
+
+def test_worker_count_is_clamped_without_spawning(monkeypatch):
+    # a fake in-process pool records the size it was asked for
+    import os
+
+    import maskspectra.montecarlo as mc
+
+    opened = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", FakePool)
+    for cpu in (2, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda cpu=cpu: cpu)
+        stats = run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500, workers=100000))
+        assert stats.trials == 1500
+    assert opened == [2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500, workers=4))
+    assert opened == [2, 3]  # unknown CPU count: runs serially, opens no pool
+
+
 def test_noise_ratio_parallel_matches_serial():
     cfg = MaskConfig(257, 0.5, seed=2)
     serial = noise_ratio_curve(cfg, trials=1200, workers=1)

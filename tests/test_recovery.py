@@ -198,6 +198,10 @@ def test_signal_csv_rejects_gaps(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         read_signal_csv(empty)
+    nonfinite = tmp_path / "nonfinite.csv"
+    nonfinite.write_text("0,nan\n1,inf\n2,1.0\n")
+    with pytest.raises(ValueError):
+        read_signal_csv(nonfinite)
 
 
 def test_bundled_fixture_matches_spec():
