@@ -7,6 +7,7 @@ degree of parallelism reproduces the same sequence of masks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,17 @@ __all__ = [
 ]
 
 _UINT64_SPAN = 1 << 64
+
+
+def _as_index(value, name: str) -> int:
+    """``value`` as a Python int: any integer type, numpy's included, but
+    not ``bool`` and not a float, which would otherwise be truncated."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def is_prime(n: int) -> bool:
@@ -50,13 +62,17 @@ class MaskConfig:
     n_is_prime: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        n = _as_index(self.n, "mask length n")
+        if n < 2:
             raise ValueError(f"mask length n must be an integer >= 2, got {self.n!r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"sampling rate p must lie in (0, 1), got {self.p!r}")
-        if not 0 <= int(self.seed) < _UINT64_SPAN:
+        seed = _as_index(self.seed, "seed")
+        if not 0 <= seed < _UINT64_SPAN:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        object.__setattr__(self, "n_is_prime", is_prime(self.n))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n_is_prime", is_prime(n))
 
 
 @dataclass(frozen=True)
@@ -87,11 +103,16 @@ class Mask:
         return int(self.bits.size)
 
 
+def _trial_key(seed: int, trial_index: int) -> np.ndarray:
+    """Philox key words of one trial, low word first: the 128-bit key
+    (seed << 64) + trial_index."""
+    return np.array([trial_index, seed], dtype=np.uint64)
+
+
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     # Philox is counter-based: the 128-bit key (seed, trial) fully determines
     # the stream, independent of how many draws other trials made.
-    key = (int(seed) << 64) + int(trial_index)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_trial_key(seed, trial_index)))
 
 
 def generate_mask(config: MaskConfig, trial_index: int = 0) -> Mask:

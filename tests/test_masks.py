@@ -79,6 +79,14 @@ def test_config_validation():
         MaskConfig(10, 0.5, seed=-1)
     with pytest.raises(ValueError):
         generate_mask(MaskConfig(10, 0.5), -1)
+    # any integer type is accepted and stored as int; floats and bools are not truncated
+    cfg = MaskConfig(np.int64(127), 0.5, seed=np.uint64(2**64 - 1))
+    assert (cfg.n, cfg.seed) == (127, 2**64 - 1) and type(cfg.n) is int and type(cfg.seed) is int
+    assert cfg == MaskConfig(127, 0.5, seed=2**64 - 1)
+    for bad in ({"n": 127.0}, {"n": True}, {"n": "127"}, {"seed": 1.9}, {"seed": True}, {"seed": np.bool_(1)}):
+        kwargs = {"n": 127, "p": 0.5, **bad}
+        with pytest.raises(ValueError):
+            MaskConfig(**kwargs)
 
 
 def test_n_is_prime_flag_against_oracle():

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maskspectra import bounds
 from maskspectra.masks import MaskConfig, generate_mask
@@ -240,6 +242,67 @@ def test_engine_matches_per_trial_oracle():
     assert np.array_equal(noise_ratio_curve(cfg, trials=1100), bin_max / (257 * 0.3))
 
 
+def _oracle_chunk(config, start, stop, thresholds):
+    # the per-trial path: one Philox, Mask and Spectrum per trial
+    stats = TrialStats(exceedance_counts={label: 0 for label, _ in thresholds})
+    bin_max = np.zeros(config.n - 1)
+    for t in range(start, stop):
+        mask = generate_mask(config, t)
+        mags = np.abs(spectrum_of_mask(mask).coeffs[1:])
+        peak = float(mags.max())
+        stats.trials += 1
+        stats.per_trial_max.push(peak)
+        stats.mean_abs.push(float(mags.mean()))
+        stats.n_p_stats.push(float(mask.n_p))
+        for label, value in thresholds:
+            stats.exceedance_counts[label] += peak > value
+        bin_max = np.maximum(bin_max, mags)
+    return stats, bin_max
+
+
+@settings(max_examples=12, deadline=None)
+@example(n=1999, p=0.3, seed=2**64 - 1, count=80, at_end=True, start=0)  # three blocks: 32 + 32 + 16
+@example(n=128, p=0.5, seed=0, count=1, at_end=False, start=0)
+@given(
+    n=st.one_of(
+        st.sampled_from([2, 3, 127, 128, 257, 1543, 1999]),  # primes and even N
+        st.integers(2, 2000),  # mostly N that does not divide the block size
+    ),
+    p=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**64 - 1),
+    count=st.integers(1, 80),
+    at_end=st.booleans(),
+    start=st.integers(0, 2**64 - 81),
+)
+def test_block_kernel_matches_per_trial_oracle(n, p, seed, count, at_end, start):
+    # the block kernel against the per-trial path, exactly; at_end puts the
+    # chunk's last trial at index 2**64 - 1, the largest key word
+    import maskspectra.montecarlo as mc
+
+    if at_end:
+        start = 2**64 - count
+    config = MaskConfig(n, p, seed=seed)
+    thresholds = (("s3", bounds.sigma_bound(n, p, 3)), ("zero", 0.0))
+    stats, bin_max = mc._run_chunk((config, start, start + count, thresholds))
+    oracle_stats, oracle_bin_max = _oracle_chunk(config, start, start + count, thresholds)
+    assert stats == oracle_stats
+    assert np.array_equal(bin_max, oracle_bin_max)
+
+
+def test_block_kernel_memory_is_bounded():
+    # blocks hold ~_BLOCK_ELEMS mask elements; one 512 x 8191 block would
+    # need ~67 MB for its complex transform alone
+    import maskspectra.montecarlo as mc
+
+    config = MaskConfig(8191, 0.5, seed=3)
+    tracemalloc.start()
+    stats, _ = mc._run_chunk((config, 0, mc._CHUNK_TRIALS, ()))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert stats.trials == mc._CHUNK_TRIALS
+    assert peak < 16 * 1024 * 1024
+
+
 def test_worker_count_is_clamped_without_spawning(monkeypatch):
     # a fake in-process pool records the size it was asked for
     import os
@@ -286,6 +349,14 @@ def test_spec_validation():
         ExperimentSpec(MaskConfig(127, 0.5), trials=1, workers=0)
     with pytest.raises(ValueError):
         ExperimentSpec(MaskConfig(127, 0.5), trials=1, thresholds=(("a", 1.0), ("a", 2.0)))
+    # integers of any type are accepted; floats, bools and trial indices past 2**64 - 1 are not
+    spec = ExperimentSpec(MaskConfig(127, 0.5), trials=np.int64(3), workers=np.int32(2))
+    assert (spec.trials, spec.workers) == (3, 2) and type(spec.trials) is int and type(spec.workers) is int
+    assert ExperimentSpec(MaskConfig(127, 0.5), trials=2**64).trials == 2**64
+    for bad in ({"trials": 2.5}, {"trials": True}, {"trials": 2**64 + 1}, {"workers": True}, {"workers": 2.0}):
+        kwargs = {"trials": 1, **bad}
+        with pytest.raises(ValueError):
+            ExperimentSpec(MaskConfig(127, 0.5), **kwargs)
 
 
 def test_csv_rendering():
