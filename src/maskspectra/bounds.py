@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from .masks import is_prime
+from .masks import _as_index, is_prime
 
 __all__ = [
     "BoundSpec",
@@ -59,14 +59,13 @@ class BoundSpec:
     union_mode: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", _mask_length(self.n))
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie in (0, 1), got {self.p!r}")
-        if self.n_p is None:
-            object.__setattr__(self, "n_p", math.ceil(self.n * self.p))
-        if not 1 <= self.n_p <= self.n:
+        n_p = math.ceil(self.n * self.p) if self.n_p is None else _as_index(self.n_p, "n_p")
+        if not 1 <= n_p <= self.n:
             raise ValueError(f"n_p must lie in [1, {self.n}], got {self.n_p!r}")
+        object.__setattr__(self, "n_p", n_p)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
 
@@ -139,6 +138,15 @@ class BoundReport:
         }
 
 
+def _mask_length(n, least: int = 2) -> int:
+    """``n`` as a Python int: integers of any type, numpy's included, but
+    not ``bool`` or a float."""
+    n = _as_index(n, "n")
+    if n < least:
+        raise ValueError(f"n must be an integer >= {least}, got {n!r}")
+    return n
+
+
 @lru_cache(maxsize=8)
 def _cos_table(n: int) -> np.ndarray:
     i = np.arange(1, n // 2 + 1, dtype=np.float64)
@@ -165,8 +173,7 @@ def worst_case_bound(n: int, n_p: int) -> float:
     is summed when n_p > n/2: fewer terms, and no catastrophic cancellation
     as n_p approaches n. Terms are accumulated with exact (fsum) summation.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    n, n_p = _mask_length(n), _as_index(n_p, "n_p")
     if not 1 <= n_p <= n:
         raise ValueError(f"n_p must lie in [1, {n}], got {n_p!r}")
     _warn_if_composite(n)
@@ -188,8 +195,7 @@ def dirichlet_closed_form(n: int, n_p: int) -> float:
     The numerator argument is reduced via sin(pi*n_p/n) = sin(pi*(n-n_p)/n)
     to keep it in [0, pi/2].
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    n, n_p = _mask_length(n), _as_index(n_p, "n_p")
     if not 1 <= n_p <= n:
         raise ValueError(f"n_p must lie in [1, {n}], got {n_p!r}")
     m = min(n_p, n - n_p)
@@ -206,8 +212,7 @@ def ratio_approximation(n: int, p: float) -> float:
     The radicand can round below zero for tiny N*p; it is then clamped to 0
     with a warning. Tends to sin(p*pi)/(p*pi) as N grows.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _mask_length(n, 1)
     if not 0.0 < p <= 1.0 or n * p < 1.0:
         raise ValueError(f"need 0 < p <= 1 and n*p >= 1, got n={n}, p={p!r}")
     np_mean = n * p
@@ -293,8 +298,7 @@ def sigma_bound(n: int, p: float, m: int, allow_general_m: bool = False) -> floa
     is exactly 4/3 in floating point. Other m need allow_general_m and are
     accepted with a warning.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    n = _mask_length(n)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     if m not in (3, 4):

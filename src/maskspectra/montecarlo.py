@@ -8,19 +8,32 @@ pool and merges them. ``run_experiment`` keeps the statistics,
 ``noise_ratio_curve`` the per-bin max.
 
 The kernel works through its chunk in blocks of ``_BLOCK_ELEMS // N``
-trials (at least one), so a block holds about ``_BLOCK_ELEMS`` mask
-elements whatever N is. One Philox generator per chunk is re-keyed for
-each trial and draws into a preallocated (block, N) array, and the
-block is transformed by one FFT along its rows and reduced row by row.
-Every mask, transform and reduction is bit-identical to the per-trial
-path ``generate_mask`` -> ``spectrum_of_mask``, which stays public as
-the reference the tests compare against.
+trials, rounded down to an even count and at least two, so a block holds
+about ``_BLOCK_ELEMS`` mask elements whatever N is. One Philox generator
+per chunk is re-keyed for each trial and draws into a preallocated
+(block, N) array. Masks are real, so two of them share one complex
+transform: trial 2j goes in the real part and trial 2j + 1 in the
+imaginary part of one row, and one FFT of shape (block/2, N) serves the
+whole block. With Z that transform, |A_k| = |Z_k + conj Z_{N-k}| / 2 and
+|B_k| = |Z_k - conj Z_{N-k}| / 2 are unpacked for k = 1..N//2 only; the
+other half mirrors them exactly, and the bin sum counts every bin twice
+except the Nyquist bin of even N.
 
-Determinism contract: a run is a pure function of (seed, trials,
-thresholds). Chunk boundaries do not depend on the worker count, block
-sizes depend only on N, and chunks are merged in order, so any worker
-count produces bit-identical results; per-trial RNG streams are keyed
-by trial index.
+Determinism contract: trial t is always transformed together with trial
+t ^ 1 (a chunk that starts or ends inside a pair draws the partner and
+discards it), and per-trial RNG streams are keyed by trial index, so
+every per-trial value is a pure function of (seed, t), whatever the chunk
+boundaries, block size, trial count or worker count. Chunks are fixed
+runs of ``_CHUNK_TRIALS`` trials, independent of the worker count, and
+are merged in order, so any worker count gives bit-identical results;
+the per-bin max, the exceedance counts and the per-trial extremes are
+bit-identical under any other chunking too.
+
+The per-trial path ``generate_mask`` -> ``spectrum_of_mask`` takes one
+real transform per mask and stays public as the reference the tests
+compare against. The kernel agrees with it to 1e-12 relative (and
+1e-12 * N absolute), not bit for bit, because the packed transform
+rounds differently.
 """
 
 from __future__ import annotations
@@ -55,7 +68,7 @@ __all__ = [
 ]
 
 _CHUNK_TRIALS = 512
-_BLOCK_ELEMS = 1 << 16  # mask elements per transform block: ~1 MB of complex FFT output
+_BLOCK_ELEMS = 1 << 16  # mask elements per block: 512 KB of uniforms, 512 KB of packed transform
 
 # Reference grid: (N, p) pairs of the comparison table. The mask length of
 # the middle three rows is 1543 throughout (their printed support sizes
@@ -209,34 +222,57 @@ class TrialStats:
 def _run_chunk(args: tuple) -> tuple[TrialStats, np.ndarray]:
     config, start, stop, thresholds = args
     n, seed = config.n, config.seed
+    half = n // 2  # bins k = 1..N//2; |A_{N-k}| = |A_k| for real masks
     stats = TrialStats(exceedance_counts={label: 0 for label, _ in thresholds})
-    bin_max = np.zeros(n - 1)
-    rows = max(1, min(stop - start, _BLOCK_ELEMS // n))
+    half_max = np.zeros(half)
+    # trial t is always transformed with trial t ^ 1, so a chunk that starts
+    # or ends inside a pair draws the missing partner and discards it
+    first, end = start & ~1, (stop + 1) & ~1
+    rows = min(end - first, max(2, (_BLOCK_ELEMS // n) & ~1))
     uniforms = np.empty((rows, n))
-    bit_gen = np.random.Philox(key=_trial_key(seed, start))
+    packed = np.empty((rows // 2, n), dtype=np.complex128)
+    mags = np.empty((rows // 2, 2, half))
+    bit_gen = np.random.Philox(key=_trial_key(seed, first))
     gen = np.random.Generator(bit_gen)
     state = bit_gen.state  # counter 0, empty buffer: a freshly keyed stream
-    for lo in range(start, stop, rows):
-        block = uniforms[: min(rows, stop - lo)]
+    for lo in range(first, end, rows):
+        hi = min(lo + rows, end)
+        block = uniforms[: hi - lo]
         for t, row in enumerate(block, lo):
             state["state"]["key"] = _trial_key(seed, t)
             bit_gen.state = state
             gen.random(out=row)
         bits = block < config.p
-        mags = np.abs(scipy.fft.fft(bits.astype(np.float64), axis=-1)[:, 1:])
-        peaks = mags.max(axis=1)
-        means = mags.sum(axis=1) / (n - 1)
-        n_ps = np.count_nonzero(bits, axis=1)
-        stats.trials += len(block)
-        # one push per trial keeps the streaming sums bit-identical
+        np.copyto(block, bits)  # 0/1 in place: far faster than casting bools into the strided views
+        pairs = packed[: len(block) // 2]
+        pairs.real = block[0::2]
+        pairs.imag = block[1::2]
+        z = scipy.fft.fft(pairs, axis=-1, overwrite_x=True)  # in place
+        # A_k = (Z_k + conj Z_{N-k}) / 2 and B_k = (Z_k - conj Z_{N-k}) / 2i
+        z_k = z[:, 1 : half + 1]
+        z_mirror = np.conj(z[:, n - 1 : n - half - 1 : -1])
+        block_mags = mags[: len(pairs)]
+        np.abs(z_k + z_mirror, out=block_mags[:, 0])
+        np.abs(z_k - z_mirror, out=block_mags[:, 1])
+        block_mags *= 0.5
+        keep = slice(max(start - lo, 0), min(stop, hi) - lo)
+        half_mags = block_mags.reshape(len(block), half)[keep]
+        peaks = half_mags.max(axis=1)
+        sums = 2.0 * half_mags.sum(axis=1)
+        if n % 2 == 0:
+            sums -= half_mags[:, -1]  # the Nyquist bin is its own mirror
+        means = sums / (n - 1)
+        n_ps = np.count_nonzero(bits[keep], axis=1)
+        stats.trials += len(peaks)
+        # one push per trial, in trial order: the sums do not depend on the block size
         for peak, mean, n_p in zip(peaks.tolist(), means.tolist(), n_ps.tolist()):
             stats.per_trial_max.push(peak)
             stats.mean_abs.push(mean)
             stats.n_p_stats.push(float(n_p))
         for label, value in thresholds:
             stats.exceedance_counts[label] += int(np.count_nonzero(peaks > value))  # strict exceedance
-        np.maximum(bin_max, mags.max(axis=0), out=bin_max)
-    return stats, bin_max
+        np.maximum(half_max, half_mags.max(axis=0), out=half_max)
+    return stats, np.concatenate((half_max, half_max[: n - 1 - half][::-1]))
 
 
 def _run(spec: ExperimentSpec) -> tuple[TrialStats, np.ndarray]:
@@ -376,6 +412,18 @@ def records_to_csv(records: list[dict], columns=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def records_to_json(payload) -> str:
-    """JSON mirror of the CSV/report payloads."""
-    return json.dumps(payload, indent=2) + "\n"
+    """JSON mirror of the CSV/report payloads. Non-finite floats (an
+    infinite bound, an undefined SNR) become null, so the output is strict
+    JSON that any parser accepts."""
+    return json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n"

@@ -243,6 +243,31 @@ def test_bound_spec_defaults_and_validation():
         BoundSpec(127, 0.5, epsilon=0.0)
 
 
+def test_bounds_accept_numpy_integers():
+    # a length read off a numpy array is an integer too; bools and floats are not
+    n = np.int64(127)
+    spec = BoundSpec(n, 0.5, n_p=np.int32(64))
+    assert (spec.n, spec.n_p) == (127, 64) and type(spec.n) is int and type(spec.n_p) is int
+    assert worst_case_bound(n, np.int64(64)) == worst_case_bound(127, 64)
+    assert dirichlet_closed_form(n, np.int64(64)) == dirichlet_closed_form(127, 64)
+    assert ratio_approximation(n, 0.5) == ratio_approximation(127, 0.5)
+    assert sigma_bound(n, 0.5, 3) == sigma_bound(127, 0.5, 3)
+    for bad in (True, 127.0):
+        for call in (
+            lambda: BoundSpec(bad, 0.5),
+            lambda: worst_case_bound(bad, 1),
+            lambda: dirichlet_closed_form(bad, 1),
+            lambda: ratio_approximation(bad, 0.5),
+            lambda: sigma_bound(bad, 0.5, 3),
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+    with pytest.raises(ValueError, match="must be an integer"):
+        worst_case_bound(127, 64.0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        BoundSpec(127, 0.5, n_p=True)
+
+
 def test_bound_report_table_row():
     rep = bound_report(BoundSpec(127, 0.5, n_p=64, epsilon=1e-4))
     assert rep.worst_case == pytest.approx(40.426, abs=1e-3)

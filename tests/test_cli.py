@@ -50,6 +50,22 @@ def test_bounds_csv_json_cross_decode(capsys):
         assert float(text) == pytest.approx(float(record[key]), rel=1e-8), key
 
 
+def test_json_output_is_strict(capsys):
+    # eps = 1e-320 makes ln(1/eps') overflow the approximate bound to inf;
+    # strict JSON has no Infinity or NaN, so it is written as null
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    args = ("bounds", "--n", "127", "--p", "0.5", "--union", "--eps", "1e-320")
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    record = json.loads(out, parse_constant=reject)[0]
+    assert record["gaussian_T_approx"] is None
+    assert record["worst_case"] == pytest.approx(40.426, abs=1e-3)
+    _, rows = parse_csv(run_cli(capsys, *args)[1])
+    assert rows[0]["gaussian_T_approx"] == "inf"  # the CSV keeps its bytes
+
+
 def test_table1_shape_and_determinism(capsys, tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

@@ -207,6 +207,33 @@ def test_noise_ratio_higher_rate_is_quieter():
     assert np.all(high < low)
 
 
+def _close(a, b, n):
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12 * n)
+
+
+def _assert_stats_close(got, want, n):
+    # the packed kernel transforms two masks at once, so it matches the
+    # per-trial path to a tolerance fixed from float64 rounding, not exactly
+    assert got.count == want.count
+    assert _close(got.mean, want.mean, n)
+    assert _close(got.min, want.min, n)
+    assert _close(got.max, want.max, n)
+    assert abs(got._m2 - want._m2) <= 1e-12 * n * n * want.count
+
+
+def _assert_bins_close(got, want, n):
+    assert got.shape == want.shape
+    assert all(_close(a, b, n) for a, b in zip(got.tolist(), want.tolist()))
+
+
+def _assert_counts_bracketed(counts, peaks, thresholds, n):
+    # a peak within 1e-12 * N of a threshold may fall on either side of it
+    for label, value in thresholds:
+        low = sum(peak > value + 1e-12 * n for peak in peaks)
+        high = sum(peak > value - 1e-12 * n for peak in peaks)
+        assert low <= counts[label] <= high, label
+
+
 def test_engine_matches_per_trial_oracle():
     # the plain per-trial path, pushed chunk by chunk and merged in chunk
     # order as the engine does; 1100 trials span three chunks
@@ -215,7 +242,7 @@ def test_engine_matches_per_trial_oracle():
     cfg = MaskConfig(257, 0.3, seed=11)
     thresholds = (("s3", bounds.sigma_bound(257, 0.3, 3)), ("s4", bounds.sigma_bound(257, 0.3, 4)))
     peaks, means, n_ps = RunningStats(), RunningStats(), RunningStats()
-    exceed = {label: 0 for label, _ in thresholds}
+    all_peaks = []
     bin_max = np.zeros(256)
     for start in range(0, 1100, mc._CHUNK_TRIALS):
         chunk = (RunningStats(), RunningStats(), RunningStats())
@@ -227,24 +254,24 @@ def test_engine_matches_per_trial_oracle():
             chunk[0].push(peak)
             chunk[1].push(float(mags.mean()))
             chunk[2].push(float(mask.n_p))
-            for label, value in thresholds:
-                exceed[label] += peak > value
+            all_peaks.append(peak)
             bin_max = np.maximum(bin_max, mags)
         for total, part in zip((peaks, means, n_ps), chunk):
             total.merge(part)
     stats = run_experiment(ExperimentSpec(cfg, trials=1100, thresholds=thresholds))
     assert stats.trials == 1100
-    assert stats.per_trial_max == peaks
-    assert stats.mean_abs == means
+    _assert_stats_close(stats.per_trial_max, peaks, 257)
+    _assert_stats_close(stats.mean_abs, means, 257)
     assert stats.n_p_stats == n_ps
-    assert stats.exceedance_counts == exceed
-    assert 0 < exceed["s3"] < 1100
-    assert np.array_equal(noise_ratio_curve(cfg, trials=1100), bin_max / (257 * 0.3))
+    _assert_counts_bracketed(stats.exceedance_counts, all_peaks, thresholds, 257)
+    assert 0 < stats.exceedance_counts["s3"] < 1100
+    _assert_bins_close(noise_ratio_curve(cfg, trials=1100) * (257 * 0.3), bin_max, 257)
 
 
-def _oracle_chunk(config, start, stop, thresholds):
+def _oracle_chunk(config, start, stop):
     # the per-trial path: one Philox, Mask and Spectrum per trial
-    stats = TrialStats(exceedance_counts={label: 0 for label, _ in thresholds})
+    stats = TrialStats()
+    peaks = []
     bin_max = np.zeros(config.n - 1)
     for t in range(start, stop):
         mask = generate_mask(config, t)
@@ -254,15 +281,19 @@ def _oracle_chunk(config, start, stop, thresholds):
         stats.per_trial_max.push(peak)
         stats.mean_abs.push(float(mags.mean()))
         stats.n_p_stats.push(float(mask.n_p))
-        for label, value in thresholds:
-            stats.exceedance_counts[label] += peak > value
+        peaks.append(peak)
         bin_max = np.maximum(bin_max, mags)
-    return stats, bin_max
+    return stats, peaks, bin_max
 
 
 @settings(max_examples=12, deadline=None)
 @example(n=1999, p=0.3, seed=2**64 - 1, count=80, at_end=True, start=0)  # three blocks: 32 + 32 + 16
 @example(n=128, p=0.5, seed=0, count=1, at_end=False, start=0)
+@example(n=127, p=0.5, seed=1, count=40, at_end=False, start=3)  # odd start: trial 2 drawn and dropped
+@example(n=257, p=0.3, seed=2, count=7, at_end=False, start=0)  # odd count: trial 7 drawn and dropped
+@example(n=1000, p=0.2, seed=3, count=70, at_end=False, start=1)  # even N: the Nyquist bin
+@example(n=2, p=0.5, seed=4, count=5, at_end=False, start=1)
+@example(n=32771, p=0.1, seed=5, count=3, at_end=False, start=1)  # N > 2**15: two-row blocks
 @given(
     n=st.one_of(
         st.sampled_from([2, 3, 127, 128, 257, 1543, 1999]),  # primes and even N
@@ -275,8 +306,8 @@ def _oracle_chunk(config, start, stop, thresholds):
     start=st.integers(0, 2**64 - 81),
 )
 def test_block_kernel_matches_per_trial_oracle(n, p, seed, count, at_end, start):
-    # the block kernel against the per-trial path, exactly; at_end puts the
-    # chunk's last trial at index 2**64 - 1, the largest key word
+    # the block kernel against the per-trial path; at_end puts the chunk's
+    # last trial at index 2**64 - 1, the largest key word
     import maskspectra.montecarlo as mc
 
     if at_end:
@@ -284,9 +315,45 @@ def test_block_kernel_matches_per_trial_oracle(n, p, seed, count, at_end, start)
     config = MaskConfig(n, p, seed=seed)
     thresholds = (("s3", bounds.sigma_bound(n, p, 3)), ("zero", 0.0))
     stats, bin_max = mc._run_chunk((config, start, start + count, thresholds))
-    oracle_stats, oracle_bin_max = _oracle_chunk(config, start, start + count, thresholds)
-    assert stats == oracle_stats
-    assert np.array_equal(bin_max, oracle_bin_max)
+    oracle, peaks, oracle_bin_max = _oracle_chunk(config, start, start + count)
+    assert stats.trials == oracle.trials == count
+    assert stats.n_p_stats == oracle.n_p_stats
+    _assert_stats_close(stats.per_trial_max, oracle.per_trial_max, n)
+    _assert_stats_close(stats.mean_abs, oracle.mean_abs, n)
+    _assert_counts_bracketed(stats.exceedance_counts, peaks, thresholds, n)
+    _assert_bins_close(bin_max, oracle_bin_max, n)
+
+
+@settings(max_examples=12, deadline=None)
+@example(n=1543, p=0.1, seed=7, start=0, first=43, second=40)  # the split falls inside a pair and a block
+@example(n=128, p=0.5, seed=8, start=2**64 - 9, first=4, second=5)  # even N, ending at trial 2**64 - 1
+@given(
+    n=st.integers(2, 2000),
+    p=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**64 - 81),
+    first=st.integers(1, 40),
+    second=st.integers(1, 40),
+)
+def test_block_kernel_split_is_exact(n, p, seed, start, first, second):
+    # trial t is always paired with trial t ^ 1, so its values do not depend
+    # on where a chunk starts or stops: [a, c) and [a, b) + [b, c) agree exactly
+    import maskspectra.montecarlo as mc
+
+    config = MaskConfig(n, p, seed=seed)
+    thresholds = (("s3", bounds.sigma_bound(n, p, 3)),)
+    a, b, c = start, start + first, start + first + second
+    whole, whole_bins = mc._run_chunk((config, a, c, thresholds))
+    left, left_bins = mc._run_chunk((config, a, b, thresholds))
+    right, right_bins = mc._run_chunk((config, b, c, thresholds))
+    assert whole.trials == left.trials + right.trials == c - a
+    assert np.array_equal(whole_bins, np.maximum(left_bins, right_bins))
+    assert np.array_equal(whole_bins, whole_bins[::-1])  # |A_k| == |A_{N-k}| exactly
+    assert whole.exceedance_counts["s3"] == left.exceedance_counts["s3"] + right.exceedance_counts["s3"]
+    for name in ("per_trial_max", "mean_abs", "n_p_stats"):
+        parts = getattr(left, name), getattr(right, name)
+        assert getattr(whole, name).min == min(part.min for part in parts)
+        assert getattr(whole, name).max == max(part.max for part in parts)
 
 
 def test_block_kernel_memory_is_bounded():
