@@ -288,7 +288,8 @@ def gaussian_bound_approx(spec: BoundSpec, exact_variance: bool = False) -> floa
     since Q(x) <= exp(-x^2/2)/2 for x >= 0.
     """
     model = GaussianModel.for_mask(spec.n, spec.p, exact=exact_variance)
-    return 2.0 * math.sqrt(model.variance * math.log(1.0 / spec.effective_epsilon))
+    # -ln(eps') rather than ln(1/eps'): 1/eps' overflows for subnormal eps'
+    return 2.0 * math.sqrt(model.variance * -math.log(spec.effective_epsilon))
 
 
 def sigma_bound(n: int, p: float, m: int, allow_general_m: bool = False) -> float:

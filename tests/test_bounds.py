@@ -208,6 +208,15 @@ def test_gaussian_approx_dominates_exact_bound():
         assert gaussian_bound_approx(spec) >= gaussian_bound(spec), eps
 
 
+def test_gaussian_approx_stays_finite_for_subnormal_epsilon():
+    # down to a subnormal eps' = eps / 126, whose reciprocal overflows
+    for eps in (1e-300, 1e-308, 1e-310, 1e-315, 1e-320):
+        spec = BoundSpec(127, 0.5, epsilon=eps, union_mode=True)
+        approx = gaussian_bound_approx(spec)
+        assert math.isfinite(approx) and approx >= gaussian_bound(spec), eps
+    assert gaussian_bound_approx(BoundSpec(127, 0.5, epsilon=1e-320, union_mode=True)) == pytest.approx(306.9, abs=0.1)
+
+
 def test_gaussian_approx_vanishes_as_epsilon_approaches_one():
     assert gaussian_bound_approx(BoundSpec(127, 0.5, epsilon=1 - 1e-9)) == pytest.approx(0.0, abs=1e-2)
 

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from maskspectra import bounds
+from maskspectra import bounds, montecarlo
 from maskspectra.cli import main
 
 
@@ -50,20 +51,31 @@ def test_bounds_csv_json_cross_decode(capsys):
         assert float(text) == pytest.approx(float(record[key]), rel=1e-8), key
 
 
-def test_json_output_is_strict(capsys):
-    # eps = 1e-320 makes ln(1/eps') overflow the approximate bound to inf;
-    # strict JSON has no Infinity or NaN, so it is written as null
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
+
+def test_json_output_is_strict(capsys):
+    # eps = 1e-320 gives a subnormal eps' = eps / 126, whose reciprocal
+    # overflows; the approximate bound stays finite and the JSON strict
     args = ("bounds", "--n", "127", "--p", "0.5", "--union", "--eps", "1e-320")
     code, out, _ = run_cli(capsys, *args, "--format", "json")
     assert code == 0
-    record = json.loads(out, parse_constant=reject)[0]
-    assert record["gaussian_T_approx"] is None
+    record = json.loads(out, parse_constant=reject_constant)[0]
+    assert record["gaussian_T_approx"] == pytest.approx(306.9, abs=0.1)
+    assert record["gaussian_T_approx"] >= record["gaussian_T"]
     assert record["worst_case"] == pytest.approx(40.426, abs=1e-3)
     _, rows = parse_csv(run_cli(capsys, *args)[1])
-    assert rows[0]["gaussian_T_approx"] == "inf"  # the CSV keeps its bytes
+    assert float(rows[0]["gaussian_T_approx"]) == pytest.approx(record["gaussian_T_approx"], rel=1e-8)
+
+
+def test_records_to_json_writes_non_finite_as_null():
+    # strict JSON has no Infinity or NaN
+    payload = [{"bound": math.inf, "low": -math.inf, "snr": math.nan, "n": 7, "x": 1.5}]
+    text = montecarlo.records_to_json(payload)
+    assert json.loads(text, parse_constant=reject_constant) == [
+        {"bound": None, "low": None, "snr": None, "n": 7, "x": 1.5}
+    ]
 
 
 def test_table1_shape_and_determinism(capsys, tmp_path):

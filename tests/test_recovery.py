@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from maskspectra import recovery
 from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
 from maskspectra.recovery import (
     RecoverySpec,
@@ -22,6 +25,7 @@ from maskspectra.recovery import (
     synthesize_signal,
     write_signal_csv,
 )
+from maskspectra.spectrum import dft_direct
 
 DEMO = demo_signal_spec()
 DEMO_X = synthesize_signal(DEMO)
@@ -168,6 +172,14 @@ def test_recovery_spec_validation():
         recover(np.zeros(64), RecoverySpec(mask=DEMO_MASK, t0=1.0))
 
 
+def test_recovery_spec_iterations_must_be_an_integer():
+    for bad in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="iterations"):
+            RecoverySpec(mask=DEMO_MASK, iterations=bad)
+    spec = RecoverySpec(mask=DEMO_MASK, iterations=np.int64(3))
+    assert type(spec.iterations) is int and spec.iterations == 3
+
+
 def test_history_without_reference_has_nan_snr():
     xs = sample_random(DEMO_X, DEMO_MASK)
     _, history = recover(xs, RecoverySpec(mask=DEMO_MASK, iterations=3))
@@ -202,8 +214,100 @@ def test_signal_csv_rejects_gaps(tmp_path):
     nonfinite.write_text("0,nan\n1,inf\n2,1.0\n")
     with pytest.raises(ValueError):
         read_signal_csv(nonfinite)
+    for name, text in (
+        ("float_index", "0,1.0\n1.0,2.0\n"),
+        ("three_fields", "0,1.0\n1,2.0,3.0\n"),
+        ("one_field", "0,1.0\n1\n"),
+        ("non_numeric", "0,1.0\n1,abc\n"),
+        ("comment", "0,1.0\n# note\n1,2.0\n"),
+        ("duplicate", "0,1.0\n0,2.0\n1,3.0\n"),
+        ("negative_infinity", "0,1.0\n1,-inf\n"),
+        ("blank_only", "\n  \n"),
+    ):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(text)
+        with pytest.raises(ValueError):
+            read_signal_csv(bad)
+
+
+def test_signal_csv_skips_blank_lines_and_sorts_indices(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text("\n1,-2.5\n  \n0,0.1\n\n2,1e-300\n")
+    assert read_signal_csv(path).tolist() == [0.1, -2.5, 1e-300]
 
 
 def test_bundled_fixture_matches_spec():
     x = read_signal_csv(demo_signal_path())
     assert np.array_equal(x, DEMO_X)
+
+
+# Primes whose N - 1 has no factor above 13, small enough for dft_direct.
+RADER_PRIMES = (3, 5, 7, 11, 13, 29, 31, 43, 127, 211)
+
+
+@settings(max_examples=25, deadline=None)
+@example(n=8191, seed=0)
+@given(n=st.sampled_from(RADER_PRIMES), seed=st.integers(0, 2**32 - 1))
+def test_rader_plan_matches_fft(n, seed):
+    plan = recovery._RaderPlan(n)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    z = rng.normal(size=n)
+    expected = scipy.fft.fft(z)
+    got = plan.forward(z)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    if n < 1000:
+        direct = dft_direct(z).coeffs
+        assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
+    assert np.abs(plan.inverse_real(expected) - z).max() <= 1e-12 * np.abs(z).max()
+    # any coefficients, not only a Hermitian spectrum: the real part of the ifft
+    coeffs = expected * (rng.random(n) < 0.5) + 1j * rng.normal(size=n)
+    want = scipy.fft.ifft(coeffs).real
+    assert np.abs(plan.inverse_real(coeffs) - want).max() <= 1e-12 * np.abs(coeffs).max()
+
+
+def test_rader_plan_selection(monkeypatch):
+    built = []
+
+    class CountingPlan(recovery._RaderPlan):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(recovery, "_RaderPlan", CountingPlan)
+    recovery._rader_plan.cache_clear()
+    try:
+        assert isinstance(recovery._rader_plan(8191), CountingPlan)
+        # 1542 and 131070 have the prime factor 257, 8192 is even, and
+        # 127 and 727 qualify but lie below the crossover
+        for n in (1543, 131071, 8192, 127, 727):
+            assert recovery._rader_plan(n) is None, n
+        xs = np.zeros(8191)
+        mask = generate_mask(MaskConfig(8191, 0.5, seed=1), 0)
+        for _ in range(3):
+            recovery_step(xs, mask, xs, 1.0)
+        assert built == [8191]
+    finally:
+        recovery._rader_plan.cache_clear()
+
+
+def test_rader_recovery_matches_scipy_oracle(monkeypatch):
+    n = 8191
+    x = synthesize_signal(random_band_signal(n, 8, seed=5))
+    mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
+    xs = sample_random(x, mask)
+    assert recovery._rader_plan(n) is not None
+    estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=50), reference=x)
+
+    # the same loop on scipy's transforms alone
+    with monkeypatch.context() as m:
+        m.setattr(recovery, "_rader_plan", lambda n: None)
+        t0 = default_initial_threshold(xs, mask)
+    assert history[0][1] == pytest.approx(t0, rel=1e-12)
+    oracle = np.zeros(n)
+    for i in range(50):
+        z = xs + (1.0 - mask.bits) * oracle
+        kept = hard_threshold(scipy.fft.fft(z), t0 * math.exp(-0.1 * i))
+        oracle = scipy.fft.ifft(kept).real
+    assert len(history) == 50
+    assert np.linalg.norm(estimate - oracle) <= 1e-9 * np.linalg.norm(oracle)
+    assert history[-1][2] >= 40.0
