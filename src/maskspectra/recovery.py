@@ -5,13 +5,13 @@ This is where the spectral-noise bounds earn their keep: the threshold
 schedule starts just above the aliasing-noise level the bounds predict,
 so early iterations keep only genuine signal lines.
 
-The loop takes one DFT and one inverse DFT per iteration. For an odd prime
-N above a measured crossover whose N - 1 has no prime factor above 13
-(8191, for example), both run through a cached Rader plan: each becomes
-one cyclic convolution of length N - 1, which pocketfft transforms
-directly, instead of Bluestein's two FFTs of length >= 2N - 1. Its
-results agree with scipy's transforms at the ulp level. Every other N
-uses scipy.fft.fft/ifft.
+The loop takes one DFT and one inverse DFT per iteration. For a prime N
+above 1000 whose N - 1 has no prime factor above 43 (8191, for example,
+but not 1543 or 131071, whose N - 1 has the factor 257), both run through
+a cached Rader plan: each becomes one cyclic convolution of length N - 1,
+which pocketfft transforms directly, instead of Bluestein's two FFTs of
+length >= 2N - 1. Its results agree with scipy's transforms at the ulp
+level. Every other N uses scipy.fft.fft/ifft.
 """
 
 from __future__ import annotations
@@ -48,8 +48,12 @@ __all__ = [
 ]
 
 _DIVERGENCE_RUN = 5
-_RADER_MIN_N = 750  # measured crossover: at or below it scipy's transform is as fast
-_RADER_MAX_FACTOR = 13  # largest prime factor of N - 1 for which Rader wins
+# Rader's transform ties or beats scipy's Bluestein transform in measured
+# recovery_step times for prime N above _RADER_MIN_N whose N - 1 has no prime
+# factor above _RADER_MAX_FACTOR, and ties or loses outside them (about 2x
+# slower at 1543 and 131071, whose N - 1 has the factor 257).
+_RADER_MIN_N = 1000
+_RADER_MAX_FACTOR = 43
 
 
 @dataclass(frozen=True)
@@ -180,9 +184,9 @@ class _RaderPlan:
     With g a generator of (Z/n)*, bin g^-p of the DFT of z is
     z_0 + sum_q z_{g^q} exp(-2 pi i g^(q-p) / n), a cyclic convolution of
     the input in g^q order with the kernel exp(-2 pi i g^-r / n), whose
-    length-(n-1) spectrum is precomputed. The inverse convolves the
-    coefficients in g^-q order with exp(+2 pi i g^r / n) / n and lands in
-    g^p order.
+    length-(n-1) spectrum is precomputed. The inverse reuses it: bin k of
+    Re(ifft(c)) is bin -k of Re(fft(c)) / n, and the real part of the
+    convolution needs only an irfft.
     """
 
     def __init__(self, n: int) -> None:
@@ -195,55 +199,53 @@ class _RaderPlan:
             g_pos[q] = v
             v = v * g % n
         g_neg = np.roll(g_pos[::-1], 1)  # g^-q mod n
-        # Position of bin k in the forward (g^-p) and inverse (g^p) output
-        # orders; bin 0 maps to a dummy position and is set afterwards.
+        # Position of bin k in the g^-p output order, and of bin -k for the
+        # inverse; bin 0 maps to a dummy position and is set afterwards.
         fwd_pos = np.zeros(n, dtype=np.intp)
         fwd_pos[g_neg] = np.arange(m)
-        inv_pos = np.zeros(n, dtype=np.intp)
-        inv_pos[g_pos] = np.arange(m)
         self.n = n
-        self._g_pos, self._g_neg = g_pos, g_neg
-        self._fwd_pos, self._inv_pos = fwd_pos, inv_pos
-        self._fwd_kernel = scipy.fft.fft(np.exp((-2j * np.pi / n) * g_neg))
-        self._inv_kernel = scipy.fft.fft(np.exp((2j * np.pi / n) * g_pos) / n)
+        self._g_pos, self._fwd_pos = g_pos, fwd_pos
+        self._inv_pos = fwd_pos[(-np.arange(n)) % n]
+        self._kernel = scipy.fft.fft(np.exp((-2j * np.pi / n) * g_neg))
         # y[(-k) % m] for k = 0..m/2: the mirror bins folded into the irfft input
         self._mirror = np.concatenate(([0], np.arange(m - 1, m // 2 - 1, -1)))
 
+    def _convolve(self, z: np.ndarray) -> np.ndarray:
+        """Spectrum of the convolution, with z_0 added to every output."""
+        y = scipy.fft.fft(z[self._g_pos])
+        y *= self._kernel
+        y[0] += (self.n - 1) * z[0]
+        return y
+
     def forward(self, z: np.ndarray) -> np.ndarray:
         """scipy.fft.fft(z) for a length-n z, in natural bin order."""
-        y = scipy.fft.fft(z[self._g_pos])
-        y *= self._fwd_kernel
-        y[0] += (self.n - 1) * z[0]  # adds z_0 to every convolution output
-        out = scipy.fft.ifft(y, overwrite_x=True)[self._fwd_pos]
+        out = scipy.fft.ifft(self._convolve(z), overwrite_x=True)[self._fwd_pos]
         out[0] = z.sum()
         return out
 
     def inverse_real(self, coeffs: np.ndarray) -> np.ndarray:
         """scipy.fft.ifft(coeffs).real for length-n coefficients."""
         m = self.n - 1
-        y = scipy.fft.fft(coeffs[self._g_neg])
-        y *= self._inv_kernel
+        y = self._convolve(coeffs)
         # Re(ifft(y)) is the irfft of y's Hermitian part
         half = y[: m // 2 + 1]
         half += np.conj(y[self._mirror])
-        half *= 0.5
-        half[0] += m * coeffs[0].real / self.n
+        half *= 0.5 / self.n
         out = scipy.fft.irfft(half, m, overwrite_x=True)[self._inv_pos]
         out[0] = coeffs.sum().real / self.n
         return out
 
 
 @lru_cache(maxsize=8)
-def _rader_plan(n: int) -> _RaderPlan | None:
-    """The Rader plan for length n, or None where scipy's transform is as fast."""
+def _rader_plan(shape: tuple[int, ...]) -> _RaderPlan | None:
+    """The Rader plan for an array of this shape, or None where scipy's
+    transform is as fast (or the array is not 1-D)."""
+    if len(shape) != 1:
+        return None
+    (n,) = shape
     if n <= _RADER_MIN_N or not is_prime(n) or max(_prime_factors(n - 1)) > _RADER_MAX_FACTOR:
         return None
     return _RaderPlan(n)
-
-
-def _dft(z: np.ndarray) -> np.ndarray:
-    plan = _rader_plan(z.size) if z.ndim == 1 else None
-    return scipy.fft.fft(z) if plan is None else plan.forward(z)
 
 
 def default_initial_threshold(xs, mask: Mask) -> float:
@@ -259,7 +261,9 @@ def default_initial_threshold(xs, mask: Mask) -> float:
     c = ratio_approximation(mask.n, p_hat)
     if p_hat < 1.0:
         c += 3.0 * math.sqrt(p_hat * (1.0 - p_hat) * mask.n) / math.ceil(mask.n * p_hat)
-    peak = float(np.abs(_dft(np.asarray(xs, dtype=np.float64))).max())
+    xs = np.asarray(xs, dtype=np.float64)
+    plan = _rader_plan(xs.shape)
+    peak = float(np.abs(scipy.fft.fft(xs) if plan is None else plan.forward(xs)).max())
     if peak == 0.0:
         raise ValueError("sampled signal is identically zero")
     return c * peak / p_hat
@@ -268,7 +272,7 @@ def default_initial_threshold(xs, mask: Mask) -> float:
 def recovery_step(xs: np.ndarray, mask: Mask, estimate: np.ndarray, threshold: float) -> np.ndarray:
     """One iteration: re-impose known samples, hard-threshold in frequency."""
     z = xs + (1.0 - mask.bits) * estimate
-    plan = _rader_plan(z.size) if z.ndim == 1 else None
+    plan = _rader_plan(z.shape)
     if plan is not None:
         return plan.inverse_real(hard_threshold(plan.forward(z), threshold))
     kept = hard_threshold(scipy.fft.fft(z), threshold)

@@ -241,8 +241,8 @@ def test_bundled_fixture_matches_spec():
     assert np.array_equal(x, DEMO_X)
 
 
-# Primes whose N - 1 has no factor above 13, small enough for dft_direct.
-RADER_PRIMES = (3, 5, 7, 11, 13, 29, 31, 43, 127, 211)
+# Primes whose N - 1 has no factor above 43, small enough for dft_direct.
+RADER_PRIMES = (3, 5, 7, 11, 13, 29, 31, 43, 47, 59, 83, 127, 173, 211)
 
 
 @settings(max_examples=25, deadline=None)
@@ -276,16 +276,19 @@ def test_rader_plan_selection(monkeypatch):
     monkeypatch.setattr(recovery, "_RaderPlan", CountingPlan)
     recovery._rader_plan.cache_clear()
     try:
-        assert isinstance(recovery._rader_plan(8191), CountingPlan)
-        # 1542 and 131070 have the prime factor 257, 8192 is even, and
-        # 127 and 727 qualify but lie below the crossover
-        for n in (1543, 131071, 8192, 127, 727):
-            assert recovery._rader_plan(n) is None, n
+        # 8190 = 2 * 3^2 * 5 * 7 * 13 and 1032 = 2^3 * 3 * 43
+        for n in (8191, 1033):
+            assert isinstance(recovery._rader_plan((n,)), CountingPlan), n
         xs = np.zeros(8191)
         mask = generate_mask(MaskConfig(8191, 0.5, seed=1), 0)
         for _ in range(3):
             recovery_step(xs, mask, xs, 1.0)
-        assert built == [8191]
+        assert built == [8191, 1033]
+        # 1542 and 131070 have the prime factor 257, 1128 = 2^3 * 3 * 47,
+        # 8192 is even, and 127 and 947 qualify but lie below the crossover
+        for n in (1543, 131071, 1129, 8192, 127, 947):
+            assert recovery._rader_plan((n,)) is None, n
+        assert recovery._rader_plan((1, 8191)) is None
     finally:
         recovery._rader_plan.cache_clear()
 
@@ -295,12 +298,12 @@ def test_rader_recovery_matches_scipy_oracle(monkeypatch):
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
     mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
     xs = sample_random(x, mask)
-    assert recovery._rader_plan(n) is not None
+    assert recovery._rader_plan((n,)) is not None
     estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=50), reference=x)
 
     # the same loop on scipy's transforms alone
     with monkeypatch.context() as m:
-        m.setattr(recovery, "_rader_plan", lambda n: None)
+        m.setattr(recovery, "_rader_plan", lambda shape: None)
         t0 = default_initial_threshold(xs, mask)
     assert history[0][1] == pytest.approx(t0, rel=1e-12)
     oracle = np.zeros(n)
