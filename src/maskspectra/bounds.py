@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .masks import _as_index, is_prime
 
@@ -230,45 +230,16 @@ def q_function(x) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
 def q_inverse(y: float) -> float:
-    """Inverse of q_function, solved to |Q(x) - y| <= 1e-12 * y.
-
-    Bracketed Newton iteration on q_function itself (Q' = -pdf), falling
-    back to bisection whenever a step leaves the bracket or the pdf
-    underflows in the far tail.
-    """
+    """Inverse of q_function, Q^-1(y) = -ndtri(y), to a few ulp in x for
+    every y in (0, 1), subnormal y included."""
     if not 0.0 < y < 1.0:
         raise ValueError(f"q_inverse argument must lie in (0, 1), got {y!r}")
     if y == 0.5:
         return 0.0
     if y > 0.5:
         return -q_inverse(1.0 - y)
-
-    lo, hi = 0.0, 1.0
-    while q_function(hi) > y:
-        lo, hi = hi, hi * 2.0
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        qx = q_function(x)
-        err = qx - y
-        if abs(err) <= 1e-12 * y:
-            return x
-        if err > 0.0:  # Q decreasing: x is still left of the root
-            lo = x
-        else:
-            hi = x
-        pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
-        step_ok = False
-        if pdf > 0.0:
-            nxt = x + err / pdf
-            step_ok = lo < nxt < hi
-        x = nxt if step_ok else 0.5 * (lo + hi)
-        if hi - lo <= math.ulp(hi):
-            return x
-    return x
+    return -float(ndtri(y))
 
 
 def gaussian_bound(spec: BoundSpec, exact_variance: bool = False) -> float:

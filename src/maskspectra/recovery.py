@@ -6,20 +6,25 @@ schedule starts just above the aliasing-noise level the bounds predict,
 so early iterations keep only genuine signal lines.
 
 The loop takes one DFT and one inverse DFT per iteration. For a prime N
-above 1000 whose N - 1 has no prime factor above 43 (8191, for example,
+above 1000 whose N - 1 has no prime factor above 67 (8191, for example,
 but not 1543 or 131071, whose N - 1 has the factor 257), both run through
-a cached Rader plan: each becomes one cyclic convolution of length N - 1,
-which pocketfft transforms directly, instead of Bluestein's two FFTs of
-length >= 2N - 1. Its results agree with scipy's transforms at the ulp
+a cached real Rader plan (spectrum._RaderPlan) instead. It computes the
+discrete Hartley transform h_k = Re X_k - Im X_k of the real input as one
+real cyclic convolution of length N - 1 (an rfft, a product with the
+kernel's precomputed rfft, an irfft), in place of Bluestein's two FFTs of
+length >= 2N - 1. The spectrum stays in Rader order, where bin -k sits
+(N - 1)/2 positions after bin k, so |X_k|^2 = (h_k^2 + h_-k^2) / 2 is
+read from the two halves, and a pair (k, -k) is kept or dropped together.
+The kept h, scaled by 1/N, goes through the same convolution again: the
+Hartley transform is its own inverse up to N, and the result is
+ifft(kept).real. Its results agree with scipy's transforms at the ulp
 level. Every other N uses scipy.fft.fft/ifft.
 """
-
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +32,8 @@ import numpy as np
 import scipy.fft
 
 from .bounds import ratio_approximation
-from .masks import Mask, _as_index, is_prime
+from .masks import Mask, _as_index
+from .spectrum import _rader_plan
 
 __all__ = [
     "SignalSpec",
@@ -48,12 +54,6 @@ __all__ = [
 ]
 
 _DIVERGENCE_RUN = 5
-# Rader's transform ties or beats scipy's Bluestein transform in measured
-# recovery_step times for prime N above _RADER_MIN_N whose N - 1 has no prime
-# factor above _RADER_MAX_FACTOR, and ties or loses outside them (about 2x
-# slower at 1543 and 131071, whose N - 1 has the factor 257).
-_RADER_MIN_N = 1000
-_RADER_MAX_FACTOR = 43
 
 
 @dataclass(frozen=True)
@@ -165,89 +165,6 @@ class RecoverySpec:
             raise ValueError("alpha must be positive")
 
 
-def _prime_factors(m: int) -> list[int]:
-    factors, f = [], 2
-    while f * f <= m:
-        if m % f == 0:
-            factors.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        factors.append(m)
-    return factors
-
-
-class _RaderPlan:
-    """Rader's DFT of prime length n as a cyclic convolution of length n - 1.
-
-    With g a generator of (Z/n)*, bin g^-p of the DFT of z is
-    z_0 + sum_q z_{g^q} exp(-2 pi i g^(q-p) / n), a cyclic convolution of
-    the input in g^q order with the kernel exp(-2 pi i g^-r / n), whose
-    length-(n-1) spectrum is precomputed. The inverse reuses it: bin k of
-    Re(ifft(c)) is bin -k of Re(fft(c)) / n, and the real part of the
-    convolution needs only an irfft.
-    """
-
-    def __init__(self, n: int) -> None:
-        m = n - 1
-        factors = _prime_factors(m)
-        g = next(c for c in range(2, n) if all(pow(c, m // f, n) != 1 for f in factors))
-        g_pos = np.empty(m, dtype=np.intp)  # g^q mod n
-        v = 1
-        for q in range(m):
-            g_pos[q] = v
-            v = v * g % n
-        g_neg = np.roll(g_pos[::-1], 1)  # g^-q mod n
-        # Position of bin k in the g^-p output order, and of bin -k for the
-        # inverse; bin 0 maps to a dummy position and is set afterwards.
-        fwd_pos = np.zeros(n, dtype=np.intp)
-        fwd_pos[g_neg] = np.arange(m)
-        self.n = n
-        self._g_pos, self._fwd_pos = g_pos, fwd_pos
-        self._inv_pos = fwd_pos[(-np.arange(n)) % n]
-        self._kernel = scipy.fft.fft(np.exp((-2j * np.pi / n) * g_neg))
-        # y[(-k) % m] for k = 0..m/2: the mirror bins folded into the irfft input
-        self._mirror = np.concatenate(([0], np.arange(m - 1, m // 2 - 1, -1)))
-
-    def _convolve(self, z: np.ndarray) -> np.ndarray:
-        """Spectrum of the convolution, with z_0 added to every output."""
-        y = scipy.fft.fft(z[self._g_pos])
-        y *= self._kernel
-        y[0] += (self.n - 1) * z[0]
-        return y
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        """scipy.fft.fft(z) for a length-n z, in natural bin order."""
-        out = scipy.fft.ifft(self._convolve(z), overwrite_x=True)[self._fwd_pos]
-        out[0] = z.sum()
-        return out
-
-    def inverse_real(self, coeffs: np.ndarray) -> np.ndarray:
-        """scipy.fft.ifft(coeffs).real for length-n coefficients."""
-        m = self.n - 1
-        y = self._convolve(coeffs)
-        # Re(ifft(y)) is the irfft of y's Hermitian part
-        half = y[: m // 2 + 1]
-        half += np.conj(y[self._mirror])
-        half *= 0.5 / self.n
-        out = scipy.fft.irfft(half, m, overwrite_x=True)[self._inv_pos]
-        out[0] = coeffs.sum().real / self.n
-        return out
-
-
-@lru_cache(maxsize=8)
-def _rader_plan(shape: tuple[int, ...]) -> _RaderPlan | None:
-    """The Rader plan for an array of this shape, or None where scipy's
-    transform is as fast (or the array is not 1-D)."""
-    if len(shape) != 1:
-        return None
-    (n,) = shape
-    if n <= _RADER_MIN_N or not is_prime(n) or max(_prime_factors(n - 1)) > _RADER_MAX_FACTOR:
-        return None
-    return _RaderPlan(n)
-
-
 def default_initial_threshold(xs, mask: Mask) -> float:
     """Initial threshold c * max|DFT(xs)| / p_hat with p_hat = n_p/n.
 
@@ -263,7 +180,11 @@ def default_initial_threshold(xs, mask: Mask) -> float:
         c += 3.0 * math.sqrt(p_hat * (1.0 - p_hat) * mask.n) / math.ceil(mask.n * p_hat)
     xs = np.asarray(xs, dtype=np.float64)
     plan = _rader_plan(xs.shape)
-    peak = float(np.abs(scipy.fft.fft(xs) if plan is None else plan.forward(xs)).max())
+    if plan is None:
+        peak = float(np.abs(scipy.fft.fft(xs)).max())
+    else:
+        h0, h = plan.hartley(xs)
+        peak = max(abs(float(h0)), float(plan.pair_magnitudes(h).max()))
     if peak == 0.0:
         raise ValueError("sampled signal is identically zero")
     return c * peak / p_hat
@@ -274,7 +195,15 @@ def recovery_step(xs: np.ndarray, mask: Mask, estimate: np.ndarray, threshold: f
     z = xs + (1.0 - mask.bits) * estimate
     plan = _rader_plan(z.shape)
     if plan is not None:
-        return plan.inverse_real(hard_threshold(plan.forward(z), threshold))
+        if threshold < 0.0:
+            raise ValueError("threshold must be nonnegative")
+        # Drop what hard_threshold drops, pairs (k, -k) together, and scale
+        # the rest by 1/n: the DHT of what is kept is then ifft(kept).real.
+        n = z.size
+        h0, h = plan.hartley(z)
+        pairs = h.reshape(2, -1)
+        pairs *= np.where(plan.pair_magnitudes(h) <= threshold, 0.0, 1.0 / n)
+        return plan.inverse_hartley(0.0 if abs(h0) <= threshold else h0 / n, h)
     kept = hard_threshold(scipy.fft.fft(z), threshold)
     return np.ascontiguousarray(scipy.fft.ifft(kept).real)
 

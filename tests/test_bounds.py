@@ -164,6 +164,22 @@ def test_q_inverse_against_erfcinv_oracle():
         assert q_inverse(y) == pytest.approx(math.sqrt(2.0) * float(erfcinv(2.0 * y)), rel=1e-12)
 
 
+def test_q_inverse_against_mpmath_log_space_oracle():
+    # Solving log Q(x) = log y at 60 digits reaches subnormal y, where Q(x)
+    # itself underflows; [5.6e-225, 4.5e-213] is where a bracketed Newton
+    # solver on Q once stopped short.
+    mpmath.mp.dps = 60
+    ys = np.concatenate((np.logspace(math.log10(4e-323), math.log10(0.49), 40),
+                         [5e-324, 5.66e-225, 1e-220, 3e-217, 4.5e-213, 0.4999]))
+    for y in ys.tolist():
+        log_y = mpmath.log(mpmath.mpf(y))
+        exact = mpmath.findroot(
+            lambda x: mpmath.log(mpmath.erfc(x / mpmath.sqrt(2)) / 2) - log_y,
+            mpmath.sqrt(-2 * log_y) if y < 0.1 else mpmath.mpf(0.5),
+        )
+        assert q_inverse(y) == pytest.approx(float(exact), rel=1e-14), y
+
+
 def test_gaussian_bound_reference_value():
     spec = BoundSpec(127, 0.5, epsilon=1e-4)
     assert gaussian_bound(spec) == pytest.approx(31.0, abs=0.1)

@@ -481,3 +481,50 @@ def test_failures_discard_all_progress(monkeypatch):
     monkeypatch.setattr(mc, "_run_chunk", flaky)
     with pytest.raises(MemoryError):
         run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500))
+
+
+def _stats_of(values):
+    rs = RunningStats()
+    for x in values:
+        rs.push(x)
+    return rs
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.lists(st.floats(-1e3, 1e3), max_size=30), min_size=3, max_size=3))
+def test_running_stats_merge_is_associative(parts):
+    a, b, c = parts
+    left = _stats_of(a)
+    left.merge(_stats_of(b))
+    left.merge(_stats_of(c))  # (a + b) + c
+    right_tail = _stats_of(b)
+    right_tail.merge(_stats_of(c))
+    right = _stats_of(a)
+    right.merge(right_tail)  # a + (b + c)
+    values = a + b + c
+    scale = max((abs(x) for x in values), default=0.0)
+    assert (left.count, left.min, left.max) == (right.count, right.min, right.max)
+    assert left.mean == pytest.approx(right.mean, rel=1e-12, abs=1e-12 * scale)
+    assert left._m2 == pytest.approx(right._m2, rel=1e-12, abs=1e-12 * len(values) * scale * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@example(n=3, p=0.99, seed=0, start=0)  # a full mask: worst case 0
+@example(n=127, p=0.01, seed=1, start=0)  # n_p of 0 or 1
+@given(
+    n=st.sampled_from([2, 3, 5, 7, 13, 127, 257, 1543, 1999]),
+    p=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**64 - 17),
+)
+def test_block_kernel_peaks_respect_worst_case(n, p, seed, start):
+    # at prime N no mask with n_p ones has a peak above the contiguous block's
+    import maskspectra.montecarlo as mc
+
+    config = MaskConfig(n, p, seed=seed)
+    for t in range(start, start + 16):
+        stats, _ = mc._run_chunk((config, t, t + 1, ()))
+        n_p = int(stats.n_p_stats.max)
+        peak = stats.per_trial_max.max
+        bound = bounds.worst_case_bound(n, n_p) if n_p else 0.0
+        assert peak <= bound * (1.0 + 1e-12) + 1e-12 * n, (t, n_p)

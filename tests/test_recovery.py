@@ -6,7 +6,7 @@ import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maskspectra import recovery
+from maskspectra import recovery, spectrum
 from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
 from maskspectra.recovery import (
     RecoverySpec,
@@ -245,52 +245,135 @@ def test_bundled_fixture_matches_spec():
 RADER_PRIMES = (3, 5, 7, 11, 13, 29, 31, 43, 47, 59, 83, 127, 173, 211)
 
 
+def _natural_order(plan, h0, h):
+    """The Rader-ordered DHT (h0, h) in natural bin order."""
+    out = np.empty(h.shape[:-1] + (plan.n,))
+    out[..., 0] = h0
+    out[..., plan.g_neg] = h
+    return out
+
+
 @settings(max_examples=25, deadline=None)
 @example(n=8191, seed=0)
 @given(n=st.sampled_from(RADER_PRIMES), seed=st.integers(0, 2**32 - 1))
 def test_rader_plan_matches_fft(n, seed):
-    plan = recovery._RaderPlan(n)
+    plan = spectrum._RaderPlan(n)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.normal(size=n)
+    z = rng.normal(size=n) + 10.0  # a large mean, as a recovery estimate may have
     expected = scipy.fft.fft(z)
-    got = plan.forward(z)
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    scale = np.abs(expected).max()
+    h0, h = plan.hartley(z)
+    hartley = _natural_order(plan, h0, h)
+    assert np.abs(hartley - (expected.real - expected.imag)).max() <= 1e-12 * scale
     if n < 1000:
         direct = dft_direct(z).coeffs
-        assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
-    assert np.abs(plan.inverse_real(expected) - z).max() <= 1e-12 * np.abs(z).max()
-    # any coefficients, not only a Hermitian spectrum: the real part of the ifft
-    coeffs = expected * (rng.random(n) < 0.5) + 1j * rng.normal(size=n)
-    want = scipy.fft.ifft(coeffs).real
-    assert np.abs(plan.inverse_real(coeffs) - want).max() <= 1e-12 * np.abs(coeffs).max()
+        assert np.abs(hartley - (direct.real - direct.imag)).max() <= 1e-12 * scale
+    # the DHT is its own inverse up to n. 1e-14 is tight enough to catch a
+    # kernel whose rounded sum is used as is: the large mean then moves
+    # sample 0 by about 3e-13 relative at n = 8191.
+    assert np.abs(plan.inverse_hartley(h0, h) - n * z).max() <= 1e-14 * n * np.abs(z).max()
+    # in Rader order bin -k sits (n-1)/2 positions after bin k
+    half = (n - 1) // 2
+    assert np.array_equal(plan.g_neg[half:], n - plan.g_neg[:half])
+    mags = np.abs(expected[plan.g_neg[:half]])
+    assert np.abs(plan.pair_magnitudes(h) - mags).max() <= 1e-12 * scale
+    # batched along the last axis
+    pair = np.stack((z, rng.normal(size=n)))
+    b0, b = plan.hartley(pair)
+    assert np.abs(_natural_order(plan, b0, b)[0] - hartley).max() <= 1e-12 * scale
+    assert np.abs(plan.inverse_hartley(b0, b) - n * pair).max() <= 1e-12 * n * np.abs(pair).max()
+
+
+@settings(max_examples=25, deadline=None)
+@example(n=8191, seed=1)
+@given(n=st.sampled_from(RADER_PRIMES), seed=st.integers(0, 2**32 - 1))
+def test_rader_inverse_of_kept_pairs_is_real_ifft(n, seed):
+    # for any kept set closed under k <-> -k, the DHT of the kept Hartley
+    # bins over n is ifft(kept).real: what the Rader step relies on
+    plan = spectrum._RaderPlan(n)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    z = rng.normal(size=n)
+    keep_pairs = rng.random((n - 1) // 2) < 0.3
+    keep_dc = bool(rng.random() < 0.5)
+    h0, h = plan.hartley(z)
+    h.reshape(2, -1)[...] *= keep_pairs / n
+    got = plan.inverse_hartley(h0 / n if keep_dc else 0.0, h)
+    keep = np.zeros(n, dtype=bool)
+    keep[0] = keep_dc
+    keep[plan.g_neg] = np.tile(keep_pairs, 2)
+    assert np.array_equal(keep[1:], keep[1:][::-1])
+    want = scipy.fft.ifft(scipy.fft.fft(z) * keep).real
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(z).max()
+
+
+def test_rader_step_matches_scipy_step(monkeypatch):
+    n = 8191
+    x = synthesize_signal(random_band_signal(n, 8, seed=7))
+    mask = generate_mask(MaskConfig(n, 0.5, seed=8), 0)
+    xs = sample_random(x, mask)
+    rng = np.random.Generator(np.random.Philox(key=9))
+    estimate = x + 0.01 * rng.normal(size=n) + 0.2  # off-band noise and a DC offset
+    assert recovery._rader_plan((n,)) is not None
+    z = xs + (1.0 - mask.bits) * estimate
+    spectrum_z = scipy.fft.fft(z)
+    for threshold in (0.0, 0.05, 0.5, 1.0, 5.0, 0.999 * np.abs(spectrum_z).max(), 1e9):
+        want = scipy.fft.ifft(hard_threshold(spectrum_z, threshold)).real
+        got = recovery_step(xs, mask, estimate, threshold)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), np.abs(z).max()), threshold
+    assert recovery_step(xs, mask, estimate, 1e9).tolist() == [0.0] * n
+    with pytest.raises(ValueError, match="nonnegative"):
+        recovery_step(xs, mask, estimate, -1.0)
+    # the initial threshold takes its peak from the same magnitudes; here
+    # the DC bin, which has no mirror, is the peak
+    assert abs(spectrum_z[0]) == np.abs(spectrum_z).max()
+    with monkeypatch.context() as m:
+        m.setattr(recovery, "_rader_plan", lambda shape: None)
+        want_t0 = default_initial_threshold(z, mask)
+    assert default_initial_threshold(z, mask) == pytest.approx(want_t0, rel=1e-12)
 
 
 def test_rader_plan_selection(monkeypatch):
     built = []
 
-    class CountingPlan(recovery._RaderPlan):
+    class CountingPlan(spectrum._RaderPlan):
         def __init__(self, n):
             built.append(n)
             super().__init__(n)
 
-    monkeypatch.setattr(recovery, "_RaderPlan", CountingPlan)
-    recovery._rader_plan.cache_clear()
+    monkeypatch.setattr(spectrum, "_RaderPlan", CountingPlan)
+    spectrum._cached_rader_plan.cache_clear()
     try:
-        # 8190 = 2 * 3^2 * 5 * 7 * 13 and 1032 = 2^3 * 3 * 43
-        for n in (8191, 1033):
+        # 1542 and 131070 have the prime factor 257, 1278 = 2 * 3^2 * 71,
+        # 8192 is even, and 127 and 947 qualify but lie below the crossover
+        for n in (1543, 131071, 1279, 8192, 127, 947):
+            assert recovery._rader_plan((n,)) is None, n
+        assert recovery._rader_plan((1, 8191)) is None
+        assert built == []
+        # 8190 = 2 * 3^2 * 5 * 7 * 13, 1032 = 2^3 * 3 * 43, 1608 = 2^3 * 3 * 67
+        for n in (8191, 1033, 1609):
             assert isinstance(recovery._rader_plan((n,)), CountingPlan), n
         xs = np.zeros(8191)
         mask = generate_mask(MaskConfig(8191, 0.5, seed=1), 0)
         for _ in range(3):
             recovery_step(xs, mask, xs, 1.0)
-        assert built == [8191, 1033]
-        # 1542 and 131070 have the prime factor 257, 1128 = 2^3 * 3 * 47,
-        # 8192 is even, and 127 and 947 qualify but lie below the crossover
-        for n in (1543, 131071, 1129, 8192, 127, 947):
-            assert recovery._rader_plan((n,)) is None, n
-        assert recovery._rader_plan((1, 8191)) is None
+        assert built == [8191, 1033, 1609]
     finally:
-        recovery._rader_plan.cache_clear()
+        spectrum._cached_rader_plan.cache_clear()
+
+
+def test_rader_plan_survives_shapes_without_a_plan():
+    # shapes without a plan are not cached, so any number of them between
+    # two steps leaves the 8191 plan in place
+    n = 8191
+    mask = generate_mask(MaskConfig(n, 0.5, seed=2), 0)
+    xs = sample_random(synthesize_signal(random_band_signal(n, 4, seed=3)), mask)
+    first = recovery_step(xs, mask, np.zeros(n), 0.5)
+    plan = recovery._rader_plan((n,))
+    for m in (127, 128, 1543, 1279, 947, 8192, 131071, 4099, 2048, 1000, 3):
+        assert recovery._rader_plan((m,)) is None, m
+    assert recovery._rader_plan((2, n)) is None
+    assert recovery._rader_plan((n,)) is plan
+    assert np.array_equal(recovery_step(xs, mask, np.zeros(n), 0.5), first)
 
 
 def test_rader_recovery_matches_scipy_oracle(monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
 from maskspectra.spectrum import Spectrum, dft_direct, dft_fast, max_nonzero_bin, spectrum_of_mask
@@ -99,3 +101,23 @@ def test_spectrum_immutable():
     s = dft_fast(np.ones(8))
     with pytest.raises(ValueError):
         s.coeffs[0] = 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=2, p=0.5, seed=1, trial=1)
+@example(n=1543, p=0.5, seed=2, trial=2**64 - 1)
+@given(
+    n=st.integers(2, 400),
+    p=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**64 - 1),
+    trial=st.integers(0, 2**64 - 1),
+)
+def test_mask_spectrum_dc_and_conjugate_symmetry(n, p, seed, trial):
+    mask = generate_mask(MaskConfig(n, p, seed=seed), trial)
+    coeffs = spectrum_of_mask(mask).coeffs
+    direct = dft_direct(mask.bits).coeffs
+    tol = 1e-12 * n
+    assert np.abs(coeffs - direct).max() <= tol
+    assert abs(coeffs[0] - mask.n_p) <= tol and abs(direct[0] - mask.n_p) <= tol
+    mirror = np.conj(coeffs[(-np.arange(n)) % n])
+    assert np.abs(coeffs - mirror).max() <= tol
