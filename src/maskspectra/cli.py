@@ -114,16 +114,18 @@ def cmd_figure(args) -> int:
         raise ValueError(f"--n is required for mode {args.mode!r}")
     if args.mode == "ratio":
         ps = _parse_float_list(args.ps, "--ps")
-        curves = {
-            p: montecarlo.noise_ratio_curve(MaskConfig(args.n, p, seed), args.trials, workers=args.workers)
+        names = [f"ratio_p{p:g}" for p in ps]
+        if len(set(names)) != len(names):
+            raise ValueError(f"--ps {args.ps!r} names a column twice: {', '.join(names)}")
+        curves = [
+            montecarlo.noise_ratio_curve(MaskConfig(args.n, p, seed), args.trials, workers=args.workers)
             for p in ps
-        }
-        columns = ["k"] + [f"ratio_p{p:g}" for p in ps]
+        ]
         records = [
-            {"k": k, **{f"ratio_p{p:g}": float(curves[p][k - 1]) for p in ps}}
+            {"k": k, **{name: float(curve[k - 1]) for name, curve in zip(names, curves)}}
             for k in range(1, args.n)
         ]
-        _emit(_render(records, columns, args.format), args.out)
+        _emit(_render(records, ["k", *names], args.format), args.out)
         return 0
     if args.mode == "approx":
         records = []

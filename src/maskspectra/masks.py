@@ -103,16 +103,19 @@ class Mask:
         return int(self.bits.size)
 
 
-def _trial_key(seed: int, trial_index: int) -> np.ndarray:
+def _trial_key(seed: int, trial_index: int) -> list[int]:
     """Philox key words of one trial, low word first: the 128-bit key
-    (seed << 64) + trial_index."""
-    return np.array([trial_index, seed], dtype=np.uint64)
+    (seed << 64) + trial_index. Plain ints, which the Philox state setter
+    reads far faster than numpy scalars."""
+    return [trial_index, seed]
 
 
 def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     # Philox is counter-based: the 128-bit key (seed, trial) fully determines
-    # the stream, independent of how many draws other trials made.
-    return np.random.Generator(np.random.Philox(key=_trial_key(seed, trial_index)))
+    # the stream, independent of how many draws other trials made. The
+    # explicit dtype matters: numpy reads [5, 2**64 - 1] as float64.
+    key = np.array(_trial_key(seed, trial_index), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def generate_mask(config: MaskConfig, trial_index: int = 0) -> Mask:

@@ -11,13 +11,19 @@ The kernel works through its chunk in blocks of ``_BLOCK_ELEMS // N``
 trials, rounded down to an even count and at least two, so a block holds
 about ``_BLOCK_ELEMS`` mask elements whatever N is. One Philox generator
 per chunk is re-keyed for each trial and draws into a preallocated
-(block, N) array. Masks are real, so two of them share one complex
-transform: trial 2j goes in the real part and trial 2j + 1 in the
-imaginary part of one row, and one FFT of shape (block/2, N) serves the
-whole block. With Z that transform, |A_k| = |Z_k + conj Z_{N-k}| / 2 and
-|B_k| = |Z_k - conj Z_{N-k}| / 2 are unpacked for k = 1..N//2 only; the
-other half mirrors them exactly, and the bin sum counts every bin twice
-except the Nyquist bin of even N.
+(block, N) array; its state is a dict built once per chunk with every
+word a plain int, and only the key changes between trials. Masks are
+real, so two of them share one complex transform: trial 2j goes in the
+real part and trial 2j + 1 in the imaginary part of one row, and one FFT
+of shape (block/2, N) serves the whole block. With Z that transform,
+|A_k| = |Z_k + conj Z_{N-k}| / 2 and |B_k| = |Z_k - conj Z_{N-k}| / 2 are
+unpacked for k = 1..N//2 only; the other half mirrors them exactly, and
+the bin sum counts every bin twice except the Nyquist bin of even N.
+Each trial's peak, bin mean and n_p go into three chunk-length arrays in
+trial order, and each array becomes one ``RunningStats`` by array
+reductions at the end of the chunk (``RunningStats.from_values``). A
+pool receives the chunks in about four batches per worker and returns
+them in chunk order.
 
 Determinism contract: trial t is always transformed together with trial
 t ^ 1 (a chunk that starts or ends inside a pair draws the partner and
@@ -25,9 +31,10 @@ discards it), and per-trial RNG streams are keyed by trial index, so
 every per-trial value is a pure function of (seed, t), whatever the chunk
 boundaries, block size, trial count or worker count. Chunks are fixed
 runs of ``_CHUNK_TRIALS`` trials, independent of the worker count, and
-are merged in order, so any worker count gives bit-identical results;
-the per-bin max, the exceedance counts and the per-trial extremes are
-bit-identical under any other chunking too.
+are merged in order (Chan et al.), so any worker count and any block
+size give bit-identical results; the per-bin max, the exceedance counts
+and the per-trial extremes are bit-identical under any other chunking
+too.
 
 The per-trial path ``generate_mask`` -> ``spectrum_of_mask`` takes one
 real transform per mask and stays public as the reference the tests
@@ -110,6 +117,23 @@ class RunningStats:
             self.min = x
         if x > self.max:
             self.max = x
+
+    @classmethod
+    def from_values(cls, values: np.ndarray) -> "RunningStats":
+        """The aggregate of a 1-D float64 array, by array reductions.
+
+        The mean is clamped to [min, max]: the rounded ``values.mean()`` can
+        fall outside that range (``np.full(3, 0.1).mean() > 0.1``), and with
+        the clamp, constant data has a variance of exactly 0.
+        """
+        stats = cls()
+        if values.size:
+            stats.count = int(values.size)
+            stats.min, stats.max = float(values.min()), float(values.max())
+            stats.mean = min(max(float(values.mean()), stats.min), stats.max)
+            deviations = values - stats.mean
+            stats._m2 = float((deviations * deviations).sum())
+        return stats
 
     def merge(self, other: "RunningStats") -> None:
         """Combine with another aggregate (Chan et al. update)."""
@@ -223,8 +247,8 @@ def _run_chunk(args: tuple) -> tuple[TrialStats, np.ndarray]:
     config, start, stop, thresholds = args
     n, seed = config.n, config.seed
     half = n // 2  # bins k = 1..N//2; |A_{N-k}| = |A_k| for real masks
-    stats = TrialStats(exceedance_counts={label: 0 for label, _ in thresholds})
     half_max = np.zeros(half)
+    peaks, means, n_ps = np.empty((3, stop - start))  # per-trial values, reduced once per chunk
     # trial t is always transformed with trial t ^ 1, so a chunk that starts
     # or ends inside a pair draws the missing partner and discards it
     first, end = start & ~1, (stop + 1) & ~1
@@ -232,14 +256,19 @@ def _run_chunk(args: tuple) -> tuple[TrialStats, np.ndarray]:
     uniforms = np.empty((rows, n))
     packed = np.empty((rows // 2, n), dtype=np.complex128)
     mags = np.empty((rows // 2, 2, half))
-    bit_gen = np.random.Philox(key=_trial_key(seed, first))
+    bit_gen = np.random.Philox(key=0)
     gen = np.random.Generator(bit_gen)
-    state = bit_gen.state  # counter 0, empty buffer: a freshly keyed stream
+    # a freshly keyed stream (counter 0, empty buffer) with every word a
+    # plain int, which the state setter reads far faster than numpy arrays;
+    # only the key changes from trial to trial
+    fresh = bit_gen.state
+    state = {**fresh, "state": {k: v.tolist() for k, v in fresh["state"].items()}, "buffer": fresh["buffer"].tolist()}
+    words = state["state"]
     for lo in range(first, end, rows):
         hi = min(lo + rows, end)
         block = uniforms[: hi - lo]
         for t, row in enumerate(block, lo):
-            state["state"]["key"] = _trial_key(seed, t)
+            words["key"] = _trial_key(seed, t)
             bit_gen.state = state
             gen.random(out=row)
         bits = block < config.p
@@ -255,29 +284,32 @@ def _run_chunk(args: tuple) -> tuple[TrialStats, np.ndarray]:
         np.abs(z_k + z_mirror, out=block_mags[:, 0])
         np.abs(z_k - z_mirror, out=block_mags[:, 1])
         block_mags *= 0.5
-        keep = slice(max(start - lo, 0), min(stop, hi) - lo)
+        lo_keep, hi_keep = max(start, lo), min(stop, hi)
+        keep = slice(lo_keep - lo, hi_keep - lo)
+        out = slice(lo_keep - start, hi_keep - start)
         half_mags = block_mags.reshape(len(block), half)[keep]
-        peaks = half_mags.max(axis=1)
+        half_mags.max(axis=1, out=peaks[out])
         sums = 2.0 * half_mags.sum(axis=1)
         if n % 2 == 0:
             sums -= half_mags[:, -1]  # the Nyquist bin is its own mirror
-        means = sums / (n - 1)
-        n_ps = np.count_nonzero(bits[keep], axis=1)
-        stats.trials += len(peaks)
-        # one push per trial, in trial order: the sums do not depend on the block size
-        for peak, mean, n_p in zip(peaks.tolist(), means.tolist(), n_ps.tolist()):
-            stats.per_trial_max.push(peak)
-            stats.mean_abs.push(mean)
-            stats.n_p_stats.push(float(n_p))
-        for label, value in thresholds:
-            stats.exceedance_counts[label] += int(np.count_nonzero(peaks > value))  # strict exceedance
+        np.divide(sums, n - 1, out=means[out])
+        n_ps[out] = np.count_nonzero(bits[keep], axis=1)
         np.maximum(half_max, half_mags.max(axis=0), out=half_max)
+    stats = TrialStats(
+        trials=stop - start,
+        per_trial_max=RunningStats.from_values(peaks),
+        mean_abs=RunningStats.from_values(means),
+        n_p_stats=RunningStats.from_values(n_ps),
+        # strict exceedance
+        exceedance_counts={label: int(np.count_nonzero(peaks > value)) for label, value in thresholds},
+    )
     return stats, np.concatenate((half_max, half_max[: n - 1 - half][::-1]))
 
 
 def _run(spec: ExperimentSpec) -> tuple[TrialStats, np.ndarray]:
     """Run every chunk and merge the results in chunk order; the pool gets
-    at most one worker per chunk and per CPU, and one worker runs in-process."""
+    at most one worker per chunk and per CPU, and one worker runs in-process.
+    A pool receives the chunks in about four batches per worker."""
     config = spec.config
     tasks = [
         (config, start, min(start + _CHUNK_TRIALS, spec.trials), spec.thresholds)
@@ -287,10 +319,12 @@ def _run(spec: ExperimentSpec) -> tuple[TrialStats, np.ndarray]:
     bin_max = np.zeros(config.n - 1)
     workers = min(spec.workers, len(tasks), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
-        run = map
         if workers > 1:
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for chunk_stats, chunk_bin_max in run(_run_chunk, tasks):
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_run_chunk, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+        else:
+            results = map(_run_chunk, tasks)
+        for chunk_stats, chunk_bin_max in results:
             total.merge(chunk_stats)
             np.maximum(bin_max, chunk_bin_max, out=bin_max)
     return total, bin_max

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import maskspectra
 from maskspectra import bounds, montecarlo
 from maskspectra.cli import main
 
@@ -133,6 +138,14 @@ def test_figure_approx_mode_tracks_exact(capsys):
     assert max(spread) <= 0.02
 
 
+def test_figure_ratio_mode_rejects_colliding_rates(capsys):
+    # both rates print as ratio_p0.1, and 0.5 twice would drop a JSON key
+    for ps in ("0.1,0.1000001", "0.5,0.5"):
+        code, out, err = run_cli(capsys, "figure", "--mode", "ratio", "--n", "31", "--ps", ps, "--trials", "10")
+        assert code == 2 and out == ""
+        assert "--ps" in err and "twice" in err
+
+
 def test_figure_ratio_mode_requires_n(capsys):
     code, _, err = run_cli(capsys, "figure", "--mode", "ratio")
     assert code == 2
@@ -191,3 +204,15 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    args = ["bounds", "--n", "127", "--p", "0.5"]
+    src = str(Path(maskspectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "maskspectra", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == run_cli(capsys, *args)[1]

@@ -42,6 +42,15 @@ def test_generate_is_deterministic():
     assert not np.array_equal(a.bits, c.bits)
 
 
+def test_trial_key_is_seed_high_word_trial_low_word():
+    # the 128-bit Philox key (seed << 64) + t, including mixed word sizes
+    # that numpy would read as float64 from a plain list
+    for seed, t in ((2**64 - 1, 5), (5, 2**64 - 1), (0, 2**63), (1729, 0)):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
+        want = rng.random(127) < 0.5
+        assert np.array_equal(generate_mask(MaskConfig(127, 0.5, seed=seed), t).bits, want)
+
+
 def test_distinct_seeds_distinct_masks():
     a = generate_mask(MaskConfig(127, 0.5, seed=1), 0)
     b = generate_mask(MaskConfig(127, 0.5, seed=2), 0)

@@ -262,7 +262,7 @@ def test_engine_matches_per_trial_oracle():
     assert stats.trials == 1100
     _assert_stats_close(stats.per_trial_max, peaks, 257)
     _assert_stats_close(stats.mean_abs, means, 257)
-    assert stats.n_p_stats == n_ps
+    _assert_stats_close(stats.n_p_stats, n_ps, 257)
     _assert_counts_bracketed(stats.exceedance_counts, all_peaks, thresholds, 257)
     assert 0 < stats.exceedance_counts["s3"] < 1100
     _assert_bins_close(noise_ratio_curve(cfg, trials=1100) * (257 * 0.3), bin_max, 257)
@@ -317,7 +317,7 @@ def test_block_kernel_matches_per_trial_oracle(n, p, seed, count, at_end, start)
     stats, bin_max = mc._run_chunk((config, start, start + count, thresholds))
     oracle, peaks, oracle_bin_max = _oracle_chunk(config, start, start + count)
     assert stats.trials == oracle.trials == count
-    assert stats.n_p_stats == oracle.n_p_stats
+    _assert_stats_close(stats.n_p_stats, oracle.n_p_stats, n)
     _assert_stats_close(stats.per_trial_max, oracle.per_trial_max, n)
     _assert_stats_close(stats.mean_abs, oracle.mean_abs, n)
     _assert_counts_bracketed(stats.exceedance_counts, peaks, thresholds, n)
@@ -376,7 +376,7 @@ def test_worker_count_is_clamped_without_spawning(monkeypatch):
 
     import maskspectra.montecarlo as mc
 
-    opened = []
+    opened, chunksizes = [], []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -388,7 +388,8 @@ def test_worker_count_is_clamped_without_spawning(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
+            chunksizes.append(chunksize)
             return map(fn, tasks)
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", FakePool)
@@ -400,6 +401,45 @@ def test_worker_count_is_clamped_without_spawning(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500, workers=4))
     assert opened == [2, 3]  # unknown CPU count: runs serially, opens no pool
+    # three chunks go out one per task; 17 chunks on 2 workers in batches of 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_experiment(ExperimentSpec(MaskConfig(31, 0.5, seed=1), trials=512 * 17, workers=2))
+    assert opened == [2, 3, 2]
+    assert chunksizes[:2] == [1, 1] and chunksizes[2] > 1
+
+
+def test_batched_pool_tasks_are_bit_identical():
+    # 17 chunks: a pool gets them in batches, yet every field matches the
+    # in-process run exactly
+    import maskspectra.montecarlo as mc
+
+    config = MaskConfig(31, 0.5, seed=6)
+    thresholds = (("s3", bounds.sigma_bound(31, 0.5, 3)),)
+    serial, serial_bins = mc._run(ExperimentSpec(config, 512 * 17, thresholds, workers=1))
+    for workers in (2, 3):
+        stats, bins = mc._run(ExperimentSpec(config, 512 * 17, thresholds, workers=workers))
+        assert stats.trials == serial.trials == 512 * 17
+        assert stats.per_trial_max == serial.per_trial_max
+        assert stats.mean_abs == serial.mean_abs
+        assert stats.n_p_stats == serial.n_p_stats
+        assert stats.exceedance_counts == serial.exceedance_counts
+        assert np.array_equal(bins, serial_bins)
+
+
+def test_chunk_statistics_do_not_depend_on_block_size(monkeypatch):
+    # the chunk is reduced once, after all its blocks, so the block size
+    # cannot change a single bit
+    import maskspectra.montecarlo as mc
+
+    config = MaskConfig(127, 0.3, seed=4)
+    task = (config, 3, 3 + mc._CHUNK_TRIALS, (("t", 10.0),))
+    whole, whole_bins = mc._run_chunk(task)
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 127 * 6)
+    blocked, blocked_bins = mc._run_chunk(task)
+    for name in ("per_trial_max", "mean_abs", "n_p_stats"):
+        assert getattr(blocked, name) == getattr(whole, name)
+    assert blocked.exceedance_counts == whole.exceedance_counts
+    assert np.array_equal(blocked_bins, whole_bins)
 
 
 def test_noise_ratio_parallel_matches_serial():
@@ -528,3 +568,23 @@ def test_block_kernel_peaks_respect_worst_case(n, p, seed, start):
         peak = stats.per_trial_max.max
         bound = bounds.worst_case_bound(n, n_p) if n_p else 0.0
         assert peak <= bound * (1.0 + 1e-12) + 1e-12 * n, (t, n_p)
+
+
+@settings(max_examples=100, deadline=None)
+@example(values=[0.1, 0.1, 0.1], split=1)  # a plain mean lands above 0.1, and M2 at about 6e-34
+@example(values=[1e3, -1e3], split=0)
+@given(values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=200), split=st.integers(0, 200))
+def test_running_stats_from_values_matches_push(values, split):
+    x = np.array(values)
+    got = RunningStats.from_values(x)
+    want = _stats_of(values)
+    scale = max(1.0, float(np.abs(x).max()))
+    assert (got.count, got.min, got.max) == (want.count, want.min, want.max)
+    _assert_stats_close(got, want, scale)
+    halves = RunningStats.from_values(x[:split])
+    halves.merge(RunningStats.from_values(x[split:]))
+    _assert_stats_close(halves, got, scale)
+    assert got.min <= got.mean <= got.max
+    constant = RunningStats.from_values(np.full(x.size, x[0]))
+    assert (constant.mean, constant._m2, constant.variance) == (x[0], 0.0, 0.0)
+    assert RunningStats.from_values(x[:0]) == RunningStats()
