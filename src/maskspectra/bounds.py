@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -84,7 +84,6 @@ class GaussianModel:
     """
 
     variance: float
-    mean: float = 0.0
     sigma: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -122,20 +121,7 @@ class BoundReport:
     ratio_approx: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "n_p": self.n_p,
-            "epsilon": self.epsilon,
-            "worst_case": self.worst_case,
-            "worst_case_ratio": self.worst_case_ratio,
-            "worst_case_ratio_np": self.worst_case_ratio_np,
-            "gaussian_T": self.gaussian_T,
-            "gaussian_T_approx": self.gaussian_T_approx,
-            "sigma3": self.sigma3,
-            "sigma4": self.sigma4,
-            "ratio_approx": self.ratio_approx,
-        }
+        return asdict(self)
 
 
 def _mask_length(n, least: int = 2) -> int:

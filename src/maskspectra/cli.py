@@ -104,7 +104,7 @@ def cmd_table1(args) -> int:
 def cmd_figure(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.mode == "bounds":
-        ns = _parse_int_list(args.ns, "--ns")
+        ns = _parse_list(args.ns, "--ns", int, "integers")
         records = montecarlo.figure_curves(
             args.rate, ns, trials=args.trials, seed=seed, eps=args.eps, workers=args.workers
         )
@@ -113,7 +113,7 @@ def cmd_figure(args) -> int:
     if args.n is None:
         raise ValueError(f"--n is required for mode {args.mode!r}")
     if args.mode == "ratio":
-        ps = _parse_float_list(args.ps, "--ps")
+        ps = _parse_list(args.ps, "--ps", float, "numbers")
         names = [f"ratio_p{p:g}" for p in ps]
         if len(set(names)) != len(names):
             raise ValueError(f"--ps {args.ps!r} names a column twice: {', '.join(names)}")
@@ -174,21 +174,11 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, convert, kind: str) -> list:
     try:
-        values = [int(part) for part in text.split(",") if part]
+        values = [convert(part) for part in text.split(",") if part]
     except ValueError as exc:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from exc
-    if not values:
-        raise ValueError(f"{flag} must list at least one value")
-    return values
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+        raise ValueError(f"{flag} expects comma-separated {kind}, got {text!r}") from exc
     if not values:
         raise ValueError(f"{flag} must list at least one value")
     return values

@@ -91,6 +91,7 @@ TABLE1_ROWS: tuple[tuple[int, float], ...] = (
     (131071, 0.8),
     (131071, 0.1),
 )
+_LARGE_N = 65536  # table1_report runs large_n_trials trials on rows at or above this N
 
 TABLE1_COLUMNS = ("N", "p", "n_p", "sim_max_mean", "sim_global_max", "sim_ratio", "bound_worst", "bound_ratio")
 FIGURE_COLUMNS = ("N", "sim_max_mean", "sim_global_max", "mean_abs", "gaussian_T", "sigma3", "sigma4", "worst_case")
@@ -351,14 +352,13 @@ def table1_report(
     trials: int,
     seed: int,
     large_n_trials: int = 1000,
-    large_n_threshold: int = 65536,
     workers: int = 1,
 ) -> list[dict]:
     """Reference-table rows: simulated maxima next to the worst-case bound.
 
     sim_max_mean is the mean over trials of the per-trial max; sim_ratio
     divides it by n_p = ceil(N*p). bound_ratio is bound/(N*p), the
-    normalization the reference table prints. Rows with N >= large_n_threshold
+    normalization the reference table prints. Rows with N >= _LARGE_N
     run large_n_trials trials (pass large_n_trials=trials to force the full
     count; at N=131071 that is a long run).
     """
@@ -366,7 +366,7 @@ def table1_report(
         raise ValueError("rows must be non-empty")
     out = []
     for n, p in rows:
-        row_trials = large_n_trials if n >= large_n_threshold else trials
+        row_trials = large_n_trials if n >= _LARGE_N else trials
         stats = run_experiment(ExperimentSpec(MaskConfig(n, p, seed), row_trials, workers=workers))
         n_p = math.ceil(n * p)
         bound = bounds.worst_case_bound(n, n_p)

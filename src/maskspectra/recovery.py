@@ -1,24 +1,5 @@
-"""Sparse recovery demo: reconstruct a band-limited signal from randomly
-kept samples by iterative hard thresholding in the frequency domain.
-
-This is where the spectral-noise bounds earn their keep: the threshold
-schedule starts just above the aliasing-noise level the bounds predict,
-so early iterations keep only genuine signal lines.
-
-The loop takes one DFT and one inverse DFT per iteration. For a prime N
-above 1000 whose N - 1 has no prime factor above 67 (8191, for example,
-but not 1543 or 131071, whose N - 1 has the factor 257), both run through
-a cached real Rader plan (spectrum._RaderPlan) instead. It computes the
-discrete Hartley transform h_k = Re X_k - Im X_k of the real input as one
-real cyclic convolution of length N - 1 (an rfft, a product with the
-kernel's precomputed rfft, an irfft), in place of Bluestein's two FFTs of
-length >= 2N - 1. The spectrum stays in Rader order, where bin -k sits
-(N - 1)/2 positions after bin k, so |X_k|^2 = (h_k^2 + h_-k^2) / 2 is
-read from the two halves, and a pair (k, -k) is kept or dropped together.
-The kept h, scaled by 1/N, goes through the same convolution again: the
-Hartley transform is its own inverse up to N, and the result is
-ifft(kept).real. Its results agree with scipy's transforms at the ulp
-level. Every other N uses scipy.fft.fft/ifft.
+"""Sparse recovery demo: iterative hard thresholding of a sampled band-limited
+signal from a bound-derived threshold; each step is one spectrum.keep_above.
 """
 from __future__ import annotations
 
@@ -33,7 +14,7 @@ import scipy.fft
 
 from .bounds import ratio_approximation
 from .masks import Mask, _as_index
-from .spectrum import _rader_plan
+from .spectrum import hard_threshold, keep_above, peak_magnitude
 
 __all__ = [
     "SignalSpec",
@@ -124,15 +105,6 @@ def sample_random(x, mask: Mask) -> np.ndarray:
     return arr * mask.bits
 
 
-def hard_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
-    """Keep coefficients with magnitude strictly above the threshold."""
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    out = np.array(coeffs, dtype=np.complex128)
-    out[np.abs(out) <= threshold] = 0.0
-    return out
-
-
 def snr_db(reference, estimate) -> float:
     """10*log10(||ref||^2 / ||ref - est||^2); inf for an exact match."""
     ref = np.asarray(reference, dtype=np.float64)
@@ -178,13 +150,7 @@ def default_initial_threshold(xs, mask: Mask) -> float:
     c = ratio_approximation(mask.n, p_hat)
     if p_hat < 1.0:
         c += 3.0 * math.sqrt(p_hat * (1.0 - p_hat) * mask.n) / math.ceil(mask.n * p_hat)
-    xs = np.asarray(xs, dtype=np.float64)
-    plan = _rader_plan(xs.shape)
-    if plan is None:
-        peak = float(np.abs(scipy.fft.fft(xs)).max())
-    else:
-        h0, h = plan.hartley(xs)
-        peak = max(abs(float(h0)), float(plan.pair_magnitudes(h).max()))
+    peak = peak_magnitude(xs)
     if peak == 0.0:
         raise ValueError("sampled signal is identically zero")
     return c * peak / p_hat
@@ -192,20 +158,7 @@ def default_initial_threshold(xs, mask: Mask) -> float:
 
 def recovery_step(xs: np.ndarray, mask: Mask, estimate: np.ndarray, threshold: float) -> np.ndarray:
     """One iteration: re-impose known samples, hard-threshold in frequency."""
-    z = xs + (1.0 - mask.bits) * estimate
-    plan = _rader_plan(z.shape)
-    if plan is not None:
-        if threshold < 0.0:
-            raise ValueError("threshold must be nonnegative")
-        # Drop what hard_threshold drops, pairs (k, -k) together, and scale
-        # the rest by 1/n: the DHT of what is kept is then ifft(kept).real.
-        n = z.size
-        h0, h = plan.hartley(z)
-        pairs = h.reshape(2, -1)
-        pairs *= np.where(plan.pair_magnitudes(h) <= threshold, 0.0, 1.0 / n)
-        return plan.inverse_hartley(0.0 if abs(h0) <= threshold else h0 / n, h)
-    kept = hard_threshold(scipy.fft.fft(z), threshold)
-    return np.ascontiguousarray(scipy.fft.ifft(kept).real)
+    return keep_above(xs + (1.0 - mask.bits) * estimate, threshold)
 
 
 def recover(

@@ -8,7 +8,9 @@ For real input of prime length N, _RaderPlan computes the discrete Hartley
 transform h_k = Re X_k - Im X_k = sum_n x[n] cas(2*pi*k*n/N), with
 cas = cos + sin, as one real cyclic convolution of length N - 1 (Rader's
 algorithm), and leaves it in Rader order. The DHT is its own inverse up to
-a factor N, and |X_k|^2 = (h_k^2 + h_-k^2) / 2.
+a factor N, and |X_k|^2 = (h_k^2 + h_-k^2) / 2. peak_magnitude and
+keep_above use it where it beats scipy's transform and scipy elsewhere; no
+other module chooses between the two.
 """
 
 from __future__ import annotations
@@ -21,13 +23,17 @@ import scipy.fft
 
 from .masks import Mask, is_prime
 
-__all__ = ["Spectrum", "dft_direct", "dft_fast", "spectrum_of_mask", "max_nonzero_bin"]
+__all__ = [
+    "Spectrum", "dft_direct", "dft_fast", "spectrum_of_mask", "max_nonzero_bin",
+    "hard_threshold", "peak_magnitude", "keep_above",
+]
 
 _DIRECT_BLOCK_ROWS = 256
-# In measured recovery_step times the real Rader plan beats scipy's Bluestein
-# transform at every prime N above _RADER_MIN_N whose N - 1 has no prime
-# factor above _RADER_MAX_FACTOR. Just outside them it ties (947, 1279) or
-# loses (about 2x at 1543, whose N - 1 has the factor 257).
+# In recovery_step times measured over all primes from 500 to 3000 and 75
+# larger ones, the real Rader plan beats scipy's Bluestein transform at every
+# prime N above _RADER_MIN_N whose N - 1 has no prime factor above
+# _RADER_MAX_FACTOR. Just outside them it ties (947, 1279) or loses (about
+# 2x at 1543, whose N - 1 has the factor 257).
 _RADER_MIN_N = 1000
 _RADER_MAX_FACTOR = 67
 
@@ -87,11 +93,9 @@ def dft_fast(x) -> Spectrum:
     return Spectrum(scipy.fft.fft(arr))
 
 
-def spectrum_of_mask(mask: Mask, fast: bool = True) -> Spectrum:
+def spectrum_of_mask(mask: Mask) -> Spectrum:
     """Transform a mask, recording its support size on the spectrum."""
-    bits = mask.bits.astype(np.float64)
-    coeffs = scipy.fft.fft(bits) if fast else dft_direct(bits).coeffs
-    return Spectrum(coeffs, source_n_p=mask.n_p)
+    return Spectrum(scipy.fft.fft(mask.bits.astype(np.float64)), source_n_p=mask.n_p)
 
 
 def max_nonzero_bin(s: Spectrum) -> tuple[int, float]:
@@ -203,3 +207,43 @@ def _rader_plan(shape: tuple[int, ...]) -> _RaderPlan | None:
     if n <= _RADER_MIN_N or not is_prime(n) or max(_prime_factors(n - 1)) > _RADER_MAX_FACTOR:
         return None
     return _cached_rader_plan(n)
+
+
+def hard_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
+    """Keep coefficients with magnitude strictly above the threshold."""
+    if threshold < 0.0:
+        raise ValueError("threshold must be nonnegative")
+    out = np.array(coeffs, dtype=np.complex128)
+    out[np.abs(out) <= threshold] = 0.0
+    return out
+
+
+def peak_magnitude(x) -> float:
+    """max over every k of |DFT(x)_k| for real 1-D x, DC included."""
+    x = _as_real_vector(x)
+    plan = _rader_plan(x.shape)
+    if plan is None:
+        return float(np.abs(scipy.fft.fft(x)).max())
+    h0, h = plan.hartley(x)
+    return max(abs(float(h0)), float(plan.pair_magnitudes(h).max()))
+
+
+def keep_above(z, threshold: float) -> np.ndarray:
+    """ifft(hard_threshold(fft(z), threshold)).real for real 1-D z.
+
+    Through a Rader plan the pairs (k, -k), which share |X_k|, are kept or
+    dropped together, and the kept Hartley bins are scaled by 1/N: their
+    DHT is then the real inverse transform. Agrees with scipy's path at the
+    ulp level.
+    """
+    if threshold < 0.0:
+        raise ValueError("threshold must be nonnegative")
+    z = _as_real_vector(z)
+    plan = _rader_plan(z.shape)
+    if plan is None:
+        return np.ascontiguousarray(scipy.fft.ifft(hard_threshold(scipy.fft.fft(z), threshold)).real)
+    n = z.size
+    h0, h = plan.hartley(z)
+    pairs = h.reshape(2, -1)
+    pairs *= np.where(plan.pair_magnitudes(h) <= threshold, 0.0, 1.0 / n)
+    return plan.inverse_hartley(0.0 if abs(h0) <= threshold else h0 / n, h)

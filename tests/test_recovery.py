@@ -313,7 +313,7 @@ def test_rader_step_matches_scipy_step(monkeypatch):
     xs = sample_random(x, mask)
     rng = np.random.Generator(np.random.Philox(key=9))
     estimate = x + 0.01 * rng.normal(size=n) + 0.2  # off-band noise and a DC offset
-    assert recovery._rader_plan((n,)) is not None
+    assert spectrum._rader_plan((n,)) is not None
     z = xs + (1.0 - mask.bits) * estimate
     spectrum_z = scipy.fft.fft(z)
     for threshold in (0.0, 0.05, 0.5, 1.0, 5.0, 0.999 * np.abs(spectrum_z).max(), 1e9):
@@ -327,7 +327,7 @@ def test_rader_step_matches_scipy_step(monkeypatch):
     # the DC bin, which has no mirror, is the peak
     assert abs(spectrum_z[0]) == np.abs(spectrum_z).max()
     with monkeypatch.context() as m:
-        m.setattr(recovery, "_rader_plan", lambda shape: None)
+        m.setattr(spectrum, "_rader_plan", lambda shape: None)
         want_t0 = default_initial_threshold(z, mask)
     assert default_initial_threshold(z, mask) == pytest.approx(want_t0, rel=1e-12)
 
@@ -346,12 +346,12 @@ def test_rader_plan_selection(monkeypatch):
         # 1542 and 131070 have the prime factor 257, 1278 = 2 * 3^2 * 71,
         # 8192 is even, and 127 and 947 qualify but lie below the crossover
         for n in (1543, 131071, 1279, 8192, 127, 947):
-            assert recovery._rader_plan((n,)) is None, n
-        assert recovery._rader_plan((1, 8191)) is None
+            assert spectrum._rader_plan((n,)) is None, n
+        assert spectrum._rader_plan((1, 8191)) is None
         assert built == []
         # 8190 = 2 * 3^2 * 5 * 7 * 13, 1032 = 2^3 * 3 * 43, 1608 = 2^3 * 3 * 67
         for n in (8191, 1033, 1609):
-            assert isinstance(recovery._rader_plan((n,)), CountingPlan), n
+            assert isinstance(spectrum._rader_plan((n,)), CountingPlan), n
         xs = np.zeros(8191)
         mask = generate_mask(MaskConfig(8191, 0.5, seed=1), 0)
         for _ in range(3):
@@ -368,11 +368,11 @@ def test_rader_plan_survives_shapes_without_a_plan():
     mask = generate_mask(MaskConfig(n, 0.5, seed=2), 0)
     xs = sample_random(synthesize_signal(random_band_signal(n, 4, seed=3)), mask)
     first = recovery_step(xs, mask, np.zeros(n), 0.5)
-    plan = recovery._rader_plan((n,))
+    plan = spectrum._rader_plan((n,))
     for m in (127, 128, 1543, 1279, 947, 8192, 131071, 4099, 2048, 1000, 3):
-        assert recovery._rader_plan((m,)) is None, m
-    assert recovery._rader_plan((2, n)) is None
-    assert recovery._rader_plan((n,)) is plan
+        assert spectrum._rader_plan((m,)) is None, m
+    assert spectrum._rader_plan((2, n)) is None
+    assert spectrum._rader_plan((n,)) is plan
     assert np.array_equal(recovery_step(xs, mask, np.zeros(n), 0.5), first)
 
 
@@ -381,12 +381,12 @@ def test_rader_recovery_matches_scipy_oracle(monkeypatch):
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
     mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
     xs = sample_random(x, mask)
-    assert recovery._rader_plan((n,)) is not None
+    assert spectrum._rader_plan((n,)) is not None
     estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=50), reference=x)
 
     # the same loop on scipy's transforms alone
     with monkeypatch.context() as m:
-        m.setattr(recovery, "_rader_plan", lambda shape: None)
+        m.setattr(spectrum, "_rader_plan", lambda shape: None)
         t0 = default_initial_threshold(xs, mask)
     assert history[0][1] == pytest.approx(t0, rel=1e-12)
     oracle = np.zeros(n)

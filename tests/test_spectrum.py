@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import scipy.fft
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from maskspectra import spectrum
 from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
-from maskspectra.spectrum import Spectrum, dft_direct, dft_fast, max_nonzero_bin, spectrum_of_mask
+from maskspectra.spectrum import (
+    Spectrum,
+    dft_direct,
+    dft_fast,
+    hard_threshold,
+    keep_above,
+    max_nonzero_bin,
+    peak_magnitude,
+    spectrum_of_mask,
+)
 
 # grid spanning primes, powers of two, and mixed composites
 FAST_VS_DIRECT_SIZES = [1, 2, 3, 4, 5, 8, 16, 17, 64, 127, 128, 251, 360, 1024, 1543, 2048, 4093, 4096]
@@ -74,7 +85,7 @@ def test_mask_spectrum_invariants():
 
 def test_max_nonzero_bin_dirichlet_main_lobe():
     # minimum angular spacing puts the main lobe at k=1
-    s = spectrum_of_mask(worst_case_mask(13, 4), fast=False)
+    s = dft_direct(worst_case_mask(13, 4).bits)
     k, _ = max_nonzero_bin(s)
     assert k == 1
 
@@ -121,3 +132,35 @@ def test_mask_spectrum_dc_and_conjugate_symmetry(n, p, seed, trial):
     assert abs(coeffs[0] - mask.n_p) <= tol and abs(direct[0] - mask.n_p) <= tol
     mirror = np.conj(coeffs[(-np.arange(n)) % n])
     assert np.abs(coeffs - mirror).max() <= tol
+
+
+# keep_above and peak_magnitude run a Rader plan at the first three lengths
+# and scipy at the others (127 lies below the crossover, 128 is even, and
+# 1542 has the prime factor 257)
+RADER_LENGTHS = (1033, 1609, 8191)
+SCIPY_LENGTHS = (127, 128, 1543)
+
+
+@pytest.mark.parametrize("n", RADER_LENGTHS + SCIPY_LENGTHS)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), offset=st.sampled_from([0.0, 0.3]), frac=st.floats(0.05, 0.95))
+def test_keep_above_and_peak_magnitude_match_scipy(n, seed, offset, frac):
+    assert (spectrum._rader_plan((n,)) is not None) == (n in RADER_LENGTHS)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    z = rng.normal(size=n) + offset  # with the offset, the DC bin is the peak
+    coeffs = scipy.fft.fft(z)
+    mags = np.abs(coeffs)
+    peak = float(mags.max())
+    assert peak_magnitude(z) == pytest.approx(peak, rel=1e-12)
+    # a middle threshold splits the off-DC bins; none may sit on it, where
+    # an ulp decides whether a bin is kept
+    middle = frac * float(mags[1:].max())
+    assume(np.abs(mags - middle).min() > 1e-9 * peak)
+    scale = max(np.abs(z).max(), 1.0)
+    for threshold in (0.0, middle, 1.01 * peak):
+        want = scipy.fft.ifft(hard_threshold(coeffs, threshold)).real
+        got = keep_above(z, threshold)
+        assert np.abs(got - want).max() <= 1e-12 * scale, threshold
+    assert keep_above(z, 1.01 * peak).tolist() == [0.0] * n
+    with pytest.raises(ValueError, match="nonnegative"):
+        keep_above(z, -1.0)
