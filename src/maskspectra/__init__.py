@@ -5,7 +5,6 @@ masks, Monte Carlo validation, and an iterative-thresholding recovery demo.
 from .bounds import (
     BoundReport,
     BoundSpec,
-    GaussianModel,
     bound_report,
     dirichlet_closed_form,
     gaussian_bound,
@@ -16,7 +15,7 @@ from .bounds import (
     sigma_bound,
     worst_case_bound,
 )
-from .masks import Mask, MaskConfig, generate_mask, is_prime, mask_from_text, mask_to_text, worst_case_mask
+from .masks import Mask, MaskConfig, generate_mask, is_prime, worst_case_mask
 from .montecarlo import (
     ExperimentSpec,
     RunningStats,
@@ -36,7 +35,7 @@ from .recovery import (
     snr_db,
     synthesize_signal,
 )
-from .spectrum import Spectrum, dft_direct, dft_fast, max_nonzero_bin, spectrum_of_mask
+from .spectrum import dft_direct, max_nonzero_bin, spectrum_of_mask
 
 __version__ = "0.1.0"
 
@@ -46,15 +45,10 @@ __all__ = [
     "generate_mask",
     "worst_case_mask",
     "is_prime",
-    "mask_to_text",
-    "mask_from_text",
-    "Spectrum",
     "dft_direct",
-    "dft_fast",
     "spectrum_of_mask",
     "max_nonzero_bin",
     "BoundSpec",
-    "GaussianModel",
     "BoundReport",
     "worst_case_bound",
     "dirichlet_closed_form",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +29,6 @@ from .masks import _as_index, is_prime
 
 __all__ = [
     "BoundSpec",
-    "GaussianModel",
     "BoundReport",
     "worst_case_bound",
     "dirichlet_closed_form",
@@ -72,29 +71,6 @@ class BoundSpec:
     @property
     def effective_epsilon(self) -> float:
         return self.epsilon / (self.n - 1) if self.union_mode else self.epsilon
-
-
-@dataclass(frozen=True)
-class GaussianModel:
-    """Zero-mean Gaussian model of Re{A_k} / Im{A_k} for k != 0.
-
-    The default variance p(1-p)N matches the bound derivation; the exact
-    single-component variance is p(1-p)N/2 (sum of cos^2 over a full period
-    is N/2), selectable with exact=True.
-    """
-
-    variance: float
-    sigma: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.variance > 0.0:
-            raise ValueError("variance must be positive")
-        object.__setattr__(self, "sigma", math.sqrt(self.variance))
-
-    @classmethod
-    def for_mask(cls, n: int, p: float, exact: bool = False) -> "GaussianModel":
-        v = p * (1.0 - p) * n
-        return cls(variance=v / 2.0 if exact else v)
 
 
 @dataclass(frozen=True)
@@ -222,53 +198,50 @@ def q_inverse(y: float) -> float:
     if not 0.0 < y < 1.0:
         raise ValueError(f"q_inverse argument must lie in (0, 1), got {y!r}")
     if y == 0.5:
-        return 0.0
-    if y > 0.5:
-        return -q_inverse(1.0 - y)
+        return 0.0  # -ndtri(0.5) is -0.0
     return -float(ndtri(y))
 
 
-def gaussian_bound(spec: BoundSpec, exact_variance: bool = False) -> float:
+def _variance(spec: BoundSpec) -> float:
+    """p(1-p)N, the Gaussian model's variance of Re{A_k} and Im{A_k}, k != 0."""
+    return spec.p * (1.0 - spec.p) * spec.n
+
+
+def gaussian_bound(spec: BoundSpec) -> float:
     """Threshold T with per-bin P(|A_k| > T) <= eps under the Gaussian model.
 
     T = sqrt(2 * var) * Q^-1(eps'/2), splitting the eps budget between the
     real and imaginary parts; eps' is spec.effective_epsilon.
     """
-    model = GaussianModel.for_mask(spec.n, spec.p, exact=exact_variance)
-    return math.sqrt(2.0 * model.variance) * q_inverse(spec.effective_epsilon / 2.0)
+    return math.sqrt(2.0 * _variance(spec)) * q_inverse(spec.effective_epsilon / 2.0)
 
 
-def gaussian_bound_approx(spec: BoundSpec, exact_variance: bool = False) -> float:
+def gaussian_bound_approx(spec: BoundSpec) -> float:
     """gaussian_bound with the tail approximation Q(x) ~ exp(-x^2/2)/2.
 
     Closed form 2*sqrt(var * ln(1/eps')); an upper bound on gaussian_bound
     since Q(x) <= exp(-x^2/2)/2 for x >= 0.
     """
-    model = GaussianModel.for_mask(spec.n, spec.p, exact=exact_variance)
     # -ln(eps') rather than ln(1/eps'): 1/eps' overflows for subnormal eps'
-    return 2.0 * math.sqrt(model.variance * -math.log(spec.effective_epsilon))
+    return 2.0 * math.sqrt(_variance(spec) * -math.log(spec.effective_epsilon))
 
 
-def sigma_bound(n: int, p: float, m: int, allow_general_m: bool = False) -> float:
+def sigma_bound(n: int, p: float, m: int) -> float:
     """m-standard-deviation bound m * sqrt(p(1-p)N), m in {3, 4}.
 
     The m=4 value is computed as (4/3) times the m=3 value so their ratio
-    is exactly 4/3 in floating point. Other m need allow_general_m and are
-    accepted with a warning.
+    is exactly 4/3 in floating point.
     """
     n = _mask_length(n)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     if m not in (3, 4):
-        if not allow_general_m:
-            raise ValueError(f"m must be 3 or 4 (pass allow_general_m=True to override), got {m!r}")
-        warnings.warn(f"sigma bound with nonstandard multiplier m={m}")
-        return m * math.sqrt(p * (1.0 - p) * n)
+        raise ValueError(f"m must be 3 or 4, got {m!r}")
     sigma3 = 3.0 * math.sqrt(p * (1.0 - p) * n)
     return sigma3 if m == 3 else (4.0 / 3.0) * sigma3
 
 
-def bound_report(spec: BoundSpec, exact_variance: bool = False) -> BoundReport:
+def bound_report(spec: BoundSpec) -> BoundReport:
     """Evaluate every bound family for one spec."""
     worst = worst_case_bound(spec.n, spec.n_p)
     return BoundReport(
@@ -279,8 +252,8 @@ def bound_report(spec: BoundSpec, exact_variance: bool = False) -> BoundReport:
         worst_case=worst,
         worst_case_ratio=worst / spec.n_p,
         worst_case_ratio_np=worst / (spec.n * spec.p),
-        gaussian_T=gaussian_bound(spec, exact_variance=exact_variance),
-        gaussian_T_approx=gaussian_bound_approx(spec, exact_variance=exact_variance),
+        gaussian_T=gaussian_bound(spec),
+        gaussian_T_approx=gaussian_bound_approx(spec),
         sigma3=sigma_bound(spec.n, spec.p, 3),
         sigma4=sigma_bound(spec.n, spec.p, 4),
         ratio_approx=ratio_approximation(spec.n, spec.p),

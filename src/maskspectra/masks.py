@@ -1,4 +1,4 @@
-"""Bernoulli 0/1 sampling masks: configuration, generation, fixtures.
+"""Bernoulli 0/1 sampling masks: configuration, generation, the worst-case block.
 
 Masks are immutable once built; generation is a pure function of
 (seed, trial_index) via a counter-based RNG, so any execution order or
@@ -18,8 +18,6 @@ __all__ = [
     "is_prime",
     "generate_mask",
     "worst_case_mask",
-    "mask_to_text",
-    "mask_from_text",
 ]
 
 _UINT64_SPAN = 1 << 64
@@ -59,7 +57,6 @@ class MaskConfig:
     n: int
     p: float
     seed: int = 0
-    n_is_prime: bool = field(init=False)
 
     def __post_init__(self) -> None:
         n = _as_index(self.n, "mask length n")
@@ -72,7 +69,6 @@ class MaskConfig:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "n_is_prime", is_prime(n))
 
 
 @dataclass(frozen=True)
@@ -123,6 +119,7 @@ def generate_mask(config: MaskConfig, trial_index: int = 0) -> Mask:
 
     The same (config.seed, trial_index) always yields the same bits.
     """
+    trial_index = _as_index(trial_index, "trial_index")
     if trial_index < 0 or trial_index >= _UINT64_SPAN:
         raise ValueError(f"trial_index must fit in 64 unsigned bits, got {trial_index!r}")
     rng = _trial_rng(config.seed, trial_index)
@@ -135,20 +132,9 @@ def worst_case_mask(n: int, n_p: int) -> Mask:
     Among all masks with a fixed number of ones (and prime length), this
     arrangement maximizes the peak off-center DFT magnitude.
     """
+    n, n_p = _as_index(n, "n"), _as_index(n_p, "n_p")
     if not 0 <= n_p <= n:
         raise ValueError(f"n_p must lie in [0, {n}], got {n_p}")
     bits = np.zeros(n, dtype=np.uint8)
     bits[:n_p] = 1
     return Mask(bits)
-
-
-def mask_to_text(mask: Mask) -> str:
-    """Fixture format: one line of '0'/'1' characters, newline-terminated."""
-    return "".join("1" if b else "0" for b in mask.bits) + "\n"
-
-
-def mask_from_text(text: str) -> Mask:
-    line = text.rstrip("\n")
-    if not line or set(line) - {"0", "1"}:
-        raise ValueError("mask text must be a nonempty line of '0'/'1' characters")
-    return Mask(np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0"))

@@ -426,13 +426,7 @@ def noise_ratio_curve(config: MaskConfig, trials: int, workers: int = 1) -> np.n
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+    return f"{value:.9g}" if isinstance(value, float) else str(value)
 
 
 def records_to_csv(records: list[dict], columns=None) -> str:

@@ -48,7 +48,6 @@ class SignalSpec:
     n: int
     band: tuple[int, ...]
     amplitudes: tuple[complex, ...]
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -94,7 +93,7 @@ def random_band_signal(n: int, pairs: int, seed: int = 0, dc: float = 0.0) -> Si
         a = (1.0 + rng.random()) * np.exp(2j * np.pi * rng.random())
         band.extend([int(k), int(n - k)])
         amps.extend([complex(a), complex(np.conj(a))])
-    return SignalSpec(n=n, band=tuple(band), amplitudes=tuple(amps), seed=seed)
+    return SignalSpec(n=n, band=tuple(band), amplitudes=tuple(amps))
 
 
 def sample_random(x, mask: Mask) -> np.ndarray:

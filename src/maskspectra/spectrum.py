@@ -15,7 +15,6 @@ other module chooses between the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,8 +23,7 @@ import scipy.fft
 from .masks import Mask, is_prime
 
 __all__ = [
-    "Spectrum", "dft_direct", "dft_fast", "spectrum_of_mask", "max_nonzero_bin",
-    "hard_threshold", "peak_magnitude", "keep_above",
+    "dft_direct", "spectrum_of_mask", "max_nonzero_bin", "hard_threshold", "peak_magnitude", "keep_above",
 ]
 
 _DIRECT_BLOCK_ROWS = 256
@@ -38,25 +36,6 @@ _RADER_MIN_N = 1000
 _RADER_MAX_FACTOR = 67
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex DFT coefficients; ``source_n_p`` is set when a mask was transformed."""
-
-    coeffs: np.ndarray
-    source_n_p: int | None = None
-
-    def __post_init__(self) -> None:
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        if coeffs.ndim != 1 or coeffs.size < 1:
-            raise ValueError("spectrum coefficients must be a nonempty 1-D array")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def n(self) -> int:
-        return int(self.coeffs.size)
-
-
 def _as_real_vector(x) -> np.ndarray:
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
@@ -64,8 +43,9 @@ def _as_real_vector(x) -> np.ndarray:
     return arr
 
 
-def dft_direct(x) -> Spectrum:
-    """O(N^2) reference transform, evaluated blockwise.
+def dft_direct(x) -> np.ndarray:
+    """O(N^2) reference transform, evaluated blockwise: the oracle for the
+    scipy and Rader transforms.
 
     Twiddle phases are reduced with (k*n) mod N before scaling so the
     arguments passed to exp stay in [0, 2*pi).
@@ -79,30 +59,20 @@ def dft_direct(x) -> Spectrum:
         phase = (k[:, None] * idx[None, :]) % n
         kernel = np.exp((-2j * np.pi / n) * phase)
         coeffs[start : start + _DIRECT_BLOCK_ROWS] = kernel @ arr
-    return Spectrum(coeffs)
+    return coeffs
 
 
-def dft_fast(x) -> Spectrum:
-    """O(N log N) transform for any length, including primes.
-
-    Backed by scipy's pocketfft, which falls back to Bluestein's chirp-z
-    algorithm for large prime factors; agrees with dft_direct to ~1e-13
-    relative in the infinity norm.
-    """
-    arr = _as_real_vector(x)
-    return Spectrum(scipy.fft.fft(arr))
+def spectrum_of_mask(mask: Mask) -> np.ndarray:
+    """Complex DFT coefficients of a mask's bits."""
+    return scipy.fft.fft(mask.bits.astype(np.float64))
 
 
-def spectrum_of_mask(mask: Mask) -> Spectrum:
-    """Transform a mask, recording its support size on the spectrum."""
-    return Spectrum(scipy.fft.fft(mask.bits.astype(np.float64)), source_n_p=mask.n_p)
-
-
-def max_nonzero_bin(s: Spectrum) -> tuple[int, float]:
+def max_nonzero_bin(coeffs) -> tuple[int, float]:
     """Largest magnitude over bins k = 1..N-1 and its smallest attaining index."""
-    if s.n < 2:
-        raise ValueError("spectrum must have at least 2 bins")
-    mags = np.abs(s.coeffs[1:])
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 1 or coeffs.size < 2:
+        raise ValueError("spectrum must be a 1-D array of at least 2 bins")
+    mags = np.abs(coeffs[1:])
     k = int(np.argmax(mags))  # first occurrence: smallest k wins ties
     return k + 1, float(mags[k])
 

@@ -24,7 +24,7 @@ from maskspectra.recovery import (
     recovery_step,
     sample_random,
 )
-from maskspectra.spectrum import dft_direct, dft_fast, spectrum_of_mask
+from maskspectra.spectrum import dft_direct, spectrum_of_mask
 
 GRID_NS = (127, 1543, 8191)
 GRID_PS = (0.2, 0.5, 0.8)
@@ -178,9 +178,9 @@ def test_criterion_8_invariant_suites():
         cfg = MaskConfig(n, 0.5, seed=n + 1)
         for t in range(count):
             mask = generate_mask(cfg, t)
-            s = spectrum_of_mask(mask)
-            mags = np.abs(s.coeffs)
-            assert abs(s.coeffs[0] - mask.n_p) <= 1e-9
+            coeffs = spectrum_of_mask(mask)
+            mags = np.abs(coeffs)
+            assert abs(coeffs[0] - mask.n_p) <= 1e-9
             assert np.allclose(mags[1:], mags[1:][::-1], rtol=1e-9, atol=1e-12)
             energy_time = n * float(np.sum(mask.bits.astype(float) ** 2))
             if energy_time:
@@ -190,7 +190,7 @@ def test_criterion_8_invariant_suites():
     rng = np.random.Generator(np.random.Philox(key=99))
     for n in (17, 127, 1024, 1543, 4093, 4096):
         x = rng.random(n) - 0.5
-        a, b = dft_fast(x).coeffs, dft_direct(x).coeffs
+        a, b = scipy.fft.fft(x), dft_direct(x)
         assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max(), n
 
     # deterministic parallel reduction: 1 worker vs 8, bit-identical

@@ -5,11 +5,11 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.special import erfcinv
 
 from maskspectra.bounds import (
     BoundSpec,
-    GaussianModel,
     bound_report,
     dirichlet_closed_form,
     gaussian_bound,
@@ -21,7 +21,7 @@ from maskspectra.bounds import (
     worst_case_bound,
 )
 from maskspectra.masks import worst_case_mask
-from maskspectra.spectrum import dft_direct, dft_fast, max_nonzero_bin
+from maskspectra.spectrum import dft_direct, max_nonzero_bin
 
 
 def test_worst_case_reference_values():
@@ -94,7 +94,7 @@ def test_block_attains_the_bound():
     assert abs(value - worst_case_bound(13, 4)) <= 1e-9
     for n in (13, 127, 541, 1543, 4093):
         for n_p in (1, n // 3, n // 2, n - 1, n):
-            value = max_nonzero_bin(dft_fast(worst_case_mask(n, n_p).bits.astype(float)))[1]
+            value = max_nonzero_bin(scipy.fft.fft(worst_case_mask(n, n_p).bits.astype(float)))[1]
             assert abs(value - worst_case_bound(n, n_p)) <= 1e-9 * max(1.0, value)
 
 
@@ -200,18 +200,6 @@ def test_gaussian_bound_decreasing_in_epsilon():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_gaussian_bound_exact_variance_halves_the_square():
-    spec = BoundSpec(127, 0.5, epsilon=1e-4)
-    assert gaussian_bound(spec, exact_variance=True) == pytest.approx(gaussian_bound(spec) / math.sqrt(2.0))
-
-
-def test_gaussian_model_variants():
-    assert GaussianModel.for_mask(127, 0.5).variance == pytest.approx(31.75)
-    assert GaussianModel.for_mask(127, 0.5, exact=True).variance == pytest.approx(15.875)
-    with pytest.raises(ValueError):
-        GaussianModel(0.0)
-
-
 def test_gaussian_approx_reference_value():
     spec = BoundSpec(127, 0.5, epsilon=1e-4)
     assert gaussian_bound_approx(spec) == pytest.approx(34.2, abs=0.1)
@@ -252,10 +240,9 @@ def test_sigma_bound_sqrt_scaling():
 
 
 def test_sigma_bound_multiplier_policy():
-    with pytest.raises(ValueError):
-        sigma_bound(127, 0.5, 5)
-    with pytest.warns(UserWarning, match="nonstandard"):
-        assert sigma_bound(127, 0.5, 5, allow_general_m=True) == pytest.approx(5 * math.sqrt(31.75))
+    for m in (2, 5):
+        with pytest.raises(ValueError, match="3 or 4"):
+            sigma_bound(127, 0.5, m)
 
 
 def test_bound_spec_defaults_and_validation():

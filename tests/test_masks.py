@@ -7,8 +7,6 @@ from maskspectra.masks import (
     MaskConfig,
     generate_mask,
     is_prime,
-    mask_from_text,
-    mask_to_text,
     worst_case_mask,
 )
 
@@ -75,6 +73,11 @@ def test_worst_case_mask_layout():
         worst_case_mask(5, 6)
     with pytest.raises(ValueError):
         worst_case_mask(5, -1)
+    # any integer type; a float or bool is rejected, not truncated or read as 1
+    assert worst_case_mask(np.int64(5), np.uint8(2)).bits.tolist() == [1, 1, 0, 0, 0]
+    for n, n_p in ((127, 5.5), (127, True), (127.0, 5), (True, 1), (127, "5")):
+        with pytest.raises(ValueError):
+            worst_case_mask(n, n_p)
 
 
 def test_config_validation():
@@ -96,13 +99,18 @@ def test_config_validation():
         kwargs = {"n": 127, "p": 0.5, **bad}
         with pytest.raises(ValueError):
             MaskConfig(**kwargs)
+    # the same for trial indices: 1.5 and True must not read as trial 1
+    want = generate_mask(cfg, 1).bits
+    assert np.array_equal(generate_mask(cfg, np.int64(1)).bits, want)
+    assert np.array_equal(generate_mask(cfg, np.uint64(1)).bits, want)
+    for bad in (1.5, 1.0, True, np.bool_(True), "1", 2**64, np.int64(-1)):
+        with pytest.raises(ValueError, match="trial_index"):
+            generate_mask(cfg, bad)
 
 
-def test_n_is_prime_flag_against_oracle():
+def test_is_prime_against_oracle():
     for n in list(range(2, 200)) + [1543, 8191, 65537, 131071, 131072, 100000]:
         assert is_prime(n) == sympy.isprime(n), n
-    assert MaskConfig(127, 0.5).n_is_prime
-    assert not MaskConfig(128, 0.5).n_is_prime
 
 
 def test_mask_bits_validation():
@@ -122,17 +130,3 @@ def test_mask_immutable():
     with pytest.raises(ValueError):
         m.bits[0] = 0
 
-
-def test_text_roundtrip():
-    m = generate_mask(MaskConfig(64, 0.3, seed=5), 0)
-    text = mask_to_text(m)
-    assert text.endswith("\n") and set(text[:-1]) <= {"0", "1"} and len(text) == 65
-    back = mask_from_text(text)
-    assert np.array_equal(back.bits, m.bits)
-
-
-def test_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        mask_from_text("01012\n")
-    with pytest.raises(ValueError):
-        mask_from_text("\n")

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from maskspectra import spectrum
 from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
 from maskspectra.spectrum import (
-    Spectrum,
     dft_direct,
-    dft_fast,
     hard_threshold,
     keep_above,
     max_nonzero_bin,
@@ -22,36 +20,34 @@ FAST_VS_DIRECT_SIZES = [1, 2, 3, 4, 5, 8, 16, 17, 64, 127, 128, 251, 360, 1024, 
 
 
 def test_direct_all_zero():
-    s = dft_direct(np.zeros(16))
-    assert np.all(s.coeffs == 0)
+    assert np.all(dft_direct(np.zeros(16)) == 0)
 
 
 def test_direct_single_impulse_unit_modulus():
     for m in (0, 3, 7):
         x = np.zeros(11)
         x[m] = 1.0
-        s = dft_direct(x)
-        assert np.allclose(np.abs(s.coeffs), 1.0, atol=1e-12)
+        assert np.allclose(np.abs(dft_direct(x)), 1.0, atol=1e-12)
 
 
 def test_direct_all_ones_geometric_sum():
     n = 25
-    s = dft_direct(np.ones(n))
-    assert s.coeffs[0] == pytest.approx(n, abs=1e-9)
-    assert np.abs(s.coeffs[1:]).max() < 1e-9
+    coeffs = dft_direct(np.ones(n))
+    assert coeffs[0] == pytest.approx(n, abs=1e-9)
+    assert np.abs(coeffs[1:]).max() < 1e-9
 
 
-def test_fast_length_one():
-    s = dft_fast([3.25])
-    assert s.coeffs.tolist() == [3.25 + 0j]
+def test_length_one():
+    assert dft_direct([3.25]).tolist() == [3.25 + 0j]
+    assert spectrum_of_mask(worst_case_mask(1, 1)).tolist() == [1.0 + 0j]
 
 
 def test_fast_matches_direct():
     rng = np.random.Generator(np.random.Philox(key=2024))
     for n in FAST_VS_DIRECT_SIZES:
         x = rng.random(n) - 0.5
-        a = dft_fast(x).coeffs
-        b = dft_direct(x).coeffs
+        a = scipy.fft.fft(x)
+        b = dft_direct(x)
         scale = max(np.abs(b).max(), 1e-30)
         assert np.abs(a - b).max() <= 1e-9 * scale, n
 
@@ -59,9 +55,8 @@ def test_fast_matches_direct():
 def test_worst_case_block_peak_matches_reference_value():
     # contiguous block of 64 ones in a length-127 mask
     m = worst_case_mask(127, 64)
-    for transform in (dft_fast, dft_direct):
-        s = transform(m.bits.astype(float))
-        _, peak = max_nonzero_bin(s)
+    for transform in (scipy.fft.fft, dft_direct):
+        _, peak = max_nonzero_bin(transform(m.bits.astype(float)))
         assert peak == pytest.approx(40.426, abs=1e-3)
 
 
@@ -71,11 +66,10 @@ def test_mask_spectrum_invariants():
         cfg = MaskConfig(n, 0.4, seed=n)
         for t in range(count):
             mask = generate_mask(cfg, t)
-            s = spectrum_of_mask(mask)
-            assert s.source_n_p == mask.n_p
-            assert abs(s.coeffs[0].imag) < 1e-9
-            assert s.coeffs[0].real == pytest.approx(mask.n_p, abs=1e-9)
-            mags = np.abs(s.coeffs)
+            coeffs = spectrum_of_mask(mask)
+            assert abs(coeffs[0].imag) < 1e-9
+            assert coeffs[0].real == pytest.approx(mask.n_p, abs=1e-9)
+            mags = np.abs(coeffs)
             assert np.allclose(mags[1:], mags[1:][::-1], rtol=1e-9, atol=1e-12)
             energy_freq = float(np.sum(mags**2))
             energy_time = n * float(np.sum(mask.bits.astype(float) ** 2))
@@ -85,14 +79,12 @@ def test_mask_spectrum_invariants():
 
 def test_max_nonzero_bin_dirichlet_main_lobe():
     # minimum angular spacing puts the main lobe at k=1
-    s = dft_direct(worst_case_mask(13, 4).bits)
-    k, _ = max_nonzero_bin(s)
+    k, _ = max_nonzero_bin(dft_direct(worst_case_mask(13, 4).bits))
     assert k == 1
 
 
 def test_max_nonzero_bin_flat_mask_is_zero():
-    s = spectrum_of_mask(worst_case_mask(64, 64))
-    _, peak = max_nonzero_bin(s)
+    _, peak = max_nonzero_bin(spectrum_of_mask(worst_case_mask(64, 64)))
     assert peak == pytest.approx(0.0, abs=1e-9)
 
 
@@ -105,13 +97,9 @@ def test_max_nonzero_bin_impulse_tie_breaks_low():
 
 def test_max_nonzero_bin_needs_two_bins():
     with pytest.raises(ValueError):
-        max_nonzero_bin(Spectrum(np.array([1.0 + 0j])))
-
-
-def test_spectrum_immutable():
-    s = dft_fast(np.ones(8))
+        max_nonzero_bin(np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
-        s.coeffs[0] = 0.0
+        max_nonzero_bin(np.ones((2, 2), dtype=np.complex128))
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,8 +113,8 @@ def test_spectrum_immutable():
 )
 def test_mask_spectrum_dc_and_conjugate_symmetry(n, p, seed, trial):
     mask = generate_mask(MaskConfig(n, p, seed=seed), trial)
-    coeffs = spectrum_of_mask(mask).coeffs
-    direct = dft_direct(mask.bits).coeffs
+    coeffs = spectrum_of_mask(mask)
+    direct = dft_direct(mask.bits)
     tol = 1e-12 * n
     assert np.abs(coeffs - direct).max() <= tol
     assert abs(coeffs[0] - mask.n_p) <= tol and abs(direct[0] - mask.n_p) <= tol
