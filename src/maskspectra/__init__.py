@@ -22,7 +22,7 @@ from .montecarlo import (
     TrialStats,
     exceedance_rate,
     figure_curves,
-    noise_ratio_curve,
+    noise_ratio_curves,
     run_experiment,
     table1_report,
 )
@@ -66,7 +66,7 @@ __all__ = [
     "exceedance_rate",
     "table1_report",
     "figure_curves",
-    "noise_ratio_curve",
+    "noise_ratio_curves",
     "SignalSpec",
     "RecoverySpec",
     "synthesize_signal",

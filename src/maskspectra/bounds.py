@@ -67,6 +67,10 @@ class BoundSpec:
         object.__setattr__(self, "n_p", n_p)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
+        if self.effective_epsilon / 2.0 == 0.0:
+            raise ValueError(
+                f"epsilon {self.epsilon!r} is too small: its per-tail budget effective_epsilon / 2 is 0"
+            )
 
     @property
     def effective_epsilon(self) -> float:

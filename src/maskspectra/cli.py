@@ -117,10 +117,9 @@ def cmd_figure(args) -> int:
         names = [f"ratio_p{p:g}" for p in ps]
         if len(set(names)) != len(names):
             raise ValueError(f"--ps {args.ps!r} names a column twice: {', '.join(names)}")
-        curves = [
-            montecarlo.noise_ratio_curve(MaskConfig(args.n, p, seed), args.trials, workers=args.workers)
-            for p in ps
-        ]
+        curves = montecarlo.noise_ratio_curves(
+            [MaskConfig(args.n, p, seed) for p in ps], args.trials, workers=args.workers
+        )
         records = [
             {"k": k, **{name: float(curve[k - 1]) for name, curve in zip(names, curves)}}
             for k in range(1, args.n)

@@ -1,11 +1,14 @@
 """Monte Carlo validation of the bounds: streaming trial statistics,
 reference-table and figure-curve generation.
 
-One engine serves both runners: the chunk kernel ``_run_chunk`` reduces
+One engine serves every runner: the chunk kernel ``_run_chunk`` reduces
 each trial's off-center DFT magnitudes to per-trial statistics and to a
-per-bin max, and the driver ``_run`` runs the chunks in-process or in a
-pool and merges them. ``run_experiment`` keeps the statistics,
-``noise_ratio_curve`` the per-bin max.
+per-bin max, and the driver ``_run`` takes a list of experiments, runs
+all their chunks through one task list, in-process or in one pool, and
+merges each experiment's chunks. ``run_experiment`` runs one experiment
+and keeps its statistics; ``table1_report`` and ``figure_curves`` run all
+their rows in one call, and ``noise_ratio_curves`` all its rates, keeping
+the per-bin max. So a CLI call opens at most one pool.
 
 The kernel works through its chunk in blocks of ``_BLOCK_ELEMS // N``
 trials, rounded down to an even count and at least two, so a block holds
@@ -22,8 +25,11 @@ the bin sum counts every bin twice except the Nyquist bin of even N.
 Each trial's peak, bin mean and n_p go into three chunk-length arrays in
 trial order, and each array becomes one ``RunningStats`` by array
 reductions at the end of the chunk (``RunningStats.from_values``). A
-pool receives the chunks in about four batches per worker and returns
-them in chunk order.
+pool receives the chunks in batches sized by work: at most a quarter of a
+worker's share of the chunks and about ``_BATCH_ELEMS`` mask elements,
+counted by the largest chunk, so at N = 1543 each chunk is its own task
+and an N = 131071 chunk never shares one. Results come back in task
+order.
 
 Determinism contract: trial t is always transformed together with trial
 t ^ 1 (a chunk that starts or ends inside a pair draws the partner and
@@ -66,7 +72,7 @@ __all__ = [
     "exceedance_rate",
     "table1_report",
     "figure_curves",
-    "noise_ratio_curve",
+    "noise_ratio_curves",
     "records_to_csv",
     "records_to_json",
     "TABLE1_ROWS",
@@ -76,6 +82,7 @@ __all__ = [
 
 _CHUNK_TRIALS = 512
 _BLOCK_ELEMS = 1 << 16  # mask elements per block: 512 KB of uniforms, 512 KB of packed transform
+_BATCH_ELEMS = 1 << 20  # mask elements per pool task: one N = 1543 chunk, 16 chunks at N = 127
 
 # Reference grid: (N, p) pairs of the comparison table. The mask length of
 # the middle three rows is 1543 throughout (their printed support sizes
@@ -307,28 +314,39 @@ def _run_chunk(args: tuple) -> tuple[TrialStats, np.ndarray]:
     return stats, np.concatenate((half_max, half_max[: n - 1 - half][::-1]))
 
 
-def _run(spec: ExperimentSpec) -> tuple[TrialStats, np.ndarray]:
-    """Run every chunk and merge the results in chunk order; the pool gets
-    at most one worker per chunk and per CPU, and one worker runs in-process.
-    A pool receives the chunks in about four batches per worker."""
-    config = spec.config
-    tasks = [
-        (config, start, min(start + _CHUNK_TRIALS, spec.trials), spec.thresholds)
-        for start in range(0, spec.trials, _CHUNK_TRIALS)
+def _run(specs) -> list[tuple[TrialStats, np.ndarray]]:
+    """Run every chunk of every spec through one task list and merge each
+    spec's chunks in chunk order; returns one (stats, per-bin max) per spec.
+
+    One pool serves the whole call, with at most the largest worker count
+    any spec asks for and at most one worker per chunk and per CPU; one
+    worker runs in-process. A pool receives the chunks in batches of at most
+    ``len(tasks) // (4 * workers)`` chunks and about ``_BATCH_ELEMS`` mask
+    elements, sized by the largest chunk.
+    """
+    tasks, owners = [], []
+    for i, spec in enumerate(specs):
+        for start in range(0, spec.trials, _CHUNK_TRIALS):
+            tasks.append((spec.config, start, min(start + _CHUNK_TRIALS, spec.trials), spec.thresholds))
+            owners.append(i)
+    totals = [
+        (TrialStats(exceedance_counts={label: 0 for label, _ in spec.thresholds}), np.zeros(spec.config.n - 1))
+        for spec in specs
     ]
-    total = TrialStats(exceedance_counts={label: 0 for label, _ in spec.thresholds})
-    bin_max = np.zeros(config.n - 1)
-    workers = min(spec.workers, len(tasks), os.cpu_count() or 1)
+    workers = min(max(spec.workers for spec in specs), len(tasks), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_run_chunk, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
+            largest = max((stop - start) * config.n for config, start, stop, _ in tasks)
+            batch = max(1, min(len(tasks) // (4 * workers), _BATCH_ELEMS // largest))
+            results = pool.map(_run_chunk, tasks, chunksize=batch)
         else:
             results = map(_run_chunk, tasks)
-        for chunk_stats, chunk_bin_max in results:
+        for i, (chunk_stats, chunk_bin_max) in zip(owners, results):
+            total, bin_max = totals[i]
             total.merge(chunk_stats)
             np.maximum(bin_max, chunk_bin_max, out=bin_max)
-    return total, bin_max
+    return totals
 
 
 def run_experiment(spec: ExperimentSpec) -> TrialStats:
@@ -337,7 +355,7 @@ def run_experiment(spec: ExperimentSpec) -> TrialStats:
     Any worker failure propagates and the whole result is discarded;
     there are no partial results.
     """
-    return _run(spec)[0]
+    return _run([spec])[0][0]
 
 
 def exceedance_rate(stats: TrialStats, label: str) -> float:
@@ -364,10 +382,12 @@ def table1_report(
     """
     if not rows:
         raise ValueError("rows must be non-empty")
+    specs = [
+        ExperimentSpec(MaskConfig(n, p, seed), large_n_trials if n >= _LARGE_N else trials, workers=workers)
+        for n, p in rows
+    ]
     out = []
-    for n, p in rows:
-        row_trials = large_n_trials if n >= _LARGE_N else trials
-        stats = run_experiment(ExperimentSpec(MaskConfig(n, p, seed), row_trials, workers=workers))
+    for (n, p), (stats, _) in zip(rows, _run(specs)):
         n_p = math.ceil(n * p)
         bound = bounds.worst_case_bound(n, n_p)
         out.append(
@@ -396,10 +416,10 @@ def figure_curves(
     """Per-N bound and simulation curves at a fixed sampling rate."""
     if not n_values:
         raise ValueError("n_values must be non-empty")
+    bound_specs = [bounds.BoundSpec(n, p, epsilon=eps) for n in n_values]
+    results = _run([ExperimentSpec(MaskConfig(n, p, seed), trials, workers=workers) for n in n_values])
     out = []
-    for n in n_values:
-        spec = bounds.BoundSpec(n, p, epsilon=eps)
-        stats = run_experiment(ExperimentSpec(MaskConfig(n, p, seed), trials, workers=workers))
+    for n, spec, (stats, _) in zip(n_values, bound_specs, results):
         out.append(
             {
                 "N": n,
@@ -415,14 +435,17 @@ def figure_curves(
     return out
 
 
-def noise_ratio_curve(config: MaskConfig, trials: int, workers: int = 1) -> np.ndarray:
-    """Per-bin max over trials of |A_k|/(N*p) for k = 1..N-1.
+def noise_ratio_curves(configs, trials: int, workers: int = 1) -> list[np.ndarray]:
+    """Per config, the per-bin max over trials of |A_k|/(N*p) for k = 1..N-1.
 
     The aliasing-noise level of the sampled spectrum relative to the
     signal line; elementwise max merges are exact, so the reduction is
-    order-insensitive.
+    order-insensitive. All configs share one run of the driver.
     """
-    return _run(ExperimentSpec(config, trials, workers=workers))[1] / (config.n * config.p)
+    if not configs:
+        raise ValueError("configs must be non-empty")
+    results = _run([ExperimentSpec(config, trials, workers=workers) for config in configs])
+    return [bin_max / (config.n * config.p) for config, (_, bin_max) in zip(configs, results)]
 
 
 def _format_cell(value) -> str:

@@ -80,9 +80,10 @@ def random_band_signal(n: int, pairs: int, seed: int = 0, dc: float = 0.0) -> Si
 
     Bin positions are drawn from [1, n//2]; pair magnitudes lie in [1, 2).
     """
+    pairs = _as_index(pairs, "pairs")
     if pairs < 1 or pairs > (n - 1) // 2:
         raise ValueError(f"pairs must lie in [1, {(n - 1) // 2}], got {pairs!r}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=_as_index(seed, "seed")))
     positions = 1 + rng.permutation(n // 2)[:pairs]
     band: list[int] = []
     amps: list[complex] = []

@@ -74,6 +74,14 @@ def test_json_output_is_strict(capsys):
     assert float(rows[0]["gaussian_T_approx"]) == pytest.approx(record["gaussian_T_approx"], rel=1e-8)
 
 
+def test_bounds_rejects_eps_whose_tail_budget_underflows(capsys):
+    # eps / (N - 1) / 2 rounds to 0 here, and so does 5e-324 / 2 without --union
+    for args in (("--n", "131071", "--union", "--eps", "1e-320"), ("--n", "127", "--eps", "5e-324")):
+        code, out, err = run_cli(capsys, "bounds", "--p", "0.5", *args)
+        assert code == 2 and out == ""
+        assert "epsilon" in err and "q_inverse" not in err
+
+
 def test_records_to_json_writes_non_finite_as_null():
     # strict JSON has no Infinity or NaN
     payload = [{"bound": math.inf, "low": -math.inf, "snr": math.nan, "n": 7, "x": 1.5}]

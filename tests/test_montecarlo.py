@@ -16,7 +16,7 @@ from maskspectra.montecarlo import (
     TrialStats,
     exceedance_rate,
     figure_curves,
-    noise_ratio_curve,
+    noise_ratio_curves,
     records_to_csv,
     records_to_json,
     run_experiment,
@@ -195,15 +195,14 @@ def test_figure_curves_layering_at_half_rate():
 
 def test_noise_ratio_curve_shape_and_consistency():
     cfg = MaskConfig(1009, 0.1, seed=7)
-    curve = noise_ratio_curve(cfg, trials=300)
+    [curve] = noise_ratio_curves([cfg], trials=300)
     assert curve.shape == (1008,)
     stats = run_experiment(ExperimentSpec(cfg, trials=300))
     assert float(curve.max() * 1009 * 0.1) == stats.global_max
 
 
 def test_noise_ratio_higher_rate_is_quieter():
-    low = noise_ratio_curve(MaskConfig(1009, 0.1, seed=7), trials=300)
-    high = noise_ratio_curve(MaskConfig(1009, 0.8, seed=7), trials=300)
+    low, high = noise_ratio_curves([MaskConfig(1009, 0.1, seed=7), MaskConfig(1009, 0.8, seed=7)], trials=300)
     assert np.all(high < low)
 
 
@@ -265,7 +264,7 @@ def test_engine_matches_per_trial_oracle():
     _assert_stats_close(stats.n_p_stats, n_ps, 257)
     _assert_counts_bracketed(stats.exceedance_counts, all_peaks, thresholds, 257)
     assert 0 < stats.exceedance_counts["s3"] < 1100
-    _assert_bins_close(noise_ratio_curve(cfg, trials=1100) * (257 * 0.3), bin_max, 257)
+    _assert_bins_close(noise_ratio_curves([cfg], trials=1100)[0] * (257 * 0.3), bin_max, 257)
 
 
 def _oracle_chunk(config, start, stop):
@@ -370,10 +369,10 @@ def test_block_kernel_memory_is_bounded():
     assert peak < 16 * 1024 * 1024
 
 
-def test_worker_count_is_clamped_without_spawning(monkeypatch):
-    # a fake in-process pool records the size it was asked for
-    import os
-
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """An in-process stand-in for the process pool; records the size each
+    pool was opened with and the batch size of each ``map``."""
     import maskspectra.montecarlo as mc
 
     opened, chunksizes = [], []
@@ -393,6 +392,13 @@ def test_worker_count_is_clamped_without_spawning(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", FakePool)
+    return opened, chunksizes
+
+
+def test_worker_count_is_clamped_without_spawning(monkeypatch, fake_pool):
+    import os
+
+    opened, chunksizes = fake_pool
     for cpu in (2, 8):
         monkeypatch.setattr(os, "cpu_count", lambda cpu=cpu: cpu)
         stats = run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500, workers=100000))
@@ -408,6 +414,61 @@ def test_worker_count_is_clamped_without_spawning(monkeypatch):
     assert chunksizes[:2] == [1, 1] and chunksizes[2] > 1
 
 
+def test_every_row_shares_one_pool(monkeypatch, fake_pool, capsys):
+    import os
+
+    import maskspectra.montecarlo as mc
+    from maskspectra.cli import main
+
+    opened, chunksizes = fake_pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rows = ((127, 0.5), (131, 0.1), (131071, 0.5))
+    assert table1_report(rows, trials=1100, seed=3, large_n_trials=2, workers=2) == table1_report(
+        rows, trials=1100, seed=3, large_n_trials=2
+    )
+    assert opened == [2]
+    assert figure_curves(0.5, [127, 61], trials=600, seed=3, workers=2) == figure_curves(
+        0.5, [127, 61], trials=600, seed=3
+    )
+    assert opened == [2, 2]
+    argv = ["figure", "--mode", "ratio", "--n", "257", "--ps", "0.1,0.5,0.8", "--trials", "600", "--seed", "3"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert main([*argv, "--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert opened == [2, 2, 2]
+    # a batch holds at most len(tasks) // (4 * workers) chunks and at most
+    # _BATCH_ELEMS mask elements, counted by the largest chunk
+    specs = [ExperimentSpec(MaskConfig(31, 0.5, seed=1), 512 * 40, workers=2), ExperimentSpec(MaskConfig(7, 0.5), 9)]
+    mc._run(specs)
+    monkeypatch.setattr(mc, "_BATCH_ELEMS", 512 * 31 * 3 + 1)
+    mc._run(specs)
+    assert chunksizes[-2:] == [41 // 8, 3]
+
+
+def test_multi_spec_run_matches_one_run_per_spec():
+    # chunks of specs with different N share one task list and one pool, yet
+    # each spec's result equals its own run field for field
+    import maskspectra.montecarlo as mc
+
+    specs = [
+        ExperimentSpec(MaskConfig(31, 0.5, seed=6), 512 * 3 + 100, (("s3", bounds.sigma_bound(31, 0.5, 3)),)),
+        ExperimentSpec(MaskConfig(64, 0.3, seed=2), 700),
+        ExperimentSpec(MaskConfig(127, 0.8, seed=9), 300, (("t", 20.0),)),
+    ]
+    alone = [mc._run([spec])[0] for spec in specs]
+    for workers in (1, 2, 3):
+        together = mc._run([ExperimentSpec(s.config, s.trials, s.thresholds, workers) for s in specs])
+        assert len(together) == len(specs)
+        for (stats, bins), (want, want_bins) in zip(together, alone):
+            assert stats.trials == want.trials
+            assert stats.per_trial_max == want.per_trial_max
+            assert stats.mean_abs == want.mean_abs
+            assert stats.n_p_stats == want.n_p_stats
+            assert stats.exceedance_counts == want.exceedance_counts
+            assert np.array_equal(bins, want_bins)
+
+
 def test_batched_pool_tasks_are_bit_identical():
     # 17 chunks: a pool gets them in batches, yet every field matches the
     # in-process run exactly
@@ -415,9 +476,9 @@ def test_batched_pool_tasks_are_bit_identical():
 
     config = MaskConfig(31, 0.5, seed=6)
     thresholds = (("s3", bounds.sigma_bound(31, 0.5, 3)),)
-    serial, serial_bins = mc._run(ExperimentSpec(config, 512 * 17, thresholds, workers=1))
+    [(serial, serial_bins)] = mc._run([ExperimentSpec(config, 512 * 17, thresholds, workers=1)])
     for workers in (2, 3):
-        stats, bins = mc._run(ExperimentSpec(config, 512 * 17, thresholds, workers=workers))
+        [(stats, bins)] = mc._run([ExperimentSpec(config, 512 * 17, thresholds, workers=workers)])
         assert stats.trials == serial.trials == 512 * 17
         assert stats.per_trial_max == serial.per_trial_max
         assert stats.mean_abs == serial.mean_abs
@@ -444,8 +505,8 @@ def test_chunk_statistics_do_not_depend_on_block_size(monkeypatch):
 
 def test_noise_ratio_parallel_matches_serial():
     cfg = MaskConfig(257, 0.5, seed=2)
-    serial = noise_ratio_curve(cfg, trials=1200, workers=1)
-    parallel = noise_ratio_curve(cfg, trials=1200, workers=3)
+    [serial] = noise_ratio_curves([cfg], trials=1200, workers=1)
+    [parallel] = noise_ratio_curves([cfg], trials=1200, workers=3)
     assert np.array_equal(serial, parallel)
 
 

@@ -51,6 +51,14 @@ def test_random_symmetric_band_roundtrip():
     assert off_band.max() < 1e-9
 
 
+def test_random_band_signal_takes_integers_only():
+    # numpy integers are integers; floats and bools would silently become other seeds
+    assert random_band_signal(127, np.int64(3), seed=np.uint64(5)) == random_band_signal(127, 3, seed=5)
+    for kwargs in ({"seed": 1.5}, {"seed": True}, {"pairs": 2.5}, {"pairs": True}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            random_band_signal(127, **{"pairs": 2, **kwargs})
+
+
 def test_asymmetric_band_rejected():
     with pytest.raises(ValueError, match="symmetric"):
         synthesize_signal(SignalSpec(n=16, band=(1,), amplitudes=(1.0 + 0j,)))
