@@ -10,6 +10,16 @@ and keeps its statistics; ``table1_report`` and ``figure_curves`` run all
 their rows in one call, and ``noise_ratio_curves`` all its rates, keeping
 the per-bin max. So a CLI call opens at most one pool.
 
+A mask is ``u < p`` with uniforms ``u`` that depend on (seed, t) alone,
+so experiments that share (N, seed, trials) differ only in their rate
+and thresholds. The driver gives them one task per chunk carrying all
+their rates, and the kernel draws each trial's uniforms once and
+thresholds them at every rate; the rest of the kernel runs once per
+rate. An experiment alone is a task with one rate, and so is each rate
+of a group whose task would outweigh a worker's share of the call (at
+600 trials, table1's N = 131071 rows would otherwise leave one of two
+workers a 512-trial task at three rates and the other an 88-trial one).
+
 The kernel works through its chunk in blocks of ``_BLOCK_ELEMS // N``
 trials, rounded down to an even count and at least two, so a block holds
 about ``_BLOCK_ELEMS`` mask elements whatever N is. One Philox generator
@@ -22,14 +32,14 @@ of shape (block/2, N) serves the whole block. With Z that transform,
 |A_k| = |Z_k + conj Z_{N-k}| / 2 and |B_k| = |Z_k - conj Z_{N-k}| / 2 are
 unpacked for k = 1..N//2 only; the other half mirrors them exactly, and
 the bin sum counts every bin twice except the Nyquist bin of even N.
-Each trial's peak, bin mean and n_p go into three chunk-length arrays in
-trial order, and each array becomes one ``RunningStats`` by array
-reductions at the end of the chunk (``RunningStats.from_values``). A
-pool receives the chunks in batches sized by work: at most a quarter of a
-worker's share of the chunks and about ``_BATCH_ELEMS`` mask elements,
-counted by the largest chunk, so at N = 1543 each chunk is its own task
-and an N = 131071 chunk never shares one. Results come back in task
-order.
+Per rate, each trial's peak, bin mean and n_p go into three chunk-length
+arrays in trial order, and each array becomes one ``RunningStats`` by
+array reductions at the end of the chunk (``RunningStats.from_values``).
+A pool receives the tasks in batches sized by work: at most a quarter of
+a worker's share of the tasks and about ``_BATCH_ELEMS`` mask elements,
+counted by the largest task as trials times N times rates, so at
+N = 1543 each task is its own batch and an N = 131071 task never shares
+one. Results come back in task order.
 
 Determinism contract: trial t is always transformed together with trial
 t ^ 1 (a chunk that starts or ends inside a pair draws the partner and
@@ -82,7 +92,7 @@ __all__ = [
 
 _CHUNK_TRIALS = 512
 _BLOCK_ELEMS = 1 << 16  # mask elements per block: 512 KB of uniforms, 512 KB of packed transform
-_BATCH_ELEMS = 1 << 20  # mask elements per pool task: one N = 1543 chunk, 16 chunks at N = 127
+_BATCH_ELEMS = 1 << 20  # mask elements times rates per pool batch: one N = 1543 chunk, 16 chunks at N = 127
 
 # Reference grid: (N, p) pairs of the comparison table. The mask length of
 # the middle three rows is 1543 throughout (their printed support sizes
@@ -251,17 +261,24 @@ class TrialStats:
         }
 
 
-def _run_chunk(args: tuple) -> tuple[TrialStats, np.ndarray]:
-    config, start, stop, thresholds = args
-    n, seed = config.n, config.seed
+def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
+    """Trials [start, stop) of one (N, seed) at every rate of ``rates``,
+    ``((p, thresholds), ...)``; returns one (stats, per-bin max) per rate.
+
+    Each trial's uniforms are drawn once and thresholded at every rate.
+    """
+    n, seed, start, stop, rates = args
     half = n // 2  # bins k = 1..N//2; |A_{N-k}| = |A_k| for real masks
-    half_max = np.zeros(half)
-    peaks, means, n_ps = np.empty((3, stop - start))  # per-trial values, reduced once per chunk
+    half_max = np.zeros((len(rates), half))
+    values = np.empty((len(rates), 3, stop - start))  # per rate: peak, bin mean, n_p of each trial
     # trial t is always transformed with trial t ^ 1, so a chunk that starts
     # or ends inside a pair draws the missing partner and discards it
     first, end = start & ~1, (stop + 1) & ~1
     rows = min(end - first, max(2, (_BLOCK_ELEMS // n) & ~1))
     uniforms = np.empty((rows, n))
+    # every rate but the last writes its 0/1 mask into a second buffer, so
+    # the uniforms survive for the next rate; the last one overwrites them
+    targets = [np.empty((rows, n))] * (len(rates) - 1) + [uniforms]
     packed = np.empty((rows // 2, n), dtype=np.complex128)
     mags = np.empty((rows // 2, 2, half))
     bit_gen = np.random.Philox(key=0)
@@ -279,73 +296,93 @@ def _run_chunk(args: tuple) -> tuple[TrialStats, np.ndarray]:
             words["key"] = _trial_key(seed, t)
             bit_gen.state = state
             gen.random(out=row)
-        bits = block < config.p
-        np.copyto(block, bits)  # 0/1 in place: far faster than casting bools into the strided views
         pairs = packed[: len(block) // 2]
-        pairs.real = block[0::2]
-        pairs.imag = block[1::2]
-        z = scipy.fft.fft(pairs, axis=-1, overwrite_x=True)  # in place
-        # A_k = (Z_k + conj Z_{N-k}) / 2 and B_k = (Z_k - conj Z_{N-k}) / 2i
-        z_k = z[:, 1 : half + 1]
-        z_mirror = np.conj(z[:, n - 1 : n - half - 1 : -1])
         block_mags = mags[: len(pairs)]
-        np.abs(z_k + z_mirror, out=block_mags[:, 0])
-        np.abs(z_k - z_mirror, out=block_mags[:, 1])
-        block_mags *= 0.5
         lo_keep, hi_keep = max(start, lo), min(stop, hi)
         keep = slice(lo_keep - lo, hi_keep - lo)
         out = slice(lo_keep - start, hi_keep - start)
         half_mags = block_mags.reshape(len(block), half)[keep]
-        half_mags.max(axis=1, out=peaks[out])
-        sums = 2.0 * half_mags.sum(axis=1)
-        if n % 2 == 0:
-            sums -= half_mags[:, -1]  # the Nyquist bin is its own mirror
-        np.divide(sums, n - 1, out=means[out])
-        n_ps[out] = np.count_nonzero(bits[keep], axis=1)
-        np.maximum(half_max, half_mags.max(axis=0), out=half_max)
-    stats = TrialStats(
-        trials=stop - start,
-        per_trial_max=RunningStats.from_values(peaks),
-        mean_abs=RunningStats.from_values(means),
-        n_p_stats=RunningStats.from_values(n_ps),
-        # strict exceedance
-        exceedance_counts={label: int(np.count_nonzero(peaks > value)) for label, value in thresholds},
-    )
-    return stats, np.concatenate((half_max, half_max[: n - 1 - half][::-1]))
+        for (p, _), target, (peaks, means, n_ps), rate_max in zip(rates, targets, values, half_max):
+            bits = target[: len(block)]
+            np.less(block, p, out=bits)
+            pairs.real = bits[0::2]
+            pairs.imag = bits[1::2]
+            z = scipy.fft.fft(pairs, axis=-1, overwrite_x=True)  # in place
+            # A_k = (Z_k + conj Z_{N-k}) / 2 and B_k = (Z_k - conj Z_{N-k}) / 2i
+            z_k = z[:, 1 : half + 1]
+            z_mirror = np.conj(z[:, n - 1 : n - half - 1 : -1])
+            np.abs(z_k + z_mirror, out=block_mags[:, 0])
+            np.abs(z_k - z_mirror, out=block_mags[:, 1])
+            block_mags *= 0.5
+            half_mags.max(axis=1, out=peaks[out])
+            sums = 2.0 * half_mags.sum(axis=1)
+            if n % 2 == 0:
+                sums -= half_mags[:, -1]  # the Nyquist bin is its own mirror
+            np.divide(sums, n - 1, out=means[out])
+            bits[keep].sum(axis=1, out=n_ps[out])  # exact: a sum of 0s and 1s
+            np.maximum(rate_max, half_mags.max(axis=0), out=rate_max)
+    results = []
+    for (_, thresholds), (peaks, means, n_ps), rate_max in zip(rates, values, half_max):
+        stats = TrialStats(
+            trials=stop - start,
+            per_trial_max=RunningStats.from_values(peaks),
+            mean_abs=RunningStats.from_values(means),
+            n_p_stats=RunningStats.from_values(n_ps),
+            # strict exceedance
+            exceedance_counts={label: int(np.count_nonzero(peaks > value)) for label, value in thresholds},
+        )
+        results.append((stats, np.concatenate((rate_max, rate_max[: n - 1 - half][::-1]))))
+    return results
 
 
 def _run(specs) -> list[tuple[TrialStats, np.ndarray]]:
     """Run every chunk of every spec through one task list and merge each
     spec's chunks in chunk order; returns one (stats, per-bin max) per spec.
 
-    One pool serves the whole call, with at most the largest worker count
-    any spec asks for and at most one worker per chunk and per CPU; one
-    worker runs in-process. A pool receives the chunks in batches of at most
-    ``len(tasks) // (4 * workers)`` chunks and about ``_BATCH_ELEMS`` mask
-    elements, sized by the largest chunk.
+    Specs that share (N, seed, trials) differ only in their rate and
+    thresholds, so they share one task per chunk and one draw per trial:
+    the task carries all their rates. Where such a task would hold more
+    mask elements than a worker's share of the call, each rate gets its own
+    tasks instead; either way every bit of the result is the same. One pool
+    serves the whole call, with at most the largest worker count any spec
+    asks for and at most one worker per task and per CPU; one worker runs
+    in-process. A pool receives the tasks in batches of at most
+    ``len(tasks) // (4 * workers)`` tasks and about ``_BATCH_ELEMS`` mask
+    elements, counted by the largest task as its trials times N times its
+    rate count.
     """
-    tasks, owners = [], []
+    workers = min(max(spec.workers for spec in specs), os.cpu_count() or 1)
+    share = sum(spec.trials * spec.config.n for spec in specs) / workers  # mask elements per worker
+    groups: dict[tuple[int, int, int], list[int]] = {}
     for i, spec in enumerate(specs):
-        for start in range(0, spec.trials, _CHUNK_TRIALS):
-            tasks.append((spec.config, start, min(start + _CHUNK_TRIALS, spec.trials), spec.thresholds))
-            owners.append(i)
+        groups.setdefault((spec.config.n, spec.config.seed, spec.trials), []).append(i)
+    tasks, owners = [], []
+    for (n, seed, trials), members in groups.items():
+        # a task that outweighs a worker's share leaves the other workers idle
+        parts = [[i] for i in members] if min(trials, _CHUNK_TRIALS) * n * len(members) > share else [members]
+        for part in parts:
+            rates = tuple((specs[i].config.p, specs[i].thresholds) for i in part)
+            for start in range(0, trials, _CHUNK_TRIALS):
+                tasks.append((n, seed, start, min(start + _CHUNK_TRIALS, trials), rates))
+                owners.append(part)
     totals = [
         (TrialStats(exceedance_counts={label: 0 for label, _ in spec.thresholds}), np.zeros(spec.config.n - 1))
         for spec in specs
     ]
-    workers = min(max(spec.workers for spec in specs), len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(tasks))
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            largest = max((stop - start) * config.n for config, start, stop, _ in tasks)
+            largest = max((stop - start) * n * len(rates) for n, _, start, stop, rates in tasks)
             batch = max(1, min(len(tasks) // (4 * workers), _BATCH_ELEMS // largest))
             results = pool.map(_run_chunk, tasks, chunksize=batch)
         else:
             results = map(_run_chunk, tasks)
-        for i, (chunk_stats, chunk_bin_max) in zip(owners, results):
-            total, bin_max = totals[i]
-            total.merge(chunk_stats)
-            np.maximum(bin_max, chunk_bin_max, out=bin_max)
+        for members, task_results in zip(owners, results):
+            for i, (chunk_stats, chunk_bin_max) in zip(members, task_results):
+                total, bin_max = totals[i]
+                total.merge(chunk_stats)
+                np.maximum(bin_max, chunk_bin_max, out=bin_max)
     return totals
 
 
@@ -440,7 +477,8 @@ def noise_ratio_curves(configs, trials: int, workers: int = 1) -> list[np.ndarra
 
     The aliasing-noise level of the sampled spectrum relative to the
     signal line; elementwise max merges are exact, so the reduction is
-    order-insensitive. All configs share one run of the driver.
+    order-insensitive. All configs share one run of the driver, and
+    configs with the same N and seed share each trial's draw.
     """
     if not configs:
         raise ValueError("configs must be non-empty")

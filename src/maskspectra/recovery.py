@@ -4,7 +4,6 @@ signal from a bound-derived threshold; each step is one spectrum.keep_above.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -33,9 +32,6 @@ __all__ = [
     "demo_signal_spec",
     "demo_signal_path",
 ]
-
-_DIVERGENCE_RUN = 5
-
 
 @dataclass(frozen=True)
 class SignalSpec:
@@ -171,8 +167,8 @@ def recover(
     Starts from the zero estimate with threshold t0 * exp(-alpha * i) at
     iteration i. Returns the final estimate and the per-iteration history
     (iteration, threshold, snr_db); SNR entries are NaN unless a reference
-    signal is supplied. With a reference, the loop stops early and warns if
-    the SNR drops for 5 consecutive iterations.
+    signal is supplied. The reference is for scoring only: the loop always
+    runs all ``spec.iterations`` iterations, whatever the SNR does.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.shape != spec.mask.bits.shape:
@@ -180,22 +176,11 @@ def recover(
     t0 = spec.t0 if spec.t0 is not None else default_initial_threshold(xs, spec.mask)
     estimate = np.zeros_like(xs)
     history: list[tuple[int, float, float]] = []
-    drops = 0
-    prev_snr = None
     for i in range(spec.iterations):
         threshold = t0 * math.exp(-spec.alpha * i)
         estimate = recovery_step(xs, spec.mask, estimate, threshold)
         snr = snr_db(reference, estimate) if reference is not None else math.nan
         history.append((i, threshold, snr))
-        if reference is not None and prev_snr is not None:
-            drops = drops + 1 if snr < prev_snr else 0
-            if drops >= _DIVERGENCE_RUN:
-                warnings.warn(
-                    f"recovery SNR fell for {_DIVERGENCE_RUN} consecutive iterations; "
-                    f"stopped at iteration {i}"
-                )
-                break
-        prev_snr = snr
     return estimate, history
 
 

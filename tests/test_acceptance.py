@@ -219,14 +219,21 @@ def test_criterion_9_recovery_demo():
     estimate, history = recover(sample_random(x, full), RecoverySpec(mask=full, iterations=1, t0=5.0), reference=x)
     assert history[-1][2] >= 100.0
 
-    # half-rate sampling of the bundled fixture reaches 40 dB inside 50 iterations
-    mask = generate_mask(MaskConfig(n, 0.5, seed=11), 0)
-    xs = sample_random(x, mask)
-    estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=50), reference=x)
-    final = history[-1][2]
-    assert final >= 40.0
+    # half-rate sampling of the bundled fixture reaches 40 dB inside 50
+    # iterations under every mask seed 0..39, not just a lucky one
+    finals = {}
+    for seed in range(40):
+        mask = generate_mask(MaskConfig(n, 0.5, seed=seed), 0)
+        _, history = recover(sample_random(x, mask), RecoverySpec(mask=mask, iterations=50), reference=x)
+        finals[seed] = history[-1][2]
+    failed = {seed: round(snr, 2) for seed, snr in finals.items() if not snr >= 40.0}
+    assert not failed, f"mask seeds below 40 dB: {failed}"
 
     # fixed point: the true signal is stationary under one more step
-    step = recovery_step(xs, mask, x, threshold=5.0)
+    mask = generate_mask(MaskConfig(n, 0.5, seed=11), 0)
+    step = recovery_step(sample_random(x, mask), mask, x, threshold=5.0)
     assert np.abs(step - x).max() < 1e-9
-    _report("criterion 9 (recovery demo)", f"full-rate exact, half-rate {final:.1f} dB, fixed point holds")
+    _report(
+        "criterion 9 (recovery demo)",
+        f"full-rate exact, half-rate >= {min(finals.values()):.1f} dB over 40 mask seeds, fixed point holds",
+    )

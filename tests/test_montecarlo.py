@@ -285,6 +285,14 @@ def _oracle_chunk(config, start, stop):
     return stats, peaks, bin_max
 
 
+def _chunk(config, start, stop, thresholds=()):
+    # the chunk kernel at config's rate alone: one (stats, per-bin max)
+    import maskspectra.montecarlo as mc
+
+    [result] = mc._run_chunk((config.n, config.seed, start, stop, ((config.p, thresholds),)))
+    return result
+
+
 @settings(max_examples=12, deadline=None)
 @example(n=1999, p=0.3, seed=2**64 - 1, count=80, at_end=True, start=0)  # three blocks: 32 + 32 + 16
 @example(n=128, p=0.5, seed=0, count=1, at_end=False, start=0)
@@ -307,13 +315,11 @@ def _oracle_chunk(config, start, stop):
 def test_block_kernel_matches_per_trial_oracle(n, p, seed, count, at_end, start):
     # the block kernel against the per-trial path; at_end puts the chunk's
     # last trial at index 2**64 - 1, the largest key word
-    import maskspectra.montecarlo as mc
-
     if at_end:
         start = 2**64 - count
     config = MaskConfig(n, p, seed=seed)
     thresholds = (("s3", bounds.sigma_bound(n, p, 3)), ("zero", 0.0))
-    stats, bin_max = mc._run_chunk((config, start, start + count, thresholds))
+    stats, bin_max = _chunk(config, start, start + count, thresholds)
     oracle, peaks, oracle_bin_max = _oracle_chunk(config, start, start + count)
     assert stats.trials == oracle.trials == count
     _assert_stats_close(stats.n_p_stats, oracle.n_p_stats, n)
@@ -337,14 +343,12 @@ def test_block_kernel_matches_per_trial_oracle(n, p, seed, count, at_end, start)
 def test_block_kernel_split_is_exact(n, p, seed, start, first, second):
     # trial t is always paired with trial t ^ 1, so its values do not depend
     # on where a chunk starts or stops: [a, c) and [a, b) + [b, c) agree exactly
-    import maskspectra.montecarlo as mc
-
     config = MaskConfig(n, p, seed=seed)
     thresholds = (("s3", bounds.sigma_bound(n, p, 3)),)
     a, b, c = start, start + first, start + first + second
-    whole, whole_bins = mc._run_chunk((config, a, c, thresholds))
-    left, left_bins = mc._run_chunk((config, a, b, thresholds))
-    right, right_bins = mc._run_chunk((config, b, c, thresholds))
+    whole, whole_bins = _chunk(config, a, c, thresholds)
+    left, left_bins = _chunk(config, a, b, thresholds)
+    right, right_bins = _chunk(config, b, c, thresholds)
     assert whole.trials == left.trials + right.trials == c - a
     assert np.array_equal(whole_bins, np.maximum(left_bins, right_bins))
     assert np.array_equal(whole_bins, whole_bins[::-1])  # |A_k| == |A_{N-k}| exactly
@@ -362,7 +366,7 @@ def test_block_kernel_memory_is_bounded():
 
     config = MaskConfig(8191, 0.5, seed=3)
     tracemalloc.start()
-    stats, _ = mc._run_chunk((config, 0, mc._CHUNK_TRIALS, ()))
+    stats, _ = _chunk(config, 0, mc._CHUNK_TRIALS)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert stats.trials == mc._CHUNK_TRIALS
@@ -444,16 +448,26 @@ def test_every_row_shares_one_pool(monkeypatch, fake_pool, capsys):
     monkeypatch.setattr(mc, "_BATCH_ELEMS", 512 * 31 * 3 + 1)
     mc._run(specs)
     assert chunksizes[-2:] == [41 // 8, 3]
+    # three rates that share a draw make one task per chunk, three times the work
+    mc._run([ExperimentSpec(MaskConfig(31, p, seed=1), 512 * 40, workers=2) for p in (0.2, 0.5, 0.8)])
+    assert chunksizes[-1] == 1
 
 
 def test_multi_spec_run_matches_one_run_per_spec():
-    # chunks of specs with different N share one task list and one pool, yet
-    # each spec's result equals its own run field for field
+    # chunks of specs with different N share one task list and one pool, and
+    # the rates of one (N, seed, trials) share each trial's draw, yet each
+    # spec's result equals its own run field for field
     import maskspectra.montecarlo as mc
 
+    shared = 2 * 512 + 101  # the last chunk ends inside a pair
     specs = [
+        ExperimentSpec(MaskConfig(61, 0.1, seed=4), shared, (("t", 6.0),)),
         ExperimentSpec(MaskConfig(31, 0.5, seed=6), 512 * 3 + 100, (("s3", bounds.sigma_bound(31, 0.5, 3)),)),
+        ExperimentSpec(MaskConfig(61, 0.5, seed=4), shared, (("s3", bounds.sigma_bound(61, 0.5, 3)),)),
         ExperimentSpec(MaskConfig(64, 0.3, seed=2), 700),
+        ExperimentSpec(MaskConfig(61, 0.5, seed=5), shared),  # another seed: another draw
+        ExperimentSpec(MaskConfig(61, 0.9, seed=4), shared, (("s4", bounds.sigma_bound(61, 0.9, 4)), ("t", 49.0))),
+        ExperimentSpec(MaskConfig(61, 0.5, seed=4), shared - 1),  # another trial count: another draw
         ExperimentSpec(MaskConfig(127, 0.8, seed=9), 300, (("t", 20.0),)),
     ]
     alone = [mc._run([spec])[0] for spec in specs]
@@ -467,6 +481,50 @@ def test_multi_spec_run_matches_one_run_per_spec():
             assert stats.n_p_stats == want.n_p_stats
             assert stats.exceedance_counts == want.exceedance_counts
             assert np.array_equal(bins, want_bins)
+
+
+def test_rates_of_one_draw_key_each_trial_once(monkeypatch):
+    # three rates at one (N, seed, trials) threshold the same uniforms, so
+    # each trial's RNG is keyed once, not once per rate
+    import maskspectra.montecarlo as mc
+
+    keyed, original = [], mc._trial_key
+
+    def counting_key(seed, trial_index):
+        keyed.append(trial_index)
+        return original(seed, trial_index)
+
+    monkeypatch.setattr(mc, "_trial_key", counting_key)
+    noise_ratio_curves([MaskConfig(127, p, seed=3) for p in (0.1, 0.5, 0.8)], trials=1024, workers=1)
+    assert sorted(keyed) == list(range(1024))
+
+
+def test_rates_split_where_one_task_would_outweigh_a_worker(monkeypatch, fake_pool):
+    # 600 trials make a 512-trial and an 88-trial chunk: with 2 workers,
+    # three rates per task would leave one worker most of the work, so each
+    # rate gets its own tasks; at 4096 trials the rates share them
+    import os
+
+    import maskspectra.montecarlo as mc
+
+    rates_per_task, original = [], mc._run_chunk
+
+    def recording(task):
+        rates_per_task.append(len(task[-1]))
+        return original(task)
+
+    monkeypatch.setattr(mc, "_run_chunk", recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    configs = [MaskConfig(257, p, seed=3) for p in (0.1, 0.5, 0.8)]
+    serial = noise_ratio_curves(configs, trials=600)
+    assert rates_per_task == [3, 3]
+    rates_per_task.clear()
+    split = noise_ratio_curves(configs, trials=600, workers=2)
+    assert rates_per_task == [1] * 6
+    assert all(np.array_equal(a, b) for a, b in zip(split, serial))
+    rates_per_task.clear()
+    noise_ratio_curves(configs, trials=4096, workers=2)
+    assert rates_per_task == [3] * 8
 
 
 def test_batched_pool_tasks_are_bit_identical():
@@ -494,9 +552,9 @@ def test_chunk_statistics_do_not_depend_on_block_size(monkeypatch):
 
     config = MaskConfig(127, 0.3, seed=4)
     task = (config, 3, 3 + mc._CHUNK_TRIALS, (("t", 10.0),))
-    whole, whole_bins = mc._run_chunk(task)
+    whole, whole_bins = _chunk(*task)
     monkeypatch.setattr(mc, "_BLOCK_ELEMS", 127 * 6)
-    blocked, blocked_bins = mc._run_chunk(task)
+    blocked, blocked_bins = _chunk(*task)
     for name in ("per_trial_max", "mean_abs", "n_p_stats"):
         assert getattr(blocked, name) == getattr(whole, name)
     assert blocked.exceedance_counts == whole.exceedance_counts
@@ -620,11 +678,9 @@ def test_running_stats_merge_is_associative(parts):
 )
 def test_block_kernel_peaks_respect_worst_case(n, p, seed, start):
     # at prime N no mask with n_p ones has a peak above the contiguous block's
-    import maskspectra.montecarlo as mc
-
     config = MaskConfig(n, p, seed=seed)
     for t in range(start, start + 16):
-        stats, _ = mc._run_chunk((config, t, t + 1, ()))
+        stats, _ = _chunk(config, t, t + 1)
         n_p = int(stats.n_p_stats.max)
         peak = stats.per_trial_max.max
         bound = bounds.worst_case_bound(n, n_p) if n_p else 0.0
