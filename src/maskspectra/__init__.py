@@ -6,7 +6,6 @@ from .bounds import (
     BoundReport,
     BoundSpec,
     bound_report,
-    dirichlet_closed_form,
     gaussian_bound,
     gaussian_bound_approx,
     q_function,
@@ -51,7 +50,6 @@ __all__ = [
     "BoundSpec",
     "BoundReport",
     "worst_case_bound",
-    "dirichlet_closed_form",
     "ratio_approximation",
     "q_function",
     "q_inverse",

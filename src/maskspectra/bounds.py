@@ -4,8 +4,8 @@ Four bound families are provided for max_{k!=0} |A_k|, where A is the DFT
 of a length-N mask with keep-probability p and support size n_p:
 
 * worst case       -- exact maximum over all masks with n_p ones (prime N),
-                      attained by a contiguous block; equals the Dirichlet
-                      kernel value sin(pi*n_p/N)/sin(pi/N).
+                      attained by a contiguous block, whose peak is the
+                      Dirichlet kernel value |sin(pi*n_p/N)/sin(pi/N)|.
 * Gaussian model   -- threshold T(eps) such that, modeling Re/Im parts as
                       N(0, p(1-p)N), the per-bin tail probability is <= eps.
 * Gaussian, approx -- same threshold with Q(x) ~ exp(-x^2/2)/2, giving the
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -31,7 +30,6 @@ __all__ = [
     "BoundSpec",
     "BoundReport",
     "worst_case_bound",
-    "dirichlet_closed_form",
     "ratio_approximation",
     "q_function",
     "q_inverse",
@@ -113,14 +111,6 @@ def _mask_length(n, least: int = 2) -> int:
     return n
 
 
-@lru_cache(maxsize=8)
-def _cos_table(n: int) -> np.ndarray:
-    i = np.arange(1, n // 2 + 1, dtype=np.float64)
-    table = np.cos((2.0 * np.pi / n) * i)
-    table.flags.writeable = False
-    return table
-
-
 def _warn_if_composite(n: int) -> None:
     if not is_prime(n):
         warnings.warn(
@@ -133,37 +123,15 @@ def _warn_if_composite(n: int) -> None:
 def worst_case_bound(n: int, n_p: int) -> float:
     """Peak off-center DFT magnitude of the contiguous-block mask.
 
-    Evaluates sqrt(n_p + 2 * sum_{i<n_p} (n_p - i) * cos(2*pi*i/n)). The
-    radicand is identical for n_p and n - n_p ones (the block's spectrum
-    magnitude depends only on sin^2(pi*n_p/n)), so the complementary block
-    is summed when n_p > n/2: fewer terms, and no catastrophic cancellation
-    as n_p approaches n. Terms are accumulated with exact (fsum) summation.
+    The block's spectrum is a Dirichlet kernel, peaking at k = 1 with
+    |sin(pi*n_p/n) / sin(pi/n)|. The numerator is taken at m = min(n_p,
+    n - n_p), which leaves sin^2 unchanged and keeps its argument in
+    [0, pi/2].
     """
     n, n_p = _mask_length(n), _as_index(n_p, "n_p")
     if not 1 <= n_p <= n:
         raise ValueError(f"n_p must lie in [1, {n}], got {n_p!r}")
     _warn_if_composite(n)
-    m = min(n_p, n - n_p)
-    if m == 0:
-        return 0.0
-    if m == 1:
-        return 1.0
-    i = np.arange(1, m)
-    terms = (m - i) * _cos_table(n)[: m - 1]
-    radicand = m + 2.0 * math.fsum(terms.tolist())
-    return math.sqrt(max(radicand, 0.0))
-
-
-def dirichlet_closed_form(n: int, n_p: int) -> float:
-    """|sin(pi*n_p/n) / sin(pi/n)|: the block spectrum's k=1 magnitude.
-
-    Independent closed-form route to the same quantity as worst_case_bound.
-    The numerator argument is reduced via sin(pi*n_p/n) = sin(pi*(n-n_p)/n)
-    to keep it in [0, pi/2].
-    """
-    n, n_p = _mask_length(n), _as_index(n_p, "n_p")
-    if not 1 <= n_p <= n:
-        raise ValueError(f"n_p must lie in [1, {n}], got {n_p!r}")
     m = min(n_p, n - n_p)
     if m == 0:
         return 0.0

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 
-from .bounds import ratio_approximation
+from .bounds import ratio_approximation, sigma_bound
 from .masks import Mask, _as_index
 from .spectrum import hard_threshold, keep_above, peak_magnitude
 
@@ -102,13 +102,16 @@ def sample_random(x, mask: Mask) -> np.ndarray:
 
 
 def snr_db(reference, estimate) -> float:
-    """10*log10(||ref||^2 / ||ref - est||^2); inf for an exact match."""
+    """10*log10(||ref||^2 / ||ref - est||^2); inf for an exact match, -inf
+    for a zero reference and a nonzero error."""
     ref = np.asarray(reference, dtype=np.float64)
     err = ref - np.asarray(estimate, dtype=np.float64)
     num = float(np.sum(ref * ref))
     den = float(np.sum(err * err))
     if den == 0.0:
         return math.inf
+    if num == 0.0:
+        return -math.inf
     return 10.0 * math.log10(num / den)
 
 
@@ -145,7 +148,7 @@ def default_initial_threshold(xs, mask: Mask) -> float:
     p_hat = mask.n_p / mask.n
     c = ratio_approximation(mask.n, p_hat)
     if p_hat < 1.0:
-        c += 3.0 * math.sqrt(p_hat * (1.0 - p_hat) * mask.n) / math.ceil(mask.n * p_hat)
+        c += sigma_bound(mask.n, p_hat, 3) / mask.n_p
     peak = peak_magnitude(xs)
     if peak == 0.0:
         raise ValueError("sampled signal is identically zero")

@@ -6,12 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfcinv
 
 from maskspectra.bounds import (
     BoundSpec,
     bound_report,
-    dirichlet_closed_form,
     gaussian_bound,
     gaussian_bound_approx,
     q_function,
@@ -20,8 +21,9 @@ from maskspectra.bounds import (
     sigma_bound,
     worst_case_bound,
 )
-from maskspectra.masks import worst_case_mask
+from maskspectra.masks import is_prime, worst_case_mask
 from maskspectra.spectrum import dft_direct, max_nonzero_bin
+from oracles import worst_case_cosine_sum
 
 
 def test_worst_case_reference_values():
@@ -52,10 +54,10 @@ def test_worst_case_warns_for_composite_length():
 
 
 def test_dirichlet_reference_values():
-    assert dirichlet_closed_form(127, 64) == pytest.approx(40.426, abs=1e-3)
-    assert dirichlet_closed_form(127, 13) == pytest.approx(12.778, abs=1e-3)
+    assert worst_case_bound(127, 64) == pytest.approx(40.426, abs=1e-3)
+    assert worst_case_bound(127, 13) == pytest.approx(12.778, abs=1e-3)
     for n in (31, 127):
-        assert dirichlet_closed_form(n, n) == 0.0
+        assert worst_case_bound(n, n) == 0.0
 
 
 def test_sum_and_closed_form_agree_on_sampled_primes():
@@ -63,7 +65,7 @@ def test_sum_and_closed_form_agree_on_sampled_primes():
     for n in (7, 31, 127, 251):
         for n_p in range(1, n + 1):
             w = worst_case_bound(n, n_p)
-            d = dirichlet_closed_form(n, n_p)
+            d = worst_case_cosine_sum(n, n_p)
             assert abs(w - d) <= 1e-9 * max(1.0, d), (n, n_p)
 
 
@@ -96,6 +98,24 @@ def test_block_attains_the_bound():
         for n_p in (1, n // 3, n // 2, n - 1, n):
             value = max_nonzero_bin(scipy.fft.fft(worst_case_mask(n, n_p).bits.astype(float)))[1]
             assert abs(value - worst_case_bound(n, n_p)) <= 1e-9 * max(1.0, value)
+
+
+PRIMES_TO_10K = [n for n in range(2, 10_001) if is_prime(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.sampled_from(PRIMES_TO_10K))
+def test_worst_case_bound_is_the_block_peak(data, n):
+    n_p = data.draw(st.integers(1, n), label="n_p")
+    value = worst_case_bound(n, n_p)
+    peak = float(np.abs(scipy.fft.fft(worst_case_mask(n, n_p).bits.astype(float)))[1:].max())
+    # scaled by sqrt(n_p) = ||bits||_2 too: the FFT's own rounding error is
+    # relative to its input's norm, and the peak is only 1 at n_p = N - 1
+    assert abs(peak - value) <= 1e-12 * max(value, math.sqrt(n_p))
+    if n_p < n:
+        assert value == worst_case_bound(n, n - n_p)
+    assert worst_case_bound(n, 1) == 1.0
+    assert worst_case_bound(n, n) == 0.0
 
 
 def test_ratio_approximation_reference_values():
@@ -261,14 +281,14 @@ def test_bounds_accept_numpy_integers():
     spec = BoundSpec(n, 0.5, n_p=np.int32(64))
     assert (spec.n, spec.n_p) == (127, 64) and type(spec.n) is int and type(spec.n_p) is int
     assert worst_case_bound(n, np.int64(64)) == worst_case_bound(127, 64)
-    assert dirichlet_closed_form(n, np.int64(64)) == dirichlet_closed_form(127, 64)
+    assert worst_case_bound(np.int32(127), 64) == worst_case_bound(127, 64)
     assert ratio_approximation(n, 0.5) == ratio_approximation(127, 0.5)
     assert sigma_bound(n, 0.5, 3) == sigma_bound(127, 0.5, 3)
     for bad in (True, 127.0):
         for call in (
             lambda: BoundSpec(bad, 0.5),
             lambda: worst_case_bound(bad, 1),
-            lambda: dirichlet_closed_form(bad, 1),
+            lambda: worst_case_bound(127, bad),
             lambda: ratio_approximation(bad, 0.5),
             lambda: sigma_bound(bad, 0.5, 3),
         ):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maskspectra import recovery, spectrum
+from maskspectra.bounds import ratio_approximation
 from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
 from maskspectra.recovery import (
     RecoverySpec,
@@ -111,6 +112,7 @@ def test_snr_db_values():
     assert snr_db(x, x) == math.inf
     assert snr_db(x, np.zeros(2)) == pytest.approx(0.0)
     assert snr_db(x, x - np.array([0.3, 0.4])) == pytest.approx(20.0)
+    assert snr_db(np.zeros(3), np.ones(3)) == -math.inf
 
 
 def test_fixed_point_of_recovery_step():
@@ -171,6 +173,18 @@ def test_default_threshold_rules():
         default_initial_threshold(xs, worst_case_mask(127, 0))
     with pytest.raises(ValueError):
         default_initial_threshold(np.zeros(127), DEMO_MASK)
+
+
+def test_default_threshold_margin_divides_by_n_p():
+    # at N = 1543, ceil(N * (49/N)) rounds up to 50; the margin is over n_p = 49
+    n, n_p = 1543, 49
+    mask = worst_case_mask(n, n_p)
+    assert math.ceil(n * (n_p / n)) == n_p + 1
+    xs = sample_random(synthesize_signal(random_band_signal(n, 4, seed=3)), mask)
+    p_hat = n_p / n
+    c = ratio_approximation(n, p_hat) + 3.0 * math.sqrt(p_hat * (1.0 - p_hat) * n) / n_p
+    want = c * float(np.abs(scipy.fft.fft(xs)).max()) / p_hat
+    assert default_initial_threshold(xs, mask) == pytest.approx(want, rel=1e-12)
 
 
 def test_recovery_spec_validation():
