@@ -1,5 +1,6 @@
 """Sparse recovery demo: iterative hard thresholding of a sampled band-limited
-signal from a bound-derived threshold; each step is one spectrum.keep_above.
+signal from a bound-derived threshold. The loop runs in spectrum's transform
+order, so each step is one spectrum.keep_above_ordered.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import scipy.fft
 
 from .bounds import ratio_approximation, sigma_bound
 from .masks import Mask, _as_index
-from .spectrum import hard_threshold, keep_above, peak_magnitude
+from .spectrum import from_transform_order, hard_threshold, keep_above_ordered, peak_magnitude, to_transform_order
 
 __all__ = [
     "SignalSpec",
@@ -105,14 +106,21 @@ def snr_db(reference, estimate) -> float:
     """10*log10(||ref||^2 / ||ref - est||^2); inf for an exact match, -inf
     for a zero reference and a nonzero error."""
     ref = np.asarray(reference, dtype=np.float64)
-    err = ref - np.asarray(estimate, dtype=np.float64)
-    num = float(np.sum(ref * ref))
-    den = float(np.sum(err * err))
+    est = np.asarray(estimate, dtype=np.float64)
+    if ref.shape != est.shape:
+        raise ValueError(f"reference shape {ref.shape} != estimate shape {est.shape}")
+    return _snr_db(float(np.sum(ref * ref)), ref, est)
+
+
+def _snr_db(ref_energy: float, ref: np.ndarray, est: np.ndarray) -> float:
+    """snr_db given ||ref||^2."""
+    err = ref - est
+    den = float(np.sum(np.square(err, out=err)))
     if den == 0.0:
         return math.inf
-    if num == 0.0:
+    if ref_energy == 0.0:
         return -math.inf
-    return 10.0 * math.log10(num / den)
+    return 10.0 * math.log10(ref_energy / den)
 
 
 @dataclass(frozen=True)
@@ -155,9 +163,17 @@ def default_initial_threshold(xs, mask: Mask) -> float:
     return c * peak / p_hat
 
 
+def _ordered_step(xs: np.ndarray, free: np.ndarray, estimate: np.ndarray, threshold: float) -> np.ndarray:
+    """recovery_step with every array in transform order and free = 1 - mask bits."""
+    z = free * estimate
+    z += xs
+    return keep_above_ordered(z, threshold)
+
+
 def recovery_step(xs: np.ndarray, mask: Mask, estimate: np.ndarray, threshold: float) -> np.ndarray:
     """One iteration: re-impose known samples, hard-threshold in frequency."""
-    return keep_above(xs + (1.0 - mask.bits) * estimate, threshold)
+    xs, free, estimate = (to_transform_order(a) for a in (xs, 1.0 - mask.bits, estimate))
+    return from_transform_order(_ordered_step(xs, free, estimate, threshold))
 
 
 def recover(
@@ -172,19 +188,32 @@ def recover(
     (iteration, threshold, snr_db); SNR entries are NaN unless a reference
     signal is supplied. The reference is for scoring only: the loop always
     runs all ``spec.iterations`` iterations, whatever the SNR does.
+
+    Every iteration is recovery_step, run in spectrum's transform order:
+    the samples, the free-sample weights and the reference are permuted
+    into it once, and the final estimate back out of it. SNRs do not
+    depend on the order.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.shape != spec.mask.bits.shape:
         raise ValueError(f"sampled signal length {xs.size} != mask length {spec.mask.n}")
+    if reference is not None:
+        reference = np.asarray(reference, dtype=np.float64)
+        if reference.shape != xs.shape:
+            raise ValueError(f"reference shape {reference.shape} != sampled signal shape {xs.shape}")
+        reference = to_transform_order(reference)
+        ref_energy = float(np.sum(reference * reference))
     t0 = spec.t0 if spec.t0 is not None else default_initial_threshold(xs, spec.mask)
+    free = to_transform_order(1.0 - spec.mask.bits)
+    xs = to_transform_order(xs)
     estimate = np.zeros_like(xs)
     history: list[tuple[int, float, float]] = []
     for i in range(spec.iterations):
         threshold = t0 * math.exp(-spec.alpha * i)
-        estimate = recovery_step(xs, spec.mask, estimate, threshold)
-        snr = snr_db(reference, estimate) if reference is not None else math.nan
+        estimate = _ordered_step(xs, free, estimate, threshold)
+        snr = _snr_db(ref_energy, reference, estimate) if reference is not None else math.nan
         history.append((i, threshold, snr))
-    return estimate, history
+    return from_transform_order(estimate), history
 
 
 def history_to_csv(history) -> str:

@@ -7,10 +7,15 @@ either sign convention, and magnitudes are all the bounds constrain.
 For real input of prime length N, _RaderPlan computes the discrete Hartley
 transform h_k = Re X_k - Im X_k = sum_n x[n] cas(2*pi*k*n/N), with
 cas = cos + sin, as one real cyclic convolution of length N - 1 (Rader's
-algorithm), and leaves it in Rader order. The DHT is its own inverse up to
-a factor N, and |X_k|^2 = (h_k^2 + h_-k^2) / 2. peak_magnitude and
-keep_above use it where it beats scipy's transform and scipy elsewhere; no
-other module chooses between the two.
+algorithm). It takes and returns data in Rader order, a fixed permutation
+of samples and bins, so the DHT, which is its own inverse up to a factor
+N, serves both directions; |X_k|^2 = (h_k^2 + h_-k^2) / 2. Where the plan
+beats scipy's transform the functions here use it, and scipy elsewhere; no
+other module chooses between the two. The choice fixes the transform
+order, Rader order or natural order: to_transform_order and
+from_transform_order move data into and out of it, and keep_above_ordered
+thresholds within it, so an iterative loop permutes its inputs once and
+its result once instead of at every step.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .masks import Mask, is_prime
 
 __all__ = [
     "dft_direct", "spectrum_of_mask", "max_nonzero_bin", "hard_threshold", "peak_magnitude", "keep_above",
+    "to_transform_order", "from_transform_order", "keep_above_ordered",
 ]
 
 _DIRECT_BLOCK_ROWS = 256
@@ -93,62 +99,51 @@ def _prime_factors(m: int) -> list[int]:
 class _RaderPlan:
     """Real DHT of prime length n as a real cyclic convolution of length n - 1.
 
-    With g a generator of (Z/n)*, bin g^-p of the DHT of z is
-    z_0 + sum_q z_{g^q} cas(2 pi g^(q-p) / n), the cyclic convolution of the
+    With g a generator of (Z/n)*, Rader order puts sample (or bin) 0 apart
+    and sample g^-p at position p: ``order[0] = 0`` and
+    ``order[1 + p] = g^-p mod n``. Bin g^-p of the DHT of x is
+    x_0 + sum_q x_{g^q} cas(2 pi g^(q-p) / n), the cyclic convolution of the
     input in g^q order with the kernel cas(2 pi g^-r / n), whose rfft is
-    precomputed. Outputs stay in this Rader order: position p holds bin
-    g^-p, and since g^((n-1)/2) = -1, bin -k sits (n-1)/2 positions after
-    bin k. Every method works along the last axis.
+    precomputed. Input in Rader order is the input in g^q order reversed,
+    so the transform maps Rader order to Rader order. Since
+    g^((n-1)/2) = -1, bin -k sits (n-1)/2 positions after bin k. Every
+    method works along the last axis.
     """
 
     def __init__(self, n: int) -> None:
         m = n - 1
         factors = _prime_factors(m)
         g = next(c for c in range(2, n) if all(pow(c, m // f, n) != 1 for f in factors))
-        g_pos = np.empty(m, dtype=np.intp)  # g^q mod n
-        v = 1
-        for q in range(m):
-            g_pos[q] = v
-            v = v * g % n
+        order = np.zeros(n, dtype=np.intp)
+        g_inv, v = pow(g, -1, n), 1
+        for p in range(1, n):
+            order[p] = v
+            v = v * g_inv % n
+        order.flags.writeable = False
         self.n = n
-        self._g_pos = g_pos
-        self.g_neg = np.roll(g_pos[::-1], 1)  # g^-p mod n: the bin at Rader position p
-        # Rader position of each bin; bin 0 maps to a dummy and is set apart
-        self._rader_pos = np.zeros(n, dtype=np.intp)
-        self._rader_pos[self.g_neg] = np.arange(m)
-        angle = (2.0 * np.pi / n) * self.g_neg
+        self.order = order
+        angle = (2.0 * np.pi / n) * order[1:]
         self._kernel = scipy.fft.rfft(np.cos(angle) + np.sin(angle))
         # the kernel sums to exactly -1 (the DHT of a unit impulse at 0, less
         # its bin 0); the rounded sum is off by about 1e-13 at n = 8191, which
         # would shift every output by that much times the input's mean
         self._kernel[0] = -1.0
 
-    def _convolve(self, y: np.ndarray, x0) -> tuple[np.ndarray, np.ndarray]:
-        """DHT bin 0 and the Rader-ordered rest, from x0 (sample or bin 0)
-        and y, the rfft of the other n - 1 values in g^q order; y is reused."""
+    def dht(self, x0, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """DHT of the Rader-ordered (x0, x) as (bin 0, the rest in Rader order).
+
+        x0 is sample (or bin) 0 and x the other n - 1 values. The DHT is its
+        own inverse up to n: applied to its own output it gives n * (x0, x).
+        The convolution wants its input in g^q order, x reversed, and for
+        real x the rfft of the reversal is the conjugate of rfft(x).
+        """
         m = self.n - 1
+        y = scipy.fft.rfft(x)
+        np.conjugate(y, out=y)
         total = x0 + y[..., 0].real
         y *= self._kernel
         y[..., 0] += m * x0
         return total, scipy.fft.irfft(y, m, overwrite_x=True)
-
-    def hartley(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """DHT of real z, given in natural order, as (h_0, h in Rader order)."""
-        return self._convolve(scipy.fft.rfft(z[..., self._g_pos]), z[..., 0])
-
-    def inverse_hartley(self, h0, h: np.ndarray) -> np.ndarray:
-        """DHT of the Rader-ordered (h0, h), in natural order.
-
-        For h the DHT of z this is n * z. The DHT wants its input in g^q
-        order, h reversed, and for real h the rfft of the reversal is the
-        conjugate of rfft(h).
-        """
-        y = scipy.fft.rfft(h)
-        np.conjugate(y, out=y)
-        total, w = self._convolve(y, h0)
-        out = w[..., self._rader_pos]
-        out[..., 0] = total
-        return out
 
     def pair_magnitudes(self, h: np.ndarray) -> np.ndarray:
         """|X_k| = sqrt((h_k^2 + h_-k^2) / 2) at the first (n-1)/2 Rader
@@ -188,18 +183,39 @@ def hard_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
     return out
 
 
+def to_transform_order(x) -> np.ndarray:
+    """Real 1-D x in the sample order the transform works in at its length:
+    Rader order (see _RaderPlan) where a plan runs, and natural order,
+    x itself, elsewhere. Bins are ordered the same way."""
+    x = _as_real_vector(x)
+    plan = _rader_plan(x.shape)
+    return x if plan is None else x[plan.order]
+
+
+def from_transform_order(x) -> np.ndarray:
+    """Inverse of to_transform_order: x back in natural order."""
+    x = _as_real_vector(x)
+    plan = _rader_plan(x.shape)
+    if plan is None:
+        return x
+    out = np.empty_like(x)
+    out[plan.order] = x
+    return out
+
+
 def peak_magnitude(x) -> float:
     """max over every k of |DFT(x)_k| for real 1-D x, DC included."""
     x = _as_real_vector(x)
     plan = _rader_plan(x.shape)
     if plan is None:
         return float(np.abs(scipy.fft.fft(x)).max())
-    h0, h = plan.hartley(x)
+    h0, h = plan.dht(x[0], x[plan.order[1:]])
     return max(abs(float(h0)), float(plan.pair_magnitudes(h).max()))
 
 
-def keep_above(z, threshold: float) -> np.ndarray:
-    """ifft(hard_threshold(fft(z), threshold)).real for real 1-D z.
+def keep_above_ordered(z, threshold: float) -> np.ndarray:
+    """keep_above for z given in transform order, with the result in the
+    same order; a recovery loop stays in it from step to step.
 
     Through a Rader plan the pairs (k, -k), which share |X_k|, are kept or
     dropped together, and the kept Hartley bins are scaled by 1/N: their
@@ -213,7 +229,16 @@ def keep_above(z, threshold: float) -> np.ndarray:
     if plan is None:
         return np.ascontiguousarray(scipy.fft.ifft(hard_threshold(scipy.fft.fft(z), threshold)).real)
     n = z.size
-    h0, h = plan.hartley(z)
+    h0, h = plan.dht(z[0], z[1:])
     pairs = h.reshape(2, -1)
     pairs *= np.where(plan.pair_magnitudes(h) <= threshold, 0.0, 1.0 / n)
-    return plan.inverse_hartley(0.0 if abs(h0) <= threshold else h0 / n, h)
+    x0, x = plan.dht(0.0 if abs(h0) <= threshold else h0 / n, h)
+    out = np.empty_like(z)
+    out[0] = x0
+    out[1:] = x
+    return out
+
+
+def keep_above(z, threshold: float) -> np.ndarray:
+    """ifft(hard_threshold(fft(z), threshold)).real for real 1-D z."""
+    return from_transform_order(keep_above_ordered(to_transform_order(z), threshold))

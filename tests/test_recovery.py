@@ -115,6 +115,14 @@ def test_snr_db_values():
     assert snr_db(np.zeros(3), np.ones(3)) == -math.inf
 
 
+def test_snr_db_rejects_mismatched_shapes():
+    # broadcasting would score a length-1 estimate against every sample
+    with pytest.raises(ValueError, match="shape"):
+        snr_db(np.ones(4), np.zeros(1))
+    with pytest.raises(ValueError, match="shape"):
+        snr_db(np.ones((2, 3)), np.ones(3))
+
+
 def test_fixed_point_of_recovery_step():
     # estimate == true signal stays put when T is below the on-band minimum (10)
     xs = sample_random(DEMO_X, DEMO_MASK)
@@ -206,6 +214,16 @@ def test_recovery_spec_iterations_must_be_an_integer():
     assert type(spec.iterations) is int and spec.iterations == 3
 
 
+@pytest.mark.parametrize("n", [127, 8191])
+def test_recover_rejects_mismatched_reference(n):
+    mask = generate_mask(MaskConfig(n, 0.5, seed=4), 0)
+    x = synthesize_signal(random_band_signal(n, 2, seed=4))
+    xs = sample_random(x, mask)
+    for bad in (x[:1], x[:-1], np.stack((x, x))):
+        with pytest.raises(ValueError, match="reference"):
+            recover(xs, RecoverySpec(mask=mask, iterations=2), reference=bad)
+
+
 def test_history_without_reference_has_nan_snr():
     xs = sample_random(DEMO_X, DEMO_MASK)
     _, history = recover(xs, RecoverySpec(mask=DEMO_MASK, iterations=3))
@@ -271,11 +289,11 @@ def test_bundled_fixture_matches_spec():
 RADER_PRIMES = (3, 5, 7, 11, 13, 29, 31, 43, 47, 59, 83, 127, 173, 211)
 
 
-def _natural_order(plan, h0, h):
-    """The Rader-ordered DHT (h0, h) in natural bin order."""
-    out = np.empty(h.shape[:-1] + (plan.n,))
-    out[..., 0] = h0
-    out[..., plan.g_neg] = h
+def _natural_order(plan, x0, x):
+    """The Rader-ordered (x0, x) in natural order."""
+    out = np.empty(x.shape[:-1] + (plan.n,))
+    out[..., 0] = x0
+    out[..., plan.order[1:]] = x
     return out
 
 
@@ -288,7 +306,8 @@ def test_rader_plan_matches_fft(n, seed):
     z = rng.normal(size=n) + 10.0  # a large mean, as a recovery estimate may have
     expected = scipy.fft.fft(z)
     scale = np.abs(expected).max()
-    h0, h = plan.hartley(z)
+    zr = z[plan.order]
+    h0, h = plan.dht(zr[0], zr[1:])
     hartley = _natural_order(plan, h0, h)
     assert np.abs(hartley - (expected.real - expected.imag)).max() <= 1e-12 * scale
     if n < 1000:
@@ -297,17 +316,34 @@ def test_rader_plan_matches_fft(n, seed):
     # the DHT is its own inverse up to n. 1e-14 is tight enough to catch a
     # kernel whose rounded sum is used as is: the large mean then moves
     # sample 0 by about 3e-13 relative at n = 8191.
-    assert np.abs(plan.inverse_hartley(h0, h) - n * z).max() <= 1e-14 * n * np.abs(z).max()
+    assert np.abs(_natural_order(plan, *plan.dht(h0, h)) - n * z).max() <= 1e-14 * n * np.abs(z).max()
     # in Rader order bin -k sits (n-1)/2 positions after bin k
     half = (n - 1) // 2
-    assert np.array_equal(plan.g_neg[half:], n - plan.g_neg[:half])
-    mags = np.abs(expected[plan.g_neg[:half]])
+    g_neg = plan.order[1:]
+    assert plan.order[0] == 0 and np.array_equal(np.sort(plan.order), np.arange(n))
+    assert np.array_equal(g_neg[half:], n - g_neg[:half])
+    mags = np.abs(expected[g_neg[:half]])
     assert np.abs(plan.pair_magnitudes(h) - mags).max() <= 1e-12 * scale
     # batched along the last axis
     pair = np.stack((z, rng.normal(size=n)))
-    b0, b = plan.hartley(pair)
+    pr = pair[:, plan.order]
+    b0, b = plan.dht(pr[:, 0], pr[:, 1:])
     assert np.abs(_natural_order(plan, b0, b)[0] - hartley).max() <= 1e-12 * scale
-    assert np.abs(plan.inverse_hartley(b0, b) - n * pair).max() <= 1e-12 * n * np.abs(pair).max()
+    assert np.abs(_natural_order(plan, *plan.dht(b0, b)) - n * pair).max() <= 1e-12 * n * np.abs(pair).max()
+
+
+@settings(max_examples=25, deadline=None)
+@example(n=8191, seed=2, offset=1e3)
+@given(n=st.sampled_from(RADER_PRIMES), seed=st.integers(0, 2**32 - 1), offset=st.sampled_from([0.0, 1.0, 1e3]))
+def test_rader_dht_is_its_own_inverse(n, seed, offset):
+    # in Rader order, with no permutation on either side: dht(dht(x)) = n x
+    plan = spectrum._RaderPlan(n)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    x0, x = offset + rng.normal(), offset + rng.normal(size=n - 1)
+    y0, y = plan.dht(*plan.dht(x0, x))
+    tol = 1e-14 * n * max(abs(x0), np.abs(x).max())
+    assert abs(y0 - n * x0) <= tol
+    assert np.abs(y - n * x).max() <= tol
 
 
 @settings(max_examples=25, deadline=None)
@@ -321,12 +357,13 @@ def test_rader_inverse_of_kept_pairs_is_real_ifft(n, seed):
     z = rng.normal(size=n)
     keep_pairs = rng.random((n - 1) // 2) < 0.3
     keep_dc = bool(rng.random() < 0.5)
-    h0, h = plan.hartley(z)
+    zr = z[plan.order]
+    h0, h = plan.dht(zr[0], zr[1:])
     h.reshape(2, -1)[...] *= keep_pairs / n
-    got = plan.inverse_hartley(h0 / n if keep_dc else 0.0, h)
+    got = _natural_order(plan, *plan.dht(h0 / n if keep_dc else 0.0, h))
     keep = np.zeros(n, dtype=bool)
     keep[0] = keep_dc
-    keep[plan.g_neg] = np.tile(keep_pairs, 2)
+    keep[plan.order[1:]] = np.tile(keep_pairs, 2)
     assert np.array_equal(keep[1:], keep[1:][::-1])
     want = scipy.fft.ifft(scipy.fft.fft(z) * keep).real
     assert np.abs(got - want).max() <= 1e-12 * np.abs(z).max()
@@ -400,6 +437,33 @@ def test_rader_plan_survives_shapes_without_a_plan():
     assert spectrum._rader_plan((2, n)) is None
     assert spectrum._rader_plan((n,)) is plan
     assert np.array_equal(recovery_step(xs, mask, np.zeros(n), 0.5), first)
+
+
+def test_rader_recovery_permutes_once(monkeypatch):
+    # at a planned N the loop runs in Rader order: the same permutations
+    # in and out whatever the number of iterations, and no recovery_step
+    n = 8191
+    mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
+    x = synthesize_signal(random_band_signal(n, 8, seed=5))
+    xs = sample_random(x, mask)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("to_transform_order", "from_transform_order", "recovery_step"):
+        monkeypatch.setattr(recovery, name, counted(name, getattr(recovery, name)))
+    seen = []
+    for iterations in (1, 7):
+        calls.clear()
+        estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=iterations), reference=x)
+        seen.append(sorted(calls))
+        assert len(history) == iterations
+    assert seen[0] == seen[1] == ["from_transform_order"] + ["to_transform_order"] * 3
+    assert spectrum._rader_plan((n,)) is not None
 
 
 def test_rader_recovery_matches_scipy_oracle(monkeypatch):
