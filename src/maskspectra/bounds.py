@@ -36,6 +36,7 @@ __all__ = [
     "gaussian_bound",
     "gaussian_bound_approx",
     "sigma_bound",
+    "thresholds",
     "bound_report",
 ]
 
@@ -213,20 +214,28 @@ def sigma_bound(n: int, p: float, m: int) -> float:
     return sigma3 if m == 3 else (4.0 / 3.0) * sigma3
 
 
+def thresholds(spec: BoundSpec) -> dict[str, float]:
+    """The four threshold families a simulated peak is compared with:
+    gaussian_T, sigma3, sigma4 and worst_case (at spec.n_p), in that order."""
+    return {
+        "gaussian_T": gaussian_bound(spec),
+        "sigma3": sigma_bound(spec.n, spec.p, 3),
+        "sigma4": sigma_bound(spec.n, spec.p, 4),
+        "worst_case": worst_case_bound(spec.n, spec.n_p),
+    }
+
+
 def bound_report(spec: BoundSpec) -> BoundReport:
     """Evaluate every bound family for one spec."""
-    worst = worst_case_bound(spec.n, spec.n_p)
+    t = thresholds(spec)
     return BoundReport(
         n=spec.n,
         p=spec.p,
         n_p=spec.n_p,
         epsilon=spec.epsilon,
-        worst_case=worst,
-        worst_case_ratio=worst / spec.n_p,
-        worst_case_ratio_np=worst / (spec.n * spec.p),
-        gaussian_T=gaussian_bound(spec),
+        worst_case_ratio=t["worst_case"] / spec.n_p,
+        worst_case_ratio_np=t["worst_case"] / (spec.n * spec.p),
         gaussian_T_approx=gaussian_bound_approx(spec),
-        sigma3=sigma_bound(spec.n, spec.p, 3),
-        sigma4=sigma_bound(spec.n, spec.p, 4),
         ratio_approx=ratio_approximation(spec.n, spec.p),
+        **t,
     )

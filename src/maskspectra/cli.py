@@ -36,28 +36,21 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render(records: list[dict], columns, fmt: str) -> str:
+def _render(records: list[dict], fmt: str) -> str:
     if fmt == "json":
         return montecarlo.records_to_json(records)
-    return montecarlo.records_to_csv(records, columns)
+    return montecarlo.records_to_csv(records)
 
 
 def cmd_bounds(args) -> int:
     spec = bounds.BoundSpec(args.n, args.p, n_p=args.np, epsilon=args.eps, union_mode=args.union)
-    report = bounds.bound_report(spec).to_dict()
-    _emit(_render([report], list(report.keys()), args.format), args.out)
+    _emit(_render([bounds.bound_report(spec).to_dict()], args.format), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
-    spec_b = bounds.BoundSpec(args.n, args.p, epsilon=args.eps)
-    thresholds = (
-        ("gaussian_T", bounds.gaussian_bound(spec_b)),
-        ("sigma3", bounds.sigma_bound(args.n, args.p, 3)),
-        ("sigma4", bounds.sigma_bound(args.n, args.p, 4)),
-        ("worst_case", bounds.worst_case_bound(args.n, math.ceil(args.n * args.p))),
-    )
+    thresholds = tuple(bounds.thresholds(bounds.BoundSpec(args.n, args.p, epsilon=args.eps)).items())
     stats = montecarlo.run_experiment(
         montecarlo.ExperimentSpec(
             MaskConfig(args.n, args.p, seed), args.trials, thresholds=thresholds, workers=args.workers
@@ -89,15 +82,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_table1(args) -> int:
     seed = _resolve_seed(args.seed)
-    large_n_trials = args.trials if args.full_scale else min(args.trials, 1000)
+    # --full-scale lifts table1_report's trial cap on the large-N rows
+    full_scale = {"large_n_trials": args.trials} if args.full_scale else {}
     records = montecarlo.table1_report(
-        montecarlo.TABLE1_ROWS,
-        trials=args.trials,
-        seed=seed,
-        large_n_trials=large_n_trials,
-        workers=args.workers,
+        montecarlo.TABLE1_ROWS, trials=args.trials, seed=seed, workers=args.workers, **full_scale
     )
-    _emit(_render(records, montecarlo.TABLE1_COLUMNS, args.format), args.out)
+    _emit(_render(records, args.format), args.out)
     return 0
 
 
@@ -108,11 +98,9 @@ def cmd_figure(args) -> int:
         records = montecarlo.figure_curves(
             args.rate, ns, trials=args.trials, seed=seed, eps=args.eps, workers=args.workers
         )
-        _emit(_render(records, montecarlo.FIGURE_COLUMNS, args.format), args.out)
-        return 0
-    if args.n is None:
+    elif args.n is None:
         raise ValueError(f"--n is required for mode {args.mode!r}")
-    if args.mode == "ratio":
+    elif args.mode == "ratio":
         ps = _parse_list(args.ps, "--ps", float, "numbers")
         names = [f"ratio_p{p:g}" for p in ps]
         if len(set(names)) != len(names):
@@ -124,9 +112,7 @@ def cmd_figure(args) -> int:
             {"k": k, **{name: float(curve[k - 1]) for name, curve in zip(names, curves)}}
             for k in range(1, args.n)
         ]
-        _emit(_render(records, ["k", *names], args.format), args.out)
-        return 0
-    if args.mode == "approx":
+    elif args.mode == "approx":
         records = []
         for i in range(1, 100):
             p = i / 100.0
@@ -139,26 +125,31 @@ def cmd_figure(args) -> int:
                     "approx_ratio": bounds.ratio_approximation(args.n, p),
                 }
             )
-        _emit(_render(records, ("p", "n_p", "exact_ratio", "approx_ratio"), args.format), args.out)
-        return 0
-    raise ValueError(f"unknown figure mode {args.mode!r}")
+    else:
+        raise ValueError(f"unknown figure mode {args.mode!r}")
+    _emit(_render(records, args.format), args.out)
+    return 0
 
 
 def cmd_recover(args) -> int:
     seed = _resolve_seed(args.seed)
+    if not 0.0 < args.rate <= 1.0:
+        raise ValueError(f"--rate must lie in (0, 1], got {args.rate!r}")
     signal_path = args.signal if args.signal else recovery.demo_signal_path()
     if not os.path.exists(signal_path):
         raise ValueError(f"signal fixture not found: {signal_path}")
     x = recovery.read_signal_csv(signal_path)
     n = int(x.size)
-    if args.rate >= 1.0:
+    if args.rate == 1.0:
         mask = worst_case_mask(n, n)  # full sampling
     else:
         mask = generate_mask(MaskConfig(n, args.rate, seed), 0)
     xs = recovery.sample_random(x, mask)
     spec = recovery.RecoverySpec(mask=mask, iterations=args.iters, t0=args.t0, alpha=args.alpha)
     estimate, history = recovery.recover(xs, spec, reference=x)
-    csv_text = recovery.history_to_csv(history)
+    csv_text = montecarlo.records_to_csv(
+        [{"iteration": i, "threshold": t, "snr_db": snr} for i, t, snr in history]
+    )
     final_snr = history[-1][2]
     summary = (
         f"recover: n={n} rate={args.rate:g} n_p={mask.n_p} seed={seed} "

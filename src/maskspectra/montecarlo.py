@@ -86,8 +86,6 @@ __all__ = [
     "records_to_csv",
     "records_to_json",
     "TABLE1_ROWS",
-    "TABLE1_COLUMNS",
-    "FIGURE_COLUMNS",
 ]
 
 _CHUNK_TRIALS = 512
@@ -108,10 +106,7 @@ TABLE1_ROWS: tuple[tuple[int, float], ...] = (
     (131071, 0.8),
     (131071, 0.1),
 )
-_LARGE_N = 65536  # table1_report runs large_n_trials trials on rows at or above this N
-
-TABLE1_COLUMNS = ("N", "p", "n_p", "sim_max_mean", "sim_global_max", "sim_ratio", "bound_worst", "bound_ratio")
-FIGURE_COLUMNS = ("N", "sim_max_mean", "sim_global_max", "mean_abs", "gaussian_T", "sigma3", "sigma4", "worst_case")
+_LARGE_N = 65536  # table1_report caps the trials of rows at or above this N
 
 
 class RunningStats:
@@ -414,11 +409,12 @@ def table1_report(
     sim_max_mean is the mean over trials of the per-trial max; sim_ratio
     divides it by n_p = ceil(N*p). bound_ratio is bound/(N*p), the
     normalization the reference table prints. Rows with N >= _LARGE_N
-    run large_n_trials trials (pass large_n_trials=trials to force the full
-    count; at N=131071 that is a long run).
+    run min(trials, large_n_trials) trials (pass large_n_trials=trials to
+    force the full count; at N=131071 that is a long run).
     """
     if not rows:
         raise ValueError("rows must be non-empty")
+    large_n_trials = min(trials, large_n_trials)
     specs = [
         ExperimentSpec(MaskConfig(n, p, seed), large_n_trials if n >= _LARGE_N else trials, workers=workers)
         for n, p in rows
@@ -455,21 +451,16 @@ def figure_curves(
         raise ValueError("n_values must be non-empty")
     bound_specs = [bounds.BoundSpec(n, p, epsilon=eps) for n in n_values]
     results = _run([ExperimentSpec(MaskConfig(n, p, seed), trials, workers=workers) for n in n_values])
-    out = []
-    for n, spec, (stats, _) in zip(n_values, bound_specs, results):
-        out.append(
-            {
-                "N": n,
-                "sim_max_mean": stats.per_trial_max.mean,
-                "sim_global_max": stats.global_max,
-                "mean_abs": stats.mean_abs_coeff,
-                "gaussian_T": bounds.gaussian_bound(spec),
-                "sigma3": bounds.sigma_bound(n, p, 3),
-                "sigma4": bounds.sigma_bound(n, p, 4),
-                "worst_case": bounds.worst_case_bound(n, math.ceil(n * p)),
-            }
-        )
-    return out
+    return [
+        {
+            "N": n,
+            "sim_max_mean": stats.per_trial_max.mean,
+            "sim_global_max": stats.global_max,
+            "mean_abs": stats.mean_abs_coeff,
+            **bounds.thresholds(spec),
+        }
+        for n, spec, (stats, _) in zip(n_values, bound_specs, results)
+    ]
 
 
 def noise_ratio_curves(configs, trials: int, workers: int = 1) -> list[np.ndarray]:
@@ -490,11 +481,14 @@ def _format_cell(value) -> str:
     return f"{value:.9g}" if isinstance(value, float) else str(value)
 
 
-def records_to_csv(records: list[dict], columns=None) -> str:
-    """CSV with a header row; floats at 9 significant digits, LF endings."""
+def records_to_csv(records: list[dict]) -> str:
+    """CSV of flat records: the header row is the first record's keys in
+    their order, and every record is one row of those keys' values. Floats
+    are written at 9 significant digits; lines end in LF. records_to_json
+    writes the same records with the same keys."""
     if not records:
         raise ValueError("records must be non-empty")
-    cols = list(columns) if columns is not None else list(records[0].keys())
+    cols = list(records[0])
     lines = [",".join(cols)]
     for rec in records:
         lines.append(",".join(_format_cell(rec[c]) for c in cols))

@@ -27,7 +27,6 @@ __all__ = [
     "default_initial_threshold",
     "recovery_step",
     "recover",
-    "history_to_csv",
     "read_signal_csv",
     "write_signal_csv",
     "demo_signal_spec",
@@ -138,10 +137,12 @@ class RecoverySpec:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         object.__setattr__(self, "iterations", iterations)
-        if self.t0 is not None and not self.t0 > 0.0:
-            raise ValueError("t0 must be positive")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        # t0 = inf drops every bin, and alpha = inf makes the first
+        # threshold t0 * exp(-inf * 0) = nan, which keeps every bin
+        if self.t0 is not None and not 0.0 < self.t0 < math.inf:
+            raise ValueError(f"t0 must be positive and finite, got {self.t0!r}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
 def default_initial_threshold(xs, mask: Mask) -> float:
@@ -214,13 +215,6 @@ def recover(
         snr = _snr_db(ref_energy, reference, estimate) if reference is not None else math.nan
         history.append((i, threshold, snr))
     return from_transform_order(estimate), history
-
-
-def history_to_csv(history) -> str:
-    lines = ["iteration,threshold,snr_db"]
-    for i, threshold, snr in history:
-        lines.append(f"{i},{threshold:.9g},{snr:.9g}")
-    return "\n".join(lines) + "\n"
 
 
 def read_signal_csv(path) -> np.ndarray:

@@ -160,18 +160,21 @@ def _cached_rader_plan(n: int) -> _RaderPlan:
     return _RaderPlan(n)
 
 
+@lru_cache(maxsize=256)
+def _has_rader_plan(n: int) -> bool:
+    return n > _RADER_MIN_N and is_prime(n) and max(_prime_factors(n - 1)) <= _RADER_MAX_FACTOR
+
+
 def _rader_plan(shape: tuple[int, ...]) -> _RaderPlan | None:
     """The cached Rader plan for a real 1-D array of this shape, or None
     where scipy's transform is as fast (or the array is not 1-D).
 
-    Only plans are cached, so shapes without one never evict a plan.
+    Whether a length has a plan is cached apart from the plans, so shapes
+    without one never evict a plan.
     """
-    if len(shape) != 1:
+    if len(shape) != 1 or not _has_rader_plan(shape[0]):
         return None
-    (n,) = shape
-    if n <= _RADER_MIN_N or not is_prime(n) or max(_prime_factors(n - 1)) > _RADER_MAX_FACTOR:
-        return None
-    return _cached_rader_plan(n)
+    return _cached_rader_plan(shape[0])
 
 
 def hard_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:

@@ -47,13 +47,51 @@ def test_bounds_invalid_flag_exits_2(capsys):
     assert "n" in err
 
 
-def test_bounds_csv_json_cross_decode(capsys):
-    _, out_csv, _ = run_cli(capsys, "bounds", "--n", "1543", "--p", "0.8", "--eps", "1e-6")
-    _, out_json, _ = run_cli(capsys, "bounds", "--n", "1543", "--p", "0.8", "--eps", "1e-6", "--format", "json")
-    _, rows = parse_csv(out_csv)
-    record = json.loads(out_json)[0]
-    for key, text in rows[0].items():
-        assert float(text) == pytest.approx(float(record[key]), rel=1e-8), key
+REPORT_COLUMNS = [
+    (
+        ("bounds", "--n", "1543", "--p", "0.8", "--eps", "1e-6"),
+        ["n", "p", "n_p", "epsilon", "worst_case", "worst_case_ratio", "worst_case_ratio_np",
+         "gaussian_T", "gaussian_T_approx", "sigma3", "sigma4", "ratio_approx"],
+    ),
+    (
+        ("table1", "--trials", "2"),
+        ["N", "p", "n_p", "sim_max_mean", "sim_global_max", "sim_ratio", "bound_worst", "bound_ratio"],
+    ),
+    (
+        ("figure", "--ns", "127,131", "--trials", "20"),
+        ["N", "sim_max_mean", "sim_global_max", "mean_abs", "gaussian_T", "sigma3", "sigma4", "worst_case"],
+    ),
+    (
+        ("figure", "--mode", "ratio", "--n", "31", "--ps", "0.1,0.5", "--trials", "20"),
+        ["k", "ratio_p0.1", "ratio_p0.5"],
+    ),
+    (("figure", "--mode", "approx", "--n", "127"), ["p", "n_p", "exact_ratio", "approx_ratio"]),
+]
+
+
+def test_reports_csv_json_cross_decode(capsys):
+    # each report's CSV header is its records' keys in order, and its JSON
+    # records carry exactly those keys, with the same values
+    for args, columns in REPORT_COLUMNS:
+        _, out_csv, _ = run_cli(capsys, *args)
+        _, out_json, _ = run_cli(capsys, *args, "--format", "json")
+        header, rows = parse_csv(out_csv)
+        records = json.loads(out_json)
+        assert header == columns, args
+        assert len(records) == len(rows), args
+        for row, record in zip(rows, records):
+            assert list(record) == header, args
+            for key, text in row.items():
+                assert float(text) == pytest.approx(float(record[key]), rel=1e-8), (args, key)
+    # recover writes its history, which has no JSON form, through the same
+    # writer: integer iterations, floats at 9 significant digits
+    _, out, _ = run_cli(capsys, "recover", "--iters", "2", "--t0", "33", "--alpha", "0.1")
+    header, rows = parse_csv(out)
+    assert header == ["iteration", "threshold", "snr_db"]
+    assert out.endswith("\n")
+    assert [row["iteration"] for row in rows] == ["0", "1"]
+    assert [row["threshold"] for row in rows] == ["33", f"{33.0 * math.exp(-0.1):.9g}"]
+    assert all(row["snr_db"] == f"{float(row['snr_db']):.9g}" for row in rows)
 
 
 def reject_constant(token):
@@ -178,6 +216,15 @@ def test_recover_full_sampling_one_iteration(capsys):
     assert code == 0
     final_snr = float(out.strip().split("\n")[-1].split(",")[2])
     assert final_snr >= 100.0
+
+
+def test_recover_rejects_out_of_range_inputs(capsys):
+    # a rate above 1 used to sample everything, and an infinite t0 or alpha
+    # gave infinite or NaN thresholds
+    for flag, value in (("--rate", "7"), ("--rate", "0"), ("--rate", "nan"), ("--t0", "inf"), ("--alpha", "inf")):
+        code, out, err = run_cli(capsys, "recover", "--iters", "2", flag, value)
+        assert code == 2 and out == "", flag
+        assert flag.lstrip("-") in err, flag
 
 
 def test_recover_missing_fixture_exits_2(capsys):

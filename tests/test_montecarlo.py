@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from maskspectra import bounds
 from maskspectra.masks import MaskConfig, generate_mask
 from maskspectra.montecarlo import (
-    TABLE1_COLUMNS,
     TABLE1_ROWS,
     ExperimentSpec,
     RunningStats,
@@ -164,7 +163,6 @@ def test_streaming_memory_footprint():
 def test_table1_row_values():
     rows = table1_report([(127, 0.5)], trials=3000, seed=7)
     row = rows[0]
-    assert list(row.keys()) == list(TABLE1_COLUMNS)
     assert row["n_p"] == 64
     assert row["bound_worst"] == pytest.approx(40.426, abs=1e-3)
     assert round(row["bound_ratio"], 3) == 0.637
@@ -178,6 +176,33 @@ def test_table1_default_grid_shape():
     assert [(r["N"], r["p"]) for r in rows] == list(TABLE1_ROWS)
     again = table1_report(TABLE1_ROWS, trials=20, seed=1, large_n_trials=20)
     assert rows == again
+
+
+def test_table1_caps_large_n_rows_in_one_place(monkeypatch, capsys):
+    # rows at N >= 65536 run min(trials, large_n_trials) trials, whether
+    # table1_report is called directly or through the CLI
+    import maskspectra.montecarlo as mc
+    from maskspectra.cli import main
+
+    calls = []
+
+    def fake_run(specs):
+        calls.append([(spec.config.n, spec.trials) for spec in specs])
+        return [(TrialStats(), None) for _ in specs]
+
+    monkeypatch.setattr(mc, "_run", fake_run)
+    small = [(n, 20) for n in (127, 127, 127, 1543, 1543, 1543)]
+    table1_report(TABLE1_ROWS, trials=20, seed=5)
+    assert main(["table1", "--trials", "20"]) == 0
+    assert calls == [small + [(131071, 20)] * 3] * 2
+    calls.clear()
+    table1_report(TABLE1_ROWS, trials=1500, seed=5)
+    assert main(["table1", "--trials", "1500"]) == 0
+    table1_report(TABLE1_ROWS, trials=1500, seed=5, large_n_trials=1500)
+    assert main(["table1", "--trials", "1500", "--full-scale"]) == 0
+    big = [(n, 1500) for n, _ in small]
+    assert calls == [big + [(131071, 1000)] * 3] * 2 + [big + [(131071, 1500)] * 3] * 2
+    capsys.readouterr()
 
 
 def test_table1_rejects_empty():

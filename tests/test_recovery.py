@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from maskspectra import recovery, spectrum
 from maskspectra.bounds import ratio_approximation
-from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
+from maskspectra.masks import MaskConfig, generate_mask, is_prime, worst_case_mask
 from maskspectra.recovery import (
     RecoverySpec,
     SignalSpec,
@@ -17,7 +17,6 @@ from maskspectra.recovery import (
     demo_signal_path,
     demo_signal_spec,
     hard_threshold,
-    history_to_csv,
     random_band_signal,
     read_signal_csv,
     recover,
@@ -198,10 +197,13 @@ def test_default_threshold_margin_divides_by_n_p():
 def test_recovery_spec_validation():
     with pytest.raises(ValueError):
         RecoverySpec(mask=DEMO_MASK, iterations=0)
-    with pytest.raises(ValueError):
-        RecoverySpec(mask=DEMO_MASK, t0=0.0)
-    with pytest.raises(ValueError):
-        RecoverySpec(mask=DEMO_MASK, alpha=0.0)
+    # an infinite or NaN t0 or alpha would give a history of NaN or
+    # infinite thresholds that keep or drop every bin
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t0"):
+            RecoverySpec(mask=DEMO_MASK, t0=bad)
+        with pytest.raises(ValueError, match="alpha"):
+            RecoverySpec(mask=DEMO_MASK, alpha=bad)
     with pytest.raises(ValueError):
         recover(np.zeros(64), RecoverySpec(mask=DEMO_MASK, t0=1.0))
 
@@ -229,14 +231,6 @@ def test_history_without_reference_has_nan_snr():
     _, history = recover(xs, RecoverySpec(mask=DEMO_MASK, iterations=3))
     assert len(history) == 3
     assert all(math.isnan(snr) for _, _, snr in history)
-
-
-def test_history_csv_format():
-    text = history_to_csv([(0, 33.0, 1.5), (1, 29.9, 2.25)])
-    lines = text.splitlines()
-    assert lines[0] == "iteration,threshold,snr_db"
-    assert lines[1] == "0,33,1.5"
-    assert text.endswith("\n")
 
 
 def test_signal_csv_roundtrip(tmp_path):
@@ -422,6 +416,20 @@ def test_rader_plan_selection(monkeypatch):
         assert built == [8191, 1033, 1609]
     finally:
         spectrum._cached_rader_plan.cache_clear()
+
+
+def test_rader_plan_lookup_tests_primality_once(monkeypatch):
+    # whether a length has a plan is cached with the answer, so a recovery
+    # loop's lookups after the first test no primes
+    calls = []
+    monkeypatch.setattr(spectrum, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    plan = spectrum._rader_plan((8191,))
+    assert plan is not None
+    calls.clear()
+    mask = generate_mask(MaskConfig(8191, 0.5, seed=1), 0)
+    recover(mask.bits.astype(np.float64), RecoverySpec(mask=mask, iterations=3))
+    assert spectrum._rader_plan((8191,)) is plan
+    assert calls == []
 
 
 def test_rader_plan_survives_shapes_without_a_plan():
