@@ -13,6 +13,16 @@ of a length-N mask with keep-probability p and support size n_p:
 * m-sigma          -- m*sqrt(p(1-p)N) for m in {3, 4}.
 
 A large-N approximation of the worst-case-to-support ratio is also exposed.
+
+The Gaussian model is conservative by a factor sqrt(2). It gives Re A_k and
+Im A_k the variance p(1-p)N, but for k != 0 (and k != N/2) each is a sum
+of (b_n - p) times cos or sin of 2*pi*k*n/N, whose squares average 1/2, so
+the true variance is p(1-p)N/2. Both Gaussian thresholds therefore sit
+sqrt(2) above the same model with the exact variance. That is why the
+simulations observe no exceedance of T(eps): at N = 127, p = 0.5 and
+eps = 1e-4, T = 31.0, and a Rayleigh model of the peak with the exact
+variance, 1 - (1 - exp(-T^2/(p(1-p)N)))^((N-1)/2), puts the chance that
+any bin exceeds it at 4.5e-12. The values here keep the model as it is.
 """
 
 from __future__ import annotations

@@ -145,15 +145,16 @@ def cmd_recover(args) -> int:
     else:
         mask = generate_mask(MaskConfig(n, args.rate, seed), 0)
     xs = recovery.sample_random(x, mask)
-    spec = recovery.RecoverySpec(mask=mask, iterations=args.iters, t0=args.t0, alpha=args.alpha)
+    spec = recovery.RecoverySpec(mask=mask, iterations=args.iters, t0=args.t0, alpha=args.alpha, tol=args.tol)
     estimate, history = recovery.recover(xs, spec, reference=x)
     csv_text = montecarlo.records_to_csv(
         [{"iteration": i, "threshold": t, "snr_db": snr} for i, t, snr in history]
     )
     final_snr = history[-1][2]
+    residual = recovery.sampled_residual(xs, mask, estimate)
     summary = (
         f"recover: n={n} rate={args.rate:g} n_p={mask.n_p} seed={seed} "
-        f"iterations={len(history)} final_snr_db={final_snr:.3f}\n"
+        f"iterations={len(history)} residual={residual:.3g} final_snr_db={final_snr:.3f}\n"
     )
     if args.out:
         _emit(csv_text, args.out)
@@ -233,7 +234,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--signal", default=None, help="signal fixture CSV (default: bundled demo)")
     p_rec.add_argument("--rate", type=float, default=0.5, help="sampling rate; 1 keeps every sample")
     p_rec.add_argument("--seed", type=int, default=None)
-    p_rec.add_argument("--iters", type=int, default=50)
+    p_rec.add_argument("--iters", type=int, default=50, help="most iterations to run")
+    p_rec.add_argument(
+        "--tol",
+        type=float,
+        default=1e-6,
+        help="stop once the relative residual on the sampled positions is at most this (0: run every iteration)",
+    )
     p_rec.add_argument("--alpha", type=float, default=0.1, help="threshold decay rate per iteration")
     p_rec.add_argument("--t0", type=float, default=None, help="initial threshold (default: bound-derived)")
     p_rec.add_argument("--out", default=None, help="history CSV file (default: stdout)")

@@ -1,10 +1,13 @@
 """Sparse recovery demo: iterative hard thresholding of a sampled band-limited
-signal from a bound-derived threshold. The loop runs in spectrum's transform
-order, so each step is one spectrum.keep_above_ordered.
+signal from a bound-derived threshold, stopped once the estimate matches
+the samples. The loop runs in spectrum's transform order, so each step is
+one spectrum.keep_above_ordered, split into its analysis and synthesis
+halves so that no step transforms what is already transformed.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -14,7 +17,15 @@ import scipy.fft
 
 from .bounds import ratio_approximation, sigma_bound
 from .masks import Mask, _as_index
-from .spectrum import from_transform_order, hard_threshold, keep_above_ordered, peak_magnitude, to_transform_order
+from .spectrum import (
+    analyze_ordered,
+    from_transform_order,
+    hard_threshold,
+    keep_above_ordered,
+    peak_magnitude,
+    synthesize_ordered,
+    to_transform_order,
+)
 
 __all__ = [
     "SignalSpec",
@@ -27,6 +38,7 @@ __all__ = [
     "default_initial_threshold",
     "recovery_step",
     "recover",
+    "sampled_residual",
     "read_signal_csv",
     "write_signal_csv",
     "demo_signal_spec",
@@ -125,12 +137,18 @@ def _snr_db(ref_energy: float, ref: np.ndarray, est: np.ndarray) -> float:
 @dataclass(frozen=True)
 class RecoverySpec:
     """Recovery loop parameters; t0=None derives the initial threshold
-    from the mask-noise bounds (see default_initial_threshold)."""
+    from the mask-noise bounds (see default_initial_threshold).
+
+    iterations caps the loop, which stops earlier once the residual on the
+    sampled positions (see sampled_residual) is at most tol; tol = 0 runs
+    every iteration.
+    """
 
     mask: Mask
     iterations: int = 50
     t0: float | None = None
     alpha: float = 0.1
+    tol: float = 1e-6
 
     def __post_init__(self) -> None:
         iterations = _as_index(self.iterations, "iterations")
@@ -143,6 +161,8 @@ class RecoverySpec:
             raise ValueError(f"t0 must be positive and finite, got {self.t0!r}")
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
 
 
 def default_initial_threshold(xs, mask: Mask) -> float:
@@ -152,29 +172,43 @@ def default_initial_threshold(xs, mask: Mask) -> float:
     worst-case ratio approximation, placing T0 above the aliasing noise of
     every line in the sampled spectrum.
     """
+    return _initial_threshold(mask, peak_magnitude(xs))
+
+
+def _initial_threshold(mask: Mask, peak: float) -> float:
+    """default_initial_threshold given peak = max|DFT(xs)|."""
     if mask.n_p == 0:
         raise ValueError("mask has empty support; nothing was sampled")
     p_hat = mask.n_p / mask.n
     c = ratio_approximation(mask.n, p_hat)
     if p_hat < 1.0:
         c += sigma_bound(mask.n, p_hat, 3) / mask.n_p
-    peak = peak_magnitude(xs)
     if peak == 0.0:
         raise ValueError("sampled signal is identically zero")
     return c * peak / p_hat
 
 
-def _ordered_step(xs: np.ndarray, free: np.ndarray, estimate: np.ndarray, threshold: float) -> np.ndarray:
-    """recovery_step with every array in transform order and free = 1 - mask bits."""
-    z = free * estimate
-    z += xs
-    return keep_above_ordered(z, threshold)
-
-
 def recovery_step(xs: np.ndarray, mask: Mask, estimate: np.ndarray, threshold: float) -> np.ndarray:
     """One iteration: re-impose known samples, hard-threshold in frequency."""
     xs, free, estimate = (to_transform_order(a) for a in (xs, 1.0 - mask.bits, estimate))
-    return from_transform_order(_ordered_step(xs, free, estimate, threshold))
+    z = free * estimate
+    z += xs
+    return from_transform_order(keep_above_ordered(z, threshold))
+
+
+def sampled_residual(xs, mask: Mask, estimate) -> float:
+    """||mask * estimate - xs|| / ||xs||, the estimate's relative misfit on
+    the sampled positions; it needs no reference signal. 0/0 counts as 0."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return _relative_norm(mask.bits * np.asarray(estimate, dtype=np.float64) - xs, float(np.linalg.norm(xs)))
+
+
+def _relative_norm(v: np.ndarray, scale: float) -> float:
+    """||v|| / scale, with 0/0 = 0."""
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return 0.0
+    return norm / scale if scale > 0.0 else math.inf
 
 
 def recover(
@@ -187,13 +221,22 @@ def recover(
     Starts from the zero estimate with threshold t0 * exp(-alpha * i) at
     iteration i. Returns the final estimate and the per-iteration history
     (iteration, threshold, snr_db); SNR entries are NaN unless a reference
-    signal is supplied. The reference is for scoring only: the loop always
-    runs all ``spec.iterations`` iterations, whatever the SNR does.
+    signal is supplied. The reference is for scoring only and never stops
+    the loop.
+
+    The loop stops after iteration i once r_i = ||M x_i - xs|| / ||xs||,
+    the residual on the sampled positions (see sampled_residual; 0/0
+    counts as 0), is at most spec.tol, and after spec.iterations
+    iterations at the latest; tol = 0 runs them all. The stop changes no
+    iterate, so the history is a prefix of the history with tol = 0.
 
     Every iteration is recovery_step, run in spectrum's transform order:
     the samples, the free-sample weights and the reference are permuted
     into it once, and the final estimate back out of it. SNRs do not
-    depend on the order.
+    depend on the order. The step's input z = (1 - M) x + xs is xs itself
+    while the estimate is zero, so xs is transformed once, for t0 and for
+    every such step; a step that keeps no bin skips the inverse transform.
+    With z formed, r_i = ||x_i - z_(i+1)|| / ||xs||.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.shape != spec.mask.bits.shape:
@@ -204,16 +247,27 @@ def recover(
             raise ValueError(f"reference shape {reference.shape} != sampled signal shape {xs.shape}")
         reference = to_transform_order(reference)
         ref_energy = float(np.sum(reference * reference))
-    t0 = spec.t0 if spec.t0 is not None else default_initial_threshold(xs, spec.mask)
     free = to_transform_order(1.0 - spec.mask.bits)
     xs = to_transform_order(xs)
-    estimate = np.zeros_like(xs)
+    sampled = analyze_ordered(xs)
+    t0 = spec.t0 if spec.t0 is not None else _initial_threshold(spec.mask, float(sampled[1].max()))
+    xs_norm = float(np.linalg.norm(xs))
+    zero = np.zeros_like(xs)
+    estimate, z = zero, xs
     history: list[tuple[int, float, float]] = []
     for i in range(spec.iterations):
         threshold = t0 * math.exp(-spec.alpha * i)
-        estimate = _ordered_step(xs, free, estimate, threshold)
+        coeffs, magnitudes = sampled if z is xs else analyze_ordered(z)
+        if (magnitudes > threshold).any():
+            estimate = synthesize_ordered(coeffs, magnitudes, threshold)
+            z = free * estimate
+            z += xs
+        else:
+            estimate, z = zero, xs
         snr = _snr_db(ref_energy, reference, estimate) if reference is not None else math.nan
         history.append((i, threshold, snr))
+        if spec.tol > 0.0 and _relative_norm(estimate - z, xs_norm) <= spec.tol:
+            break
     return from_transform_order(estimate), history
 
 
@@ -222,18 +276,19 @@ def read_signal_csv(path) -> np.ndarray:
 
     Blank lines are skipped; any other malformed line (an index that is
     not an integer, a field too many or too few, a comment) raises
-    ValueError.
+    ValueError. Any line ending (LF, CRLF, CR) is accepted.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
+    with warnings.catch_warnings():
+        # a file without data rows parses to no rows with a warning; rejected below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            rows = _load_signal_rows(path)
+        except ValueError:
+            # loadtxt skips empty lines but rejects whitespace-only ones
+            with open(path, "r", encoding="utf-8") as fh:
+                rows = _load_signal_rows([line for line in fh.read().splitlines() if line.strip()])
+    if rows.size == 0:
         raise ValueError(f"empty signal fixture: {path}")
-    # Every column is parsed: loadtxt would drop a third field if told to
-    # read only the first two.
-    rows = np.loadtxt(
-        lines, delimiter=",", comments=None, ndmin=1,
-        dtype=[("index", np.int64), ("value", np.float64)],
-    )
     if not np.array_equal(np.sort(rows["index"]), np.arange(rows.size)):
         raise ValueError(f"signal fixture indices must be 0..n-1 without gaps: {path}")
     x = np.empty(rows.size, dtype=np.float64)
@@ -241,6 +296,16 @@ def read_signal_csv(path) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"signal fixture values must be finite: {path}")
     return x
+
+
+def _load_signal_rows(source) -> np.ndarray:
+    """(index, value) rows of a fixture path or a list of its lines."""
+    # Every column is parsed: loadtxt would drop a third field if told to
+    # read only the first two.
+    return np.loadtxt(
+        source, delimiter=",", comments=None, ndmin=1, encoding="utf-8",
+        dtype=[("index", np.int64), ("value", np.float64)],
+    )
 
 
 def write_signal_csv(path, x) -> None:

@@ -15,7 +15,10 @@ other module chooses between the two. The choice fixes the transform
 order, Rader order or natural order: to_transform_order and
 from_transform_order move data into and out of it, and keep_above_ordered
 thresholds within it, so an iterative loop permutes its inputs once and
-its result once instead of at every step.
+its result once instead of at every step. keep_above_ordered is its two
+halves in turn, analyze_ordered (the spectrum and its magnitudes) and
+synthesize_ordered (keep the bins above a threshold and invert), so a
+loop that already holds a spectrum can skip either transform.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .masks import Mask, is_prime
 
 __all__ = [
     "dft_direct", "spectrum_of_mask", "max_nonzero_bin", "hard_threshold", "peak_magnitude", "keep_above",
-    "to_transform_order", "from_transform_order", "keep_above_ordered",
+    "to_transform_order", "from_transform_order", "analyze_ordered", "synthesize_ordered", "keep_above_ordered",
 ]
 
 _DIRECT_BLOCK_ROWS = 256
@@ -206,40 +209,58 @@ def from_transform_order(x) -> np.ndarray:
     return out
 
 
-def peak_magnitude(x) -> float:
-    """max over every k of |DFT(x)_k| for real 1-D x, DC included."""
-    x = _as_real_vector(x)
-    plan = _rader_plan(x.shape)
+def analyze_ordered(z) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum of real z, given in transform order, and its magnitudes:
+    the analysis half of keep_above_ordered.
+
+    Through a Rader plan the spectrum is the Hartley bins in Rader order and
+    the magnitudes are |X_0| followed by the (n-1)/2 pair magnitudes, one
+    per pair (k, -k); through scipy they are the complex DFT and |DFT|. In
+    both, the largest magnitude is the spectrum's peak, and a threshold at
+    or above it keeps no bin.
+    """
+    z = _as_real_vector(z)
+    plan = _rader_plan(z.shape)
     if plan is None:
-        return float(np.abs(scipy.fft.fft(x)).max())
-    h0, h = plan.dht(x[0], x[plan.order[1:]])
-    return max(abs(float(h0)), float(plan.pair_magnitudes(h).max()))
+        coeffs = scipy.fft.fft(z)
+        return coeffs, np.abs(coeffs)
+    h0, h = plan.dht(z[0], z[1:])
+    return np.concatenate(([h0], h)), np.concatenate(([abs(h0)], plan.pair_magnitudes(h)))
 
 
-def keep_above_ordered(z, threshold: float) -> np.ndarray:
-    """keep_above for z given in transform order, with the result in the
-    same order; a recovery loop stays in it from step to step.
+def synthesize_ordered(spectrum: np.ndarray, magnitudes: np.ndarray, threshold: float) -> np.ndarray:
+    """The synthesis half of keep_above_ordered: keep the bins of
+    analyze_ordered's output whose magnitude is strictly above the
+    threshold, and invert them into a real signal in transform order.
 
     Through a Rader plan the pairs (k, -k), which share |X_k|, are kept or
     dropped together, and the kept Hartley bins are scaled by 1/N: their
     DHT is then the real inverse transform. Agrees with scipy's path at the
-    ulp level.
+    ulp level. The spectrum is not modified, so it can serve again.
     """
     if threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
-    z = _as_real_vector(z)
-    plan = _rader_plan(z.shape)
+    plan = _rader_plan(spectrum.shape)
     if plan is None:
-        return np.ascontiguousarray(scipy.fft.ifft(hard_threshold(scipy.fft.fft(z), threshold)).real)
-    n = z.size
-    h0, h = plan.dht(z[0], z[1:])
-    pairs = h.reshape(2, -1)
-    pairs *= np.where(plan.pair_magnitudes(h) <= threshold, 0.0, 1.0 / n)
-    x0, x = plan.dht(0.0 if abs(h0) <= threshold else h0 / n, h)
-    out = np.empty_like(z)
+        return np.ascontiguousarray(scipy.fft.ifft(np.where(magnitudes <= threshold, 0.0, spectrum)).real)
+    n = spectrum.size
+    pairs = spectrum[1:].reshape(2, -1) * np.where(magnitudes[1:] <= threshold, 0.0, 1.0 / n)
+    x0, x = plan.dht(0.0 if magnitudes[0] <= threshold else spectrum[0] / n, pairs.reshape(-1))
+    out = np.empty_like(spectrum)
     out[0] = x0
     out[1:] = x
     return out
+
+
+def peak_magnitude(x) -> float:
+    """max over every k of |DFT(x)_k| for real 1-D x, DC included."""
+    return float(analyze_ordered(to_transform_order(x))[1].max())
+
+
+def keep_above_ordered(z, threshold: float) -> np.ndarray:
+    """keep_above for z given in transform order, with the result in the
+    same order; a recovery loop stays in it from step to step."""
+    return synthesize_ordered(*analyze_ordered(z), threshold)
 
 
 def keep_above(z, threshold: float) -> np.ndarray:

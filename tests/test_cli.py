@@ -211,6 +211,46 @@ def test_recover_demo_meets_snr_target(capsys, tmp_path):
     assert final_snr >= 40.0
 
 
+def _summary_fields(text):
+    return dict(part.split("=", 1) for part in text.split() if "=" in part)
+
+
+def test_recover_stops_on_the_sampled_residual(capsys, tmp_path):
+    # --iters caps the loop and --tol stops it; the summary reports the last
+    # iteration's residual on the sampled positions, on stdout with --out
+    runs = {}
+    for tol in ("0", "1e-6", "1e-3"):
+        out = tmp_path / f"history_{tol}.csv"
+        code, stdout, err = run_cli(
+            capsys, "recover", "--rate", "0.5", "--seed", "11", "--iters", "50", "--tol", tol, "--out", str(out)
+        )
+        assert code == 0 and err == ""
+        fields = _summary_fields(stdout)
+        lines = out.read_text().strip().split("\n")
+        assert int(fields["iterations"]) == len(lines) - 1
+        assert float(fields["final_snr_db"]) == pytest.approx(float(lines[-1].split(",")[2]), abs=1e-3)
+        runs[tol] = fields, lines
+    assert len(runs["0"][1]) == 51
+    assert float(runs["0"][0]["residual"]) > 0.0
+    for tol in ("1e-6", "1e-3"):
+        fields, lines = runs[tol]
+        assert len(lines) < 51 and lines == runs["0"][1][: len(lines)], tol
+        assert float(fields["residual"]) <= float(tol), tol
+        assert float(fields["final_snr_db"]) >= 40.0, tol
+    assert len(runs["1e-3"][1]) < len(runs["1e-6"][1])
+    # without --out the summary goes to stderr, residual included
+    code, stdout, err = run_cli(capsys, "recover", "--seed", "11")
+    assert code == 0 and stdout.startswith("iteration,threshold,snr_db\n")
+    assert _summary_fields(err)["residual"] == runs["1e-6"][0]["residual"]
+
+
+def test_recover_rejects_bad_tol(capsys):
+    for value in ("-1e-6", "nan", "inf"):
+        code, out, err = run_cli(capsys, "recover", "--iters", "2", f"--tol={value}")
+        assert code == 2 and out == "", value
+        assert "tol" in err, value
+
+
 def test_recover_full_sampling_one_iteration(capsys):
     code, out, err = run_cli(capsys, "recover", "--rate", "1", "--iters", "1", "--t0", "5")
     assert code == 0

@@ -22,6 +22,7 @@ from maskspectra.recovery import (
     recover,
     recovery_step,
     sample_random,
+    sampled_residual,
     snr_db,
     synthesize_signal,
     write_signal_csv,
@@ -140,7 +141,7 @@ def test_full_sampling_recovers_in_one_iteration():
 
 def test_demo_recovery_reaches_forty_db():
     xs = sample_random(DEMO_X, DEMO_MASK)
-    estimate, history = recover(xs, RecoverySpec(mask=DEMO_MASK, iterations=50), reference=DEMO_X)
+    estimate, history = recover(xs, RecoverySpec(mask=DEMO_MASK, iterations=50, tol=0.0), reference=DEMO_X)
     assert history[-1][2] >= 40.0
     assert len(history) == 50
 
@@ -157,7 +158,7 @@ def test_reference_never_stops_the_loop():
     # the reference only scores: against -x the SNR falls as the estimate
     # improves, yet every iteration runs and nothing warns
     xs = sample_random(DEMO_X, DEMO_MASK)
-    spec = RecoverySpec(mask=DEMO_MASK, iterations=50)
+    spec = RecoverySpec(mask=DEMO_MASK, iterations=50, tol=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, history = recover(xs, spec, reference=-DEMO_X)
@@ -206,6 +207,14 @@ def test_recovery_spec_validation():
             RecoverySpec(mask=DEMO_MASK, alpha=bad)
     with pytest.raises(ValueError):
         recover(np.zeros(64), RecoverySpec(mask=DEMO_MASK, t0=1.0))
+
+
+def test_recovery_spec_tol_must_be_nonnegative_and_finite():
+    for bad in (-1e-9, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            RecoverySpec(mask=DEMO_MASK, tol=bad)
+    assert RecoverySpec(mask=DEMO_MASK).tol == 1e-6
+    assert RecoverySpec(mask=DEMO_MASK, tol=0.0).tol == 0.0
 
 
 def test_recovery_spec_iterations_must_be_an_integer():
@@ -272,6 +281,36 @@ def test_signal_csv_skips_blank_lines_and_sorts_indices(tmp_path):
     path = tmp_path / "sig.csv"
     path.write_text("\n1,-2.5\n  \n0,0.1\n\n2,1e-300\n")
     assert read_signal_csv(path).tolist() == [0.1, -2.5, 1e-300]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0,0.1\r\n1,-2.5\r\n2,1e-300\r\n",  # CRLF
+        "0,0.1\r\n \r\n1,-2.5\r\n\r\n2,1e-300",  # CRLF, blank lines, no final newline
+        "0,0.1\n\t\n1,-2.5\n   \n2,1e-300\n",  # whitespace-only lines
+        "2,1e-300\n \t \n0,0.1\n1,-2.5\n\n",
+    ],
+)
+def test_signal_csv_line_endings_and_whitespace_lines(tmp_path, text):
+    path = tmp_path / "sig.csv"
+    path.write_bytes(text.encode())
+    assert read_signal_csv(path).tolist() == [0.1, -2.5, 1e-300]
+
+
+def test_signal_csv_errors_past_whitespace_lines_still_raise(tmp_path):
+    # a whitespace-only line sends the parse down the filtered path, which
+    # must reject everything the direct path rejects
+    for name, text in (
+        ("gap", "0,1.0\n  \n2,2.0\n"),
+        ("comment", "0,1.0\n  \n# note\n1,2.0\n"),
+        ("three_fields", "0,1.0\r\n \r\n1,2.0,3.0\r\n"),
+        ("nonfinite", "0,1.0\n\t\n1,nan\n"),
+    ):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_bytes(text.encode())
+        with pytest.raises(ValueError):
+            read_signal_csv(bad)
 
 
 def test_bundled_fixture_matches_spec():
@@ -480,7 +519,7 @@ def test_rader_recovery_matches_scipy_oracle(monkeypatch):
     mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
     xs = sample_random(x, mask)
     assert spectrum._rader_plan((n,)) is not None
-    estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=50), reference=x)
+    estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=50, tol=0.0), reference=x)
 
     # the same loop on scipy's transforms alone
     with monkeypatch.context() as m:
@@ -495,3 +534,81 @@ def test_rader_recovery_matches_scipy_oracle(monkeypatch):
     assert len(history) == 50
     assert np.linalg.norm(estimate - oracle) <= 1e-9 * np.linalg.norm(oracle)
     assert history[-1][2] >= 40.0
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.3, 0.4, 0.5])
+def test_stop_truncates_the_history_and_keeps_forty_db(rate):
+    # the stop changes no iterate: the default run's history is a prefix of
+    # the full run's, and no seed that reaches 40 dB in full ends below it
+    stopped = 0
+    for seed in range(40):
+        mask = generate_mask(MaskConfig(127, rate, seed), 0)
+        xs = sample_random(DEMO_X, mask)
+        full_estimate, full = recover(xs, RecoverySpec(mask=mask, tol=0.0), reference=DEMO_X)
+        estimate, history = recover(xs, RecoverySpec(mask=mask), reference=DEMO_X)
+        assert len(full) == 50
+        assert history == full[: len(history)], seed
+        if len(history) < 50:
+            stopped += 1
+            assert sampled_residual(xs, mask, estimate) <= 1e-6 * (1 + 1e-9), seed
+        else:
+            assert np.array_equal(estimate, full_estimate), seed
+        if full[-1][2] >= 40.0:
+            assert history[-1][2] >= 40.0, seed
+    # 7 and 26 of the 40 seeds stop before the cap at rates 0.4 and 0.5
+    assert (stopped > 0) == (rate >= 0.4)
+
+
+def test_stop_at_n8191_keeps_over_one_hundred_db():
+    n = 8191
+    x = synthesize_signal(random_band_signal(n, 8, seed=5))
+    mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
+    xs = sample_random(x, mask)
+    estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=50), reference=x)
+    assert len(history) < 50
+    assert history[-1][2] >= 100.0
+    assert sampled_residual(xs, mask, estimate) <= 1e-6 * (1 + 1e-9)
+
+
+def test_recover_never_transforms_the_same_thing_twice(monkeypatch):
+    # with the default t0 the first iterations keep no bin: the samples are
+    # transformed once, for t0 and for every step whose estimate is zero;
+    # every later step analyses once and synthesizes once
+    n = 8191
+    x = synthesize_signal(random_band_signal(n, 8, seed=5))
+    mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
+    xs = sample_random(x, mask)
+    calls = []
+    dht = spectrum._RaderPlan.dht
+    monkeypatch.setattr(spectrum._RaderPlan, "dht", lambda self, *args: calls.append(1) or dht(self, *args))
+    _, history = recover(xs, RecoverySpec(mask=mask), reference=x)
+    monkeypatch.undo()
+    peak = spectrum.peak_magnitude(xs)
+    empty = sum(1 for _, threshold, _ in history if threshold >= peak)
+    assert empty >= 3
+    assert all(threshold >= peak for _, threshold, _ in history[:empty])
+    # 1 for xs, len - empty - 1 analyses, len - empty syntheses
+    assert len(calls) == 2 * (len(history) - empty)
+
+
+@pytest.mark.parametrize("n", [127, 8191])
+def test_zero_samples_with_explicit_t0_stop_after_one_row(n):
+    mask = generate_mask(MaskConfig(n, 0.5, seed=3), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate, history = recover(np.zeros(n), RecoverySpec(mask=mask, t0=1.0), reference=np.zeros(n))
+        assert sampled_residual(np.zeros(n), mask, estimate) == 0.0
+    assert len(history) == 1
+    assert not estimate.any()
+
+
+def test_sampled_residual_values():
+    mask = worst_case_mask(4, 2)  # bits 1, 1, 0, 0
+    xs = np.array([3.0, 4.0, 0.0, 0.0])
+    assert sampled_residual(xs, mask, np.zeros(4)) == 1.0
+    assert sampled_residual(xs, mask, np.array([3.0, 4.0, 7.0, -7.0])) == 0.0
+    assert sampled_residual(xs, mask, np.array([3.0, 4.5, 9.0, 9.0])) == pytest.approx(0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sampled_residual(np.zeros(4), mask, np.zeros(4)) == 0.0
+        assert sampled_residual(np.zeros(4), mask, np.ones(4)) == math.inf

@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 from maskspectra import spectrum
 from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
 from maskspectra.spectrum import (
+    analyze_ordered,
     dft_direct,
     hard_threshold,
     keep_above,
+    keep_above_ordered,
     max_nonzero_bin,
     peak_magnitude,
     spectrum_of_mask,
+    synthesize_ordered,
+    to_transform_order,
 )
 
 # grid spanning primes, powers of two, and mixed composites
@@ -152,3 +156,24 @@ def test_keep_above_and_peak_magnitude_match_scipy(n, seed, offset, frac):
     assert keep_above(z, 1.01 * peak).tolist() == [0.0] * n
     with pytest.raises(ValueError, match="nonnegative"):
         keep_above(z, -1.0)
+
+
+@pytest.mark.parametrize("n", RADER_LENGTHS + SCIPY_LENGTHS)
+def test_one_analysis_serves_many_syntheses(n):
+    # the halves of keep_above_ordered: one analysis, then a synthesis per
+    # threshold, gives exactly what a fresh keep_above_ordered gives, and
+    # leaves the analysis as it was
+    rng = np.random.Generator(np.random.Philox(key=n))
+    x = rng.normal(size=n) + 0.3
+    z = to_transform_order(x)
+    coeffs, mags = analyze_ordered(z)
+    kept_before = coeffs.copy(), mags.copy()
+    assert float(mags.max()) == peak_magnitude(x)
+    assert float(mags.max()) == pytest.approx(float(np.abs(scipy.fft.fft(x)).max()), rel=1e-12)
+    for threshold in (0.0, 0.5 * float(np.median(mags)), 2.0 * float(np.median(mags)), float(mags.max())):
+        got = synthesize_ordered(coeffs, mags, threshold)
+        assert np.array_equal(got, keep_above_ordered(z, threshold)), threshold
+    assert not synthesize_ordered(coeffs, mags, float(mags.max())).any()
+    assert np.array_equal(coeffs, kept_before[0]) and np.array_equal(mags, kept_before[1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        synthesize_ordered(coeffs, mags, -1.0)
