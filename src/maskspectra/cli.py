@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage/validation error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -131,6 +132,9 @@ def cmd_figure(args) -> int:
     return 0
 
 
+_HISTORY_COLUMNS = ("iteration", "threshold", "snr_db", "residual", "kept")
+
+
 def cmd_recover(args) -> int:
     seed = _resolve_seed(args.seed)
     if not 0.0 < args.rate <= 1.0:
@@ -146,12 +150,9 @@ def cmd_recover(args) -> int:
         mask = generate_mask(MaskConfig(n, args.rate, seed), 0)
     xs = recovery.sample_random(x, mask)
     spec = recovery.RecoverySpec(mask=mask, iterations=args.iters, t0=args.t0, alpha=args.alpha, tol=args.tol)
-    estimate, history = recovery.recover(xs, spec, reference=x)
-    csv_text = montecarlo.records_to_csv(
-        [{"iteration": i, "threshold": t, "snr_db": snr} for i, t, snr in history]
-    )
-    final_snr = history[-1][2]
-    residual = recovery.sampled_residual(xs, mask, estimate)
+    _, history = recovery.recover(xs, spec, reference=x)
+    csv_text = montecarlo.records_to_csv([dict(zip(_HISTORY_COLUMNS, row)) for row in history])
+    _, _, final_snr, residual, _ = history[-1]
     summary = (
         f"recover: n={n} rate={args.rate:g} n_p={mask.n_p} seed={seed} "
         f"iterations={len(history)} residual={residual:.3g} final_snr_db={final_snr:.3f}\n"
@@ -175,7 +176,10 @@ def _parse_list(text: str, flag: str, convert, kind: str) -> list:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. It names each
+    subcommand only, and main looks its cmd_* function up per call."""
     parser = argparse.ArgumentParser(
         prog="maskspectra",
         description="Bounds and Monte Carlo validation for the peak DFT magnitude of Bernoulli sampling masks.",
@@ -193,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--np", type=int, default=None, help="support size (default ceil(N*p))")
     p_bounds.add_argument("--union", action="store_true", help="split eps over the N-1 bins")
     add_common(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo trial statistics for one (N, p)")
     p_sim.add_argument("--n", type=int, required=True)
@@ -203,7 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     p_sim.add_argument("--workers", type=int, default=1)
     add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_table = sub.add_parser("table1", help="simulated maxima vs worst-case bound for the reference grid")
     p_table.add_argument("--trials", type=int, default=10000)
@@ -215,7 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run N=131071 rows at the full trial count (long; default caps them at 1000)",
     )
     add_common(p_table)
-    p_table.set_defaults(func=cmd_table1)
 
     p_fig = sub.add_parser("figure", help="bound/simulation curves for external plotting")
     p_fig.add_argument("--mode", choices=("bounds", "ratio", "approx"), default="bounds")
@@ -228,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--seed", type=int, default=None)
     p_fig.add_argument("--workers", type=int, default=1)
     add_common(p_fig)
-    p_fig.set_defaults(func=cmd_figure)
 
     p_rec = sub.add_parser("recover", help="iterative-thresholding recovery demo on a band-limited fixture")
     p_rec.add_argument("--signal", default=None, help="signal fixture CSV (default: bundled demo)")
@@ -244,16 +244,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--alpha", type=float, default=0.1, help="threshold decay rate per iteration")
     p_rec.add_argument("--t0", type=float, default=None, help="initial threshold (default: bound-derived)")
     p_rec.add_argument("--out", default=None, help="history CSV file (default: stdout)")
-    p_rec.set_defaults(func=cmd_recover)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR

@@ -1,8 +1,9 @@
 """Sparse recovery demo: iterative hard thresholding of a sampled band-limited
-signal from a bound-derived threshold, stopped once the estimate matches
-the samples. The loop runs in spectrum's transform order, so each step is
-one spectrum.keep_above_ordered, split into its analysis and synthesis
-halves so that no step transforms what is already transformed.
+signal from a bound-derived threshold, with the step min(N/n_p, 2),
+stopped once the estimate matches the samples. The loop runs in spectrum's transform
+order, so each step is one spectrum.keep_above_ordered, split into its
+analysis and synthesis halves so that no step transforms what is already
+transformed.
 """
 from __future__ import annotations
 
@@ -141,7 +142,8 @@ class RecoverySpec:
 
     iterations caps the loop, which stops earlier once the residual on the
     sampled positions (see sampled_residual) is at most tol; tol = 0 runs
-    every iteration.
+    every iteration. The mask must sample something: the step is
+min(N/n_p, 2).
     """
 
     mask: Mask
@@ -151,6 +153,7 @@ class RecoverySpec:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        _step_size(self.mask)  # rejects an empty mask
         iterations = _as_index(self.iterations, "iterations")
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -175,10 +178,19 @@ def default_initial_threshold(xs, mask: Mask) -> float:
     return _initial_threshold(mask, peak_magnitude(xs))
 
 
-def _initial_threshold(mask: Mask, peak: float) -> float:
-    """default_initial_threshold given peak = max|DFT(xs)|."""
+def _step_size(mask: Mask) -> float:
+    """The recovery step min(N/n_p, 2): the inverse of the sampling rate,
+    1 under full sampling, capped at 2. Once the threshold keeps every bin,
+    a step multiplies the misfit on the sampled positions by 1 - step, so
+    a larger one diverges."""
     if mask.n_p == 0:
         raise ValueError("mask has empty support; nothing was sampled")
+    return min(mask.n / mask.n_p, 2.0)
+
+
+def _initial_threshold(mask: Mask, peak: float) -> float:
+    """default_initial_threshold given peak = max|DFT(xs)|."""
+    _step_size(mask)  # rejects an empty mask
     p_hat = mask.n_p / mask.n
     c = ratio_approximation(mask.n, p_hat)
     if p_hat < 1.0:
@@ -189,10 +201,14 @@ def _initial_threshold(mask: Mask, peak: float) -> float:
 
 
 def recovery_step(xs: np.ndarray, mask: Mask, estimate: np.ndarray, threshold: float) -> np.ndarray:
-    """One iteration: re-impose known samples, hard-threshold in frequency."""
-    xs, free, estimate = (to_transform_order(a) for a in (xs, 1.0 - mask.bits, estimate))
-    z = free * estimate
-    z += xs
+    """One iteration: step towards the known samples, then hard-threshold in
+    frequency. The step is z = x + lam * (xs - M x) for the mask M and the
+    estimate x, with lam = min(N/n_p, 2), the inverse of the sampling rate
+    capped at 2; under full sampling lam = 1 and z re-imposes the samples.
+    Computed as (1 - lam M) x + lam xs."""
+    step = _step_size(mask)
+    z = to_transform_order(1.0 - step * mask.bits) * to_transform_order(estimate)
+    z += step * to_transform_order(xs)
     return from_transform_order(keep_above_ordered(z, threshold))
 
 
@@ -215,28 +231,32 @@ def recover(
     xs,
     spec: RecoverySpec,
     reference=None,
-) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
+) -> tuple[np.ndarray, list[tuple[int, float, float, float, int]]]:
     """Iterate hard-thresholded re-synthesis from the sampled signal.
 
     Starts from the zero estimate with threshold t0 * exp(-alpha * i) at
-    iteration i. Returns the final estimate and the per-iteration history
-    (iteration, threshold, snr_db); SNR entries are NaN unless a reference
-    signal is supplied. The reference is for scoring only and never stops
-    the loop.
+    iteration i. Every iteration is recovery_step, whose step
+    lam = min(N/n_p, 2) scales the misfit on the sampled positions by the
+    inverse of the sampling rate, capped at 2 (see _step_size). Returns
+    the final estimate and the per-iteration history (iteration,
+    threshold, snr_db, residual, kept): snr_db is NaN
+    unless a reference signal is supplied, residual is r_i below, and kept
+    counts the DFT bins above the threshold, both bins of each pair
+    (k, -k). The reference is for scoring only and never stops the loop.
 
-    The loop stops after iteration i once r_i = ||M x_i - xs|| / ||xs||,
-    the residual on the sampled positions (see sampled_residual; 0/0
-    counts as 0), is at most spec.tol, and after spec.iterations
+    The loop stops after iteration i once r_i, the residual
+    ||M x_i - xs|| / ||xs|| on the sampled positions (see sampled_residual;
+    0/0 counts as 0), is at most spec.tol, and after spec.iterations
     iterations at the latest; tol = 0 runs them all. The stop changes no
     iterate, so the history is a prefix of the history with tol = 0.
 
-    Every iteration is recovery_step, run in spectrum's transform order:
-    the samples, the free-sample weights and the reference are permuted
-    into it once, and the final estimate back out of it. SNRs do not
-    depend on the order. The step's input z = (1 - M) x + xs is xs itself
-    while the estimate is zero, so xs is transformed once, for t0 and for
-    every such step; a step that keeps no bin skips the inverse transform.
-    With z formed, r_i = ||x_i - z_(i+1)|| / ||xs||.
+    The loop runs in spectrum's transform order: the weights 1 - lam M, the
+    scaled samples lam xs and the reference are permuted into it once, and
+    the final estimate back out of it. SNRs do not depend on the order. The
+    step's input z = (1 - lam M) x + lam xs is lam xs while the estimate is
+    zero, so xs is transformed once, for t0 and, scaled by lam, for every
+    such step; a step that keeps no bin skips the inverse transform. With
+    z formed, r_i = ||x_i - z_(i+1)|| / (lam ||xs||).
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.shape != spec.mask.bits.shape:
@@ -247,28 +267,42 @@ def recover(
             raise ValueError(f"reference shape {reference.shape} != sampled signal shape {xs.shape}")
         reference = to_transform_order(reference)
         ref_energy = float(np.sum(reference * reference))
-    free = to_transform_order(1.0 - spec.mask.bits)
+    step = _step_size(spec.mask)
+    weights = to_transform_order(1.0 - step * spec.mask.bits)
     xs = to_transform_order(xs)
-    sampled = analyze_ordered(xs)
-    t0 = spec.t0 if spec.t0 is not None else _initial_threshold(spec.mask, float(sampled[1].max()))
-    xs_norm = float(np.linalg.norm(xs))
+    coeffs, magnitudes = analyze_ordered(xs)
+    t0 = spec.t0 if spec.t0 is not None else _initial_threshold(spec.mask, float(magnitudes.max()))
+    # the step's input and its spectrum while the estimate is zero
+    drive, sampled = step * xs, (step * coeffs, step * magnitudes)
+    scale = step * float(np.linalg.norm(xs))
     zero = np.zeros_like(xs)
-    estimate, z = zero, xs
-    history: list[tuple[int, float, float]] = []
+    estimate, z = zero, drive
+    history: list[tuple[int, float, float, float, int]] = []
     for i in range(spec.iterations):
         threshold = t0 * math.exp(-spec.alpha * i)
-        coeffs, magnitudes = sampled if z is xs else analyze_ordered(z)
-        if (magnitudes > threshold).any():
+        coeffs, magnitudes = sampled if z is drive else analyze_ordered(z)
+        kept = _kept_bins(magnitudes, threshold, xs.size)
+        if kept:
             estimate = synthesize_ordered(coeffs, magnitudes, threshold)
-            z = free * estimate
-            z += xs
+            z = weights * estimate
+            z += drive
         else:
-            estimate, z = zero, xs
+            estimate, z = zero, drive
         snr = _snr_db(ref_energy, reference, estimate) if reference is not None else math.nan
-        history.append((i, threshold, snr))
-        if spec.tol > 0.0 and _relative_norm(estimate - z, xs_norm) <= spec.tol:
+        residual = _relative_norm(estimate - z, scale)
+        history.append((i, threshold, snr, residual, kept))
+        if spec.tol > 0.0 and residual <= spec.tol:
             break
     return from_transform_order(estimate), history
+
+
+def _kept_bins(magnitudes: np.ndarray, threshold: float, n: int) -> int:
+    """DFT bins whose magnitude analyze_ordered puts above the threshold.
+    Fewer magnitudes than the n bins means one per pair (k, -k) after
+    bin 0, so each of those counts twice."""
+    above = magnitudes > threshold
+    kept = int(np.count_nonzero(above))
+    return kept if magnitudes.size == n else 2 * kept - int(above[0])
 
 
 def read_signal_csv(path) -> np.ndarray:
@@ -276,7 +310,8 @@ def read_signal_csv(path) -> np.ndarray:
 
     Blank lines are skipped; any other malformed line (an index that is
     not an integer, a field too many or too few, a comment) raises
-    ValueError. Any line ending (LF, CRLF, CR) is accepted.
+    ValueError naming its line in the file. Any line ending (LF, CRLF, CR)
+    is accepted.
     """
     with warnings.catch_warnings():
         # a file without data rows parses to no rows with a warning; rejected below
@@ -284,9 +319,9 @@ def read_signal_csv(path) -> np.ndarray:
         try:
             rows = _load_signal_rows(path)
         except ValueError:
-            # loadtxt skips empty lines but rejects whitespace-only ones
-            with open(path, "r", encoding="utf-8") as fh:
-                rows = _load_signal_rows([line for line in fh.read().splitlines() if line.strip()])
+            # loadtxt rejects whitespace-only lines, and numbers its errors
+            # by data row, not by line
+            rows = _load_signal_lines(path)
     if rows.size == 0:
         raise ValueError(f"empty signal fixture: {path}")
     if not np.array_equal(np.sort(rows["index"]), np.arange(rows.size)):
@@ -296,6 +331,22 @@ def read_signal_csv(path) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"signal fixture values must be finite: {path}")
     return x
+
+
+def _load_signal_lines(path) -> np.ndarray:
+    """_load_signal_rows on the file's lines that are not blank; a line
+    that does not parse is named by its number in the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        numbered = [(i, line) for i, line in enumerate(fh.read().splitlines(), 1) if line.strip()]
+    try:
+        return _load_signal_rows([line for _, line in numbered])
+    except ValueError as exc:
+        for i, line in numbered:
+            try:
+                _load_signal_rows([line])
+            except ValueError:
+                raise ValueError(f"{path}: line {i} is not an 'index,value' pair: {line!r}") from exc
+        raise
 
 
 def _load_signal_rows(source) -> np.ndarray:

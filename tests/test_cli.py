@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import maskspectra
-from maskspectra import bounds, montecarlo
+from maskspectra import bounds, cli, montecarlo
 from maskspectra.cli import main
+from maskspectra.masks import MaskConfig, generate_mask
 
 
 def run_cli(capsys, *argv):
@@ -87,11 +88,13 @@ def test_reports_csv_json_cross_decode(capsys):
     # writer: integer iterations, floats at 9 significant digits
     _, out, _ = run_cli(capsys, "recover", "--iters", "2", "--t0", "33", "--alpha", "0.1")
     header, rows = parse_csv(out)
-    assert header == ["iteration", "threshold", "snr_db"]
+    assert header == ["iteration", "threshold", "snr_db", "residual", "kept"]
     assert out.endswith("\n")
     assert [row["iteration"] for row in rows] == ["0", "1"]
     assert [row["threshold"] for row in rows] == ["33", f"{33.0 * math.exp(-0.1):.9g}"]
     assert all(row["snr_db"] == f"{float(row['snr_db']):.9g}" for row in rows)
+    assert all(row["residual"] == f"{float(row['residual']):.9g}" for row in rows)
+    assert all(row["kept"] == str(int(row["kept"])) for row in rows)
 
 
 def reject_constant(token):
@@ -206,7 +209,7 @@ def test_recover_demo_meets_snr_target(capsys, tmp_path):
     assert code == 0
     assert "final_snr_db=" in stdout
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "iteration,threshold,snr_db"
+    assert lines[0] == "iteration,threshold,snr_db,residual,kept"
     final_snr = float(lines[-1].split(",")[2])
     assert final_snr >= 40.0
 
@@ -238,9 +241,12 @@ def test_recover_stops_on_the_sampled_residual(capsys, tmp_path):
         assert float(fields["residual"]) <= float(tol), tol
         assert float(fields["final_snr_db"]) >= 40.0, tol
     assert len(runs["1e-3"][1]) < len(runs["1e-6"][1])
+    # the summary's residual is the last row's
+    for fields, lines in runs.values():
+        assert fields["residual"] == f"{float(lines[-1].split(',')[3]):.3g}"
     # without --out the summary goes to stderr, residual included
     code, stdout, err = run_cli(capsys, "recover", "--seed", "11")
-    assert code == 0 and stdout.startswith("iteration,threshold,snr_db\n")
+    assert code == 0 and stdout.startswith("iteration,threshold,snr_db,residual,kept\n")
     assert _summary_fields(err)["residual"] == runs["1e-6"][0]["residual"]
 
 
@@ -265,6 +271,15 @@ def test_recover_rejects_out_of_range_inputs(capsys):
         code, out, err = run_cli(capsys, "recover", "--iters", "2", flag, value)
         assert code == 2 and out == "", flag
         assert flag.lstrip("-") in err, flag
+
+
+def test_recover_rejects_an_empty_mask(capsys):
+    # at rate 0.001 seed 11 samples none of the 127 demo samples, and the
+    # step N/n_p is undefined
+    assert generate_mask(MaskConfig(127, 0.001, 11), 0).n_p == 0
+    code, out, err = run_cli(capsys, "recover", "--rate", "0.001", "--seed", "11", "--t0", "1")
+    assert code == 2 and out == ""
+    assert "nothing was sampled" in err
 
 
 def test_recover_missing_fixture_exits_2(capsys):
@@ -299,6 +314,29 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
+    # one parser serves every call of a process: successive calls, one of
+    # them failing, print what they print on a freshly built parser
+    calls = (
+        ("bounds", "--n", "127", "--p", "0.5"),
+        ("recover", "--iters", "3", "--seed", "11"),
+        ("recover", "--rate", "7"),
+        ("figure", "--mode", "approx", "--n", "127", "--format", "json"),
+        ("bounds", "--n", "131", "--p", "0.25", "--union"),
+    )
+    cached = [run_cli(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0]
+    assert cli._parser() is cli._parser()
+    # the handler is looked up per call, not frozen into the parser
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: print(f"patched n={args.n}") or 0)
+    assert run_cli(capsys, *calls[0])[:2] == (0, "patched n=127\n")
 
 
 def test_python_dash_m_runs_the_cli(capsys):
