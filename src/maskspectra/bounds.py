@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .masks import _as_index, is_prime
 
@@ -169,20 +169,27 @@ def ratio_approximation(n: int, p: float) -> float:
     return math.sqrt(radicand) / np_mean
 
 
+_ERFC = np.vectorize(math.erfc, otypes=[np.float64])
+_STANDARD_NORMAL = NormalDist()
+
+
 def q_function(x) -> float | np.ndarray:
-    """Standard normal tail probability Q(x) = erfc(x/sqrt(2))/2."""
-    out = 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
+    """Standard normal tail probability Q(x) = erfc(x/sqrt(2))/2, of a
+    number or elementwise of an array."""
+    out = 0.5 * _ERFC(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
 
 
 def q_inverse(y: float) -> float:
-    """Inverse of q_function, Q^-1(y) = -ndtri(y), to a few ulp in x for
-    every y in (0, 1), subnormal y included."""
+    """Inverse of q_function, Q^-1(y) = -Phi^-1(y) with the standard
+    normal quantile Phi^-1 (Wichura's AS 241, as statistics.NormalDist
+    computes it), to a few ulp in x for every y in (0, 1), subnormal y
+    included."""
     if not 0.0 < y < 1.0:
         raise ValueError(f"q_inverse argument must lie in (0, 1), got {y!r}")
     if y == 0.5:
-        return 0.0  # -ndtri(0.5) is -0.0
-    return -float(ndtri(y))
+        return 0.0  # -Phi^-1(0.5) is -0.0
+    return -_STANDARD_NORMAL.inv_cdf(y)
 
 
 def _variance(spec: BoundSpec) -> float:

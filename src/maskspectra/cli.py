@@ -26,7 +26,13 @@ _RUNTIME_ERROR = 3
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
-    return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+    raw = os.environ.get(SEED_ENV_VAR)
+    if raw is None:
+        return DEFAULT_SEED
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

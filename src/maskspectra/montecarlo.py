@@ -21,14 +21,16 @@ of a group whose task would outweigh a worker's share of the call (at
 workers a 512-trial task at three rates and the other an 88-trial one).
 
 The kernel works through its chunk in blocks of ``_BLOCK_ELEMS // N``
-trials, rounded down to an even count and at least two, so a block holds
-about ``_BLOCK_ELEMS`` mask elements whatever N is. One Philox generator
-per chunk is re-keyed for each trial and draws into a preallocated
-(block, N) array; its state is a dict built once per chunk with every
-word a plain int, and only the key changes between trials. Masks are
-real, so two of them share one complex transform: trial 2j goes in the
-real part and trial 2j + 1 in the imaginary part of one row, and one FFT
-of shape (block/2, N) serves the whole block. With Z that transform,
+trials, rounded down to an even count and at least
+``_BLOCK_MIN_TRIALS`` (16), so a block holds about ``_BLOCK_ELEMS`` mask
+elements up to N = 4096, and 16 trials above it. One Philox generator per
+chunk is re-keyed for each trial and draws into a preallocated (block, N)
+array; its state is a dict built once per chunk with every word a plain
+int, and only the key changes between trials. Masks are real, so two of
+them share one complex transform: trial 2j goes in the real part and
+trial 2j + 1 in the imaginary part of one row, and one in-place
+``numpy.fft.fft`` of shape (block/2, N) serves the whole block. With Z
+that transform,
 |A_k| = |Z_k + conj Z_{N-k}| / 2 and |B_k| = |Z_k - conj Z_{N-k}| / 2 are
 unpacked for k = 1..N//2 only; the other half mirrors them exactly, and
 the bin sum counts every bin twice except the Nyquist bin of even N.
@@ -69,7 +71,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from . import bounds
 from .masks import MaskConfig, _as_index, _trial_key
@@ -90,6 +91,11 @@ __all__ = [
 
 _CHUNK_TRIALS = 512
 _BLOCK_ELEMS = 1 << 16  # mask elements per block: 512 KB of uniforms, 512 KB of packed transform
+# Trials per block at least, so no transform carries fewer than 8 packed
+# rows: numpy.fft sets its transform up anew on every call, and at prime N
+# that costs about a row's transform (at N = 131071 a lone row took 27 ms,
+# a row of an 8-row call 13.7 ms; at N = 8191, 0.90 and 0.37 ms; 2 vCPUs).
+_BLOCK_MIN_TRIALS = 16
 _BATCH_ELEMS = 1 << 20  # mask elements times rates per pool batch: one N = 1543 chunk, 16 chunks at N = 127
 
 # Reference grid: (N, p) pairs of the comparison table. The mask length of
@@ -269,7 +275,7 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
     # trial t is always transformed with trial t ^ 1, so a chunk that starts
     # or ends inside a pair draws the missing partner and discards it
     first, end = start & ~1, (stop + 1) & ~1
-    rows = min(end - first, max(2, (_BLOCK_ELEMS // n) & ~1))
+    rows = min(end - first, max(_BLOCK_MIN_TRIALS, (_BLOCK_ELEMS // n) & ~1))
     uniforms = np.empty((rows, n))
     # every rate but the last writes its 0/1 mask into a second buffer, so
     # the uniforms survive for the next rate; the last one overwrites them
@@ -302,10 +308,10 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
             np.less(block, p, out=bits)
             pairs.real = bits[0::2]
             pairs.imag = bits[1::2]
-            z = scipy.fft.fft(pairs, axis=-1, overwrite_x=True)  # in place
+            np.fft.fft(pairs, axis=-1, out=pairs)  # in place
             # A_k = (Z_k + conj Z_{N-k}) / 2 and B_k = (Z_k - conj Z_{N-k}) / 2i
-            z_k = z[:, 1 : half + 1]
-            z_mirror = np.conj(z[:, n - 1 : n - half - 1 : -1])
+            z_k = pairs[:, 1 : half + 1]
+            z_mirror = np.conj(pairs[:, n - 1 : n - half - 1 : -1])
             np.abs(z_k + z_mirror, out=block_mags[:, 0])
             np.abs(z_k - z_mirror, out=block_mags[:, 1])
             block_mags *= 0.5

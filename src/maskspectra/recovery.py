@@ -14,7 +14,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from .bounds import ratio_approximation, sigma_bound
 from .masks import Mask, _as_index
@@ -77,7 +76,7 @@ def synthesize_signal(spec: SignalSpec) -> np.ndarray:
     mirrored = np.conj(coeffs[(-np.arange(spec.n)) % spec.n])
     if not np.allclose(coeffs, mirrored, rtol=0.0, atol=1e-9 * (1.0 + np.abs(coeffs).max())):
         raise ValueError("band/amplitudes are not conjugate-symmetric; time signal would be complex")
-    x = scipy.fft.ifft(coeffs)
+    x = np.fft.ifft(coeffs)
     residue = float(np.abs(x.imag).max())
     if residue > 1e-9:
         raise ValueError(f"imaginary residue {residue:.3g} exceeds 1e-9")
@@ -311,7 +310,7 @@ def read_signal_csv(path) -> np.ndarray:
     Blank lines are skipped; any other malformed line (an index that is
     not an integer, a field too many or too few, a comment) raises
     ValueError naming its line in the file. Any line ending (LF, CRLF, CR)
-    is accepted.
+    is accepted, and so is a leading UTF-8 byte order mark.
     """
     with warnings.catch_warnings():
         # a file without data rows parses to no rows with a warning; rejected below
@@ -336,7 +335,7 @@ def read_signal_csv(path) -> np.ndarray:
 def _load_signal_lines(path) -> np.ndarray:
     """_load_signal_rows on the file's lines that are not blank; a line
     that does not parse is named by its number in the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         numbered = [(i, line) for i, line in enumerate(fh.read().splitlines(), 1) if line.strip()]
     try:
         return _load_signal_rows([line for _, line in numbered])
@@ -354,7 +353,7 @@ def _load_signal_rows(source) -> np.ndarray:
     # Every column is parsed: loadtxt would drop a third field if told to
     # read only the first two.
     return np.loadtxt(
-        source, delimiter=",", comments=None, ndmin=1, encoding="utf-8",
+        source, delimiter=",", comments=None, ndmin=1, encoding="utf-8-sig",
         dtype=[("index", np.int64), ("value", np.float64)],
     )
 

@@ -10,9 +10,9 @@ cas = cos + sin, as one real cyclic convolution of length N - 1 (Rader's
 algorithm). It takes and returns data in Rader order, a fixed permutation
 of samples and bins, so the DHT, which is its own inverse up to a factor
 N, serves both directions; |X_k|^2 = (h_k^2 + h_-k^2) / 2. Where the plan
-beats scipy's transform the functions here use it, and scipy elsewhere; no
-other module chooses between the two. The choice fixes the transform
-order, Rader order or natural order: to_transform_order and
+beats numpy's transform the functions here use it, and numpy.fft
+elsewhere; no other module chooses between the two. The choice fixes the
+transform order, Rader order or natural order: to_transform_order and
 from_transform_order move data into and out of it, and keep_above_ordered
 thresholds within it, so an iterative loop permutes its inputs once and
 its result once instead of at every step. keep_above_ordered is its two
@@ -26,7 +26,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .masks import Mask, is_prime
 
@@ -36,13 +35,17 @@ __all__ = [
 ]
 
 _DIRECT_BLOCK_ROWS = 256
-# In recovery_step times measured over all primes from 500 to 3000 and 75
-# larger ones, the real Rader plan beats scipy's Bluestein transform at every
-# prime N above _RADER_MIN_N whose N - 1 has no prime factor above
-# _RADER_MAX_FACTOR. Just outside them it ties (947, 1279) or loses (about
-# 2x at 1543, whose N - 1 has the factor 257).
-_RADER_MIN_N = 1000
-_RADER_MAX_FACTOR = 67
+# One analysis plus synthesis, timed at 110 primes from 101 to 39409 (2
+# vCPUs): a Rader plan took 0.13-0.91 of numpy.fft's natural-order time at
+# all 102 primes above _RADER_MIN_N, and 0.87-1.52x of it at the 8 below.
+# Zero-padded to a 5-smooth length >= 2N - 3, the plan's convolution took
+# 0.10-0.94 of the time it takes at length N - 1 at the 49 primes whose
+# N - 1 has a prime factor above 137 (257 at 1543 and 131071, 683 at
+# 4099), and lost or tied (0.9-2.2x) at the 49 whose largest factor is at
+# most _RADER_SMOOTH_FACTOR (13 at 8191). Between the two, padding won at
+# 9 of 12 primes.
+_RADER_MIN_N = 256
+_RADER_SMOOTH_FACTOR = 67
 
 
 def _as_real_vector(x) -> np.ndarray:
@@ -54,7 +57,7 @@ def _as_real_vector(x) -> np.ndarray:
 
 def dft_direct(x) -> np.ndarray:
     """O(N^2) reference transform, evaluated blockwise: the oracle for the
-    scipy and Rader transforms.
+    numpy.fft and Rader transforms.
 
     Twiddle phases are reduced with (k*n) mod N before scaling so the
     arguments passed to exp stay in [0, 2*pi).
@@ -73,7 +76,7 @@ def dft_direct(x) -> np.ndarray:
 
 def spectrum_of_mask(mask: Mask) -> np.ndarray:
     """Complex DFT coefficients of a mask's bits."""
-    return scipy.fft.fft(mask.bits.astype(np.float64))
+    return np.fft.fft(mask.bits.astype(np.float64))
 
 
 def max_nonzero_bin(coeffs) -> tuple[int, float]:
@@ -99,6 +102,22 @@ def _prime_factors(m: int) -> list[int]:
     return factors
 
 
+def _fast_length(n: int) -> int:
+    """The least 5-smooth integer >= n: a length numpy.fft's real transform
+    runs in radix-2, -3 and -5 passes alone."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p235 = p35
+            while p235 < n:
+                p235 *= 2
+            best = min(best, p235)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class _RaderPlan:
     """Real DHT of prime length n as a real cyclic convolution of length n - 1.
 
@@ -111,6 +130,11 @@ class _RaderPlan:
     so the transform maps Rader order to Rader order. Since
     g^((n-1)/2) = -1, bin -k sits (n-1)/2 positions after bin k. Every
     method works along the last axis.
+
+    Where n - 1 has a prime factor above _RADER_SMOOTH_FACTOR, the
+    convolution runs zero-padded to a 5-smooth length L >= 2n - 3 against
+    the kernel repeated, (kernel, kernel[:-1]): the first n - 1 outputs of
+    that linear correlation are the cyclic ones.
     """
 
     def __init__(self, n: int) -> None:
@@ -126,11 +150,13 @@ class _RaderPlan:
         self.n = n
         self.order = order
         angle = (2.0 * np.pi / n) * order[1:]
-        self._kernel = scipy.fft.rfft(np.cos(angle) + np.sin(angle))
-        # the kernel sums to exactly -1 (the DHT of a unit impulse at 0, less
-        # its bin 0); the rounded sum is off by about 1e-13 at n = 8191, which
-        # would shift every output by that much times the input's mean
-        self._kernel[0] = -1.0
+        kernel = np.cos(angle) + np.sin(angle)
+        if max(factors) <= _RADER_SMOOTH_FACTOR:
+            self._size = m
+        else:
+            self._size = _fast_length(2 * m - 1)
+            kernel = np.concatenate((kernel, kernel[:-1]))
+        self._kernel = np.fft.rfft(kernel, self._size)
 
     def dht(self, x0, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """DHT of the Rader-ordered (x0, x) as (bin 0, the rest in Rader order).
@@ -139,14 +165,22 @@ class _RaderPlan:
         own inverse up to n: applied to its own output it gives n * (x0, x).
         The convolution wants its input in g^q order, x reversed, and for
         real x the rfft of the reversal is the conjugate of rfft(x).
+
+        The kernel sums to exactly -1 (the DHT of a unit impulse at 0, less
+        its bin 0), so x's mean is taken out before the convolution and
+        enters as -mean. Convolved, a large mean would leave a rounding
+        error of about 1e-16 (n - 1) times the mean in every output through
+        a padded plan, and through a plain one a kernel sum that is off by
+        about 3e-13 at n = 8191.
         """
         m = self.n - 1
-        y = scipy.fft.rfft(x)
+        total = x.sum(axis=-1)
+        mean = total / m
+        y = np.fft.rfft(x - mean[..., None], self._size)
         np.conjugate(y, out=y)
-        total = x0 + y[..., 0].real
         y *= self._kernel
-        y[..., 0] += m * x0
-        return total, scipy.fft.irfft(y, m, overwrite_x=True)
+        y[..., 0] = self._size * (x0 - mean)
+        return x0 + total, np.fft.irfft(y, self._size)[..., :m]
 
     def pair_magnitudes(self, h: np.ndarray) -> np.ndarray:
         """|X_k| = sqrt((h_k^2 + h_-k^2) / 2) at the first (n-1)/2 Rader
@@ -165,12 +199,12 @@ def _cached_rader_plan(n: int) -> _RaderPlan:
 
 @lru_cache(maxsize=256)
 def _has_rader_plan(n: int) -> bool:
-    return n > _RADER_MIN_N and is_prime(n) and max(_prime_factors(n - 1)) <= _RADER_MAX_FACTOR
+    return n > _RADER_MIN_N and is_prime(n)
 
 
 def _rader_plan(shape: tuple[int, ...]) -> _RaderPlan | None:
     """The cached Rader plan for a real 1-D array of this shape, or None
-    where scipy's transform is as fast (or the array is not 1-D).
+    where numpy's transform is as fast (or the array is not 1-D).
 
     Whether a length has a plan is cached apart from the plans, so shapes
     without one never evict a plan.
@@ -215,14 +249,14 @@ def analyze_ordered(z) -> tuple[np.ndarray, np.ndarray]:
 
     Through a Rader plan the spectrum is the Hartley bins in Rader order and
     the magnitudes are |X_0| followed by the (n-1)/2 pair magnitudes, one
-    per pair (k, -k); through scipy they are the complex DFT and |DFT|. In
+    per pair (k, -k); through numpy.fft they are the complex DFT and |DFT|. In
     both, the largest magnitude is the spectrum's peak, and a threshold at
     or above it keeps no bin.
     """
     z = _as_real_vector(z)
     plan = _rader_plan(z.shape)
     if plan is None:
-        coeffs = scipy.fft.fft(z)
+        coeffs = np.fft.fft(z)
         return coeffs, np.abs(coeffs)
     h0, h = plan.dht(z[0], z[1:])
     return np.concatenate(([h0], h)), np.concatenate(([abs(h0)], plan.pair_magnitudes(h)))
@@ -235,14 +269,14 @@ def synthesize_ordered(spectrum: np.ndarray, magnitudes: np.ndarray, threshold: 
 
     Through a Rader plan the pairs (k, -k), which share |X_k|, are kept or
     dropped together, and the kept Hartley bins are scaled by 1/N: their
-    DHT is then the real inverse transform. Agrees with scipy's path at the
+    DHT is then the real inverse transform. Agrees with numpy.fft's path at the
     ulp level. The spectrum is not modified, so it can serve again.
     """
     if threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
     plan = _rader_plan(spectrum.shape)
     if plan is None:
-        return np.ascontiguousarray(scipy.fft.ifft(np.where(magnitudes <= threshold, 0.0, spectrum)).real)
+        return np.ascontiguousarray(np.fft.ifft(np.where(magnitudes <= threshold, 0.0, spectrum)).real)
     n = spectrum.size
     pairs = spectrum[1:].reshape(2, -1) * np.where(magnitudes[1:] <= threshold, 0.0, 1.0 / n)
     x0, x = plan.dht(0.0 if magnitudes[0] <= threshold else spectrum[0] / n, pairs.reshape(-1))

@@ -310,6 +310,15 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_malformed_seed_env_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("MASKSPECTRA_SEED", "abc")
+    code, out, err = run_cli(capsys, "simulate", "--n", "127", "--p", "0.5", "--trials", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: MASKSPECTRA_SEED must be an integer, got 'abc'\n"
+    # an explicit --seed does not read the variable
+    assert run_cli(capsys, "simulate", "--n", "127", "--p", "0.5", "--trials", "4", "--seed", "5")[0] == 0
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -349,3 +358,37 @@ def test_python_dash_m_runs_the_cli(capsys):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == run_cli(capsys, *args)[1]
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule fails
+from maskspectra.cli import main
+codes = [main(argv.split()) for argv in sys.argv[1:]]
+loaded = sorted(name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None)
+print(codes, loaded)
+"""
+
+
+def test_no_subcommand_needs_scipy(tmp_path):
+    # scipy is a test dependency only: every subcommand runs in a process
+    # where importing it fails, pool workers included
+    out = tmp_path / "out.csv"
+    calls = [
+        "bounds --n 127 --p 0.5",
+        "bounds --n 8191 --p 0.1 --union --format json",
+        "simulate --n 127 --p 0.5 --trials 1200 --workers 2",
+        "table1 --trials 4",
+        "figure --mode bounds --ns 127,131 --trials 8",
+        "figure --mode ratio --n 1543 --trials 8",
+        "figure --mode approx --n 127",
+        f"recover --out {out}",
+        f"recover --rate 0.3 --out {out}",
+    ]
+    src = str(Path(maskspectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, *calls], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"{[0] * len(calls)} []", result.stderr

@@ -586,6 +586,28 @@ def test_chunk_statistics_do_not_depend_on_block_size(monkeypatch):
     assert np.array_equal(blocked_bins, whole_bins)
 
 
+def test_kernel_transforms_at_least_eight_rows_in_place(monkeypatch):
+    # where _BLOCK_ELEMS // N would give a block of fewer than 16 trials,
+    # the block still holds 16, so every transform of a whole block carries
+    # 8 packed rows, and it writes its result over its input
+    import maskspectra.montecarlo as mc
+
+    fft, calls = np.fft.fft, []
+
+    def recording_fft(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("out") is a))
+        return fft(a, *args, **kwargs)
+
+    config = MaskConfig(127, 0.3, seed=4)
+    whole, whole_bins = _chunk(config, 0, mc._CHUNK_TRIALS)
+    monkeypatch.setattr(mc, "_BLOCK_ELEMS", 127 * 6)
+    monkeypatch.setattr(np.fft, "fft", recording_fft)
+    blocked, blocked_bins = _chunk(config, 0, mc._CHUNK_TRIALS)
+    assert calls == [((8, 127), True)] * (mc._CHUNK_TRIALS // 16)
+    assert blocked.per_trial_max == whole.per_trial_max
+    assert np.array_equal(blocked_bins, whole_bins)
+
+
 def test_noise_ratio_parallel_matches_serial():
     cfg = MaskConfig(257, 0.5, seed=2)
     [serial] = noise_ratio_curves([cfg], trials=1200, workers=1)

@@ -283,6 +283,23 @@ def test_signal_csv_skips_blank_lines_and_sorts_indices(tmp_path):
     assert read_signal_csv(path).tolist() == [0.1, -2.5, 1e-300]
 
 
+def test_signal_csv_accepts_a_byte_order_mark(tmp_path):
+    # a UTF-8 BOM opens the file, not its first index, on both parse paths:
+    # loadtxt's for a clean file, the line-by-line one after a blank line
+    path = tmp_path / "sig.csv"
+    for text in ("0,0.1\n1,-2.5\n2,1e-300\n", "0,0.1\n  \n1,-2.5\n2,1e-300\n"):
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_signal_csv(path).tolist() == [0.1, -2.5, 1e-300]
+    # errors still name the file's own line, and a BOM anywhere else is no
+    # part of a number
+    path.write_bytes(b"\xef\xbb\xbf0,0.1\n# note\n1,-2.5\n")
+    with pytest.raises(ValueError, match="line 2 is not"):
+        read_signal_csv(path)
+    path.write_bytes(b"0,0.1\n\xef\xbb\xbf1,-2.5\n")
+    with pytest.raises(ValueError, match="line 2 is not"):
+        read_signal_csv(path)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -328,8 +345,10 @@ def test_bundled_fixture_matches_spec():
     assert np.array_equal(x, DEMO_X)
 
 
-# Primes whose N - 1 has no factor above 43, small enough for dft_direct.
-RADER_PRIMES = (3, 5, 7, 11, 13, 29, 31, 43, 47, 59, 83, 127, 173, 211)
+# Primes small enough for dft_direct: N - 1 has no factor above 43 for the
+# plain plan, and a factor above 67 for the padded one (166 = 2 * 83,
+# 346 = 2 * 173, 502 = 2 * 251).
+RADER_PRIMES = (3, 5, 7, 11, 13, 29, 31, 43, 47, 59, 83, 127, 173, 211, 167, 347, 503)
 
 
 def _natural_order(plan, x0, x):
@@ -342,6 +361,7 @@ def _natural_order(plan, x0, x):
 
 @settings(max_examples=25, deadline=None)
 @example(n=8191, seed=0)
+@example(n=1543, seed=0)
 @given(n=st.sampled_from(RADER_PRIMES), seed=st.integers(0, 2**32 - 1))
 def test_rader_plan_matches_fft(n, seed):
     plan = spectrum._RaderPlan(n)
@@ -377,6 +397,7 @@ def test_rader_plan_matches_fft(n, seed):
 
 @settings(max_examples=25, deadline=None)
 @example(n=8191, seed=2, offset=1e3)
+@example(n=4099, seed=2, offset=1e3)
 @given(n=st.sampled_from(RADER_PRIMES), seed=st.integers(0, 2**32 - 1), offset=st.sampled_from([0.0, 1.0, 1e3]))
 def test_rader_dht_is_its_own_inverse(n, seed, offset):
     # in Rader order, with no permutation on either side: dht(dht(x)) = n x
@@ -391,6 +412,7 @@ def test_rader_dht_is_its_own_inverse(n, seed, offset):
 
 @settings(max_examples=25, deadline=None)
 @example(n=8191, seed=1)
+@example(n=1543, seed=1)
 @given(n=st.sampled_from(RADER_PRIMES), seed=st.integers(0, 2**32 - 1))
 def test_rader_inverse_of_kept_pairs_is_real_ifft(n, seed):
     # for any kept set closed under k <-> -k, the DHT of the kept Hartley
@@ -451,20 +473,26 @@ def test_rader_plan_selection(monkeypatch):
     monkeypatch.setattr(spectrum, "_RaderPlan", CountingPlan)
     spectrum._cached_rader_plan.cache_clear()
     try:
-        # 1542 and 131070 have the prime factor 257, 1278 = 2 * 3^2 * 71,
-        # 8192 is even, and 127 and 947 qualify but lie below the crossover
-        for n in (1543, 131071, 1279, 8192, 127, 947):
+        # 8192 and 1000 are composite, and 127 and 251 lie below the crossover
+        for n in (8192, 1000, 127, 251):
             assert spectrum._rader_plan((n,)) is None, n
         assert spectrum._rader_plan((1, 8191)) is None
         assert built == []
-        # 8190 = 2 * 3^2 * 5 * 7 * 13, 1032 = 2^3 * 3 * 43, 1608 = 2^3 * 3 * 67
-        for n in (8191, 1033, 1609):
-            assert isinstance(spectrum._rader_plan((n,)), CountingPlan), n
+        # every prime above the crossover has a plan: a plain one where N - 1
+        # has no prime factor above 67 (8190 = 2 * 3^2 * 5 * 7 * 13,
+        # 1032 = 2^3 * 3 * 43, 1608 = 2^3 * 3 * 67), and elsewhere one
+        # padded to a 5-smooth length >= 2N - 3 (1542 = 2 * 3 * 257,
+        # 1278 = 2 * 3^2 * 71, 508 = 2^2 * 127, 4098 = 2 * 3 * 683)
+        sizes = {8191: 8190, 1033: 1032, 1609: 1608, 1543: 3125, 1279: 2560, 509: 1024, 4099: 8640}
+        for n, size in sizes.items():
+            plan = spectrum._rader_plan((n,))
+            assert isinstance(plan, CountingPlan), n
+            assert plan._size == size, n
         xs = np.zeros(8191)
         mask = generate_mask(MaskConfig(8191, 0.5, seed=1), 0)
         for _ in range(3):
             recovery_step(xs, mask, xs, 1.0)
-        assert built == [8191, 1033, 1609]
+        assert built == list(sizes)
     finally:
         spectrum._cached_rader_plan.cache_clear()
 
@@ -491,7 +519,7 @@ def test_rader_plan_survives_shapes_without_a_plan():
     xs = sample_random(synthesize_signal(random_band_signal(n, 4, seed=3)), mask)
     first = recovery_step(xs, mask, np.zeros(n), 0.5)
     plan = spectrum._rader_plan((n,))
-    for m in (127, 128, 1543, 1279, 947, 8192, 131071, 4099, 2048, 1000, 3):
+    for m in (127, 128, 251, 255, 8192, 131072, 4097, 2048, 1000, 3):
         assert spectrum._rader_plan((m,)) is None, m
     assert spectrum._rader_plan((2, n)) is None
     assert spectrum._rader_plan((n,)) is plan
@@ -533,11 +561,11 @@ def test_rader_recovery_matches_scipy_oracle(monkeypatch):
     assert spectrum._rader_plan((n,)) is not None
     estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=50, tol=0.0), reference=x)
 
-    # the same loop on scipy's transforms alone
+    # the same loop on the natural-order numpy.fft transforms alone
     with monkeypatch.context() as m:
         m.setattr(spectrum, "_rader_plan", lambda shape: None)
         t0 = default_initial_threshold(xs, mask)
-        _, scipy_history = recover(xs, RecoverySpec(mask=mask, iterations=50, tol=0.0), reference=x)
+        _, natural_history = recover(xs, RecoverySpec(mask=mask, iterations=50, tol=0.0), reference=x)
     assert history[0][1] == pytest.approx(t0, rel=1e-12)
     oracle, oracle_kept = np.zeros(n), []
     for i in range(50):
@@ -549,7 +577,7 @@ def test_rader_recovery_matches_scipy_oracle(monkeypatch):
     assert np.linalg.norm(estimate - oracle) <= 1e-9 * np.linalg.norm(oracle)
     assert history[-1][2] >= 40.0
     # both paths count both bins of each kept pair
-    assert [row[4] for row in history] == [row[4] for row in scipy_history] == oracle_kept
+    assert [row[4] for row in history] == [row[4] for row in natural_history] == oracle_kept
 
 
 @pytest.mark.parametrize("rate", [0.2, 0.3, 0.4, 0.5])

@@ -126,14 +126,14 @@ def test_mask_spectrum_dc_and_conjugate_symmetry(n, p, seed, trial):
     assert np.abs(coeffs - mirror).max() <= tol
 
 
-# keep_above and peak_magnitude run a Rader plan at the first three lengths
-# and scipy at the others (127 lies below the crossover, 128 is even, and
-# 1542 has the prime factor 257)
-RADER_LENGTHS = (1033, 1609, 8191)
-SCIPY_LENGTHS = (127, 128, 1543)
+# keep_above and peak_magnitude run a Rader plan at the first four lengths
+# (padded at 1543, whose N - 1 has the prime factor 257) and numpy.fft in
+# natural order at the others (127 lies below the crossover, 128 is even)
+RADER_LENGTHS = (1033, 1543, 1609, 8191)
+NATURAL_LENGTHS = (127, 128)
 
 
-@pytest.mark.parametrize("n", RADER_LENGTHS + SCIPY_LENGTHS)
+@pytest.mark.parametrize("n", RADER_LENGTHS + NATURAL_LENGTHS)
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), offset=st.sampled_from([0.0, 0.3]), frac=st.floats(0.05, 0.95))
 def test_keep_above_and_peak_magnitude_match_scipy(n, seed, offset, frac):
@@ -158,7 +158,7 @@ def test_keep_above_and_peak_magnitude_match_scipy(n, seed, offset, frac):
         keep_above(z, -1.0)
 
 
-@pytest.mark.parametrize("n", RADER_LENGTHS + SCIPY_LENGTHS)
+@pytest.mark.parametrize("n", RADER_LENGTHS + NATURAL_LENGTHS)
 def test_one_analysis_serves_many_syntheses(n):
     # the halves of keep_above_ordered: one analysis, then a synthesis per
     # threshold, gives exactly what a fresh keep_above_ordered gives, and
