@@ -28,13 +28,12 @@ from .montecarlo import (
 from .recovery import (
     RecoverySpec,
     SignalSpec,
-    hard_threshold,
     recover,
     sample_random,
     snr_db,
     synthesize_signal,
 )
-from .spectrum import dft_direct, max_nonzero_bin, spectrum_of_mask
+from .spectrum import dft_direct, hard_threshold, max_nonzero_bin, spectrum_of_mask
 
 __version__ = "0.1.0"
 

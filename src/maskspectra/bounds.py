@@ -32,8 +32,6 @@ import warnings
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
-import numpy as np
-
 from .masks import _as_index, is_prime
 
 __all__ = [
@@ -169,15 +167,12 @@ def ratio_approximation(n: int, p: float) -> float:
     return math.sqrt(radicand) / np_mean
 
 
-_ERFC = np.vectorize(math.erfc, otypes=[np.float64])
 _STANDARD_NORMAL = NormalDist()
 
 
-def q_function(x) -> float | np.ndarray:
-    """Standard normal tail probability Q(x) = erfc(x/sqrt(2))/2, of a
-    number or elementwise of an array."""
-    out = 0.5 * _ERFC(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
-    return float(out) if out.ndim == 0 else out
+def q_function(x: float) -> float:
+    """Standard normal tail probability Q(x) = erfc(x/sqrt(2))/2."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def q_inverse(y: float) -> float:

@@ -146,7 +146,7 @@ def cmd_recover(args) -> int:
     if not 0.0 < args.rate <= 1.0:
         raise ValueError(f"--rate must lie in (0, 1], got {args.rate!r}")
     signal_path = args.signal if args.signal else recovery.demo_signal_path()
-    if not os.path.exists(signal_path):
+    if not os.path.isfile(signal_path):
         raise ValueError(f"signal fixture not found: {signal_path}")
     x = recovery.read_signal_csv(signal_path)
     n = int(x.size)

@@ -1,9 +1,9 @@
 """Sparse recovery demo: iterative hard thresholding of a sampled band-limited
 signal from a bound-derived threshold, with the step min(N/n_p, 2),
-stopped once the estimate matches the samples. The loop runs in spectrum's transform
-order, so each step is one spectrum.keep_above_ordered, split into its
-analysis and synthesis halves so that no step transforms what is already
-transformed.
+stopped once the estimate matches the samples. recover is the only
+thresholding step: it runs in spectrum's transform order and calls
+spectrum.analyze_ordered and synthesize_ordered apart, so that no step
+transforms what is already transformed.
 """
 from __future__ import annotations
 
@@ -20,9 +20,6 @@ from .masks import Mask, _as_index
 from .spectrum import (
     analyze_ordered,
     from_transform_order,
-    hard_threshold,
-    keep_above_ordered,
-    peak_magnitude,
     synthesize_ordered,
     to_transform_order,
 )
@@ -33,10 +30,7 @@ __all__ = [
     "synthesize_signal",
     "random_band_signal",
     "sample_random",
-    "hard_threshold",
     "snr_db",
-    "default_initial_threshold",
-    "recovery_step",
     "recover",
     "sampled_residual",
     "read_signal_csv",
@@ -137,7 +131,7 @@ def _snr_db(ref_energy: float, ref: np.ndarray, est: np.ndarray) -> float:
 @dataclass(frozen=True)
 class RecoverySpec:
     """Recovery loop parameters; t0=None derives the initial threshold
-    from the mask-noise bounds (see default_initial_threshold).
+    from the mask-noise bounds (see _initial_threshold).
 
     iterations caps the loop, which stops earlier once the residual on the
     sampled positions (see sampled_residual) is at most tol; tol = 0 runs
@@ -167,16 +161,6 @@ min(N/n_p, 2).
             raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
 
 
-def default_initial_threshold(xs, mask: Mask) -> float:
-    """Initial threshold c * max|DFT(xs)| / p_hat with p_hat = n_p/n.
-
-    c adds a 3-sigma margin of the mask spectrum (normalized by n_p) to the
-    worst-case ratio approximation, placing T0 above the aliasing noise of
-    every line in the sampled spectrum.
-    """
-    return _initial_threshold(mask, peak_magnitude(xs))
-
-
 def _step_size(mask: Mask) -> float:
     """The recovery step min(N/n_p, 2): the inverse of the sampling rate,
     1 under full sampling, capped at 2. Once the threshold keeps every bin,
@@ -188,8 +172,13 @@ def _step_size(mask: Mask) -> float:
 
 
 def _initial_threshold(mask: Mask, peak: float) -> float:
-    """default_initial_threshold given peak = max|DFT(xs)|."""
-    _step_size(mask)  # rejects an empty mask
+    """Initial threshold c * peak / p_hat for the samples xs, with
+    peak = max|DFT(xs)| and p_hat = n_p/n; the mask is not empty.
+
+    c adds a 3-sigma margin of the mask spectrum (normalized by n_p) to the
+    worst-case ratio approximation, placing T0 above the aliasing noise of
+    every line in the sampled spectrum.
+    """
     p_hat = mask.n_p / mask.n
     c = ratio_approximation(mask.n, p_hat)
     if p_hat < 1.0:
@@ -197,18 +186,6 @@ def _initial_threshold(mask: Mask, peak: float) -> float:
     if peak == 0.0:
         raise ValueError("sampled signal is identically zero")
     return c * peak / p_hat
-
-
-def recovery_step(xs: np.ndarray, mask: Mask, estimate: np.ndarray, threshold: float) -> np.ndarray:
-    """One iteration: step towards the known samples, then hard-threshold in
-    frequency. The step is z = x + lam * (xs - M x) for the mask M and the
-    estimate x, with lam = min(N/n_p, 2), the inverse of the sampling rate
-    capped at 2; under full sampling lam = 1 and z re-imposes the samples.
-    Computed as (1 - lam M) x + lam xs."""
-    step = _step_size(mask)
-    z = to_transform_order(1.0 - step * mask.bits) * to_transform_order(estimate)
-    z += step * to_transform_order(xs)
-    return from_transform_order(keep_above_ordered(z, threshold))
 
 
 def sampled_residual(xs, mask: Mask, estimate) -> float:
@@ -234,14 +211,17 @@ def recover(
     """Iterate hard-thresholded re-synthesis from the sampled signal.
 
     Starts from the zero estimate with threshold t0 * exp(-alpha * i) at
-    iteration i. Every iteration is recovery_step, whose step
-    lam = min(N/n_p, 2) scales the misfit on the sampled positions by the
-    inverse of the sampling rate, capped at 2 (see _step_size). Returns
-    the final estimate and the per-iteration history (iteration,
-    threshold, snr_db, residual, kept): snr_db is NaN
-    unless a reference signal is supplied, residual is r_i below, and kept
-    counts the DFT bins above the threshold, both bins of each pair
-    (k, -k). The reference is for scoring only and never stops the loop.
+    iteration i. Every iteration steps towards the known samples,
+    z = x + lam (xs - M x) for the mask M and the estimate x, then keeps
+    the bins of z above the threshold. The step lam = min(N/n_p, 2) scales
+    the misfit on the sampled positions by the inverse of the sampling
+    rate, capped at 2 (see _step_size); under full sampling lam = 1 and z
+    re-imposes the samples. Returns the final estimate and the
+    per-iteration history (iteration, threshold, snr_db, residual, kept):
+    snr_db is NaN unless a reference signal is supplied, residual is r_i
+    below, and kept counts the DFT bins above the threshold, both bins of
+    each pair (k, -k). The reference is for scoring only and never stops
+    the loop.
 
     The loop stops after iteration i once r_i, the residual
     ||M x_i - xs|| / ||xs|| on the sampled positions (see sampled_residual;

@@ -13,12 +13,11 @@ N, serves both directions; |X_k|^2 = (h_k^2 + h_-k^2) / 2. Where the plan
 beats numpy's transform the functions here use it, and numpy.fft
 elsewhere; no other module chooses between the two. The choice fixes the
 transform order, Rader order or natural order: to_transform_order and
-from_transform_order move data into and out of it, and keep_above_ordered
-thresholds within it, so an iterative loop permutes its inputs once and
-its result once instead of at every step. keep_above_ordered is its two
-halves in turn, analyze_ordered (the spectrum and its magnitudes) and
-synthesize_ordered (keep the bins above a threshold and invert), so a
-loop that already holds a spectrum can skip either transform.
+from_transform_order move data into and out of it, and analyze_ordered
+(the spectrum and its magnitudes) and synthesize_ordered (keep the bins
+above a threshold and invert) hard-threshold within it, so an iterative
+loop permutes its inputs once and its result once instead of at every
+step, and a loop that already holds a spectrum can skip either transform.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ import numpy as np
 from .masks import Mask, is_prime
 
 __all__ = [
-    "dft_direct", "spectrum_of_mask", "max_nonzero_bin", "hard_threshold", "peak_magnitude", "keep_above",
-    "to_transform_order", "from_transform_order", "analyze_ordered", "synthesize_ordered", "keep_above_ordered",
+    "dft_direct", "spectrum_of_mask", "max_nonzero_bin", "hard_threshold",
+    "to_transform_order", "from_transform_order", "analyze_ordered", "synthesize_ordered",
 ]
 
 _DIRECT_BLOCK_ROWS = 256
@@ -245,7 +244,7 @@ def from_transform_order(x) -> np.ndarray:
 
 def analyze_ordered(z) -> tuple[np.ndarray, np.ndarray]:
     """The spectrum of real z, given in transform order, and its magnitudes:
-    the analysis half of keep_above_ordered.
+    the analysis half of a hard-thresholding step.
 
     Through a Rader plan the spectrum is the Hartley bins in Rader order and
     the magnitudes are |X_0| followed by the (n-1)/2 pair magnitudes, one
@@ -263,9 +262,12 @@ def analyze_ordered(z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def synthesize_ordered(spectrum: np.ndarray, magnitudes: np.ndarray, threshold: float) -> np.ndarray:
-    """The synthesis half of keep_above_ordered: keep the bins of
+    """The synthesis half of a hard-thresholding step: keep the bins of
     analyze_ordered's output whose magnitude is strictly above the
     threshold, and invert them into a real signal in transform order.
+    Composed as synthesize_ordered(*analyze_ordered(z), threshold) between
+    to_transform_order and from_transform_order, the halves give
+    ifft(hard_threshold(fft(z), threshold)).real for real 1-D z.
 
     Through a Rader plan the pairs (k, -k), which share |X_k|, are kept or
     dropped together, and the kept Hartley bins are scaled by 1/N: their
@@ -285,18 +287,3 @@ def synthesize_ordered(spectrum: np.ndarray, magnitudes: np.ndarray, threshold: 
     out[1:] = x
     return out
 
-
-def peak_magnitude(x) -> float:
-    """max over every k of |DFT(x)_k| for real 1-D x, DC included."""
-    return float(analyze_ordered(to_transform_order(x))[1].max())
-
-
-def keep_above_ordered(z, threshold: float) -> np.ndarray:
-    """keep_above for z given in transform order, with the result in the
-    same order; a recovery loop stays in it from step to step."""
-    return synthesize_ordered(*analyze_ordered(z), threshold)
-
-
-def keep_above(z, threshold: float) -> np.ndarray:
-    """ifft(hard_threshold(fft(z), threshold)).real for real 1-D z."""
-    return from_transform_order(keep_above_ordered(to_transform_order(z), threshold))

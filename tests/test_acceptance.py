@@ -21,10 +21,16 @@ from maskspectra.recovery import (
     demo_signal_path,
     read_signal_csv,
     recover,
-    recovery_step,
     sample_random,
 )
-from maskspectra.spectrum import dft_direct, spectrum_of_mask
+from maskspectra.spectrum import (
+    analyze_ordered,
+    dft_direct,
+    from_transform_order,
+    spectrum_of_mask,
+    synthesize_ordered,
+    to_transform_order,
+)
 from oracles import worst_case_cosine_sum
 
 GRID_NS = (127, 1543, 8191)
@@ -236,7 +242,8 @@ def test_criterion_9_recovery_demo():
 
     # fixed point: the true signal is stationary under one more step
     mask = generate_mask(MaskConfig(n, 0.5, seed=11), 0)
-    step = recovery_step(sample_random(x, mask), mask, x, threshold=5.0)
+    z = x + min(n / mask.n_p, 2.0) * (sample_random(x, mask) - mask.bits * x)
+    step = from_transform_order(synthesize_ordered(*analyze_ordered(to_transform_order(z)), 5.0))
     assert np.abs(step - x).max() < 1e-9
     _report(
         "criterion 9 (recovery demo)",

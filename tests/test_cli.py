@@ -282,10 +282,12 @@ def test_recover_rejects_an_empty_mask(capsys):
     assert "nothing was sampled" in err
 
 
-def test_recover_missing_fixture_exits_2(capsys):
-    code, _, err = run_cli(capsys, "recover", "--signal", "/no/such/file.csv")
-    assert code == 2
-    assert "not found" in err
+def test_recover_missing_fixture_exits_2(capsys, tmp_path):
+    # a directory is no fixture either: a usage error, not a failed read
+    for path in ("/no/such/file.csv", str(tmp_path)):
+        code, _, err = run_cli(capsys, "recover", "--signal", path)
+        assert code == 2, path
+        assert "not found" in err, path
 
 
 def test_simulate_csv_json_cross_decode(capsys):

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -23,6 +24,10 @@ def test_submodule_exports_resolve(module_name):
     assert len(set(exported)) == len(exported)
     for name in exported:
         assert hasattr(module, name), f"{module_name}.{name}"
+        # each function or class has one public home, the module defining it
+        obj = getattr(module, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            assert obj.__module__ == module.__name__, f"{module_name}.{name} is {obj.__module__}.{name}"
 
 
 def test_star_import():

@@ -13,21 +13,25 @@ from maskspectra.masks import MaskConfig, generate_mask, is_prime, worst_case_ma
 from maskspectra.recovery import (
     RecoverySpec,
     SignalSpec,
-    default_initial_threshold,
     demo_signal_path,
     demo_signal_spec,
-    hard_threshold,
     random_band_signal,
     read_signal_csv,
     recover,
-    recovery_step,
     sample_random,
     sampled_residual,
     snr_db,
     synthesize_signal,
     write_signal_csv,
 )
-from maskspectra.spectrum import dft_direct
+from maskspectra.spectrum import (
+    analyze_ordered,
+    dft_direct,
+    from_transform_order,
+    hard_threshold,
+    synthesize_ordered,
+    to_transform_order,
+)
 
 DEMO = demo_signal_spec()
 DEMO_X = synthesize_signal(DEMO)
@@ -126,7 +130,8 @@ def test_snr_db_rejects_mismatched_shapes():
 def test_fixed_point_of_recovery_step():
     # estimate == true signal stays put when T is below the on-band minimum (10)
     xs = sample_random(DEMO_X, DEMO_MASK)
-    out = recovery_step(xs, DEMO_MASK, DEMO_X, threshold=5.0)
+    z = DEMO_X + min(DEMO_MASK.n / DEMO_MASK.n_p, 2.0) * (xs - DEMO_MASK.bits * DEMO_X)
+    out = from_transform_order(synthesize_ordered(*analyze_ordered(to_transform_order(z)), 5.0))
     assert np.abs(out - DEMO_X).max() < 1e-9
 
 
@@ -172,15 +177,20 @@ def test_converged_estimate_matches_known_samples():
     assert np.linalg.norm(on_mask - xs) <= 1e-6 * np.linalg.norm(xs)
 
 
+def _default_t0(xs, mask):
+    """The initial threshold recover derives when given no t0."""
+    return recover(xs, RecoverySpec(mask=mask, iterations=1))[1][0][1]
+
+
 def test_default_threshold_rules():
     xs = sample_random(DEMO_X, DEMO_MASK)
-    t0 = default_initial_threshold(xs, DEMO_MASK)
+    t0 = _default_t0(xs, DEMO_MASK)
     peak = float(np.abs(scipy.fft.fft(xs)).max())
     assert t0 > peak  # margin above every sampled-spectrum line
     with pytest.raises(ValueError):
-        default_initial_threshold(xs, worst_case_mask(127, 0))
-    with pytest.raises(ValueError):
-        default_initial_threshold(np.zeros(127), DEMO_MASK)
+        _default_t0(xs, worst_case_mask(127, 0))
+    with pytest.raises(ValueError, match="identically zero"):
+        _default_t0(np.zeros(127), DEMO_MASK)
 
 
 def test_default_threshold_margin_divides_by_n_p():
@@ -192,7 +202,7 @@ def test_default_threshold_margin_divides_by_n_p():
     p_hat = n_p / n
     c = ratio_approximation(n, p_hat) + 3.0 * math.sqrt(p_hat * (1.0 - p_hat) * n) / n_p
     want = c * float(np.abs(scipy.fft.fft(xs)).max()) / p_hat
-    assert default_initial_threshold(xs, mask) == pytest.approx(want, rel=1e-12)
+    assert _default_t0(xs, mask) == pytest.approx(want, rel=1e-12)
 
 
 def test_recovery_spec_validation():
@@ -444,13 +454,14 @@ def test_rader_step_matches_scipy_step(monkeypatch):
     assert spectrum._rader_plan((n,)) is not None
     z = estimate + min(n / mask.n_p, 2.0) * (xs - mask.bits * estimate)
     spectrum_z = scipy.fft.fft(z)
+    ordered = analyze_ordered(to_transform_order(z))
     for threshold in (0.0, 0.05, 0.5, 1.0, 5.0, 0.999 * np.abs(spectrum_z).max(), 1e9):
         want = scipy.fft.ifft(hard_threshold(spectrum_z, threshold)).real
-        got = recovery_step(xs, mask, estimate, threshold)
+        got = from_transform_order(synthesize_ordered(*ordered, threshold))
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), np.abs(z).max()), threshold
-    assert recovery_step(xs, mask, estimate, 1e9).tolist() == [0.0] * n
+    assert from_transform_order(synthesize_ordered(*ordered, 1e9)).tolist() == [0.0] * n
     with pytest.raises(ValueError, match="nonnegative"):
-        recovery_step(xs, mask, estimate, -1.0)
+        synthesize_ordered(*ordered, -1.0)
     # the initial threshold takes its peak from the same magnitudes; here
     # the DC bin, which has no mirror, is the peak
     dc_heavy = xs + (1.0 - mask.bits) * estimate
@@ -458,8 +469,8 @@ def test_rader_step_matches_scipy_step(monkeypatch):
     assert abs(spectrum_dc[0]) == np.abs(spectrum_dc).max()
     with monkeypatch.context() as m:
         m.setattr(spectrum, "_rader_plan", lambda shape: None)
-        want_t0 = default_initial_threshold(dc_heavy, mask)
-    assert default_initial_threshold(dc_heavy, mask) == pytest.approx(want_t0, rel=1e-12)
+        want_t0 = _default_t0(dc_heavy, mask)
+    assert _default_t0(dc_heavy, mask) == pytest.approx(want_t0, rel=1e-12)
 
 
 def test_rader_plan_selection(monkeypatch):
@@ -491,7 +502,7 @@ def test_rader_plan_selection(monkeypatch):
         xs = np.zeros(8191)
         mask = generate_mask(MaskConfig(8191, 0.5, seed=1), 0)
         for _ in range(3):
-            recovery_step(xs, mask, xs, 1.0)
+            recover(xs, RecoverySpec(mask=mask, t0=1.0))
         assert built == list(sizes)
     finally:
         spectrum._cached_rader_plan.cache_clear()
@@ -517,18 +528,19 @@ def test_rader_plan_survives_shapes_without_a_plan():
     n = 8191
     mask = generate_mask(MaskConfig(n, 0.5, seed=2), 0)
     xs = sample_random(synthesize_signal(random_band_signal(n, 4, seed=3)), mask)
-    first = recovery_step(xs, mask, np.zeros(n), 0.5)
+    spec = RecoverySpec(mask=mask, t0=0.5)
+    first, _ = recover(xs, spec)
     plan = spectrum._rader_plan((n,))
     for m in (127, 128, 251, 255, 8192, 131072, 4097, 2048, 1000, 3):
         assert spectrum._rader_plan((m,)) is None, m
     assert spectrum._rader_plan((2, n)) is None
     assert spectrum._rader_plan((n,)) is plan
-    assert np.array_equal(recovery_step(xs, mask, np.zeros(n), 0.5), first)
+    assert np.array_equal(recover(xs, spec)[0], first)
 
 
 def test_rader_recovery_permutes_once(monkeypatch):
     # at a planned N the loop runs in Rader order: the same permutations
-    # in and out whatever the number of iterations, and no recovery_step
+    # in and out whatever the number of iterations
     n = 8191
     mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
@@ -541,7 +553,7 @@ def test_rader_recovery_permutes_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("to_transform_order", "from_transform_order", "recovery_step"):
+    for name in ("to_transform_order", "from_transform_order"):
         monkeypatch.setattr(recovery, name, counted(name, getattr(recovery, name)))
     seen = []
     for iterations in (1, 7):
@@ -564,8 +576,8 @@ def test_rader_recovery_matches_scipy_oracle(monkeypatch):
     # the same loop on the natural-order numpy.fft transforms alone
     with monkeypatch.context() as m:
         m.setattr(spectrum, "_rader_plan", lambda shape: None)
-        t0 = default_initial_threshold(xs, mask)
         _, natural_history = recover(xs, RecoverySpec(mask=mask, iterations=50, tol=0.0), reference=x)
+    t0 = natural_history[0][1]
     assert history[0][1] == pytest.approx(t0, rel=1e-12)
     oracle, oracle_kept = np.zeros(n), []
     for i in range(50):
@@ -636,7 +648,7 @@ def test_recover_never_transforms_the_same_thing_twice(monkeypatch):
     # above the scaled peak: never with the default t0 (c is about 0.67),
     # and for the first 7 steps from twice the scaled peak
     x, mask, xs = _n8191_case()
-    scaled_peak = min(mask.n / mask.n_p, 2.0) * spectrum.peak_magnitude(xs)
+    scaled_peak = min(mask.n / mask.n_p, 2.0) * float(analyze_ordered(to_transform_order(xs))[1].max())
     for t0, least_empty in ((None, 0), (2.0 * scaled_peak, 3)):
         calls = []
         dht = spectrum._RaderPlan.dht
@@ -684,8 +696,6 @@ def test_empty_mask_is_rejected_up_front():
     empty = worst_case_mask(127, 0)
     with pytest.raises(ValueError, match="nothing was sampled"):
         RecoverySpec(mask=empty, t0=1.0)
-    with pytest.raises(ValueError, match="nothing was sampled"):
-        recovery_step(np.zeros(127), empty, np.zeros(127), 1.0)
 
 
 @pytest.mark.parametrize("n", [127, 8191])

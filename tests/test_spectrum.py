@@ -9,11 +9,9 @@ from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
 from maskspectra.spectrum import (
     analyze_ordered,
     dft_direct,
+    from_transform_order,
     hard_threshold,
-    keep_above,
-    keep_above_ordered,
     max_nonzero_bin,
-    peak_magnitude,
     spectrum_of_mask,
     synthesize_ordered,
     to_transform_order,
@@ -126,9 +124,10 @@ def test_mask_spectrum_dc_and_conjugate_symmetry(n, p, seed, trial):
     assert np.abs(coeffs - mirror).max() <= tol
 
 
-# keep_above and peak_magnitude run a Rader plan at the first four lengths
-# (padded at 1543, whose N - 1 has the prime factor 257) and numpy.fft in
-# natural order at the others (127 lies below the crossover, 128 is even)
+# analyze_ordered and synthesize_ordered run a Rader plan at the first four
+# lengths (padded at 1543, whose N - 1 has the prime factor 257) and
+# numpy.fft in natural order at the others (127 lies below the crossover,
+# 128 is even)
 RADER_LENGTHS = (1033, 1543, 1609, 8191)
 NATURAL_LENGTHS = (127, 128)
 
@@ -143,7 +142,8 @@ def test_keep_above_and_peak_magnitude_match_scipy(n, seed, offset, frac):
     coeffs = scipy.fft.fft(z)
     mags = np.abs(coeffs)
     peak = float(mags.max())
-    assert peak_magnitude(z) == pytest.approx(peak, rel=1e-12)
+    ordered = analyze_ordered(to_transform_order(z))
+    assert float(ordered[1].max()) == pytest.approx(peak, rel=1e-12)
     # a middle threshold splits the off-DC bins; none may sit on it, where
     # an ulp decides whether a bin is kept
     middle = frac * float(mags[1:].max())
@@ -151,28 +151,27 @@ def test_keep_above_and_peak_magnitude_match_scipy(n, seed, offset, frac):
     scale = max(np.abs(z).max(), 1.0)
     for threshold in (0.0, middle, 1.01 * peak):
         want = scipy.fft.ifft(hard_threshold(coeffs, threshold)).real
-        got = keep_above(z, threshold)
+        got = from_transform_order(synthesize_ordered(*ordered, threshold))
         assert np.abs(got - want).max() <= 1e-12 * scale, threshold
-    assert keep_above(z, 1.01 * peak).tolist() == [0.0] * n
+    assert from_transform_order(synthesize_ordered(*ordered, 1.01 * peak)).tolist() == [0.0] * n
     with pytest.raises(ValueError, match="nonnegative"):
-        keep_above(z, -1.0)
+        synthesize_ordered(*ordered, -1.0)
 
 
 @pytest.mark.parametrize("n", RADER_LENGTHS + NATURAL_LENGTHS)
 def test_one_analysis_serves_many_syntheses(n):
-    # the halves of keep_above_ordered: one analysis, then a synthesis per
-    # threshold, gives exactly what a fresh keep_above_ordered gives, and
-    # leaves the analysis as it was
+    # one analysis, then a synthesis per threshold, gives exactly what a
+    # fresh analysis and synthesis give, and leaves the analysis as it was
     rng = np.random.Generator(np.random.Philox(key=n))
     x = rng.normal(size=n) + 0.3
     z = to_transform_order(x)
     coeffs, mags = analyze_ordered(z)
     kept_before = coeffs.copy(), mags.copy()
-    assert float(mags.max()) == peak_magnitude(x)
+    assert float(mags.max()) == float(analyze_ordered(to_transform_order(x))[1].max())
     assert float(mags.max()) == pytest.approx(float(np.abs(scipy.fft.fft(x)).max()), rel=1e-12)
     for threshold in (0.0, 0.5 * float(np.median(mags)), 2.0 * float(np.median(mags)), float(mags.max())):
         got = synthesize_ordered(coeffs, mags, threshold)
-        assert np.array_equal(got, keep_above_ordered(z, threshold)), threshold
+        assert np.array_equal(got, synthesize_ordered(*analyze_ordered(z), threshold)), threshold
     assert not synthesize_ordered(coeffs, mags, float(mags.max())).any()
     assert np.array_equal(coeffs, kept_before[0]) and np.array_equal(mags, kept_before[1])
     with pytest.raises(ValueError, match="nonnegative"):
