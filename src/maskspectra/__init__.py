@@ -8,7 +8,6 @@ from .bounds import (
     bound_report,
     gaussian_bound,
     gaussian_bound_approx,
-    q_function,
     q_inverse,
     ratio_approximation,
     sigma_bound,
@@ -19,7 +18,6 @@ from .montecarlo import (
     ExperimentSpec,
     RunningStats,
     TrialStats,
-    exceedance_rate,
     figure_curves,
     noise_ratio_curves,
     run_experiment,
@@ -30,10 +28,8 @@ from .recovery import (
     SignalSpec,
     recover,
     sample_random,
-    snr_db,
     synthesize_signal,
 )
-from .spectrum import dft_direct, hard_threshold, max_nonzero_bin, spectrum_of_mask
 
 __version__ = "0.1.0"
 
@@ -43,14 +39,10 @@ __all__ = [
     "generate_mask",
     "worst_case_mask",
     "is_prime",
-    "dft_direct",
-    "spectrum_of_mask",
-    "max_nonzero_bin",
     "BoundSpec",
     "BoundReport",
     "worst_case_bound",
     "ratio_approximation",
-    "q_function",
     "q_inverse",
     "gaussian_bound",
     "gaussian_bound_approx",
@@ -60,7 +52,6 @@ __all__ = [
     "TrialStats",
     "RunningStats",
     "run_experiment",
-    "exceedance_rate",
     "table1_report",
     "figure_curves",
     "noise_ratio_curves",
@@ -68,8 +59,6 @@ __all__ = [
     "RecoverySpec",
     "synthesize_signal",
     "sample_random",
-    "hard_threshold",
-    "snr_db",
     "recover",
     "__version__",
 ]

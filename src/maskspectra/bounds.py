@@ -39,7 +39,6 @@ __all__ = [
     "BoundReport",
     "worst_case_bound",
     "ratio_approximation",
-    "q_function",
     "q_inverse",
     "gaussian_bound",
     "gaussian_bound_approx",
@@ -170,14 +169,10 @@ def ratio_approximation(n: int, p: float) -> float:
 _STANDARD_NORMAL = NormalDist()
 
 
-def q_function(x: float) -> float:
-    """Standard normal tail probability Q(x) = erfc(x/sqrt(2))/2."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
 def q_inverse(y: float) -> float:
-    """Inverse of q_function, Q^-1(y) = -Phi^-1(y) with the standard
-    normal quantile Phi^-1 (Wichura's AS 241, as statistics.NormalDist
+    """Inverse of the standard normal tail probability Q(x) =
+    erfc(x/sqrt(2))/2: Q^-1(y) = -Phi^-1(y) with the standard normal
+    quantile Phi^-1 (Wichura's AS 241, as statistics.NormalDist
     computes it), to a few ulp in x for every y in (0, 1), subnormal y
     included."""
     if not 0.0 < y < 1.0:

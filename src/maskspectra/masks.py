@@ -73,10 +73,9 @@ class MaskConfig:
 
 @dataclass(frozen=True)
 class Mask:
-    """A realized 0/1 sequence with its support (indices of ones)."""
+    """A realized 0/1 sequence and its number of ones, n_p."""
 
     bits: np.ndarray
-    support: np.ndarray = field(init=False)
     n_p: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -87,12 +86,9 @@ class Mask:
         if raw.dtype != np.bool_ and not ((raw == 0) | (raw == 1)).all():
             raise ValueError("mask bits must be 0 or 1")
         bits = np.ascontiguousarray(raw, dtype=np.uint8)
-        support = np.flatnonzero(bits)
         bits.flags.writeable = False
-        support.flags.writeable = False
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "n_p", int(support.size))
+        object.__setattr__(self, "n_p", int(np.count_nonzero(bits)))
 
     @property
     def n(self) -> int:

@@ -53,12 +53,6 @@ are merged in order (Chan et al.), so any worker count and any block
 size give bit-identical results; the per-bin max, the exceedance counts
 and the per-trial extremes are bit-identical under any other chunking
 too.
-
-The per-trial path ``generate_mask`` -> ``spectrum_of_mask`` takes one
-real transform per mask and stays public as the reference the tests
-compare against. The kernel agrees with it to 1e-12 relative (and
-1e-12 * N absolute), not bit for bit, because the packed transform
-rounds differently.
 """
 
 from __future__ import annotations
@@ -80,7 +74,6 @@ __all__ = [
     "ExperimentSpec",
     "TrialStats",
     "run_experiment",
-    "exceedance_rate",
     "table1_report",
     "figure_curves",
     "noise_ratio_curves",
@@ -115,27 +108,15 @@ TABLE1_ROWS: tuple[tuple[int, float], ...] = (
 _LARGE_N = 65536  # table1_report caps the trials of rows at or above this N
 
 
+@dataclass(slots=True)
 class RunningStats:
     """Mergeable streaming aggregate: count, mean, variance, min, max."""
 
-    __slots__ = ("count", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def push(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
+    count: int = 0
+    mean: float = 0.0
+    _m2: float = 0.0
+    min: float = math.inf
+    max: float = -math.inf
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "RunningStats":
@@ -174,17 +155,6 @@ class RunningStats:
     def variance(self) -> float:
         """Sample variance (ddof=1); 0 for fewer than two samples."""
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RunningStats):
-            return NotImplemented
-        return (self.count, self.mean, self._m2, self.min, self.max) == (
-            other.count,
-            other.mean,
-            other._m2,
-            other.min,
-            other.max,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -394,13 +364,6 @@ def run_experiment(spec: ExperimentSpec) -> TrialStats:
     there are no partial results.
     """
     return _run([spec])[0][0]
-
-
-def exceedance_rate(stats: TrialStats, label: str) -> float:
-    """Fraction of trials whose spectral max strictly exceeded the threshold."""
-    if label not in stats.exceedance_counts:
-        raise KeyError(f"unknown threshold label {label!r}")
-    return stats.exceedance_counts[label] / stats.trials
 
 
 def table1_report(

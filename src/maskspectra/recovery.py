@@ -20,6 +20,7 @@ from .masks import Mask, _as_index
 from .spectrum import (
     analyze_ordered,
     from_transform_order,
+    kept_bins,
     synthesize_ordered,
     to_transform_order,
 )
@@ -30,12 +31,9 @@ __all__ = [
     "synthesize_signal",
     "random_band_signal",
     "sample_random",
-    "snr_db",
     "recover",
-    "sampled_residual",
     "read_signal_csv",
     "write_signal_csv",
-    "demo_signal_spec",
     "demo_signal_path",
 ]
 
@@ -80,13 +78,15 @@ def synthesize_signal(spec: SignalSpec) -> np.ndarray:
 def random_band_signal(n: int, pairs: int, seed: int = 0, dc: float = 0.0) -> SignalSpec:
     """Random conjugate-symmetric spec with ``pairs`` mirrored bin pairs.
 
-    Bin positions are drawn from [1, n//2]; pair magnitudes lie in [1, 2).
+    Bin positions are drawn from [1, (n-1)//2], so no pair holds the
+    Nyquist bin n/2 of an even n, its own mirror; pair magnitudes lie in
+    [1, 2).
     """
     pairs = _as_index(pairs, "pairs")
     if pairs < 1 or pairs > (n - 1) // 2:
         raise ValueError(f"pairs must lie in [1, {(n - 1) // 2}], got {pairs!r}")
     rng = np.random.Generator(np.random.Philox(key=_as_index(seed, "seed")))
-    positions = 1 + rng.permutation(n // 2)[:pairs]
+    positions = 1 + rng.permutation((n - 1) // 2)[:pairs]
     band: list[int] = []
     amps: list[complex] = []
     if dc != 0.0:
@@ -107,18 +107,9 @@ def sample_random(x, mask: Mask) -> np.ndarray:
     return arr * mask.bits
 
 
-def snr_db(reference, estimate) -> float:
-    """10*log10(||ref||^2 / ||ref - est||^2); inf for an exact match, -inf
-    for a zero reference and a nonzero error."""
-    ref = np.asarray(reference, dtype=np.float64)
-    est = np.asarray(estimate, dtype=np.float64)
-    if ref.shape != est.shape:
-        raise ValueError(f"reference shape {ref.shape} != estimate shape {est.shape}")
-    return _snr_db(float(np.sum(ref * ref)), ref, est)
-
-
 def _snr_db(ref_energy: float, ref: np.ndarray, est: np.ndarray) -> float:
-    """snr_db given ||ref||^2."""
+    """10*log10(||ref||^2 / ||ref - est||^2) given ref_energy = ||ref||^2;
+    inf for an exact match, -inf for a zero reference and a nonzero error."""
     err = ref - est
     den = float(np.sum(np.square(err, out=err)))
     if den == 0.0:
@@ -133,10 +124,10 @@ class RecoverySpec:
     """Recovery loop parameters; t0=None derives the initial threshold
     from the mask-noise bounds (see _initial_threshold).
 
-    iterations caps the loop, which stops earlier once the residual on the
-    sampled positions (see sampled_residual) is at most tol; tol = 0 runs
-    every iteration. The mask must sample something: the step is
-min(N/n_p, 2).
+    iterations caps the loop, which stops earlier once the residual
+    r_i = ||M x_i - xs|| / ||xs|| of the estimate x_i on the positions the
+    mask M samples is at most tol; tol = 0 runs every iteration. The mask
+    must sample something: the step is min(N/n_p, 2).
     """
 
     mask: Mask
@@ -188,13 +179,6 @@ def _initial_threshold(mask: Mask, peak: float) -> float:
     return c * peak / p_hat
 
 
-def sampled_residual(xs, mask: Mask, estimate) -> float:
-    """||mask * estimate - xs|| / ||xs||, the estimate's relative misfit on
-    the sampled positions; it needs no reference signal. 0/0 counts as 0."""
-    xs = np.asarray(xs, dtype=np.float64)
-    return _relative_norm(mask.bits * np.asarray(estimate, dtype=np.float64) - xs, float(np.linalg.norm(xs)))
-
-
 def _relative_norm(v: np.ndarray, scale: float) -> float:
     """||v|| / scale, with 0/0 = 0."""
     norm = float(np.linalg.norm(v))
@@ -224,8 +208,8 @@ def recover(
     the loop.
 
     The loop stops after iteration i once r_i, the residual
-    ||M x_i - xs|| / ||xs|| on the sampled positions (see sampled_residual;
-    0/0 counts as 0), is at most spec.tol, and after spec.iterations
+    ||M x_i - xs|| / ||xs|| of the estimate x_i on the sampled positions
+    (0/0 counts as 0), is at most spec.tol, and after spec.iterations
     iterations at the latest; tol = 0 runs them all. The stop changes no
     iterate, so the history is a prefix of the history with tol = 0.
 
@@ -260,7 +244,7 @@ def recover(
     for i in range(spec.iterations):
         threshold = t0 * math.exp(-spec.alpha * i)
         coeffs, magnitudes = sampled if z is drive else analyze_ordered(z)
-        kept = _kept_bins(magnitudes, threshold, xs.size)
+        kept = kept_bins(coeffs, magnitudes, threshold)
         if kept:
             estimate = synthesize_ordered(coeffs, magnitudes, threshold)
             z = weights * estimate
@@ -273,15 +257,6 @@ def recover(
         if spec.tol > 0.0 and residual <= spec.tol:
             break
     return from_transform_order(estimate), history
-
-
-def _kept_bins(magnitudes: np.ndarray, threshold: float, n: int) -> int:
-    """DFT bins whose magnitude analyze_ordered puts above the threshold.
-    Fewer magnitudes than the n bins means one per pair (k, -k) after
-    bin 0, so each of those counts twice."""
-    above = magnitudes > threshold
-    kept = int(np.count_nonzero(above))
-    return kept if magnitudes.size == n else 2 * kept - int(above[0])
 
 
 def read_signal_csv(path) -> np.ndarray:
@@ -343,18 +318,6 @@ def write_signal_csv(path, x) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i, v in enumerate(arr):
             fh.write(f"{i},{float(v)!r}\n")
-
-
-def demo_signal_spec() -> SignalSpec:
-    """The bundled demo signal: 5 active bins (DC plus two mirrored pairs),
-    on-band magnitudes between 10 and 40, length 127."""
-    a1 = 15.0 * complex(math.cos(0.7), math.sin(0.7))
-    a2 = 10.0 * complex(math.cos(-1.1), math.sin(-1.1))
-    return SignalSpec(
-        n=127,
-        band=(0, 1, 2, 125, 126),
-        amplitudes=(40.0 + 0.0j, a1, a2, a2.conjugate(), a1.conjugate()),
-    )
 
 
 def demo_signal_path() -> Path:

@@ -1,4 +1,4 @@
-"""DFT spectra of masks and real signals.
+"""DFT spectra of real signals.
 
 Convention: the forward transform uses the standard negative exponent,
 coeffs[k] = sum_n x[n] exp(-2j*pi*k*n/N). Magnitudes are identical under
@@ -14,10 +14,11 @@ beats numpy's transform the functions here use it, and numpy.fft
 elsewhere; no other module chooses between the two. The choice fixes the
 transform order, Rader order or natural order: to_transform_order and
 from_transform_order move data into and out of it, and analyze_ordered
-(the spectrum and its magnitudes) and synthesize_ordered (keep the bins
-above a threshold and invert) hard-threshold within it, so an iterative
-loop permutes its inputs once and its result once instead of at every
-step, and a loop that already holds a spectrum can skip either transform.
+(the spectrum and its magnitudes), synthesize_ordered (keep the bins
+above a threshold and invert) and kept_bins (how many bins that keeps)
+hard-threshold within it, so an iterative loop permutes its inputs once
+and its result once instead of at every step, and a loop that already
+holds a spectrum can skip either transform.
 """
 
 from __future__ import annotations
@@ -26,14 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .masks import Mask, is_prime
+from .masks import is_prime
 
-__all__ = [
-    "dft_direct", "spectrum_of_mask", "max_nonzero_bin", "hard_threshold",
-    "to_transform_order", "from_transform_order", "analyze_ordered", "synthesize_ordered",
-]
+__all__ = ["to_transform_order", "from_transform_order", "analyze_ordered", "kept_bins", "synthesize_ordered"]
 
-_DIRECT_BLOCK_ROWS = 256
 # One analysis plus synthesis, timed at 110 primes from 101 to 39409 (2
 # vCPUs): a Rader plan took 0.13-0.91 of numpy.fft's natural-order time at
 # all 102 primes above _RADER_MIN_N, and 0.87-1.52x of it at the 8 below.
@@ -52,40 +49,6 @@ def _as_real_vector(x) -> np.ndarray:
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("input must be a nonempty 1-D real sequence")
     return arr
-
-
-def dft_direct(x) -> np.ndarray:
-    """O(N^2) reference transform, evaluated blockwise: the oracle for the
-    numpy.fft and Rader transforms.
-
-    Twiddle phases are reduced with (k*n) mod N before scaling so the
-    arguments passed to exp stay in [0, 2*pi).
-    """
-    arr = _as_real_vector(x)
-    n = arr.size
-    idx = np.arange(n, dtype=np.int64)
-    coeffs = np.empty(n, dtype=np.complex128)
-    for start in range(0, n, _DIRECT_BLOCK_ROWS):
-        k = idx[start : start + _DIRECT_BLOCK_ROWS]
-        phase = (k[:, None] * idx[None, :]) % n
-        kernel = np.exp((-2j * np.pi / n) * phase)
-        coeffs[start : start + _DIRECT_BLOCK_ROWS] = kernel @ arr
-    return coeffs
-
-
-def spectrum_of_mask(mask: Mask) -> np.ndarray:
-    """Complex DFT coefficients of a mask's bits."""
-    return np.fft.fft(mask.bits.astype(np.float64))
-
-
-def max_nonzero_bin(coeffs) -> tuple[int, float]:
-    """Largest magnitude over bins k = 1..N-1 and its smallest attaining index."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.ndim != 1 or coeffs.size < 2:
-        raise ValueError("spectrum must be a 1-D array of at least 2 bins")
-    mags = np.abs(coeffs[1:])
-    k = int(np.argmax(mags))  # first occurrence: smallest k wins ties
-    return k + 1, float(mags[k])
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -213,15 +176,6 @@ def _rader_plan(shape: tuple[int, ...]) -> _RaderPlan | None:
     return _cached_rader_plan(shape[0])
 
 
-def hard_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
-    """Keep coefficients with magnitude strictly above the threshold."""
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    out = np.array(coeffs, dtype=np.complex128)
-    out[np.abs(out) <= threshold] = 0.0
-    return out
-
-
 def to_transform_order(x) -> np.ndarray:
     """Real 1-D x in the sample order the transform works in at its length:
     Rader order (see _RaderPlan) where a plan runs, and natural order,
@@ -261,13 +215,22 @@ def analyze_ordered(z) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([h0], h)), np.concatenate(([abs(h0)], plan.pair_magnitudes(h)))
 
 
+def kept_bins(spectrum: np.ndarray, magnitudes: np.ndarray, threshold: float) -> int:
+    """How many DFT bins synthesize_ordered keeps at this threshold. Through
+    a Rader plan there is one magnitude per pair (k, -k) after bin 0, so
+    each of those counts twice."""
+    above = magnitudes > threshold
+    kept = int(np.count_nonzero(above))
+    return kept if _rader_plan(spectrum.shape) is None else 2 * kept - int(above[0])
+
+
 def synthesize_ordered(spectrum: np.ndarray, magnitudes: np.ndarray, threshold: float) -> np.ndarray:
     """The synthesis half of a hard-thresholding step: keep the bins of
     analyze_ordered's output whose magnitude is strictly above the
     threshold, and invert them into a real signal in transform order.
     Composed as synthesize_ordered(*analyze_ordered(z), threshold) between
     to_transform_order and from_transform_order, the halves give
-    ifft(hard_threshold(fft(z), threshold)).real for real 1-D z.
+    ifft(where(|fft(z)| > threshold, fft(z), 0)).real for real 1-D z.
 
     Through a Rader plan the pairs (k, -k), which share |X_k|, are kept or
     dropped together, and the kept Hartley bins are scaled by 1/N: their

@@ -1,10 +1,18 @@
 """Test-only oracles: slower, independent routes to quantities the package
-computes in closed form."""
+computes in closed form or in batches, and the per-trial path the Monte
+Carlo kernel is checked against."""
 
 import math
 from functools import lru_cache
 
 import numpy as np
+
+from maskspectra.masks import Mask
+from maskspectra.montecarlo import RunningStats
+from maskspectra.recovery import SignalSpec, _relative_norm, _snr_db
+from maskspectra.spectrum import _as_real_vector
+
+_DIRECT_BLOCK_ROWS = 256
 
 
 @lru_cache(maxsize=8)
@@ -25,3 +33,92 @@ def worst_case_cosine_sum(n: int, n_p: int) -> float:
         return 0.0
     terms = (m - np.arange(1, m)) * _cos_table(n)[: m - 1]
     return math.sqrt(max(m + 2.0 * math.fsum(terms.tolist()), 0.0))
+
+
+def dft_direct(x) -> np.ndarray:
+    """O(N^2) reference transform, evaluated blockwise: the oracle for the
+    numpy.fft and Rader transforms.
+
+    Twiddle phases are reduced with (k*n) mod N before scaling so the
+    arguments passed to exp stay in [0, 2*pi).
+    """
+    arr = _as_real_vector(x)
+    n = arr.size
+    idx = np.arange(n, dtype=np.int64)
+    coeffs = np.empty(n, dtype=np.complex128)
+    for start in range(0, n, _DIRECT_BLOCK_ROWS):
+        k = idx[start : start + _DIRECT_BLOCK_ROWS]
+        phase = (k[:, None] * idx[None, :]) % n
+        kernel = np.exp((-2j * np.pi / n) * phase)
+        coeffs[start : start + _DIRECT_BLOCK_ROWS] = kernel @ arr
+    return coeffs
+
+
+def spectrum_of_mask(mask: Mask) -> np.ndarray:
+    """Complex DFT coefficients of a mask's bits."""
+    return np.fft.fft(mask.bits.astype(np.float64))
+
+
+def max_nonzero_bin(coeffs) -> tuple[int, float]:
+    """Largest magnitude over bins k = 1..N-1 and its smallest attaining index."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 1 or coeffs.size < 2:
+        raise ValueError("spectrum must be a 1-D array of at least 2 bins")
+    mags = np.abs(coeffs[1:])
+    k = int(np.argmax(mags))  # first occurrence: smallest k wins ties
+    return k + 1, float(mags[k])
+
+
+def hard_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
+    """Keep coefficients with magnitude strictly above the threshold."""
+    if threshold < 0.0:
+        raise ValueError("threshold must be nonnegative")
+    out = np.array(coeffs, dtype=np.complex128)
+    out[np.abs(out) <= threshold] = 0.0
+    return out
+
+
+def push(stats: RunningStats, x: float) -> None:
+    """Add one value to the aggregate (Welford's update)."""
+    stats.count += 1
+    delta = x - stats.mean
+    stats.mean += delta / stats.count
+    stats._m2 += delta * (x - stats.mean)
+    if x < stats.min:
+        stats.min = x
+    if x > stats.max:
+        stats.max = x
+
+
+def q_function(x: float) -> float:
+    """Standard normal tail probability Q(x) = erfc(x/sqrt(2))/2."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def snr_db(reference, estimate) -> float:
+    """10*log10(||ref||^2 / ||ref - est||^2); inf for an exact match, -inf
+    for a zero reference and a nonzero error."""
+    ref = np.asarray(reference, dtype=np.float64)
+    est = np.asarray(estimate, dtype=np.float64)
+    if ref.shape != est.shape:
+        raise ValueError(f"reference shape {ref.shape} != estimate shape {est.shape}")
+    return _snr_db(float(np.sum(ref * ref)), ref, est)
+
+
+def sampled_residual(xs, mask: Mask, estimate) -> float:
+    """||mask * estimate - xs|| / ||xs||, the estimate's relative misfit on
+    the sampled positions; it needs no reference signal. 0/0 counts as 0."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return _relative_norm(mask.bits * np.asarray(estimate, dtype=np.float64) - xs, float(np.linalg.norm(xs)))
+
+
+def demo_signal_spec() -> SignalSpec:
+    """The bundled demo signal: 5 active bins (DC plus two mirrored pairs),
+    on-band magnitudes between 10 and 40, length 127."""
+    a1 = 15.0 * complex(math.cos(0.7), math.sin(0.7))
+    a2 = 10.0 * complex(math.cos(-1.1), math.sin(-1.1))
+    return SignalSpec(
+        n=127,
+        band=(0, 1, 2, 125, 126),
+        amplitudes=(40.0 + 0.0j, a1, a2, a2.conjugate(), a1.conjugate()),
+    )

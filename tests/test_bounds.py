@@ -15,15 +15,13 @@ from maskspectra.bounds import (
     bound_report,
     gaussian_bound,
     gaussian_bound_approx,
-    q_function,
     q_inverse,
     ratio_approximation,
     sigma_bound,
     worst_case_bound,
 )
 from maskspectra.masks import is_prime, worst_case_mask
-from maskspectra.spectrum import dft_direct, max_nonzero_bin
-from oracles import worst_case_cosine_sum
+from oracles import dft_direct, max_nonzero_bin, q_function, worst_case_cosine_sum
 
 
 def test_worst_case_reference_values():

@@ -394,3 +394,34 @@ def test_no_subcommand_needs_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"{[0] * len(calls)} []", result.stderr
+
+
+_SKETCH_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+exec(sys.argv[1])
+print(sorted(name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None))
+"""
+
+
+def test_readme_library_sketch_runs(tmp_path):
+    # the README's "Library sketch" block, run as written where scipy cannot be imported
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch\n\n```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(maskspectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", _SKETCH_NO_SCIPY, sketch],
+        capture_output=True, text=True, env=env, timeout=60, cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    printed, loaded = result.stdout.splitlines()
+    assert loaded == "[]"
+    global_max, worst_case, exceeded = printed.split()
+    report = bounds.bound_report(bounds.BoundSpec(127, 0.5, epsilon=1e-4))
+    spec = montecarlo.ExperimentSpec(
+        MaskConfig(127, 0.5, seed=7), trials=20_000, thresholds=(("gaussian_T", report.gaussian_T),)
+    )
+    stats = montecarlo.run_experiment(spec)  # one worker: the same bits as the sketch's two
+    assert (float(global_max), float(worst_case), int(exceeded)) == (stats.global_max, report.worst_case, 0)
+    assert stats.global_max <= report.worst_case

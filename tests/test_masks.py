@@ -16,16 +16,6 @@ def test_n_p_equals_popcount():
     for t in range(20):
         m = generate_mask(cfg, t)
         assert m.n_p == int(np.sum(m.bits))
-        assert m.n_p == len(m.support)
-
-
-def test_support_sorted_and_in_range():
-    cfg = MaskConfig(257, 0.3, seed=9)
-    for t in range(50):
-        m = generate_mask(cfg, t)
-        assert np.all(np.diff(m.support) > 0)
-        if m.n_p:
-            assert 0 <= m.support[0] and m.support[-1] < m.n
 
 
 def test_generate_is_deterministic():

@@ -14,24 +14,20 @@ from maskspectra.recovery import (
     RecoverySpec,
     SignalSpec,
     demo_signal_path,
-    demo_signal_spec,
     random_band_signal,
     read_signal_csv,
     recover,
     sample_random,
-    sampled_residual,
-    snr_db,
     synthesize_signal,
     write_signal_csv,
 )
 from maskspectra.spectrum import (
     analyze_ordered,
-    dft_direct,
     from_transform_order,
-    hard_threshold,
     synthesize_ordered,
     to_transform_order,
 )
+from oracles import dft_direct, demo_signal_spec, hard_threshold, sampled_residual, snr_db
 
 DEMO = demo_signal_spec()
 DEMO_X = synthesize_signal(DEMO)
@@ -63,6 +59,17 @@ def test_random_band_signal_takes_integers_only():
     for kwargs in ({"seed": 1.5}, {"seed": True}, {"pairs": 2.5}, {"pairs": True}):
         with pytest.raises(ValueError, match="must be an integer"):
             random_band_signal(127, **{"pairs": 2, **kwargs})
+
+
+@pytest.mark.parametrize("n", [8, 128, 1000])
+def test_random_band_signal_at_even_length(n):
+    # the Nyquist bin n/2 is its own mirror, so no pair may draw it
+    for seed in range(40):
+        spec = random_band_signal(n, pairs=3, seed=seed)
+        assert n // 2 not in spec.band and len(set(spec.band)) == 6, seed
+        x = synthesize_signal(spec)
+        assert x.dtype == np.float64 and x.shape == (n,)
+        assert np.abs(np.delete(scipy.fft.fft(x), list(spec.band))).max() < 1e-9, seed
 
 
 def test_asymmetric_band_rejected():

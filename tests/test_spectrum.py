@@ -8,14 +8,11 @@ from maskspectra import spectrum
 from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
 from maskspectra.spectrum import (
     analyze_ordered,
-    dft_direct,
     from_transform_order,
-    hard_threshold,
-    max_nonzero_bin,
-    spectrum_of_mask,
     synthesize_ordered,
     to_transform_order,
 )
+from oracles import dft_direct, hard_threshold, max_nonzero_bin, spectrum_of_mask
 
 # grid spanning primes, powers of two, and mixed composites
 FAST_VS_DIRECT_SIZES = [1, 2, 3, 4, 5, 8, 16, 17, 64, 127, 128, 251, 360, 1024, 1543, 2048, 4093, 4096]
