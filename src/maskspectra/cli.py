@@ -120,9 +120,12 @@ def cmd_figure(args) -> int:
             for k in range(1, args.n)
         ]
     elif args.mode == "approx":
+        # the approximation needs N*p >= 1: below N = 100 the grid starts above p = 0.01
+        ps = [p for p in (i / 100.0 for i in range(1, 100)) if args.n * p >= 1.0]
+        if not ps:
+            raise ValueError(f"n must be an integer >= 2, got {args.n!r}")
         records = []
-        for i in range(1, 100):
-            p = i / 100.0
+        for p in ps:
             n_p = math.ceil(args.n * p)
             records.append(
                 {
@@ -225,7 +228,9 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p_table)
 
     p_fig = sub.add_parser("figure", help="bound/simulation curves for external plotting")
-    p_fig.add_argument("--mode", choices=("bounds", "ratio", "approx"), default="bounds")
+    p_fig.add_argument(
+        "--mode", choices=("bounds", "ratio", "approx"), default="bounds", help="approx: p = 0.01..0.99 with N*p >= 1"
+    )
     p_fig.add_argument("--rate", type=float, default=0.5, help="sampling rate (bounds mode)")
     p_fig.add_argument("--ns", default="127,1543,8191", help="comma-separated N list (bounds mode)")
     p_fig.add_argument("--n", type=int, default=None, help="mask length (ratio/approx modes)")

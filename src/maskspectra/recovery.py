@@ -20,7 +20,6 @@ from .masks import Mask, _as_index
 from .spectrum import (
     analyze_ordered,
     from_transform_order,
-    kept_bins,
     synthesize_ordered,
     to_transform_order,
 )
@@ -203,9 +202,8 @@ def recover(
     re-imposes the samples. Returns the final estimate and the
     per-iteration history (iteration, threshold, snr_db, residual, kept):
     snr_db is NaN unless a reference signal is supplied, residual is r_i
-    below, and kept counts the DFT bins above the threshold, both bins of
-    each pair (k, -k). The reference is for scoring only and never stops
-    the loop.
+    below, and kept counts the DFT bins above the threshold. The reference
+    is for scoring only and never stops the loop.
 
     The loop stops after iteration i once r_i, the residual
     ||M x_i - xs|| / ||xs|| of the estimate x_i on the sampled positions
@@ -244,7 +242,7 @@ def recover(
     for i in range(spec.iterations):
         threshold = t0 * math.exp(-spec.alpha * i)
         coeffs, magnitudes = sampled if z is drive else analyze_ordered(z)
-        kept = kept_bins(coeffs, magnitudes, threshold)
+        kept = int(np.count_nonzero(magnitudes > threshold))
         if kept:
             estimate = synthesize_ordered(coeffs, magnitudes, threshold)
             z = weights * estimate

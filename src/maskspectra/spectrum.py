@@ -14,11 +14,11 @@ beats numpy's transform the functions here use it, and numpy.fft
 elsewhere; no other module chooses between the two. The choice fixes the
 transform order, Rader order or natural order: to_transform_order and
 from_transform_order move data into and out of it, and analyze_ordered
-(the spectrum and its magnitudes), synthesize_ordered (keep the bins
-above a threshold and invert) and kept_bins (how many bins that keeps)
-hard-threshold within it, so an iterative loop permutes its inputs once
-and its result once instead of at every step, and a loop that already
-holds a spectrum can skip either transform.
+(the spectrum and one magnitude per bin) and synthesize_ordered (keep the
+bins whose magnitude is above a threshold and invert) hard-threshold
+within it, so an iterative loop permutes its inputs once and its result
+once instead of at every step, and a loop that already holds a spectrum
+can skip either transform.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .masks import is_prime
 
-__all__ = ["to_transform_order", "from_transform_order", "analyze_ordered", "kept_bins", "synthesize_ordered"]
+__all__ = ["to_transform_order", "from_transform_order", "analyze_ordered", "synthesize_ordered"]
 
 # One analysis plus synthesis, timed at 110 primes from 101 to 39409 (2
 # vCPUs): a Rader plan took 0.13-0.91 of numpy.fft's natural-order time at
@@ -120,12 +120,12 @@ class _RaderPlan:
             kernel = np.concatenate((kernel, kernel[:-1]))
         self._kernel = np.fft.rfft(kernel, self._size)
 
-    def dht(self, x0, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """DHT of the Rader-ordered (x0, x) as (bin 0, the rest in Rader order).
+    def dht(self, v: np.ndarray) -> np.ndarray:
+        """DHT of the Rader-ordered v, in Rader order.
 
-        x0 is sample (or bin) 0 and x the other n - 1 values. The DHT is its
-        own inverse up to n: applied to its own output it gives n * (x0, x).
-        The convolution wants its input in g^q order, x reversed, and for
+        v[..., 0] is sample (or bin) 0. The DHT is its own inverse up to n:
+        applied to its own output it gives n * v. The convolution wants the
+        other n - 1 values x = v[..., 1:] in g^q order, x reversed, and for
         real x the rfft of the reversal is the conjugate of rfft(x).
 
         The kernel sums to exactly -1 (the DHT of a unit impulse at 0, less
@@ -136,22 +136,31 @@ class _RaderPlan:
         about 3e-13 at n = 8191.
         """
         m = self.n - 1
+        x0, x = v[..., 0], v[..., 1:]
         total = x.sum(axis=-1)
         mean = total / m
         y = np.fft.rfft(x - mean[..., None], self._size)
         np.conjugate(y, out=y)
         y *= self._kernel
         y[..., 0] = self._size * (x0 - mean)
-        return x0 + total, np.fft.irfft(y, self._size)[..., :m]
+        out = np.empty(v.shape)
+        out[..., 0] = x0 + total
+        out[..., 1:] = np.fft.irfft(y, self._size)[..., :m]
+        return out
 
-    def pair_magnitudes(self, h: np.ndarray) -> np.ndarray:
-        """|X_k| = sqrt((h_k^2 + h_-k^2) / 2) at the first (n-1)/2 Rader
-        positions; the second half holds the mirror bins, which share it."""
+    def magnitudes(self, h: np.ndarray) -> np.ndarray:
+        """|X| of every bin of the Rader-ordered DHT h: |h_0| at position 0,
+        and sqrt((h_k^2 + h_-k^2) / 2) at both positions of each pair
+        (k, -k), which sit (n-1)/2 apart."""
         half = (self.n - 1) // 2
-        mags = np.square(h[..., :half])
-        mags += np.square(h[..., half:])
-        mags *= 0.5
-        return np.sqrt(mags, out=mags)
+        mags = np.square(h)
+        pair = mags[..., 1 : half + 1]
+        pair += mags[..., half + 1 :]
+        pair *= 0.5
+        np.sqrt(pair, out=pair)
+        mags[..., half + 1 :] = pair
+        mags[..., 0] = np.abs(h[..., 0])
+        return mags
 
 
 @lru_cache(maxsize=8)
@@ -200,28 +209,19 @@ def analyze_ordered(z) -> tuple[np.ndarray, np.ndarray]:
     """The spectrum of real z, given in transform order, and its magnitudes:
     the analysis half of a hard-thresholding step.
 
-    Through a Rader plan the spectrum is the Hartley bins in Rader order and
-    the magnitudes are |X_0| followed by the (n-1)/2 pair magnitudes, one
-    per pair (k, -k); through numpy.fft they are the complex DFT and |DFT|. In
-    both, the largest magnitude is the spectrum's peak, and a threshold at
-    or above it keeps no bin.
+    Both have length N and transform order: magnitudes[i] is |X| of the bin
+    at position i. Through a Rader plan the spectrum is the Hartley bins in
+    Rader order, where a pair (k, -k) shares one magnitude; through
+    numpy.fft it is the complex DFT. In both, the largest magnitude is the
+    peak, and a threshold keeps the bins whose magnitude is above it.
     """
     z = _as_real_vector(z)
     plan = _rader_plan(z.shape)
     if plan is None:
         coeffs = np.fft.fft(z)
         return coeffs, np.abs(coeffs)
-    h0, h = plan.dht(z[0], z[1:])
-    return np.concatenate(([h0], h)), np.concatenate(([abs(h0)], plan.pair_magnitudes(h)))
-
-
-def kept_bins(spectrum: np.ndarray, magnitudes: np.ndarray, threshold: float) -> int:
-    """How many DFT bins synthesize_ordered keeps at this threshold. Through
-    a Rader plan there is one magnitude per pair (k, -k) after bin 0, so
-    each of those counts twice."""
-    above = magnitudes > threshold
-    kept = int(np.count_nonzero(above))
-    return kept if _rader_plan(spectrum.shape) is None else 2 * kept - int(above[0])
+    h = plan.dht(z)
+    return h, plan.magnitudes(h)
 
 
 def synthesize_ordered(spectrum: np.ndarray, magnitudes: np.ndarray, threshold: float) -> np.ndarray:
@@ -237,16 +237,12 @@ def synthesize_ordered(spectrum: np.ndarray, magnitudes: np.ndarray, threshold: 
     DHT is then the real inverse transform. Agrees with numpy.fft's path at the
     ulp level. The spectrum is not modified, so it can serve again.
     """
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise ValueError("threshold must be nonnegative")
     plan = _rader_plan(spectrum.shape)
     if plan is None:
         return np.ascontiguousarray(np.fft.ifft(np.where(magnitudes <= threshold, 0.0, spectrum)).real)
     n = spectrum.size
-    pairs = spectrum[1:].reshape(2, -1) * np.where(magnitudes[1:] <= threshold, 0.0, 1.0 / n)
-    x0, x = plan.dht(0.0 if magnitudes[0] <= threshold else spectrum[0] / n, pairs.reshape(-1))
-    out = np.empty_like(spectrum)
-    out[0] = x0
-    out[1:] = x
-    return out
-
+    kept = spectrum * np.where(magnitudes <= threshold, 0.0, 1.0 / n)
+    kept[0] = 0.0 if magnitudes[0] <= threshold else spectrum[0] / n
+    return plan.dht(kept)

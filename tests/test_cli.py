@@ -11,6 +11,7 @@ import maskspectra
 from maskspectra import bounds, cli, montecarlo
 from maskspectra.cli import main
 from maskspectra.masks import MaskConfig, generate_mask
+from maskspectra.recovery import random_band_signal, synthesize_signal, write_signal_csv
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +186,14 @@ def test_figure_approx_mode_tracks_exact(capsys):
     ]
     assert len(spread) == 81
     assert max(spread) <= 0.02
+
+
+def test_figure_approx_mode_at_small_n(capsys):
+    # the approximation needs N*p >= 1, so at N = 31 the grid starts at p = 0.04
+    code, out, _ = run_cli(capsys, "figure", "--mode", "approx", "--n", "31")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0]["p"] == "0.04" and len(rows) == 96
 
 
 def test_figure_ratio_mode_rejects_colliding_rates(capsys):
@@ -374,8 +383,14 @@ print(codes, loaded)
 
 def test_no_subcommand_needs_scipy(tmp_path):
     # scipy is a test dependency only: every subcommand runs in a process
-    # where importing it fails, pool workers included
+    # where importing it fails, pool workers included. Recovery runs
+    # through numpy.fft at the demo's N = 127, and through a Rader plan,
+    # padded at 509 (508 = 2^2 * 127) and plain at 1033
     out = tmp_path / "out.csv"
+    fixtures = {}
+    for n, seed in ((509, 3), (1033, 4)):
+        fixtures[n] = tmp_path / f"signal_{n}.csv"
+        write_signal_csv(fixtures[n], synthesize_signal(random_band_signal(n, 4, seed=seed)))
     calls = [
         "bounds --n 127 --p 0.5",
         "bounds --n 8191 --p 0.1 --union --format json",
@@ -386,6 +401,8 @@ def test_no_subcommand_needs_scipy(tmp_path):
         "figure --mode approx --n 127",
         f"recover --out {out}",
         f"recover --rate 0.3 --out {out}",
+        f"recover --signal {fixtures[509]} --out {out}",
+        f"recover --signal {fixtures[1033]} --out {out}",
     ]
     src = str(Path(maskspectra.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

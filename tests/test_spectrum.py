@@ -141,18 +141,22 @@ def test_keep_above_and_peak_magnitude_match_scipy(n, seed, offset, frac):
     peak = float(mags.max())
     ordered = analyze_ordered(to_transform_order(z))
     assert float(ordered[1].max()) == pytest.approx(peak, rel=1e-12)
+    # one magnitude per bin, in transform order, on both paths
+    assert np.abs(ordered[1] - to_transform_order(mags)).max() <= 1e-12 * peak
     # a middle threshold splits the off-DC bins; none may sit on it, where
     # an ulp decides whether a bin is kept
     middle = frac * float(mags[1:].max())
     assume(np.abs(mags - middle).min() > 1e-9 * peak)
+    assert np.count_nonzero(ordered[1] > middle) == np.count_nonzero(mags > middle)
     scale = max(np.abs(z).max(), 1.0)
     for threshold in (0.0, middle, 1.01 * peak):
         want = scipy.fft.ifft(hard_threshold(coeffs, threshold)).real
         got = from_transform_order(synthesize_ordered(*ordered, threshold))
         assert np.abs(got - want).max() <= 1e-12 * scale, threshold
     assert from_transform_order(synthesize_ordered(*ordered, 1.01 * peak)).tolist() == [0.0] * n
-    with pytest.raises(ValueError, match="nonnegative"):
-        synthesize_ordered(*ordered, -1.0)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            synthesize_ordered(*ordered, bad)
 
 
 @pytest.mark.parametrize("n", RADER_LENGTHS + NATURAL_LENGTHS)
@@ -171,5 +175,6 @@ def test_one_analysis_serves_many_syntheses(n):
         assert np.array_equal(got, synthesize_ordered(*analyze_ordered(z), threshold)), threshold
     assert not synthesize_ordered(coeffs, mags, float(mags.max())).any()
     assert np.array_equal(coeffs, kept_before[0]) and np.array_equal(mags, kept_before[1])
-    with pytest.raises(ValueError, match="nonnegative"):
-        synthesize_ordered(coeffs, mags, -1.0)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            synthesize_ordered(coeffs, mags, bad)
