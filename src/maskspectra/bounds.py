@@ -146,20 +146,27 @@ def worst_case_bound(n: int, n_p: int) -> float:
     return abs(math.sin(math.pi * m / n) / math.sin(math.pi / n))
 
 
+def _ratio_radicand(n: int, p: float) -> float:
+    """Np + (N^2/pi^2) sin^2(p*pi) - N [sin(p*pi) - sin(2*p*pi)/(2*pi)], the
+    radicand of ``ratio_approximation``; negative for some small N*p."""
+    s = math.sin(p * math.pi)
+    return n * p + (n / math.pi) ** 2 * s * s - n * (s - math.sin(2.0 * p * math.pi) / (2.0 * math.pi))
+
+
 def ratio_approximation(n: int, p: float) -> float:
     """Large-N closed form for the worst-case ratio |A_k|_max / (N*p).
 
     (1/(Np)) * sqrt(Np + (N^2/pi^2) sin^2(p*pi)
                     - N [sin(p*pi) - sin(2*p*pi)/(2*pi)]).
-    The radicand can round below zero for tiny N*p; it is then clamped to 0
-    with a warning. Tends to sin(p*pi)/(p*pi) as N grows.
+    The radicand can fall below zero for small N*p (at N = 7, p = 0.15 to
+    0.19); it is then clamped to 0 with a warning. Tends to
+    sin(p*pi)/(p*pi) as N grows.
     """
     n = _mask_length(n, 1)
     if not 0.0 < p <= 1.0 or n * p < 1.0:
         raise ValueError(f"need 0 < p <= 1 and n*p >= 1, got n={n}, p={p!r}")
     np_mean = n * p
-    s = math.sin(p * math.pi)
-    radicand = np_mean + (n / math.pi) ** 2 * s * s - n * (s - math.sin(2.0 * p * math.pi) / (2.0 * math.pi))
+    radicand = _ratio_radicand(n, p)
     if radicand < 0.0:
         warnings.warn(f"ratio approximation radicand {radicand:.3g} < 0 at n={n}, p={p}; clamped to 0")
         radicand = 0.0

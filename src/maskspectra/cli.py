@@ -120,8 +120,13 @@ def cmd_figure(args) -> int:
             for k in range(1, args.n)
         ]
     elif args.mode == "approx":
-        # the approximation needs N*p >= 1: below N = 100 the grid starts above p = 0.01
-        ps = [p for p in (i / 100.0 for i in range(1, 100)) if args.n * p >= 1.0]
+        # the approximation needs N*p >= 1 and a radicand >= 0; the radicand
+        # leaves out low-p points at some N up to 114 (p = 0.01 at N = 100)
+        ps = [
+            p
+            for p in (i / 100.0 for i in range(1, 100))
+            if args.n * p >= 1.0 and bounds._ratio_radicand(args.n, p) >= 0.0
+        ]
         if not ps:
             raise ValueError(f"n must be an integer >= 2, got {args.n!r}")
         records = []
@@ -229,7 +234,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="bound/simulation curves for external plotting")
     p_fig.add_argument(
-        "--mode", choices=("bounds", "ratio", "approx"), default="bounds", help="approx: p = 0.01..0.99 with N*p >= 1"
+        "--mode",
+        choices=("bounds", "ratio", "approx"),
+        default="bounds",
+        help="approx: p = 0.01..0.99 where N*p >= 1 and the closed form is defined",
     )
     p_fig.add_argument("--rate", type=float, default=0.5, help="sampling rate (bounds mode)")
     p_fig.add_argument("--ns", default="127,1543,8191", help="comma-separated N list (bounds mode)")

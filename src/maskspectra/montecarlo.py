@@ -23,17 +23,17 @@ workers a 512-trial task at three rates and the other an 88-trial one).
 The kernel works through its chunk in blocks of ``_BLOCK_ELEMS // N``
 trials, rounded down to an even count and at least
 ``_BLOCK_MIN_TRIALS`` (16), so a block holds about ``_BLOCK_ELEMS`` mask
-elements up to N = 4096, and 16 trials above it. One Philox generator per
-chunk is re-keyed for each trial and draws into a preallocated (block, N)
-array; its state is a dict built once per chunk with every word a plain
-int, and only the key changes between trials. Masks are real, so two of
-them share one complex transform: trial 2j goes in the real part and
-trial 2j + 1 in the imaginary part of one row, and one in-place
-``numpy.fft.fft`` of shape (block/2, N) serves the whole block. With Z
-that transform,
+elements up to N = 4096, and 16 trials above it. One Philox generator is
+re-keyed for each trial and draws into a (block, N) array; its state is a
+dict with every word a plain int, and only the key changes between
+trials. Masks are real, so two of them share one complex transform: trial
+2j goes in the real part and trial 2j + 1 in the imaginary part of one
+row, and one in-place ``numpy.fft.fft`` of shape (block/2, N) serves the
+whole block. With Z that transform,
 |A_k| = |Z_k + conj Z_{N-k}| / 2 and |B_k| = |Z_k - conj Z_{N-k}| / 2 are
-unpacked for k = 1..N//2 only; the other half mirrors them exactly, and
-the bin sum counts every bin twice except the Nyquist bin of even N.
+unpacked for k = 1..N//2 only, through two scratch arrays; the other half
+mirrors them exactly, and the bin sum counts every bin twice except the
+Nyquist bin of even N.
 Per rate, each trial's peak, bin mean and n_p go into three chunk-length
 arrays in trial order, and each array becomes one ``RunningStats`` by
 array reductions at the end of the chunk (``RunningStats.from_values``).
@@ -42,6 +42,23 @@ a worker's share of the tasks and about ``_BATCH_ELEMS`` mask elements,
 counted by the largest task as trials times N times rates, so at
 N = 1543 each task is its own batch and an N = 131071 task never shares
 one. Results come back in task order.
+
+Buffer lifetime: the generator, its state dict and the block buffers
+(uniforms, a second 0/1 target where a task has several rates, the packed
+transform, the magnitudes and the unpack scratch) belong to a per-thread
+workspace, so they outlive a chunk. The generator is built for a
+thread's first chunk and kept as long as the thread; the buffers are
+sized for the chunk's block and kept for one (N, rate count) shape at a
+time, so a shorter chunk works in views of them, and a chunk of another
+N, with one rate after several or the reverse, or with a longer block
+replaces them. Making a
+set first allocates and frees one buffer-sized block, which keeps
+numpy.fft's per-call scratch on glibc's heap (see
+``_Workspace.block_buffers``). ``_run`` drops the buffers when it
+returns or fails, so an in-process call keeps none, and a pool worker
+keeps its own until the pool ends with the call. No value passes from
+one block to the next through a buffer: every element a block reads is
+written in that block.
 
 Determinism contract: trial t is always transformed together with trial
 t ^ 1 (a chunk that starts or ends inside a pair draws the partner and
@@ -61,6 +78,7 @@ import contextlib
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -232,6 +250,62 @@ class TrialStats:
         }
 
 
+class _Workspace(threading.local):
+    """The chunk kernel's working memory, one per thread: a Philox
+    generator, its state dict, and the block buffers of one block shape."""
+
+    def __init__(self) -> None:
+        # built on first use: importing the module loads no numpy.random
+        self.rng: tuple[np.random.Philox, np.random.Generator, dict] | None = None
+        self.buffers: dict[tuple[int, bool], tuple[np.ndarray, ...]] = {}
+
+    def generator(self) -> tuple[np.random.Philox, np.random.Generator, dict]:
+        """A Philox bit generator, a Generator on it, and the state of a
+        freshly keyed stream (counter 0, empty buffer) with every word a
+        plain int, which the state setter reads far faster than numpy
+        arrays; only the key changes from trial to trial."""
+        if self.rng is None:
+            bit_gen = np.random.Philox(key=0)
+            fresh = bit_gen.state
+            state = {
+                **fresh,
+                "state": {k: v.tolist() for k, v in fresh["state"].items()},
+                "buffer": fresh["buffer"].tolist(),
+            }
+            self.rng = bit_gen, np.random.Generator(bit_gen), state
+        return self.rng
+
+    def block_buffers(self, rows: int, n: int, second: bool) -> tuple[np.ndarray, ...]:
+        """Buffers for blocks of up to ``rows`` trials of length ``n``:
+        uniforms, 0/1 target (a second array where ``second``, else the
+        uniforms), packed transform, magnitudes and unpack scratch. A set
+        with at least ``rows`` rows for the same (n, second) is reused;
+        otherwise it is dropped first, so at most one set is alive."""
+        key = (n, second)
+        if key not in self.buffers or len(self.buffers[key][0]) < rows:
+            self.buffers.clear()
+            # glibc maps each allocation above its mmap threshold (128 KB at
+            # start) afresh, and raises the threshold to the size of a mapped
+            # block once one is freed. numpy.fft's per-call scratch outgrows
+            # the starting threshold from N of a few thousand, so until a
+            # block this size has been freed, every transform faults its
+            # scratch in anew (28,672 faults per 512-trial chunk at N = 8191).
+            # Allocating and freeing one buffer-sized block keeps it on the heap.
+            np.empty((rows, n))
+            uniforms = np.empty((rows, n))
+            self.buffers[key] = (
+                uniforms,
+                np.empty((rows, n)) if second else uniforms,
+                np.empty((rows // 2, n), dtype=np.complex128),
+                np.empty((rows // 2, 2, n // 2)),
+                np.empty((2, rows // 2, n // 2), dtype=np.complex128),  # Z_k + conj Z_{N-k}, Z_k - conj Z_{N-k}
+            )
+        return self.buffers[key]
+
+
+_workspace = _Workspace()
+
+
 def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
     """Trials [start, stop) of one (N, seed) at every rate of ``rates``,
     ``((p, thresholds), ...)``; returns one (stats, per-bin max) per rate.
@@ -246,19 +320,11 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
     # or ends inside a pair draws the missing partner and discards it
     first, end = start & ~1, (stop + 1) & ~1
     rows = min(end - first, max(_BLOCK_MIN_TRIALS, (_BLOCK_ELEMS // n) & ~1))
-    uniforms = np.empty((rows, n))
     # every rate but the last writes its 0/1 mask into a second buffer, so
     # the uniforms survive for the next rate; the last one overwrites them
-    targets = [np.empty((rows, n))] * (len(rates) - 1) + [uniforms]
-    packed = np.empty((rows // 2, n), dtype=np.complex128)
-    mags = np.empty((rows // 2, 2, half))
-    bit_gen = np.random.Philox(key=0)
-    gen = np.random.Generator(bit_gen)
-    # a freshly keyed stream (counter 0, empty buffer) with every word a
-    # plain int, which the state setter reads far faster than numpy arrays;
-    # only the key changes from trial to trial
-    fresh = bit_gen.state
-    state = {**fresh, "state": {k: v.tolist() for k, v in fresh["state"].items()}, "buffer": fresh["buffer"].tolist()}
+    uniforms, second, packed, mags, scratch = _workspace.block_buffers(rows, n, len(rates) > 1)
+    targets = [second] * (len(rates) - 1) + [uniforms]
+    bit_gen, gen, state = _workspace.generator()
     words = state["state"]
     for lo in range(first, end, rows):
         hi = min(lo + rows, end)
@@ -269,6 +335,7 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
             gen.random(out=row)
         pairs = packed[: len(block) // 2]
         block_mags = mags[: len(pairs)]
+        mirror, diff = scratch[:, : len(pairs)]
         lo_keep, hi_keep = max(start, lo), min(stop, hi)
         keep = slice(lo_keep - lo, hi_keep - lo)
         out = slice(lo_keep - start, hi_keep - start)
@@ -281,9 +348,11 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
             np.fft.fft(pairs, axis=-1, out=pairs)  # in place
             # A_k = (Z_k + conj Z_{N-k}) / 2 and B_k = (Z_k - conj Z_{N-k}) / 2i
             z_k = pairs[:, 1 : half + 1]
-            z_mirror = np.conj(pairs[:, n - 1 : n - half - 1 : -1])
-            np.abs(z_k + z_mirror, out=block_mags[:, 0])
-            np.abs(z_k - z_mirror, out=block_mags[:, 1])
+            np.conjugate(pairs[:, n - 1 : n - half - 1 : -1], out=mirror)
+            np.subtract(z_k, mirror, out=diff)
+            np.add(z_k, mirror, out=mirror)
+            np.abs(mirror, out=block_mags[:, 0])
+            np.abs(diff, out=block_mags[:, 1])
             block_mags *= 0.5
             half_mags.max(axis=1, out=peaks[out])
             sums = 2.0 * half_mags.sum(axis=1)
@@ -320,7 +389,8 @@ def _run(specs) -> list[tuple[TrialStats, np.ndarray]]:
     in-process. A pool receives the tasks in batches of at most
     ``len(tasks) // (4 * workers)`` tasks and about ``_BATCH_ELEMS`` mask
     elements, counted by the largest task as its trials times N times its
-    rate count.
+    rate count. The kernel keeps its block buffers from chunk to chunk;
+    the call drops this thread's when it returns or fails.
     """
     workers = min(max(spec.workers for spec in specs), os.cpu_count() or 1)
     share = sum(spec.trials * spec.config.n for spec in specs) / workers  # mask elements per worker
@@ -341,19 +411,22 @@ def _run(specs) -> list[tuple[TrialStats, np.ndarray]]:
         for spec in specs
     ]
     workers = min(workers, len(tasks))
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            largest = max((stop - start) * n * len(rates) for n, _, start, stop, rates in tasks)
-            batch = max(1, min(len(tasks) // (4 * workers), _BATCH_ELEMS // largest))
-            results = pool.map(_run_chunk, tasks, chunksize=batch)
-        else:
-            results = map(_run_chunk, tasks)
-        for members, task_results in zip(owners, results):
-            for i, (chunk_stats, chunk_bin_max) in zip(members, task_results):
-                total, bin_max = totals[i]
-                total.merge(chunk_stats)
-                np.maximum(bin_max, chunk_bin_max, out=bin_max)
+    try:
+        with contextlib.ExitStack() as stack:
+            if workers > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                largest = max((stop - start) * n * len(rates) for n, _, start, stop, rates in tasks)
+                batch = max(1, min(len(tasks) // (4 * workers), _BATCH_ELEMS // largest))
+                results = pool.map(_run_chunk, tasks, chunksize=batch)
+            else:
+                results = map(_run_chunk, tasks)
+            for members, task_results in zip(owners, results):
+                for i, (chunk_stats, chunk_bin_max) in zip(members, task_results):
+                    total, bin_max = totals[i]
+                    total.merge(chunk_stats)
+                    np.maximum(bin_max, chunk_bin_max, out=bin_max)
+    finally:
+        _workspace.buffers.clear()  # the block buffers last one call
     return totals
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -189,11 +190,19 @@ def test_figure_approx_mode_tracks_exact(capsys):
 
 
 def test_figure_approx_mode_at_small_n(capsys):
-    # the approximation needs N*p >= 1, so at N = 31 the grid starts at p = 0.04
-    code, out, _ = run_cli(capsys, "figure", "--mode", "approx", "--n", "31")
-    assert code == 0
-    _, rows = parse_csv(out)
-    assert rows[0]["p"] == "0.04" and len(rows) == 96
+    # the approximation needs N*p >= 1, so at N = 31 the grid starts at p = 0.04;
+    # points where its radicand is negative are left out, not printed as 0:
+    # p = 0.15..0.19 at N = 7 (exact ratio 0.90) and p = 0.01 at N = 100
+    for n, first, count in (("31", "0.04", 96), ("7", "0.2", 80), ("100", "0.02", 98)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(capsys, "figure", "--mode", "approx", "--n", n)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["p"] == first and len(rows) == count, n
+        assert all(float(row["approx_ratio"]) > 0.0 for row in rows)
+        # worst_case_bound warns that N = 100 is composite; nothing is clamped
+        assert all("composite" in str(w.message) for w in caught), [str(w.message) for w in caught]
 
 
 def test_figure_ratio_mode_rejects_colliding_rates(capsys):

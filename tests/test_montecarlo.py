@@ -394,6 +394,75 @@ def test_block_kernel_memory_is_bounded():
     assert peak < 16 * 1024 * 1024
 
 
+def test_kernel_buffers_last_one_driver_call(monkeypatch):
+    # the chunks of one N reuse one set of buffers, and the driver drops it
+    # when it returns
+    import maskspectra.montecarlo as mc
+
+    seen, original = [], mc._run_chunk
+
+    def recording(task):
+        result = original(task)
+        seen.append(list(mc._workspace.buffers.values()))
+        return result
+
+    monkeypatch.setattr(mc, "_run_chunk", recording)
+    run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1100))  # chunks of 512, 512, 76
+    assert len(seen) == 3 and all(len(entries) == 1 for entries in seen)
+    for entries in seen[1:]:
+        assert all(a is b for a, b in zip(entries[0], seen[0][0]))
+    assert mc._workspace.buffers == {}
+
+
+def test_reused_buffers_carry_nothing_between_chunks():
+    # a chunk after a chunk of another N, of another rate count, or a short
+    # chunk in the same buffers, all left full of NaN, gives the bytes it
+    # gives in a fresh workspace
+    import maskspectra.montecarlo as mc
+
+    def fresh(task):
+        mc._workspace.buffers.clear()
+        return mc._run_chunk(task)
+
+    one_rate = (127, 3, 513, 1025, ((0.3, (("t", 10.0),)),))
+    two_rates = (127, 3, 513, 1025, ((0.3, (("t", 10.0),)), (0.8, ())))
+    for task in (one_rate, two_rates):
+        want = fresh(task)
+        for before in (
+            (131, 3, 0, 512, ((0.3, ()),)),
+            (127, 3, 0, 512, ((0.3, ()),) if task is two_rates else ((0.1, ()), (0.8, ()))),
+            (127, 3, 1024, 1112, task[-1]),
+        ):
+            fresh(before)
+            for buffer in next(iter(mc._workspace.buffers.values())):
+                buffer.fill(np.nan)
+            got = mc._run_chunk(task)
+            assert len(got) == len(want)
+            for (stats, bins), (want_stats, want_bins) in zip(got, want):
+                assert stats == want_stats, before
+                assert bins.tobytes() == want_bins.tobytes(), before
+    mc._workspace.buffers.clear()
+
+
+def test_threads_keep_their_own_kernel_workspace():
+    # the kernel's generator and buffers are per thread, so runs on several
+    # threads of one process, switching often, each give the serial result
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    spec = ExperimentSpec(MaskConfig(127, 0.3, seed=8), trials=2048, thresholds=(("t", 10.0),))
+    want = run_experiment(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run_experiment, spec) for _ in range(8)]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(stats == want for stats in got)
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
     """An in-process stand-in for the process pool; records the size each
@@ -683,6 +752,7 @@ def test_failures_discard_all_progress(monkeypatch):
     monkeypatch.setattr(mc, "_run_chunk", flaky)
     with pytest.raises(MemoryError):
         run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500))
+    assert mc._workspace.buffers == {}  # the first chunk's buffers go with the failed call
 
 
 def _stats_of(values):
