@@ -18,10 +18,7 @@ from .montecarlo import (
     ExperimentSpec,
     RunningStats,
     TrialStats,
-    figure_curves,
-    noise_ratio_curves,
     run_experiment,
-    table1_report,
 )
 from .recovery import (
     RecoverySpec,
@@ -52,9 +49,6 @@ __all__ = [
     "TrialStats",
     "RunningStats",
     "run_experiment",
-    "table1_report",
-    "figure_curves",
-    "noise_ratio_curves",
     "SignalSpec",
     "RecoverySpec",
     "synthesize_signal",

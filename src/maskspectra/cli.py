@@ -19,6 +19,23 @@ from .masks import MaskConfig, generate_mask, worst_case_mask
 DEFAULT_SEED = 1729
 SEED_ENV_VAR = "MASKSPECTRA_SEED"
 
+# Reference grid: (N, p) pairs of the comparison table. The mask length of
+# the middle three rows is 1543 throughout (their printed support sizes
+# 772/1235/155 only make sense for that length).
+TABLE1_ROWS: tuple[tuple[int, float], ...] = (
+    (127, 0.5),
+    (127, 0.8),
+    (127, 0.1),
+    (1543, 0.5),
+    (1543, 0.8),
+    (1543, 0.1),
+    (131071, 0.5),
+    (131071, 0.8),
+    (131071, 0.1),
+)
+_LARGE_N = 65536  # table1 runs rows at or above this N ...
+_LARGE_N_TRIALS = 1000  # ... at no more than this many trials, unless --full-scale
+
 _USAGE_ERROR = 2
 _RUNTIME_ERROR = 3
 
@@ -58,11 +75,8 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     thresholds = tuple(bounds.thresholds(bounds.BoundSpec(args.n, args.p, epsilon=args.eps)).items())
-    stats = montecarlo.run_experiment(
-        montecarlo.ExperimentSpec(
-            MaskConfig(args.n, args.p, seed), args.trials, thresholds=thresholds, workers=args.workers
-        )
-    )
+    spec = montecarlo.ExperimentSpec(MaskConfig(args.n, args.p, seed), args.trials, thresholds=thresholds)
+    [(stats, _)] = montecarlo.run_experiment([spec], args.workers)
     payload = {"N": args.n, "p": args.p, "seed": seed, **stats.to_dict()}
     if args.format == "json":
         _emit(montecarlo.records_to_json(payload), args.out)
@@ -88,12 +102,34 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    """Simulated maxima next to the worst-case bound per reference row.
+
+    sim_max_mean is the mean over trials of the per-trial max; sim_ratio
+    divides it by n_p = ceil(N*p). bound_ratio is bound/(N*p), the
+    normalization the reference table prints.
+    """
     seed = _resolve_seed(args.seed)
-    # --full-scale lifts table1_report's trial cap on the large-N rows
-    full_scale = {"large_n_trials": args.trials} if args.full_scale else {}
-    records = montecarlo.table1_report(
-        montecarlo.TABLE1_ROWS, trials=args.trials, seed=seed, workers=args.workers, **full_scale
-    )
+    large_n_trials = args.trials if args.full_scale else min(args.trials, _LARGE_N_TRIALS)
+    specs = [
+        montecarlo.ExperimentSpec(MaskConfig(n, p, seed), large_n_trials if n >= _LARGE_N else args.trials)
+        for n, p in TABLE1_ROWS
+    ]
+    records = []
+    for (n, p), (stats, _) in zip(TABLE1_ROWS, montecarlo.run_experiment(specs, args.workers)):
+        n_p = math.ceil(n * p)
+        bound = bounds.worst_case_bound(n, n_p)
+        records.append(
+            {
+                "N": n,
+                "p": p,
+                "n_p": n_p,
+                "sim_max_mean": stats.per_trial_max.mean,
+                "sim_global_max": stats.global_max,
+                "sim_ratio": stats.per_trial_max.mean / n_p,
+                "bound_worst": bound,
+                "bound_ratio": bound / (n * p),
+            }
+        )
     _emit(_render(records, args.format), args.out)
     return 0
 
@@ -101,10 +137,20 @@ def cmd_table1(args) -> int:
 def cmd_figure(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.mode == "bounds":
+        # per-N bound and simulation curves at a fixed sampling rate
         ns = _parse_list(args.ns, "--ns", int, "integers")
-        records = montecarlo.figure_curves(
-            args.rate, ns, trials=args.trials, seed=seed, eps=args.eps, workers=args.workers
-        )
+        bound_specs = [bounds.BoundSpec(n, args.rate, epsilon=args.eps) for n in ns]
+        specs = [montecarlo.ExperimentSpec(MaskConfig(n, args.rate, seed), args.trials) for n in ns]
+        records = [
+            {
+                "N": n,
+                "sim_max_mean": stats.per_trial_max.mean,
+                "sim_global_max": stats.global_max,
+                "mean_abs": stats.mean_abs_coeff,
+                **bounds.thresholds(bound_spec),
+            }
+            for n, bound_spec, (stats, _) in zip(ns, bound_specs, montecarlo.run_experiment(specs, args.workers))
+        ]
     elif args.n is None:
         raise ValueError(f"--n is required for mode {args.mode!r}")
     elif args.mode == "ratio":
@@ -112,9 +158,13 @@ def cmd_figure(args) -> int:
         names = [f"ratio_p{p:g}" for p in ps]
         if len(set(names)) != len(names):
             raise ValueError(f"--ps {args.ps!r} names a column twice: {', '.join(names)}")
-        curves = montecarlo.noise_ratio_curves(
-            [MaskConfig(args.n, p, seed) for p in ps], args.trials, workers=args.workers
-        )
+        # per rate, the per-bin max over trials of |A_k|/(N*p): the
+        # aliasing-noise level of the sampled spectrum against the signal line
+        configs = [MaskConfig(args.n, p, seed) for p in ps]  # every rate is checked before the trial count
+        specs = [montecarlo.ExperimentSpec(config, args.trials) for config in configs]
+        curves = [
+            bin_max / (args.n * p) for p, (_, bin_max) in zip(ps, montecarlo.run_experiment(specs, args.workers))
+        ]
         records = [
             {"k": k, **{name: float(curve[k - 1]) for name, curve in zip(names, curves)}}
             for k in range(1, args.n)

@@ -1,14 +1,14 @@
-"""Monte Carlo validation of the bounds: streaming trial statistics,
-reference-table and figure-curve generation.
+"""Monte Carlo validation of the bounds: streaming trial statistics.
 
-One engine serves every runner: the chunk kernel ``_run_chunk`` reduces
+One engine serves every command: the chunk kernel ``_run_chunk`` reduces
 each trial's off-center DFT magnitudes to per-trial statistics and to a
-per-bin max, and the driver ``_run`` takes a list of experiments, runs
-all their chunks through one task list, in-process or in one pool, and
-merges each experiment's chunks. ``run_experiment`` runs one experiment
-and keeps its statistics; ``table1_report`` and ``figure_curves`` run all
-their rows in one call, and ``noise_ratio_curves`` all its rates, keeping
-the per-bin max. So a CLI call opens at most one pool.
+per-bin max, and the driver ``run_experiment`` takes a list of
+experiments and a worker count, runs all their chunks through one task
+list, in-process or in one pool, and merges each experiment's chunks into
+one (statistics, per-bin max) pair. It is the module's only entry point
+to the engine: each Monte Carlo command of the CLI makes one call with
+all its rows or rates and builds its report from the pairs, so a CLI call
+opens at most one pool.
 
 A mask is ``u < p`` with uniforms ``u`` that depend on (seed, t) alone,
 so experiments that share (N, seed, trials) differ only in their rate
@@ -54,7 +54,7 @@ N, with one rate after several or the reverse, or with a longer block
 replaces them. Making a
 set first allocates and frees one buffer-sized block, which keeps
 numpy.fft's per-call scratch on glibc's heap (see
-``_Workspace.block_buffers``). ``_run`` drops the buffers when it
+``_Workspace.block_buffers``). The driver drops the buffers when it
 returns or fails, so an in-process call keeps none, and a pool worker
 keeps its own until the pool ends with the call. No value passes from
 one block to the next through a buffer: every element a block reads is
@@ -77,6 +77,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -84,7 +85,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds
 from .masks import MaskConfig, _as_index, _trial_key
 
 __all__ = [
@@ -92,12 +92,8 @@ __all__ = [
     "ExperimentSpec",
     "TrialStats",
     "run_experiment",
-    "table1_report",
-    "figure_curves",
-    "noise_ratio_curves",
     "records_to_csv",
     "records_to_json",
-    "TABLE1_ROWS",
 ]
 
 _CHUNK_TRIALS = 512
@@ -108,23 +104,6 @@ _BLOCK_ELEMS = 1 << 16  # mask elements per block: 512 KB of uniforms, 512 KB of
 # a row of an 8-row call 13.7 ms; at N = 8191, 0.90 and 0.37 ms; 2 vCPUs).
 _BLOCK_MIN_TRIALS = 16
 _BATCH_ELEMS = 1 << 20  # mask elements times rates per pool batch: one N = 1543 chunk, 16 chunks at N = 127
-
-# Reference grid: (N, p) pairs of the comparison table. The mask length of
-# the middle three rows is 1543 throughout (their printed support sizes
-# 772/1235/155 only make sense for that length).
-TABLE1_ROWS: tuple[tuple[int, float], ...] = (
-    (127, 0.5),
-    (127, 0.8),
-    (127, 0.1),
-    (1543, 0.5),
-    (1543, 0.8),
-    (1543, 0.1),
-    (131071, 0.5),
-    (131071, 0.8),
-    (131071, 0.1),
-)
-_LARGE_N = 65536  # table1_report caps the trials of rows at or above this N
-
 
 @dataclass(slots=True)
 class RunningStats:
@@ -186,26 +165,44 @@ class RunningStats:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One simulation campaign: mask parameters, trial count, thresholds."""
+    """One simulation campaign: mask parameters, trial count, thresholds.
+
+    Each threshold is a (label, value) pair: a unique str label and a real
+    value, kept as a float. The kernel counts the trials whose peak
+    exceeds the value, so NaN, which no peak exceeds, is rejected; an
+    infinite value is allowed.
+    """
 
     config: MaskConfig
     trials: int
     thresholds: tuple[tuple[str, float], ...] = ()
-    workers: int = 1
 
     def __post_init__(self) -> None:
         trials = _as_index(self.trials, "trials")
         # trial indices key the RNG and must fit its 64-bit key word
         if not 1 <= trials <= 1 << 64:
             raise ValueError(f"trials must lie in [1, 2**64], got {self.trials!r}")
-        workers = _as_index(self.workers, "workers")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "workers", workers)
-        labels = [label for label, _ in self.thresholds]
+        thresholds = tuple(_threshold(entry) for entry in self.thresholds)
+        labels = [label for label, _ in thresholds]
         if len(set(labels)) != len(labels):
             raise ValueError("threshold labels must be unique")
+        object.__setattr__(self, "thresholds", thresholds)
+
+
+def _threshold(entry) -> tuple[str, float]:
+    try:
+        label, value = entry
+    except (TypeError, ValueError):
+        raise ValueError(f"a threshold must be a (label, value) pair, got {entry!r}") from None
+    if (
+        not isinstance(label, str)
+        or isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or math.isnan(value)
+    ):
+        raise ValueError(f"a threshold must pair a str label with a real value other than NaN, got {entry!r}")
+    return label, float(value)
 
 
 @dataclass
@@ -375,24 +372,33 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
     return results
 
 
-def _run(specs) -> list[tuple[TrialStats, np.ndarray]]:
+def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[TrialStats, np.ndarray]]:
     """Run every chunk of every spec through one task list and merge each
-    spec's chunks in chunk order; returns one (stats, per-bin max) per spec.
+    spec's chunks in chunk order; returns one (stats, per-bin max) per
+    spec, the per-bin max holding max |A_k| over trials for k = 1..N-1.
 
     Specs that share (N, seed, trials) differ only in their rate and
     thresholds, so they share one task per chunk and one draw per trial:
     the task carries all their rates. Where such a task would hold more
     mask elements than a worker's share of the call, each rate gets its own
     tasks instead; either way every bit of the result is the same. One pool
-    serves the whole call, with at most the largest worker count any spec
-    asks for and at most one worker per task and per CPU; one worker runs
-    in-process. A pool receives the tasks in batches of at most
-    ``len(tasks) // (4 * workers)`` tasks and about ``_BATCH_ELEMS`` mask
-    elements, counted by the largest task as its trials times N times its
-    rate count. The kernel keeps its block buffers from chunk to chunk;
-    the call drops this thread's when it returns or fails.
+    serves the whole call, with at most ``workers`` workers and at most one
+    worker per task and per CPU; one worker runs in-process. A pool
+    receives the tasks in batches of at most ``len(tasks) // (4 * workers)``
+    tasks and about ``_BATCH_ELEMS`` mask elements, counted by the largest
+    task as its trials times N times its rate count. The kernel keeps its
+    block buffers from chunk to chunk; the call drops this thread's when it
+    returns or fails.
+
+    Any worker failure propagates and the whole result is discarded;
+    there are no partial results.
     """
-    workers = min(max(spec.workers for spec in specs), os.cpu_count() or 1)
+    count = _as_index(workers, "workers")
+    if count < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    if not specs:
+        raise ValueError("specs must be non-empty")
+    workers = min(count, os.cpu_count() or 1)
     share = sum(spec.trials * spec.config.n for spec in specs) / workers  # mask elements per worker
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, spec in enumerate(specs):
@@ -428,95 +434,6 @@ def _run(specs) -> list[tuple[TrialStats, np.ndarray]]:
     finally:
         _workspace.buffers.clear()  # the block buffers last one call
     return totals
-
-
-def run_experiment(spec: ExperimentSpec) -> TrialStats:
-    """Run all trials and reduce their statistics deterministically.
-
-    Any worker failure propagates and the whole result is discarded;
-    there are no partial results.
-    """
-    return _run([spec])[0][0]
-
-
-def table1_report(
-    rows,
-    trials: int,
-    seed: int,
-    large_n_trials: int = 1000,
-    workers: int = 1,
-) -> list[dict]:
-    """Reference-table rows: simulated maxima next to the worst-case bound.
-
-    sim_max_mean is the mean over trials of the per-trial max; sim_ratio
-    divides it by n_p = ceil(N*p). bound_ratio is bound/(N*p), the
-    normalization the reference table prints. Rows with N >= _LARGE_N
-    run min(trials, large_n_trials) trials (pass large_n_trials=trials to
-    force the full count; at N=131071 that is a long run).
-    """
-    if not rows:
-        raise ValueError("rows must be non-empty")
-    large_n_trials = min(trials, large_n_trials)
-    specs = [
-        ExperimentSpec(MaskConfig(n, p, seed), large_n_trials if n >= _LARGE_N else trials, workers=workers)
-        for n, p in rows
-    ]
-    out = []
-    for (n, p), (stats, _) in zip(rows, _run(specs)):
-        n_p = math.ceil(n * p)
-        bound = bounds.worst_case_bound(n, n_p)
-        out.append(
-            {
-                "N": n,
-                "p": p,
-                "n_p": n_p,
-                "sim_max_mean": stats.per_trial_max.mean,
-                "sim_global_max": stats.global_max,
-                "sim_ratio": stats.per_trial_max.mean / n_p,
-                "bound_worst": bound,
-                "bound_ratio": bound / (n * p),
-            }
-        )
-    return out
-
-
-def figure_curves(
-    p: float,
-    n_values,
-    trials: int,
-    seed: int,
-    eps: float = 1e-4,
-    workers: int = 1,
-) -> list[dict]:
-    """Per-N bound and simulation curves at a fixed sampling rate."""
-    if not n_values:
-        raise ValueError("n_values must be non-empty")
-    bound_specs = [bounds.BoundSpec(n, p, epsilon=eps) for n in n_values]
-    results = _run([ExperimentSpec(MaskConfig(n, p, seed), trials, workers=workers) for n in n_values])
-    return [
-        {
-            "N": n,
-            "sim_max_mean": stats.per_trial_max.mean,
-            "sim_global_max": stats.global_max,
-            "mean_abs": stats.mean_abs_coeff,
-            **bounds.thresholds(spec),
-        }
-        for n, spec, (stats, _) in zip(n_values, bound_specs, results)
-    ]
-
-
-def noise_ratio_curves(configs, trials: int, workers: int = 1) -> list[np.ndarray]:
-    """Per config, the per-bin max over trials of |A_k|/(N*p) for k = 1..N-1.
-
-    The aliasing-noise level of the sampled spectrum relative to the
-    signal line; elementwise max merges are exact, so the reduction is
-    order-insensitive. All configs share one run of the driver, and
-    configs with the same N and seed share each trial's draw.
-    """
-    if not configs:
-        raise ValueError("configs must be non-empty")
-    results = _run([ExperimentSpec(config, trials, workers=workers) for config in configs])
-    return [bin_max / (config.n * config.p) for config, (_, bin_max) in zip(configs, results)]
 
 
 def _format_cell(value) -> str:

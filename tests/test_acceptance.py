@@ -44,18 +44,21 @@ def _report(criterion: str, detail: str) -> None:
 @pytest.fixture(scope="module")
 def grid_stats():
     """10^4-trial runs for the (N, p) grid, thresholds at T(1e-4) and 4-sigma."""
-    out = {}
+    cells, specs = {}, []
     for n, p in itertools.product(GRID_NS, GRID_PS):
         t_gauss = bounds.gaussian_bound(bounds.BoundSpec(n, p, epsilon=1e-4))
         s4 = bounds.sigma_bound(n, p, 4)
-        spec = ExperimentSpec(
-            MaskConfig(n, p, GRID_SEED),
-            trials=GRID_TRIALS,
-            thresholds=(("gaussian_T", t_gauss), ("sigma4", s4)),
-            workers=4,
+        cells[(n, p)] = (t_gauss, s4)
+        specs.append(
+            ExperimentSpec(
+                MaskConfig(n, p, GRID_SEED),
+                trials=GRID_TRIALS,
+                thresholds=(("gaussian_T", t_gauss), ("sigma4", s4)),
+            )
         )
-        out[(n, p)] = (run_experiment(spec), t_gauss, s4)
-    return out
+    # the whole grid is one driver call
+    results = run_experiment(specs, workers=4)
+    return {cell: (stats, *values) for (cell, values), (stats, _) in zip(cells.items(), results)}
 
 
 def test_criterion_1_worst_case_reference_rows():
@@ -131,14 +134,19 @@ def test_criterion_4_simulated_maxima_match_reference_table():
     # with every other row and the extreme-value scale) and is excluded.
     # N=131071 runs the desk-scale 10^3-trial substitute; the statistic is
     # trial-count-insensitive.
-    stats_a = run_experiment(ExperimentSpec(MaskConfig(127, 0.5, GRID_SEED), 100_000, workers=4))
+    [(stats_a, _), (stats_b, _), (stats_c, _)] = run_experiment(
+        [
+            ExperimentSpec(MaskConfig(127, 0.5, GRID_SEED), 100_000),
+            ExperimentSpec(MaskConfig(127, 0.1, GRID_SEED), 100_000),
+            ExperimentSpec(MaskConfig(131071, 0.5, GRID_SEED), 1000),
+        ],
+        workers=4,
+    )
     assert stats_a.per_trial_max.mean == pytest.approx(11.55, rel=0.10)
 
-    stats_b = run_experiment(ExperimentSpec(MaskConfig(127, 0.1, GRID_SEED), 100_000, workers=4))
     ratio = stats_b.per_trial_max.mean / math.ceil(127 * 0.1)
     assert ratio == pytest.approx(0.607, rel=0.15)
 
-    stats_c = run_experiment(ExperimentSpec(MaskConfig(131071, 0.5, GRID_SEED), 1000, workers=4))
     assert stats_c.per_trial_max.mean == pytest.approx(618.65, rel=0.10)
     _report(
         "criterion 4 (simulation columns)",
@@ -204,8 +212,9 @@ def test_criterion_8_invariant_suites():
 
     # deterministic parallel reduction: 1 worker vs 8, bit-identical
     cfg = MaskConfig(127, 0.5, seed=31)
-    one = run_experiment(ExperimentSpec(cfg, trials=2000, thresholds=(("t", 11.0),), workers=1))
-    eight = run_experiment(ExperimentSpec(cfg, trials=2000, thresholds=(("t", 11.0),), workers=8))
+    spec = ExperimentSpec(cfg, trials=2000, thresholds=(("t", 11.0),))
+    [(one, _)] = run_experiment([spec], workers=1)
+    [(eight, _)] = run_experiment([spec], workers=8)
     assert one.per_trial_max == eight.per_trial_max
     assert one.mean_abs == eight.mean_abs
     assert one.n_p_stats == eight.n_p_stats

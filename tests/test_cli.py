@@ -345,6 +345,36 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+ONE_DRIVER_CALL = [
+    (("simulate", "--n", "127", "--p", "0.5", "--trials", "600"), 1),
+    (("table1", "--trials", "16"), 1),
+    (("figure", "--trials", "8"), 1),
+    (("figure", "--mode", "ratio", "--n", "127", "--trials", "8"), 1),
+    (("bounds", "--n", "127", "--p", "0.5"), 0),
+    (("figure", "--mode", "approx", "--n", "127"), 0),
+    (("recover",), 0),
+]
+
+
+@pytest.mark.parametrize("argv,driver_calls", ONE_DRIVER_CALL, ids=[" ".join(argv) for argv, _ in ONE_DRIVER_CALL])
+def test_each_command_makes_at_most_one_driver_call(capsys, monkeypatch, argv, driver_calls):
+    # a Monte Carlo command runs all its rows or rates in one call of the
+    # driver, which the benchmark times by wrapping this module attribute
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    calls, driver = [], montecarlo.run_experiment
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return driver(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_experiment", counting)
+    code, wrapped, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == driver_calls
+    assert wrapped == plain
+
+
 def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
     # one parser serves every call of a process: successive calls, one of
     # them failing, print what they print on a freshly built parser
@@ -448,6 +478,6 @@ def test_readme_library_sketch_runs(tmp_path):
     spec = montecarlo.ExperimentSpec(
         MaskConfig(127, 0.5, seed=7), trials=20_000, thresholds=(("gaussian_T", report.gaussian_T),)
     )
-    stats = montecarlo.run_experiment(spec)  # one worker: the same bits as the sketch's two
+    [(stats, _)] = montecarlo.run_experiment([spec])  # one worker: the same bits as the sketch's two
     assert (float(global_max), float(worst_case), int(exceeded)) == (stats.global_max, report.worst_case, 0)
     assert stats.global_max <= report.worst_case

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,20 +8,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maskspectra import bounds
+from maskspectra.cli import TABLE1_ROWS, main
 from maskspectra.masks import MaskConfig, generate_mask
 from maskspectra.montecarlo import (
-    TABLE1_ROWS,
     ExperimentSpec,
     RunningStats,
     TrialStats,
-    figure_curves,
-    noise_ratio_curves,
     records_to_csv,
     records_to_json,
     run_experiment,
-    table1_report,
 )
 from oracles import max_nonzero_bin, push, spectrum_of_mask
+
+
+def _stats(spec, workers=1):
+    # the statistics of a one-spec driver call
+    [(stats, _)] = run_experiment([spec], workers)
+    return stats
+
+
+def _json_stdout(argv, capsys):
+    # the records a CLI call prints as JSON
+    assert main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 def test_running_stats_against_numpy():
@@ -66,8 +76,8 @@ def test_running_stats_merge_empty():
 
 def test_run_experiment_reruns_identically():
     spec = ExperimentSpec(MaskConfig(127, 0.5, seed=3), trials=700)
-    a = run_experiment(spec)
-    b = run_experiment(spec)
+    a = _stats(spec)
+    b = _stats(spec)
     assert a.per_trial_max == b.per_trial_max
     assert a.mean_abs == b.mean_abs
     assert a.n_p_stats == b.n_p_stats
@@ -77,8 +87,8 @@ def test_parallel_reduction_bit_identical():
     # 1 worker vs 4 workers must agree exactly, field by field
     cfg = MaskConfig(127, 0.5, seed=3)
     thresholds = (("t", 12.0),)
-    serial = run_experiment(ExperimentSpec(cfg, trials=1500, thresholds=thresholds, workers=1))
-    parallel = run_experiment(ExperimentSpec(cfg, trials=1500, thresholds=thresholds, workers=4))
+    serial = _stats(ExperimentSpec(cfg, trials=1500, thresholds=thresholds), workers=1)
+    parallel = _stats(ExperimentSpec(cfg, trials=1500, thresholds=thresholds), workers=4)
     assert serial.trials == parallel.trials
     assert serial.per_trial_max == parallel.per_trial_max
     assert serial.mean_abs == parallel.mean_abs
@@ -88,7 +98,7 @@ def test_parallel_reduction_bit_identical():
 
 
 def test_trial_stats_basic_ordering():
-    stats = run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=8), trials=300))
+    stats = _stats(ExperimentSpec(MaskConfig(127, 0.5, seed=8), trials=300))
     assert stats.global_max >= stats.per_trial_max.mean >= 0.0
     assert stats.per_trial_max.mean >= stats.mean_abs_coeff
     assert stats.n_p_stats.mean == pytest.approx(63.5, abs=2.0)
@@ -98,20 +108,20 @@ def test_flat_mask_trial_has_zero_peak():
     # p -> 1 boundary: the realized mask is all ones, so no off-center energy
     cfg = MaskConfig(127, 1.0 - 1e-12, seed=3)
     assert generate_mask(cfg, 0).n_p == 127
-    stats = run_experiment(ExperimentSpec(cfg, trials=1))
+    stats = _stats(ExperimentSpec(cfg, trials=1))
     assert stats.per_trial_max.mean == pytest.approx(0.0, abs=1e-9)
 
 
 def test_exceedance_zero_threshold_always_hit():
     spec = ExperimentSpec(MaskConfig(127, 0.5, seed=5), trials=300, thresholds=(("zero", 0.0),))
-    stats = run_experiment(spec)
+    stats = _stats(spec)
     assert stats.exceedance_counts["zero"] / stats.trials == 1.0
 
 
 def test_exceedance_gaussian_bound_never_hit():
     t = bounds.gaussian_bound(bounds.BoundSpec(127, 0.5, epsilon=1e-4))
     spec = ExperimentSpec(MaskConfig(127, 0.5, seed=5), trials=2000, thresholds=(("g", t),))
-    stats = run_experiment(spec)
+    stats = _stats(spec)
     assert stats.exceedance_counts["g"] / stats.trials == 0.0
 
 
@@ -119,7 +129,7 @@ def test_exceedance_three_sigma_band():
     # 3-sigma sits low enough in the tail to be crossed occasionally
     s3 = bounds.sigma_bound(127, 0.5, 3)
     spec = ExperimentSpec(MaskConfig(127, 0.5, seed=7), trials=2000, thresholds=(("s3", s3),))
-    stats = run_experiment(spec)
+    stats = _stats(spec)
     rate = stats.exceedance_counts["s3"] / stats.trials
     assert 0.0 < rate < 0.2
 
@@ -140,8 +150,8 @@ def test_peak_mean_grows_like_sqrt_log_n():
         g = math.sqrt(2.0 * math.log((n - 1) / 2))
         return scale * (g + np.euler_gamma / g)
 
-    small = run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=7), trials=1000))
-    big = run_experiment(ExperimentSpec(MaskConfig(8191, 0.5, seed=7), trials=1000))
+    specs = [ExperimentSpec(MaskConfig(n, 0.5, seed=7), trials=1000) for n in (127, 8191)]
+    [(small, _), (big, _)] = run_experiment(specs)
     sim_ratio = big.per_trial_max.mean / small.per_trial_max.mean
     oracle_ratio = ev_mean(8191, 0.5) / ev_mean(127, 0.5)
     assert abs(sim_ratio / oracle_ratio - 1.0) <= 0.2
@@ -150,14 +160,17 @@ def test_peak_mean_grows_like_sqrt_log_n():
 def test_streaming_memory_footprint():
     # aggregates only: far below the ~80 MB a trials-by-N retention would need
     tracemalloc.start()
-    run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=9), trials=20000))
+    run_experiment([ExperimentSpec(MaskConfig(127, 0.5, seed=9), trials=20000)])
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 20 * 1024 * 1024
 
 
-def test_table1_row_values():
-    rows = table1_report([(127, 0.5)], trials=3000, seed=7)
+def test_table1_row_values(monkeypatch, capsys):
+    import maskspectra.cli as cli
+
+    monkeypatch.setattr(cli, "TABLE1_ROWS", ((127, 0.5),))
+    rows = _json_stdout(["table1", "--trials", "3000", "--seed", "7"], capsys)
     row = rows[0]
     assert row["n_p"] == 64
     assert row["bound_worst"] == pytest.approx(40.426, abs=1e-3)
@@ -166,64 +179,70 @@ def test_table1_row_values():
     assert row["sim_ratio"] == pytest.approx(row["sim_max_mean"] / 64)
 
 
-def test_table1_default_grid_shape():
-    rows = table1_report(TABLE1_ROWS, trials=20, seed=1, large_n_trials=20)
+def test_table1_default_grid_shape(capsys):
+    argv = ["table1", "--trials", "20", "--seed", "1", "--full-scale"]
+    rows = _json_stdout(argv, capsys)
     assert len(rows) == 9
     assert [(r["N"], r["p"]) for r in rows] == list(TABLE1_ROWS)
-    again = table1_report(TABLE1_ROWS, trials=20, seed=1, large_n_trials=20)
+    again = _json_stdout(argv, capsys)
     assert rows == again
 
 
 def test_table1_caps_large_n_rows_in_one_place(monkeypatch, capsys):
-    # rows at N >= 65536 run min(trials, large_n_trials) trials, whether
-    # table1_report is called directly or through the CLI
+    # rows at N >= 65536 run min(trials, 1000) trials, or every trial
+    # with --full-scale, and the whole table is one driver call
     import maskspectra.montecarlo as mc
-    from maskspectra.cli import main
 
     calls = []
 
-    def fake_run(specs):
+    def fake_run(specs, workers=1):
         calls.append([(spec.config.n, spec.trials) for spec in specs])
         return [(TrialStats(), None) for _ in specs]
 
-    monkeypatch.setattr(mc, "_run", fake_run)
+    monkeypatch.setattr(mc, "run_experiment", fake_run)
     small = [(n, 20) for n in (127, 127, 127, 1543, 1543, 1543)]
-    table1_report(TABLE1_ROWS, trials=20, seed=5)
     assert main(["table1", "--trials", "20"]) == 0
+    assert main(["table1", "--trials", "20", "--full-scale"]) == 0
     assert calls == [small + [(131071, 20)] * 3] * 2
     calls.clear()
-    table1_report(TABLE1_ROWS, trials=1500, seed=5)
     assert main(["table1", "--trials", "1500"]) == 0
-    table1_report(TABLE1_ROWS, trials=1500, seed=5, large_n_trials=1500)
     assert main(["table1", "--trials", "1500", "--full-scale"]) == 0
     big = [(n, 1500) for n, _ in small]
-    assert calls == [big + [(131071, 1000)] * 3] * 2 + [big + [(131071, 1500)] * 3] * 2
+    assert calls == [big + [(131071, 1000)] * 3, big + [(131071, 1500)] * 3]
     capsys.readouterr()
 
 
 def test_table1_rejects_empty():
-    with pytest.raises(ValueError):
-        table1_report([], trials=10, seed=1)
+    with pytest.raises(ValueError, match="non-empty"):
+        run_experiment([])
 
 
-def test_figure_curves_layering_at_half_rate():
-    records = figure_curves(0.5, [127, 521], trials=800, seed=7)
+def test_figure_curves_layering_at_half_rate(capsys):
+    records = _json_stdout(["figure", "--rate", "0.5", "--ns", "127,521", "--trials", "800", "--seed", "7"], capsys)
     for rec in records:
         assert rec["worst_case"] >= rec["gaussian_T"] >= rec["sim_global_max"]
         assert rec["sim_global_max"] >= rec["sim_max_mean"] >= rec["mean_abs"]
         assert rec["sigma4"] == (4.0 / 3.0) * rec["sigma3"]
 
 
-def test_noise_ratio_curve_shape_and_consistency():
+def _ratio_curves(ps, capsys):
+    # figure --mode ratio's columns at N = 1009, one array per rate
+    argv = ["figure", "--mode", "ratio", "--n", "1009", "--ps", ",".join(map(str, ps)), "--trials", "300"]
+    rows = _json_stdout([*argv, "--seed", "7"], capsys)
+    assert [row["k"] for row in rows] == list(range(1, 1009))
+    return [np.array([row[f"ratio_p{p:g}"] for row in rows]) for p in ps]
+
+
+def test_noise_ratio_curve_shape_and_consistency(capsys):
     cfg = MaskConfig(1009, 0.1, seed=7)
-    [curve] = noise_ratio_curves([cfg], trials=300)
+    [curve] = _ratio_curves([0.1], capsys)
     assert curve.shape == (1008,)
-    stats = run_experiment(ExperimentSpec(cfg, trials=300))
+    stats = _stats(ExperimentSpec(cfg, trials=300))
     assert float(curve.max() * 1009 * 0.1) == stats.global_max
 
 
-def test_noise_ratio_higher_rate_is_quieter():
-    low, high = noise_ratio_curves([MaskConfig(1009, 0.1, seed=7), MaskConfig(1009, 0.8, seed=7)], trials=300)
+def test_noise_ratio_higher_rate_is_quieter(capsys):
+    low, high = _ratio_curves([0.1, 0.8], capsys)
     assert np.all(high < low)
 
 
@@ -278,14 +297,14 @@ def test_engine_matches_per_trial_oracle():
             bin_max = np.maximum(bin_max, mags)
         for total, part in zip((peaks, means, n_ps), chunk):
             total.merge(part)
-    stats = run_experiment(ExperimentSpec(cfg, trials=1100, thresholds=thresholds))
+    [(stats, bins)] = run_experiment([ExperimentSpec(cfg, trials=1100, thresholds=thresholds)])
     assert stats.trials == 1100
     _assert_stats_close(stats.per_trial_max, peaks, 257)
     _assert_stats_close(stats.mean_abs, means, 257)
     _assert_stats_close(stats.n_p_stats, n_ps, 257)
     _assert_counts_bracketed(stats.exceedance_counts, all_peaks, thresholds, 257)
     assert 0 < stats.exceedance_counts["s3"] < 1100
-    _assert_bins_close(noise_ratio_curves([cfg], trials=1100)[0] * (257 * 0.3), bin_max, 257)
+    _assert_bins_close(bins, bin_max, 257)
 
 
 def _oracle_chunk(config, start, stop):
@@ -407,7 +426,7 @@ def test_kernel_buffers_last_one_driver_call(monkeypatch):
         return result
 
     monkeypatch.setattr(mc, "_run_chunk", recording)
-    run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1100))  # chunks of 512, 512, 76
+    run_experiment([ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1100)])  # chunks of 512, 512, 76
     assert len(seen) == 3 and all(len(entries) == 1 for entries in seen)
     for entries in seen[1:]:
         assert all(a is b for a, b in zip(entries[0], seen[0][0]))
@@ -451,12 +470,12 @@ def test_threads_keep_their_own_kernel_workspace():
     from concurrent.futures import ThreadPoolExecutor
 
     spec = ExperimentSpec(MaskConfig(127, 0.3, seed=8), trials=2048, thresholds=(("t", 10.0),))
-    want = run_experiment(spec)
+    want = _stats(spec)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(run_experiment, spec) for _ in range(8)]
+            futures = [pool.submit(_stats, spec) for _ in range(8)]
             got = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -495,15 +514,15 @@ def test_worker_count_is_clamped_without_spawning(monkeypatch, fake_pool):
     opened, chunksizes = fake_pool
     for cpu in (2, 8):
         monkeypatch.setattr(os, "cpu_count", lambda cpu=cpu: cpu)
-        stats = run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500, workers=100000))
+        stats = _stats(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500), workers=100000)
         assert stats.trials == 1500
     assert opened == [2, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500, workers=4))
+    run_experiment([ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500)], workers=4)
     assert opened == [2, 3]  # unknown CPU count: runs serially, opens no pool
     # three chunks go out one per task; 17 chunks on 2 workers in batches of 2
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    run_experiment(ExperimentSpec(MaskConfig(31, 0.5, seed=1), trials=512 * 17, workers=2))
+    run_experiment([ExperimentSpec(MaskConfig(31, 0.5, seed=1), trials=512 * 17)], workers=2)
     assert opened == [2, 3, 2]
     assert chunksizes[:2] == [1, 1] and chunksizes[2] > 1
 
@@ -512,34 +531,35 @@ def test_every_row_shares_one_pool(monkeypatch, fake_pool, capsys):
     import os
 
     import maskspectra.montecarlo as mc
-    from maskspectra.cli import main
 
     opened, chunksizes = fake_pool
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    rows = ((127, 0.5), (131, 0.1), (131071, 0.5))
-    assert table1_report(rows, trials=1100, seed=3, large_n_trials=2, workers=2) == table1_report(
-        rows, trials=1100, seed=3, large_n_trials=2
-    )
+    rows = [
+        ExperimentSpec(MaskConfig(n, p, seed=3), trials)
+        for n, p, trials in ((127, 0.5, 1100), (131, 0.1, 1100), (131071, 0.5, 2))
+    ]
+    pooled, serial = run_experiment(rows, workers=2), run_experiment(rows)
+    assert [stats for stats, _ in pooled] == [stats for stats, _ in serial]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(pooled, serial))
     assert opened == [2]
-    assert figure_curves(0.5, [127, 61], trials=600, seed=3, workers=2) == figure_curves(
-        0.5, [127, 61], trials=600, seed=3
-    )
-    assert opened == [2, 2]
-    argv = ["figure", "--mode", "ratio", "--n", "257", "--ps", "0.1,0.5,0.8", "--trials", "600", "--seed", "3"]
-    assert main(argv) == 0
-    serial = capsys.readouterr().out
-    assert main([*argv, "--workers", "2"]) == 0
-    assert capsys.readouterr().out == serial
+    for argv in (
+        ["figure", "--ns", "127,61", "--trials", "600", "--seed", "3"],
+        ["figure", "--mode", "ratio", "--n", "257", "--ps", "0.1,0.5,0.8", "--trials", "600", "--seed", "3"],
+    ):
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main([*argv, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
     assert opened == [2, 2, 2]
     # a batch holds at most len(tasks) // (4 * workers) chunks and at most
     # _BATCH_ELEMS mask elements, counted by the largest chunk
-    specs = [ExperimentSpec(MaskConfig(31, 0.5, seed=1), 512 * 40, workers=2), ExperimentSpec(MaskConfig(7, 0.5), 9)]
-    mc._run(specs)
+    specs = [ExperimentSpec(MaskConfig(31, 0.5, seed=1), 512 * 40), ExperimentSpec(MaskConfig(7, 0.5), 9)]
+    run_experiment(specs, workers=2)
     monkeypatch.setattr(mc, "_BATCH_ELEMS", 512 * 31 * 3 + 1)
-    mc._run(specs)
+    run_experiment(specs, workers=2)
     assert chunksizes[-2:] == [41 // 8, 3]
     # three rates that share a draw make one task per chunk, three times the work
-    mc._run([ExperimentSpec(MaskConfig(31, p, seed=1), 512 * 40, workers=2) for p in (0.2, 0.5, 0.8)])
+    run_experiment([ExperimentSpec(MaskConfig(31, p, seed=1), 512 * 40) for p in (0.2, 0.5, 0.8)], workers=2)
     assert chunksizes[-1] == 1
 
 
@@ -547,8 +567,6 @@ def test_multi_spec_run_matches_one_run_per_spec():
     # chunks of specs with different N share one task list and one pool, and
     # the rates of one (N, seed, trials) share each trial's draw, yet each
     # spec's result equals its own run field for field
-    import maskspectra.montecarlo as mc
-
     shared = 2 * 512 + 101  # the last chunk ends inside a pair
     specs = [
         ExperimentSpec(MaskConfig(61, 0.1, seed=4), shared, (("t", 6.0),)),
@@ -560,9 +578,9 @@ def test_multi_spec_run_matches_one_run_per_spec():
         ExperimentSpec(MaskConfig(61, 0.5, seed=4), shared - 1),  # another trial count: another draw
         ExperimentSpec(MaskConfig(127, 0.8, seed=9), 300, (("t", 20.0),)),
     ]
-    alone = [mc._run([spec])[0] for spec in specs]
+    alone = [run_experiment([spec])[0] for spec in specs]
     for workers in (1, 2, 3):
-        together = mc._run([ExperimentSpec(s.config, s.trials, s.thresholds, workers) for s in specs])
+        together = run_experiment(specs, workers)
         assert len(together) == len(specs)
         for (stats, bins), (want, want_bins) in zip(together, alone):
             assert stats.trials == want.trials
@@ -585,7 +603,7 @@ def test_rates_of_one_draw_key_each_trial_once(monkeypatch):
         return original(seed, trial_index)
 
     monkeypatch.setattr(mc, "_trial_key", counting_key)
-    noise_ratio_curves([MaskConfig(127, p, seed=3) for p in (0.1, 0.5, 0.8)], trials=1024, workers=1)
+    run_experiment([ExperimentSpec(MaskConfig(127, p, seed=3), 1024) for p in (0.1, 0.5, 0.8)], workers=1)
     assert sorted(keyed) == list(range(1024))
 
 
@@ -605,28 +623,25 @@ def test_rates_split_where_one_task_would_outweigh_a_worker(monkeypatch, fake_po
 
     monkeypatch.setattr(mc, "_run_chunk", recording)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    configs = [MaskConfig(257, p, seed=3) for p in (0.1, 0.5, 0.8)]
-    serial = noise_ratio_curves(configs, trials=600)
+    specs = [ExperimentSpec(MaskConfig(257, p, seed=3), 600) for p in (0.1, 0.5, 0.8)]
+    serial = run_experiment(specs)
     assert rates_per_task == [3, 3]
     rates_per_task.clear()
-    split = noise_ratio_curves(configs, trials=600, workers=2)
+    split = run_experiment(specs, workers=2)
     assert rates_per_task == [1] * 6
-    assert all(np.array_equal(a, b) for a, b in zip(split, serial))
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(split, serial))
     rates_per_task.clear()
-    noise_ratio_curves(configs, trials=4096, workers=2)
+    run_experiment([ExperimentSpec(spec.config, 4096) for spec in specs], workers=2)
     assert rates_per_task == [3] * 8
 
 
 def test_batched_pool_tasks_are_bit_identical():
     # 17 chunks: a pool gets them in batches, yet every field matches the
     # in-process run exactly
-    import maskspectra.montecarlo as mc
-
-    config = MaskConfig(31, 0.5, seed=6)
-    thresholds = (("s3", bounds.sigma_bound(31, 0.5, 3)),)
-    [(serial, serial_bins)] = mc._run([ExperimentSpec(config, 512 * 17, thresholds, workers=1)])
+    spec = ExperimentSpec(MaskConfig(31, 0.5, seed=6), 512 * 17, (("s3", bounds.sigma_bound(31, 0.5, 3)),))
+    [(serial, serial_bins)] = run_experiment([spec], workers=1)
     for workers in (2, 3):
-        [(stats, bins)] = mc._run([ExperimentSpec(config, 512 * 17, thresholds, workers=workers)])
+        [(stats, bins)] = run_experiment([spec], workers=workers)
         assert stats.trials == serial.trials == 512 * 17
         assert stats.per_trial_max == serial.per_trial_max
         assert stats.mean_abs == serial.mean_abs
@@ -674,9 +689,9 @@ def test_kernel_transforms_at_least_eight_rows_in_place(monkeypatch):
 
 
 def test_noise_ratio_parallel_matches_serial():
-    cfg = MaskConfig(257, 0.5, seed=2)
-    [serial] = noise_ratio_curves([cfg], trials=1200, workers=1)
-    [parallel] = noise_ratio_curves([cfg], trials=1200, workers=3)
+    spec = ExperimentSpec(MaskConfig(257, 0.5, seed=2), 1200)
+    [(_, serial)] = run_experiment([spec], workers=1)
+    [(_, parallel)] = run_experiment([spec], workers=3)
     assert np.array_equal(serial, parallel)
 
 
@@ -684,17 +699,33 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(MaskConfig(127, 0.5), trials=0)
     with pytest.raises(ValueError):
-        ExperimentSpec(MaskConfig(127, 0.5), trials=1, workers=0)
+        run_experiment([ExperimentSpec(MaskConfig(127, 0.5), trials=1)], workers=0)
     with pytest.raises(ValueError):
         ExperimentSpec(MaskConfig(127, 0.5), trials=1, thresholds=(("a", 1.0), ("a", 2.0)))
     # integers of any type are accepted; floats, bools and trial indices past 2**64 - 1 are not
-    spec = ExperimentSpec(MaskConfig(127, 0.5), trials=np.int64(3), workers=np.int32(2))
-    assert (spec.trials, spec.workers) == (3, 2) and type(spec.trials) is int and type(spec.workers) is int
+    spec = ExperimentSpec(MaskConfig(127, 0.5), trials=np.int64(3))
+    assert spec.trials == 3 and type(spec.trials) is int
+    assert _stats(spec, workers=np.int32(2)).trials == 3
     assert ExperimentSpec(MaskConfig(127, 0.5), trials=2**64).trials == 2**64
-    for bad in ({"trials": 2.5}, {"trials": True}, {"trials": 2**64 + 1}, {"workers": True}, {"workers": 2.0}):
-        kwargs = {"trials": 1, **bad}
+    for bad in (2.5, True, 2**64 + 1):
         with pytest.raises(ValueError):
-            ExperimentSpec(MaskConfig(127, 0.5), **kwargs)
+            ExperimentSpec(MaskConfig(127, 0.5), trials=bad)
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError):
+            run_experiment([spec], workers=bad)
+
+
+def test_spec_rejects_malformed_thresholds():
+    # each threshold is a (str label, real value) pair, checked when the
+    # spec is made; NaN would count 0 exceedances without testing any
+    config = MaskConfig(127, 0.5)
+    for bad in (("t", float("nan")), ("s", "5"), ("s", None), ("t", 1.0, 2.0)):
+        with pytest.raises(ValueError, match="threshold"):
+            ExperimentSpec(config, trials=1, thresholds=(bad,))
+    spec = ExperimentSpec(config, trials=1, thresholds=[("inf", math.inf), ("low", -math.inf), ("n", np.float32(2))])
+    assert spec.thresholds == (("inf", math.inf), ("low", -math.inf), ("n", 2.0))
+    assert all(type(value) is float for _, value in spec.thresholds)
+    assert _stats(spec).exceedance_counts == {"inf": 0, "low": 1, "n": 1}
 
 
 def test_csv_rendering():
@@ -705,9 +736,7 @@ def test_csv_rendering():
 
 
 def test_json_mirrors_stats_fields():
-    stats = run_experiment(
-        ExperimentSpec(MaskConfig(127, 0.5, seed=4), trials=64, thresholds=(("t", 10.0),))
-    )
+    stats = _stats(ExperimentSpec(MaskConfig(127, 0.5, seed=4), trials=64, thresholds=(("t", 10.0),)))
     payload = stats.to_dict()
     assert set(payload) == {
         "trials",
@@ -751,7 +780,7 @@ def test_failures_discard_all_progress(monkeypatch):
 
     monkeypatch.setattr(mc, "_run_chunk", flaky)
     with pytest.raises(MemoryError):
-        run_experiment(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500))
+        run_experiment([ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500)])
     assert mc._workspace.buffers == {}  # the first chunk's buffers go with the failed call
 
 
