@@ -3,7 +3,6 @@ masks, Monte Carlo validation, and an iterative-thresholding recovery demo.
 """
 
 from .bounds import (
-    BoundReport,
     BoundSpec,
     bound_report,
     gaussian_bound,
@@ -21,7 +20,6 @@ from .montecarlo import (
     run_experiment,
 )
 from .recovery import (
-    RecoverySpec,
     SignalSpec,
     recover,
     sample_random,
@@ -37,7 +35,6 @@ __all__ = [
     "worst_case_mask",
     "is_prime",
     "BoundSpec",
-    "BoundReport",
     "worst_case_bound",
     "ratio_approximation",
     "q_inverse",
@@ -50,7 +47,6 @@ __all__ = [
     "RunningStats",
     "run_experiment",
     "SignalSpec",
-    "RecoverySpec",
     "synthesize_signal",
     "sample_random",
     "recover",

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from statistics import NormalDist
 
 from .masks import _as_index, is_prime
 
 __all__ = [
     "BoundSpec",
-    "BoundReport",
     "worst_case_bound",
     "ratio_approximation",
     "q_inverse",
@@ -81,33 +80,6 @@ class BoundSpec:
     @property
     def effective_epsilon(self) -> float:
         return self.epsilon / (self.n - 1) if self.union_mode else self.epsilon
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All bound families evaluated for one (n, p, n_p, epsilon).
-
-    worst_case_ratio is worst_case / n_p; worst_case_ratio_np divides by the
-    continuous mean support N*p instead, which is the normalization used by
-    the reference ratio figures. ratio_approx is the closed-form large-N
-    approximation of worst_case / (N*p).
-    """
-
-    n: int
-    p: float
-    n_p: int
-    epsilon: float
-    worst_case: float
-    worst_case_ratio: float
-    worst_case_ratio_np: float
-    gaussian_T: float
-    gaussian_T_approx: float
-    sigma3: float
-    sigma4: float
-    ratio_approx: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _mask_length(n, least: int = 2) -> int:
@@ -239,17 +211,27 @@ def thresholds(spec: BoundSpec) -> dict[str, float]:
     }
 
 
-def bound_report(spec: BoundSpec) -> BoundReport:
-    """Evaluate every bound family for one spec."""
+def bound_report(spec: BoundSpec) -> dict[str, float]:
+    """Every bound family for one spec, as one flat record in the column
+    order ``maskspectra bounds`` prints.
+
+    worst_case_ratio is worst_case / n_p; worst_case_ratio_np divides by the
+    continuous mean support N*p instead, which is the normalization used by
+    the reference ratio figures. ratio_approx is the closed-form large-N
+    approximation of worst_case / (N*p).
+    """
     t = thresholds(spec)
-    return BoundReport(
-        n=spec.n,
-        p=spec.p,
-        n_p=spec.n_p,
-        epsilon=spec.epsilon,
-        worst_case_ratio=t["worst_case"] / spec.n_p,
-        worst_case_ratio_np=t["worst_case"] / (spec.n * spec.p),
-        gaussian_T_approx=gaussian_bound_approx(spec),
-        ratio_approx=ratio_approximation(spec.n, spec.p),
-        **t,
-    )
+    return {
+        "n": spec.n,
+        "p": spec.p,
+        "n_p": spec.n_p,
+        "epsilon": spec.epsilon,
+        "worst_case": t["worst_case"],
+        "worst_case_ratio": t["worst_case"] / spec.n_p,
+        "worst_case_ratio_np": t["worst_case"] / (spec.n * spec.p),
+        "gaussian_T": t["gaussian_T"],
+        "gaussian_T_approx": gaussian_bound_approx(spec),
+        "sigma3": t["sigma3"],
+        "sigma4": t["sigma4"],
+        "ratio_approx": ratio_approximation(spec.n, spec.p),
+    }

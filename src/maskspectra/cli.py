@@ -68,7 +68,7 @@ def _render(records: list[dict], fmt: str) -> str:
 
 def cmd_bounds(args) -> int:
     spec = bounds.BoundSpec(args.n, args.p, n_p=args.np, epsilon=args.eps, union_mode=args.union)
-    _emit(_render([bounds.bound_report(spec).to_dict()], args.format), args.out)
+    _emit(_render([bounds.bound_report(spec)], args.format), args.out)
     return 0
 
 
@@ -213,8 +213,9 @@ def cmd_recover(args) -> int:
     else:
         mask = generate_mask(MaskConfig(n, args.rate, seed), 0)
     xs = recovery.sample_random(x, mask)
-    spec = recovery.RecoverySpec(mask=mask, iterations=args.iters, t0=args.t0, alpha=args.alpha, tol=args.tol)
-    _, history = recovery.recover(xs, spec, reference=x)
+    _, history = recovery.recover(
+        xs, mask, iterations=args.iters, t0=args.t0, alpha=args.alpha, tol=args.tol, reference=x
+    )
     csv_text = montecarlo.records_to_csv([dict(zip(_HISTORY_COLUMNS, row)) for row in history])
     _, _, final_snr, residual, _ = history[-1]
     summary = (
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -26,7 +26,6 @@ from .spectrum import (
 
 __all__ = [
     "SignalSpec",
-    "RecoverySpec",
     "synthesize_signal",
     "random_band_signal",
     "sample_random",
@@ -74,7 +73,7 @@ def synthesize_signal(spec: SignalSpec) -> np.ndarray:
     return np.ascontiguousarray(x.real)
 
 
-def random_band_signal(n: int, pairs: int, seed: int = 0, dc: float = 0.0) -> SignalSpec:
+def random_band_signal(n: int, pairs: int, seed: int = 0) -> SignalSpec:
     """Random conjugate-symmetric spec with ``pairs`` mirrored bin pairs.
 
     Bin positions are drawn from [1, (n-1)//2], so no pair holds the
@@ -88,9 +87,6 @@ def random_band_signal(n: int, pairs: int, seed: int = 0, dc: float = 0.0) -> Si
     positions = 1 + rng.permutation((n - 1) // 2)[:pairs]
     band: list[int] = []
     amps: list[complex] = []
-    if dc != 0.0:
-        band.append(0)
-        amps.append(complex(dc))
     for k in positions:
         a = (1.0 + rng.random()) * np.exp(2j * np.pi * rng.random())
         band.extend([int(k), int(n - k)])
@@ -116,39 +112,6 @@ def _snr_db(ref_energy: float, ref: np.ndarray, est: np.ndarray) -> float:
     if ref_energy == 0.0:
         return -math.inf
     return 10.0 * math.log10(ref_energy / den)
-
-
-@dataclass(frozen=True)
-class RecoverySpec:
-    """Recovery loop parameters; t0=None derives the initial threshold
-    from the mask-noise bounds (see _initial_threshold).
-
-    iterations caps the loop, which stops earlier once the residual
-    r_i = ||M x_i - xs|| / ||xs|| of the estimate x_i on the positions the
-    mask M samples is at most tol; tol = 0 runs every iteration. The mask
-    must sample something: the step is min(N/n_p, 2).
-    """
-
-    mask: Mask
-    iterations: int = 50
-    t0: float | None = None
-    alpha: float = 0.1
-    tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        _step_size(self.mask)  # rejects an empty mask
-        iterations = _as_index(self.iterations, "iterations")
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        object.__setattr__(self, "iterations", iterations)
-        # t0 = inf drops every bin, and alpha = inf makes the first
-        # threshold t0 * exp(-inf * 0) = nan, which keeps every bin
-        if self.t0 is not None and not 0.0 < self.t0 < math.inf:
-            raise ValueError(f"t0 must be positive and finite, got {self.t0!r}")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if not 0.0 <= self.tol < math.inf:
-            raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
 
 
 def _step_size(mask: Mask) -> float:
@@ -188,28 +151,34 @@ def _relative_norm(v: np.ndarray, scale: float) -> float:
 
 def recover(
     xs,
-    spec: RecoverySpec,
+    mask: Mask,
+    *,
+    iterations: int = 50,
+    t0: float | None = None,
+    alpha: float = 0.1,
+    tol: float = 1e-6,
     reference=None,
 ) -> tuple[np.ndarray, list[tuple[int, float, float, float, int]]]:
-    """Iterate hard-thresholded re-synthesis from the sampled signal.
+    """Iterate hard-thresholded re-synthesis from the signal xs sampled by mask.
 
     Starts from the zero estimate with threshold t0 * exp(-alpha * i) at
-    iteration i. Every iteration steps towards the known samples,
+    iteration i; t0=None derives it from the mask-noise bounds (see
+    _initial_threshold). Every iteration steps towards the known samples,
     z = x + lam (xs - M x) for the mask M and the estimate x, then keeps
     the bins of z above the threshold. The step lam = min(N/n_p, 2) scales
     the misfit on the sampled positions by the inverse of the sampling
-    rate, capped at 2 (see _step_size); under full sampling lam = 1 and z
-    re-imposes the samples. Returns the final estimate and the
-    per-iteration history (iteration, threshold, snr_db, residual, kept):
-    snr_db is NaN unless a reference signal is supplied, residual is r_i
-    below, and kept counts the DFT bins above the threshold. The reference
-    is for scoring only and never stops the loop.
+    rate, capped at 2 (see _step_size), so the mask must sample something;
+    under full sampling lam = 1 and z re-imposes the samples. Returns the
+    final estimate and the per-iteration history (iteration, threshold,
+    snr_db, residual, kept): snr_db is NaN unless a reference signal is
+    supplied, residual is r_i below, and kept counts the DFT bins above the
+    threshold. The reference is for scoring only and never stops the loop.
 
     The loop stops after iteration i once r_i, the residual
     ||M x_i - xs|| / ||xs|| of the estimate x_i on the sampled positions
-    (0/0 counts as 0), is at most spec.tol, and after spec.iterations
-    iterations at the latest; tol = 0 runs them all. The stop changes no
-    iterate, so the history is a prefix of the history with tol = 0.
+    (0/0 counts as 0), is at most tol, and after ``iterations`` iterations
+    at the latest; tol = 0 runs them all. The stop changes no iterate, so
+    the history is a prefix of the history with tol = 0.
 
     The loop runs in spectrum's transform order: the weights 1 - lam M, the
     scaled samples lam xs and the reference are permuted into it once, and
@@ -219,28 +188,40 @@ def recover(
     such step; a step that keeps no bin skips the inverse transform. With
     z formed, r_i = ||x_i - z_(i+1)|| / (lam ||xs||).
     """
+    step = _step_size(mask)  # rejects an empty mask
+    iterations = _as_index(iterations, "iterations")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    # t0 = inf drops every bin, and alpha = inf makes the first
+    # threshold t0 * exp(-inf * 0) = nan, which keeps every bin
+    if t0 is not None and not 0.0 < t0 < math.inf:
+        raise ValueError(f"t0 must be positive and finite, got {t0!r}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if xs.shape != spec.mask.bits.shape:
-        raise ValueError(f"sampled signal length {xs.size} != mask length {spec.mask.n}")
+    if xs.shape != mask.bits.shape:
+        raise ValueError(f"sampled signal length {xs.size} != mask length {mask.n}")
     if reference is not None:
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape != xs.shape:
             raise ValueError(f"reference shape {reference.shape} != sampled signal shape {xs.shape}")
         reference = to_transform_order(reference)
         ref_energy = float(np.sum(reference * reference))
-    step = _step_size(spec.mask)
-    weights = to_transform_order(1.0 - step * spec.mask.bits)
+    weights = to_transform_order(1.0 - step * mask.bits)
     xs = to_transform_order(xs)
     coeffs, magnitudes = analyze_ordered(xs)
-    t0 = spec.t0 if spec.t0 is not None else _initial_threshold(spec.mask, float(magnitudes.max()))
+    if t0 is None:
+        t0 = _initial_threshold(mask, float(magnitudes.max()))
     # the step's input and its spectrum while the estimate is zero
     drive, sampled = step * xs, (step * coeffs, step * magnitudes)
     scale = step * float(np.linalg.norm(xs))
     zero = np.zeros_like(xs)
     estimate, z = zero, drive
     history: list[tuple[int, float, float, float, int]] = []
-    for i in range(spec.iterations):
-        threshold = t0 * math.exp(-spec.alpha * i)
+    for i in range(iterations):
+        threshold = t0 * math.exp(-alpha * i)
         coeffs, magnitudes = sampled if z is drive else analyze_ordered(z)
         kept = int(np.count_nonzero(magnitudes > threshold))
         if kept:
@@ -252,7 +233,7 @@ def recover(
         snr = _snr_db(ref_energy, reference, estimate) if reference is not None else math.nan
         residual = _relative_norm(estimate - z, scale)
         history.append((i, threshold, snr, residual, kept))
-        if spec.tol > 0.0 and residual <= spec.tol:
+        if tol > 0.0 and residual <= tol:
             break
     return from_transform_order(estimate), history
 

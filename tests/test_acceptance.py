@@ -17,7 +17,6 @@ from maskspectra import bounds
 from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
 from maskspectra.montecarlo import ExperimentSpec, run_experiment
 from maskspectra.recovery import (
-    RecoverySpec,
     demo_signal_path,
     read_signal_csv,
     recover,
@@ -234,7 +233,7 @@ def test_criterion_9_recovery_demo():
 
     # full sampling: one iteration, threshold below the weakest band line
     full = worst_case_mask(n, n)
-    estimate, history = recover(sample_random(x, full), RecoverySpec(mask=full, iterations=1, t0=5.0), reference=x)
+    estimate, history = recover(sample_random(x, full), full, iterations=1, t0=5.0, reference=x)
     assert history[-1][2] >= 100.0
 
     # half-rate sampling of the bundled fixture reaches 40 dB inside 50
@@ -242,7 +241,7 @@ def test_criterion_9_recovery_demo():
     finals = {}
     for seed in range(40):
         mask = generate_mask(MaskConfig(n, 0.5, seed=seed), 0)
-        _, history = recover(sample_random(x, mask), RecoverySpec(mask=mask, iterations=50), reference=x)
+        _, history = recover(sample_random(x, mask), mask, iterations=50, reference=x)
         finals[seed] = history[-1][2]
     failed = {seed: round(snr, 2) for seed, snr in finals.items() if not snr >= 40.0}
     assert not failed, f"mask seeds below 40 dB: {failed}"

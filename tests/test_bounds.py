@@ -300,17 +300,41 @@ def test_bounds_accept_numpy_integers():
 
 def test_bound_report_table_row():
     rep = bound_report(BoundSpec(127, 0.5, n_p=64, epsilon=1e-4))
-    assert rep.worst_case == pytest.approx(40.426, abs=1e-3)
-    assert rep.worst_case_ratio == pytest.approx(40.4264 / 64, abs=1e-4)
+    assert rep["worst_case"] == pytest.approx(40.426, abs=1e-3)
+    assert rep["worst_case_ratio"] == pytest.approx(40.4264 / 64, abs=1e-4)
     # the printed table normalizes by N*p, which rounds to 0.637
-    assert round(rep.worst_case_ratio_np, 3) == 0.637
-    assert rep.ratio_approx == pytest.approx(ratio_approximation(127, 0.5))
-    assert rep.sigma4 == (4.0 / 3.0) * rep.sigma3
-    assert rep.sigma4 > rep.sigma3
-    assert all(v >= 0 and math.isfinite(v) for v in (rep.worst_case, rep.gaussian_T, rep.gaussian_T_approx))
+    assert round(rep["worst_case_ratio_np"], 3) == 0.637
+    assert rep["ratio_approx"] == pytest.approx(ratio_approximation(127, 0.5))
+    assert rep["sigma4"] == (4.0 / 3.0) * rep["sigma3"]
+    assert rep["sigma4"] > rep["sigma3"]
+    assert all(v >= 0 and math.isfinite(v) for v in (rep["worst_case"], rep["gaussian_T"], rep["gaussian_T_approx"]))
 
 
 def test_bound_report_low_rate_row():
     rep = bound_report(BoundSpec(127, 0.1, n_p=13, epsilon=1e-4))
-    assert rep.worst_case == pytest.approx(12.778, abs=1e-3)
-    assert rep.worst_case_ratio_np == pytest.approx(1.006, abs=5e-3)
+    assert rep["worst_case"] == pytest.approx(12.778, abs=1e-3)
+    assert rep["worst_case_ratio_np"] == pytest.approx(1.006, abs=5e-3)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [BoundSpec(127, 0.5), BoundSpec(1543, 0.8, n_p=1), BoundSpec(131, 0.25, epsilon=1e-6, union_mode=True)],
+)
+def test_bound_report_values_are_the_bound_functions(spec):
+    # each value is exactly what its bound function returns, in the column order the CLI prints
+    wc = worst_case_bound(spec.n, spec.n_p)
+    want = {
+        "n": spec.n,
+        "p": spec.p,
+        "n_p": spec.n_p,
+        "epsilon": spec.epsilon,
+        "worst_case": wc,
+        "worst_case_ratio": wc / spec.n_p,
+        "worst_case_ratio_np": wc / (spec.n * spec.p),
+        "gaussian_T": gaussian_bound(spec),
+        "gaussian_T_approx": gaussian_bound_approx(spec),
+        "sigma3": sigma_bound(spec.n, spec.p, 3),
+        "sigma4": sigma_bound(spec.n, spec.p, 4),
+        "ratio_approx": ratio_approximation(spec.n, spec.p),
+    }
+    assert list(bound_report(spec).items()) == list(want.items())

@@ -398,6 +398,17 @@ def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
     assert run_cli(capsys, *calls[0])[:2] == (0, "patched n=127\n")
 
 
+def test_internal_key_error_is_a_runtime_failure(capsys, monkeypatch):
+    # no user input raises KeyError, so one from a command is a fault of the program, not a usage error
+    def broken(args):
+        raise KeyError("label")
+
+    monkeypatch.setattr(cli, "cmd_bounds", broken)
+    code, out, err = run_cli(capsys, "bounds", "--n", "127", "--p", "0.5")
+    assert (code, out) == (3, "")
+    assert err.startswith("runtime failure: ")
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     args = ["bounds", "--n", "127", "--p", "0.5"]
     src = str(Path(maskspectra.__file__).resolve().parents[1])
@@ -476,8 +487,8 @@ def test_readme_library_sketch_runs(tmp_path):
     global_max, worst_case, exceeded = printed.split()
     report = bounds.bound_report(bounds.BoundSpec(127, 0.5, epsilon=1e-4))
     spec = montecarlo.ExperimentSpec(
-        MaskConfig(127, 0.5, seed=7), trials=20_000, thresholds=(("gaussian_T", report.gaussian_T),)
+        MaskConfig(127, 0.5, seed=7), trials=20_000, thresholds=(("gaussian_T", report["gaussian_T"]),)
     )
     [(stats, _)] = montecarlo.run_experiment([spec])  # one worker: the same bits as the sketch's two
-    assert (float(global_max), float(worst_case), int(exceeded)) == (stats.global_max, report.worst_case, 0)
-    assert stats.global_max <= report.worst_case
+    assert (float(global_max), float(worst_case), int(exceeded)) == (stats.global_max, report["worst_case"], 0)
+    assert stats.global_max <= report["worst_case"]

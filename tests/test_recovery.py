@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -11,7 +12,6 @@ from maskspectra import recovery, spectrum
 from maskspectra.bounds import ratio_approximation
 from maskspectra.masks import MaskConfig, generate_mask, is_prime, worst_case_mask
 from maskspectra.recovery import (
-    RecoverySpec,
     SignalSpec,
     demo_signal_path,
     random_band_signal,
@@ -45,8 +45,8 @@ def test_empty_band_gives_zero_signal():
 
 
 def test_random_symmetric_band_roundtrip():
-    spec = random_band_signal(127, pairs=2, seed=21, dc=3.0)
-    assert len(spec.band) == 5
+    spec = random_band_signal(127, pairs=2, seed=21)
+    assert len(spec.band) == 4
     x = synthesize_signal(spec)
     coeffs = scipy.fft.fft(x)
     off_band = np.delete(np.abs(coeffs), list(spec.band))
@@ -145,15 +145,14 @@ def test_fixed_point_of_recovery_step():
 def test_full_sampling_recovers_in_one_iteration():
     mask = worst_case_mask(127, 127)
     xs = sample_random(DEMO_X, mask)
-    spec = RecoverySpec(mask=mask, iterations=1, t0=5.0)
-    estimate, history = recover(xs, spec, reference=DEMO_X)
+    estimate, history = recover(xs, mask, iterations=1, t0=5.0, reference=DEMO_X)
     assert history[-1][2] >= 100.0
     assert np.abs(estimate - DEMO_X).max() < 1e-10
 
 
 def test_demo_recovery_reaches_forty_db():
     xs = sample_random(DEMO_X, DEMO_MASK)
-    estimate, history = recover(xs, RecoverySpec(mask=DEMO_MASK, iterations=50, tol=0.0), reference=DEMO_X)
+    estimate, history = recover(xs, DEMO_MASK, iterations=50, tol=0.0, reference=DEMO_X)
     assert history[-1][2] >= 40.0
     assert len(history) == 50
 
@@ -170,23 +169,22 @@ def test_reference_never_stops_the_loop():
     # the reference only scores: against -x the SNR falls as the estimate
     # improves, yet every iteration runs and nothing warns
     xs = sample_random(DEMO_X, DEMO_MASK)
-    spec = RecoverySpec(mask=DEMO_MASK, iterations=50, tol=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, history = recover(xs, spec, reference=-DEMO_X)
+        _, history = recover(xs, DEMO_MASK, iterations=50, tol=0.0, reference=-DEMO_X)
     assert [row[0] for row in history] == list(range(50))
 
 
 def test_converged_estimate_matches_known_samples():
     xs = sample_random(DEMO_X, DEMO_MASK)
-    estimate, _ = recover(xs, RecoverySpec(mask=DEMO_MASK, iterations=200), reference=DEMO_X)
+    estimate, _ = recover(xs, DEMO_MASK, iterations=200, reference=DEMO_X)
     on_mask = estimate * DEMO_MASK.bits
     assert np.linalg.norm(on_mask - xs) <= 1e-6 * np.linalg.norm(xs)
 
 
 def _default_t0(xs, mask):
     """The initial threshold recover derives when given no t0."""
-    return recover(xs, RecoverySpec(mask=mask, iterations=1))[1][0][1]
+    return recover(xs, mask, iterations=1)[1][0][1]
 
 
 def test_default_threshold_rules():
@@ -212,34 +210,36 @@ def test_default_threshold_margin_divides_by_n_p():
     assert _default_t0(xs, mask) == pytest.approx(want, rel=1e-12)
 
 
-def test_recovery_spec_validation():
+def test_recover_validation():
+    xs = sample_random(DEMO_X, DEMO_MASK)
     with pytest.raises(ValueError):
-        RecoverySpec(mask=DEMO_MASK, iterations=0)
+        recover(xs, DEMO_MASK, iterations=0)
     # an infinite or NaN t0 or alpha would give a history of NaN or
     # infinite thresholds that keep or drop every bin
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="t0"):
-            RecoverySpec(mask=DEMO_MASK, t0=bad)
+            recover(xs, DEMO_MASK, t0=bad)
         with pytest.raises(ValueError, match="alpha"):
-            RecoverySpec(mask=DEMO_MASK, alpha=bad)
+            recover(xs, DEMO_MASK, alpha=bad)
     with pytest.raises(ValueError):
-        recover(np.zeros(64), RecoverySpec(mask=DEMO_MASK, t0=1.0))
+        recover(np.zeros(64), DEMO_MASK, t0=1.0)
 
 
-def test_recovery_spec_tol_must_be_nonnegative_and_finite():
+def test_recover_tol_must_be_nonnegative_and_finite():
+    xs = sample_random(DEMO_X, DEMO_MASK)
     for bad in (-1e-9, -1.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="tol"):
-            RecoverySpec(mask=DEMO_MASK, tol=bad)
-    assert RecoverySpec(mask=DEMO_MASK).tol == 1e-6
-    assert RecoverySpec(mask=DEMO_MASK, tol=0.0).tol == 0.0
+            recover(xs, DEMO_MASK, tol=bad)
+    assert inspect.signature(recover).parameters["tol"].default == 1e-6
+    assert len(recover(xs, DEMO_MASK, iterations=3, tol=0.0)[1]) == 3
 
 
-def test_recovery_spec_iterations_must_be_an_integer():
+def test_recover_iterations_must_be_an_integer():
+    xs = sample_random(DEMO_X, DEMO_MASK)
     for bad in (2.5, 3.0, True, "3"):
         with pytest.raises(ValueError, match="iterations"):
-            RecoverySpec(mask=DEMO_MASK, iterations=bad)
-    spec = RecoverySpec(mask=DEMO_MASK, iterations=np.int64(3))
-    assert type(spec.iterations) is int and spec.iterations == 3
+            recover(xs, DEMO_MASK, iterations=bad)
+    assert len(recover(xs, DEMO_MASK, iterations=np.int64(3), tol=0.0)[1]) == 3
 
 
 @pytest.mark.parametrize("n", [127, 8191])
@@ -249,12 +249,12 @@ def test_recover_rejects_mismatched_reference(n):
     xs = sample_random(x, mask)
     for bad in (x[:1], x[:-1], np.stack((x, x))):
         with pytest.raises(ValueError, match="reference"):
-            recover(xs, RecoverySpec(mask=mask, iterations=2), reference=bad)
+            recover(xs, mask, iterations=2, reference=bad)
 
 
 def test_history_without_reference_has_nan_snr():
     xs = sample_random(DEMO_X, DEMO_MASK)
-    _, history = recover(xs, RecoverySpec(mask=DEMO_MASK, iterations=3))
+    _, history = recover(xs, DEMO_MASK, iterations=3)
     assert len(history) == 3
     assert all(math.isnan(row[2]) for row in history)
 
@@ -505,7 +505,7 @@ def test_rader_plan_selection(monkeypatch):
         xs = np.zeros(8191)
         mask = generate_mask(MaskConfig(8191, 0.5, seed=1), 0)
         for _ in range(3):
-            recover(xs, RecoverySpec(mask=mask, t0=1.0))
+            recover(xs, mask, t0=1.0)
         assert built == list(sizes)
     finally:
         spectrum._cached_rader_plan.cache_clear()
@@ -520,7 +520,7 @@ def test_rader_plan_lookup_tests_primality_once(monkeypatch):
     assert plan is not None
     calls.clear()
     mask = generate_mask(MaskConfig(8191, 0.5, seed=1), 0)
-    recover(mask.bits.astype(np.float64), RecoverySpec(mask=mask, iterations=3))
+    recover(mask.bits.astype(np.float64), mask, iterations=3)
     assert spectrum._rader_plan((8191,)) is plan
     assert calls == []
 
@@ -531,14 +531,13 @@ def test_rader_plan_survives_shapes_without_a_plan():
     n = 8191
     mask = generate_mask(MaskConfig(n, 0.5, seed=2), 0)
     xs = sample_random(synthesize_signal(random_band_signal(n, 4, seed=3)), mask)
-    spec = RecoverySpec(mask=mask, t0=0.5)
-    first, _ = recover(xs, spec)
+    first, _ = recover(xs, mask, t0=0.5)
     plan = spectrum._rader_plan((n,))
     for m in (127, 128, 251, 255, 8192, 131072, 4097, 2048, 1000, 3):
         assert spectrum._rader_plan((m,)) is None, m
     assert spectrum._rader_plan((2, n)) is None
     assert spectrum._rader_plan((n,)) is plan
-    assert np.array_equal(recover(xs, spec)[0], first)
+    assert np.array_equal(recover(xs, mask, t0=0.5)[0], first)
 
 
 def test_rader_recovery_permutes_once(monkeypatch):
@@ -561,7 +560,7 @@ def test_rader_recovery_permutes_once(monkeypatch):
     seen = []
     for iterations in (1, 7):
         calls.clear()
-        estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=iterations), reference=x)
+        estimate, history = recover(xs, mask, iterations=iterations, reference=x)
         seen.append(sorted(calls))
         assert len(history) == iterations
     assert seen[0] == seen[1] == ["from_transform_order"] + ["to_transform_order"] * 3
@@ -574,12 +573,12 @@ def test_rader_recovery_matches_scipy_oracle(monkeypatch):
     mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
     xs = sample_random(x, mask)
     assert spectrum._rader_plan((n,)) is not None
-    estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=50, tol=0.0), reference=x)
+    estimate, history = recover(xs, mask, iterations=50, tol=0.0, reference=x)
 
     # the same loop on the natural-order numpy.fft transforms alone
     with monkeypatch.context() as m:
         m.setattr(spectrum, "_rader_plan", lambda shape: None)
-        _, natural_history = recover(xs, RecoverySpec(mask=mask, iterations=50, tol=0.0), reference=x)
+        _, natural_history = recover(xs, mask, iterations=50, tol=0.0, reference=x)
     t0 = natural_history[0][1]
     assert history[0][1] == pytest.approx(t0, rel=1e-12)
     oracle, oracle_kept = np.zeros(n), []
@@ -603,8 +602,8 @@ def test_stop_truncates_the_history_and_keeps_forty_db(rate):
     for seed in range(40):
         mask = generate_mask(MaskConfig(127, rate, seed), 0)
         xs = sample_random(DEMO_X, mask)
-        full_estimate, full = recover(xs, RecoverySpec(mask=mask, tol=0.0), reference=DEMO_X)
-        estimate, history = recover(xs, RecoverySpec(mask=mask), reference=DEMO_X)
+        full_estimate, full = recover(xs, mask, tol=0.0, reference=DEMO_X)
+        estimate, history = recover(xs, mask, reference=DEMO_X)
         assert len(full) == 50
         assert history == full[: len(history)], seed
         if len(history) < 50:
@@ -629,7 +628,7 @@ def _n8191_case():
 
 def test_stop_at_n8191_keeps_over_one_hundred_db():
     x, mask, xs = _n8191_case()
-    estimate, history = recover(xs, RecoverySpec(mask=mask, iterations=50), reference=x)
+    estimate, history = recover(xs, mask, iterations=50, reference=x)
     assert len(history) < 50
     assert history[-1][2] >= 100.0
     assert sampled_residual(xs, mask, estimate) <= 1e-6 * (1 + 1e-9)
@@ -639,7 +638,7 @@ def test_stop_at_n8191_within_ten_iterations():
     # the step min(N/n_p, 2) stops this fixture after 9 iterations; at
     # unit step it took 27
     x, mask, xs = _n8191_case()
-    _, history = recover(xs, RecoverySpec(mask=mask, iterations=50), reference=x)
+    _, history = recover(xs, mask, iterations=50, reference=x)
     assert len(history) <= 10
     assert history[-1][3] <= 1e-6
 
@@ -657,7 +656,7 @@ def test_recover_never_transforms_the_same_thing_twice(monkeypatch):
         dht = spectrum._RaderPlan.dht
         with monkeypatch.context() as m:
             m.setattr(spectrum._RaderPlan, "dht", lambda self, *args: calls.append(1) or dht(self, *args))
-            _, history = recover(xs, RecoverySpec(mask=mask, t0=t0), reference=x)
+            _, history = recover(xs, mask, t0=t0, reference=x)
         empty = sum(1 for row in history if row[1] >= scaled_peak)
         assert empty >= least_empty, t0
         assert all(row[1] >= scaled_peak and row[4] == 0 for row in history[:empty]), t0
@@ -673,7 +672,7 @@ def test_every_demo_seed_reaches_forty_db(rate):
     failed = []
     for seed in range(40):
         mask = generate_mask(MaskConfig(127, rate, seed), 0)
-        _, history = recover(sample_random(DEMO_X, mask), RecoverySpec(mask=mask), reference=DEMO_X)
+        _, history = recover(sample_random(DEMO_X, mask), mask, reference=DEMO_X)
         if not history[-1][2] >= 40.0:
             failed.append(seed)
     assert failed == []
@@ -688,8 +687,7 @@ def test_long_runs_never_diverge(rate):
     # estimate's, 1, and seeds that find no support stall above 0 dB.
     for seed in range(10):
         mask = generate_mask(MaskConfig(127, rate, seed), 0)
-        spec = RecoverySpec(mask=mask, iterations=500, tol=0.0)
-        _, history = recover(sample_random(DEMO_X, mask), spec, reference=DEMO_X)
+        _, history = recover(sample_random(DEMO_X, mask), mask, iterations=500, tol=0.0, reference=DEMO_X)
         assert max(row[3] for row in history) <= 1.0 + 1e-12, seed
         assert history[-1][2] > 0.0, seed
 
@@ -698,7 +696,7 @@ def test_empty_mask_is_rejected_up_front():
     # the step min(N/n_p, 2) needs at least one sample
     empty = worst_case_mask(127, 0)
     with pytest.raises(ValueError, match="nothing was sampled"):
-        RecoverySpec(mask=empty, t0=1.0)
+        recover(np.zeros(127), empty, t0=1.0)
 
 
 @pytest.mark.parametrize("n", [127, 8191])
@@ -706,7 +704,7 @@ def test_zero_samples_with_explicit_t0_stop_after_one_row(n):
     mask = generate_mask(MaskConfig(n, 0.5, seed=3), 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        estimate, history = recover(np.zeros(n), RecoverySpec(mask=mask, t0=1.0), reference=np.zeros(n))
+        estimate, history = recover(np.zeros(n), mask, t0=1.0, reference=np.zeros(n))
         assert sampled_residual(np.zeros(n), mask, estimate) == 0.0
     assert len(history) == 1
     assert not estimate.any()
