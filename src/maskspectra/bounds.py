@@ -92,6 +92,7 @@ def _mask_length(n, least: int = 2) -> int:
 
 
 def _warn_if_composite(n: int) -> None:
+    # called once by each public function, so stacklevel 3 names its caller
     if not is_prime(n):
         warnings.warn(
             f"worst-case bound assumes prime mask length; n={n} is composite, "
@@ -108,10 +109,16 @@ def worst_case_bound(n: int, n_p: int) -> float:
     n - n_p), which leaves sin^2 unchanged and keeps its argument in
     [0, pi/2].
     """
+    bound = _worst_case(n, n_p)
+    _warn_if_composite(n)
+    return bound
+
+
+def _worst_case(n: int, n_p: int) -> float:
+    """worst_case_bound without the composite-n warning."""
     n, n_p = _mask_length(n), _as_index(n_p, "n_p")
     if not 1 <= n_p <= n:
         raise ValueError(f"n_p must lie in [1, {n}], got {n_p!r}")
-    _warn_if_composite(n)
     m = min(n_p, n - n_p)
     if m == 0:
         return 0.0
@@ -203,11 +210,12 @@ def sigma_bound(n: int, p: float, m: int) -> float:
 def thresholds(spec: BoundSpec) -> dict[str, float]:
     """The four threshold families a simulated peak is compared with:
     gaussian_T, sigma3, sigma4 and worst_case (at spec.n_p), in that order."""
+    _warn_if_composite(spec.n)
     return {
         "gaussian_T": gaussian_bound(spec),
         "sigma3": sigma_bound(spec.n, spec.p, 3),
         "sigma4": sigma_bound(spec.n, spec.p, 4),
-        "worst_case": worst_case_bound(spec.n, spec.n_p),
+        "worst_case": _worst_case(spec.n, spec.n_p),
     }
 
 
@@ -220,18 +228,19 @@ def bound_report(spec: BoundSpec) -> dict[str, float]:
     the reference ratio figures. ratio_approx is the closed-form large-N
     approximation of worst_case / (N*p).
     """
-    t = thresholds(spec)
+    _warn_if_composite(spec.n)
+    worst_case = _worst_case(spec.n, spec.n_p)
     return {
         "n": spec.n,
         "p": spec.p,
         "n_p": spec.n_p,
         "epsilon": spec.epsilon,
-        "worst_case": t["worst_case"],
-        "worst_case_ratio": t["worst_case"] / spec.n_p,
-        "worst_case_ratio_np": t["worst_case"] / (spec.n * spec.p),
-        "gaussian_T": t["gaussian_T"],
+        "worst_case": worst_case,
+        "worst_case_ratio": worst_case / spec.n_p,
+        "worst_case_ratio_np": worst_case / (spec.n * spec.p),
+        "gaussian_T": gaussian_bound(spec),
         "gaussian_T_approx": gaussian_bound_approx(spec),
-        "sigma3": t["sigma3"],
-        "sigma4": t["sigma4"],
+        "sigma3": sigma_bound(spec.n, spec.p, 3),
+        "sigma4": sigma_bound(spec.n, spec.p, 4),
         "ratio_approx": ratio_approximation(spec.n, spec.p),
     }

@@ -2,12 +2,14 @@
 
 Masks are immutable once built; generation is a pure function of
 (seed, trial_index) via a counter-based RNG, so any execution order or
-degree of parallelism reproduces the same sequence of masks.
+degree of parallelism reproduces the same sequence of masks. Only
+``_draw_uniforms`` keys that RNG, for ``generate_mask`` and ``montecarlo``.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,19 +97,31 @@ class Mask:
         return int(self.bits.size)
 
 
-def _trial_key(seed: int, trial_index: int) -> list[int]:
-    """Philox key words of one trial, low word first: the 128-bit key
-    (seed << 64) + trial_index. Plain ints, which the Philox state setter
-    reads far faster than numpy scalars."""
-    return [trial_index, seed]
+_philox = threading.local()
 
 
-def _trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    # Philox is counter-based: the 128-bit key (seed, trial) fully determines
-    # the stream, independent of how many draws other trials made. The
-    # explicit dtype matters: numpy reads [5, 2**64 - 1] as float64.
-    key = np.array(_trial_key(seed, trial_index), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _draw_uniforms(seed: int, first: int, out: np.ndarray) -> None:
+    """Fill row i of ``out`` with the uniforms of trial ``first + i``: the
+    stream of a Philox keyed (seed << 64) + first + i. One generator per
+    thread, built on first use (importing loads no numpy.random), is
+    re-keyed per row through a state dict of plain ints, which the state
+    setter reads far faster than numpy arrays."""
+    keyed = getattr(_philox, "keyed", None)
+    if keyed is None:
+        bit_gen = np.random.Philox(key=0)
+        fresh = bit_gen.state
+        state = {
+            **fresh,
+            "state": {k: v.tolist() for k, v in fresh["state"].items()},
+            "buffer": fresh["buffer"].tolist(),
+        }
+        keyed = _philox.keyed = bit_gen, np.random.Generator(bit_gen), state
+    bit_gen, gen, state = keyed
+    words = state["state"]
+    for t, row in enumerate(out, first):
+        words["key"] = [t, seed]  # low word first
+        bit_gen.state = state
+        gen.random(out=row)
 
 
 def generate_mask(config: MaskConfig, trial_index: int = 0) -> Mask:
@@ -118,8 +132,9 @@ def generate_mask(config: MaskConfig, trial_index: int = 0) -> Mask:
     trial_index = _as_index(trial_index, "trial_index")
     if trial_index < 0 or trial_index >= _UINT64_SPAN:
         raise ValueError(f"trial_index must fit in 64 unsigned bits, got {trial_index!r}")
-    rng = _trial_rng(config.seed, trial_index)
-    return Mask(rng.random(config.n) < config.p)
+    uniforms = np.empty((1, config.n))
+    _draw_uniforms(config.seed, trial_index, uniforms)
+    return Mask(uniforms[0] < config.p)
 
 
 def worst_case_mask(n: int, n_p: int) -> Mask:

@@ -23,13 +23,12 @@ workers a 512-trial task at three rates and the other an 88-trial one).
 The kernel works through its chunk in blocks of ``_BLOCK_ELEMS // N``
 trials, rounded down to an even count and at least
 ``_BLOCK_MIN_TRIALS`` (16), so a block holds about ``_BLOCK_ELEMS`` mask
-elements up to N = 4096, and 16 trials above it. One Philox generator is
-re-keyed for each trial and draws into a (block, N) array; its state is a
-dict with every word a plain int, and only the key changes between
-trials. Masks are real, so two of them share one complex transform: trial
-2j goes in the real part and trial 2j + 1 in the imaginary part of one
-row, and one in-place ``numpy.fft.fft`` of shape (block/2, N) serves the
-whole block. With Z that transform,
+elements up to N = 4096, and 16 trials above it. One call of
+``masks._draw_uniforms``, the keyed draw behind ``generate_mask``, fills
+a block's (block, N) uniforms. Masks are real, so two of them share one
+complex transform: trial 2j goes in the real part and trial 2j + 1 in
+the imaginary part of one row, and one in-place ``numpy.fft.fft`` of
+shape (block/2, N) serves the whole block. With Z that transform,
 |A_k| = |Z_k + conj Z_{N-k}| / 2 and |B_k| = |Z_k - conj Z_{N-k}| / 2 are
 unpacked for k = 1..N//2 only, through two scratch arrays; the other half
 mirrors them exactly, and the bin sum counts every bin twice except the
@@ -43,26 +42,23 @@ counted by the largest task as trials times N times rates, so at
 N = 1543 each task is its own batch and an N = 131071 task never shares
 one. Results come back in task order.
 
-Buffer lifetime: the generator, its state dict and the block buffers
-(uniforms, a second 0/1 target where a task has several rates, the packed
-transform, the magnitudes and the unpack scratch) belong to a per-thread
-workspace, so they outlive a chunk. The generator is built for a
-thread's first chunk and kept as long as the thread; the buffers are
-sized for the chunk's block and kept for one (N, rate count) shape at a
-time, so a shorter chunk works in views of them, and a chunk of another
-N, with one rate after several or the reverse, or with a longer block
-replaces them. Making a
-set first allocates and frees one buffer-sized block, which keeps
-numpy.fft's per-call scratch on glibc's heap (see
-``_Workspace.block_buffers``). The driver drops the buffers when it
-returns or fails, so an in-process call keeps none, and a pool worker
-keeps its own until the pool ends with the call. No value passes from
-one block to the next through a buffer: every element a block reads is
-written in that block.
+Buffer lifetime: the block buffers (uniforms, a second 0/1 target where
+a task has several rates, the packed transform, the magnitudes and the
+unpack scratch) belong to a per-thread workspace, so they outlive a
+chunk. They are sized for the chunk's block and kept for one (N, rate
+count) shape at a time, so a shorter chunk works in views of them, and a
+chunk of another N, with one rate after several or the reverse, or with
+a longer block replaces them. Making a set first allocates and frees one
+buffer-sized block, which keeps numpy.fft's per-call scratch on glibc's
+heap (see ``_Workspace.block_buffers``). The driver drops the buffers
+when it returns or fails, so an in-process call keeps none, and a pool
+worker keeps its own until the pool ends with the call. No value passes
+from one block to the next through a buffer: every element a block reads
+is written in that block.
 
 Determinism contract: trial t is always transformed together with trial
 t ^ 1 (a chunk that starts or ends inside a pair draws the partner and
-discards it), and per-trial RNG streams are keyed by trial index, so
+discards it), and each trial's uniforms are keyed by (seed, t) alone, so
 every per-trial value is a pure function of (seed, t), whatever the chunk
 boundaries, block size, trial count or worker count. Chunks are fixed
 runs of ``_CHUNK_TRIALS`` trials, independent of the worker count, and
@@ -85,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .masks import MaskConfig, _as_index, _trial_key
+from .masks import MaskConfig, _as_index, _draw_uniforms
 
 __all__ = [
     "RunningStats",
@@ -248,29 +244,10 @@ class TrialStats:
 
 
 class _Workspace(threading.local):
-    """The chunk kernel's working memory, one per thread: a Philox
-    generator, its state dict, and the block buffers of one block shape."""
+    """The chunk kernel's block buffers of one block shape, one set per thread."""
 
     def __init__(self) -> None:
-        # built on first use: importing the module loads no numpy.random
-        self.rng: tuple[np.random.Philox, np.random.Generator, dict] | None = None
         self.buffers: dict[tuple[int, bool], tuple[np.ndarray, ...]] = {}
-
-    def generator(self) -> tuple[np.random.Philox, np.random.Generator, dict]:
-        """A Philox bit generator, a Generator on it, and the state of a
-        freshly keyed stream (counter 0, empty buffer) with every word a
-        plain int, which the state setter reads far faster than numpy
-        arrays; only the key changes from trial to trial."""
-        if self.rng is None:
-            bit_gen = np.random.Philox(key=0)
-            fresh = bit_gen.state
-            state = {
-                **fresh,
-                "state": {k: v.tolist() for k, v in fresh["state"].items()},
-                "buffer": fresh["buffer"].tolist(),
-            }
-            self.rng = bit_gen, np.random.Generator(bit_gen), state
-        return self.rng
 
     def block_buffers(self, rows: int, n: int, second: bool) -> tuple[np.ndarray, ...]:
         """Buffers for blocks of up to ``rows`` trials of length ``n``:
@@ -321,15 +298,10 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
     # the uniforms survive for the next rate; the last one overwrites them
     uniforms, second, packed, mags, scratch = _workspace.block_buffers(rows, n, len(rates) > 1)
     targets = [second] * (len(rates) - 1) + [uniforms]
-    bit_gen, gen, state = _workspace.generator()
-    words = state["state"]
     for lo in range(first, end, rows):
         hi = min(lo + rows, end)
         block = uniforms[: hi - lo]
-        for t, row in enumerate(block, lo):
-            words["key"] = _trial_key(seed, t)
-            bit_gen.state = state
-            gen.random(out=row)
+        _draw_uniforms(seed, lo, block)
         pairs = packed[: len(block) // 2]
         block_mags = mags[: len(pairs)]
         mirror, diff = scratch[:, : len(pairs)]

@@ -293,7 +293,11 @@ def _load_signal_rows(source) -> np.ndarray:
 
 
 def write_signal_csv(path, x) -> None:
+    """Write ``x`` as the fixture ``read_signal_csv`` reads; input it would
+    reject (not 1-D, empty, not finite) raises ValueError before opening."""
     arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
+        raise ValueError("signal must be a non-empty 1-D array of finite values")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i, v in enumerate(arr):
             fh.write(f"{i},{float(v)!r}\n")

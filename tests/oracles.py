@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from maskspectra.masks import Mask
+from maskspectra.masks import Mask, MaskConfig
 from maskspectra.montecarlo import RunningStats
 from maskspectra.recovery import SignalSpec, _relative_norm, _snr_db
 from maskspectra.spectrum import _as_real_vector
@@ -52,6 +52,14 @@ def dft_direct(x) -> np.ndarray:
         kernel = np.exp((-2j * np.pi / n) * phase)
         coeffs[start : start + _DIRECT_BLOCK_ROWS] = kernel @ arr
     return coeffs
+
+
+def oracle_mask(config: MaskConfig, t: int) -> Mask:
+    """The mask of trial t from a Philox built for it with the 128-bit key
+    (seed << 64) + t: the keying that the package's one re-keyed generator
+    must reproduce."""
+    rng = np.random.Generator(np.random.Philox(key=(config.seed << 64) + t))
+    return Mask(rng.random(config.n) < config.p)
 
 
 def spectrum_of_mask(mask: Mask) -> np.ndarray:

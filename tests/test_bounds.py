@@ -18,6 +18,7 @@ from maskspectra.bounds import (
     q_inverse,
     ratio_approximation,
     sigma_bound,
+    thresholds,
     worst_case_bound,
 )
 from maskspectra.masks import is_prime, worst_case_mask
@@ -49,6 +50,25 @@ def test_worst_case_domain_errors():
 def test_worst_case_warns_for_composite_length():
     with pytest.warns(UserWarning, match="composite"):
         worst_case_bound(1000, 500)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: worst_case_bound(128, 64),
+        lambda: thresholds(BoundSpec(128, 0.5)),
+        lambda: bound_report(BoundSpec(128, 0.5)),
+    ],
+    ids=["worst_case_bound", "thresholds", "bound_report"],
+)
+def test_composite_warning_names_the_caller_once(call):
+    # the warning points at the line that called the public function, here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
+    assert "composite" in str(caught[0].message)
 
 
 def test_dirichlet_reference_values():

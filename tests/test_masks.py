@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maskspectra.masks import (
     Mask,
@@ -9,6 +11,7 @@ from maskspectra.masks import (
     is_prime,
     worst_case_mask,
 )
+from oracles import oracle_mask
 
 
 def test_n_p_equals_popcount():
@@ -30,13 +33,18 @@ def test_generate_is_deterministic():
     assert not np.array_equal(a.bits, c.bits)
 
 
-def test_trial_key_is_seed_high_word_trial_low_word():
-    # the 128-bit Philox key (seed << 64) + t, including mixed word sizes
-    # that numpy would read as float64 from a plain list
-    for seed, t in ((2**64 - 1, 5), (5, 2**64 - 1), (0, 2**63), (1729, 0)):
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
-        want = rng.random(127) < 0.5
-        assert np.array_equal(generate_mask(MaskConfig(127, 0.5, seed=seed), t).bits, want)
+@settings(max_examples=50, deadline=None)
+# each word at 0, small, 2**63 and 2**64 - 1
+@example(seed=2**64 - 1, t=5)
+@example(seed=5, t=2**64 - 1)
+@example(seed=0, t=2**63)
+@example(seed=1729, t=0)
+@given(seed=st.integers(0, 2**64 - 1), t=st.integers(0, 2**64 - 1))
+def test_trial_key_is_seed_high_word_trial_low_word(seed, t):
+    # the re-keyed generator against a Philox built with the 128-bit key
+    # (seed << 64) + t, over the full range of both words
+    config = MaskConfig(127, 0.5, seed=seed)
+    assert np.array_equal(generate_mask(config, t).bits, oracle_mask(config, t).bits)
 
 
 def test_distinct_seeds_distinct_masks():

@@ -18,7 +18,7 @@ from maskspectra.montecarlo import (
     records_to_json,
     run_experiment,
 )
-from oracles import max_nonzero_bin, push, spectrum_of_mask
+from oracles import max_nonzero_bin, oracle_mask, push, spectrum_of_mask
 
 
 def _stats(spec, workers=1):
@@ -286,7 +286,7 @@ def test_engine_matches_per_trial_oracle():
     for start in range(0, 1100, mc._CHUNK_TRIALS):
         chunk = (RunningStats(), RunningStats(), RunningStats())
         for t in range(start, min(start + mc._CHUNK_TRIALS, 1100)):
-            mask = generate_mask(cfg, t)
+            mask = oracle_mask(cfg, t)
             coeffs = spectrum_of_mask(mask)
             _, peak = max_nonzero_bin(coeffs)
             mags = np.abs(coeffs[1:])
@@ -313,7 +313,7 @@ def _oracle_chunk(config, start, stop):
     peaks = []
     bin_max = np.zeros(config.n - 1)
     for t in range(start, stop):
-        mask = generate_mask(config, t)
+        mask = oracle_mask(config, t)
         mags = np.abs(spectrum_of_mask(mask)[1:])
         peak = float(mags.max())
         stats.trials += 1
@@ -464,22 +464,31 @@ def test_reused_buffers_carry_nothing_between_chunks():
 
 
 def test_threads_keep_their_own_kernel_workspace():
-    # the kernel's generator and buffers are per thread, so runs on several
-    # threads of one process, switching often, each give the serial result
+    # the keyed generator and the kernel's buffers are per thread, so runs
+    # and generate_mask calls on several threads of one process, switching
+    # often, each give the serial result
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     spec = ExperimentSpec(MaskConfig(127, 0.3, seed=8), trials=2048, thresholds=(("t", 10.0),))
-    want = _stats(spec)
+    keys = [(seed, t) for seed in (0, 8, 2**64 - 1) for t in (0, 5, 2**64 - 1)]
+
+    def masks():
+        return [generate_mask(MaskConfig(131, 0.4, seed=seed), t).bits.tobytes() for seed, t in keys]
+
+    def run():
+        return _stats(spec), masks(), _stats(spec)
+
+    want = run()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(_stats, spec) for _ in range(8)]
+            futures = [pool.submit(run) for _ in range(8)]
             got = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert all(stats == want for stats in got)
+    assert all(result == want for result in got)
 
 
 @pytest.fixture
@@ -593,16 +602,16 @@ def test_multi_spec_run_matches_one_run_per_spec():
 
 def test_rates_of_one_draw_key_each_trial_once(monkeypatch):
     # three rates at one (N, seed, trials) threshold the same uniforms, so
-    # each trial's RNG is keyed once, not once per rate
+    # the keyed draw keys each trial once, not once per rate
     import maskspectra.montecarlo as mc
 
-    keyed, original = [], mc._trial_key
+    keyed, original = [], mc._draw_uniforms
 
-    def counting_key(seed, trial_index):
-        keyed.append(trial_index)
-        return original(seed, trial_index)
+    def counting_draw(seed, first, out):
+        keyed.extend(range(first, first + len(out)))
+        original(seed, first, out)
 
-    monkeypatch.setattr(mc, "_trial_key", counting_key)
+    monkeypatch.setattr(mc, "_draw_uniforms", counting_draw)
     run_experiment([ExperimentSpec(MaskConfig(127, p, seed=3), 1024) for p in (0.1, 0.5, 0.8)], workers=1)
     assert sorted(keyed) == list(range(1024))
 

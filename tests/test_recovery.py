@@ -263,6 +263,22 @@ def test_signal_csv_roundtrip(tmp_path):
     path = tmp_path / "sig.csv"
     write_signal_csv(path, DEMO_X)
     assert np.array_equal(read_signal_csv(path), DEMO_X)
+    write_signal_csv(path, [0.1, -2.5, 1e-300, 3])
+    assert path.read_bytes() == b"0,0.1\n1,-2.5\n2,1e-300\n3,3.0\n"
+
+
+def test_write_signal_csv_rejects_what_read_would_before_opening(tmp_path):
+    # a fixture read_signal_csv would reject is never written, and the file
+    # at the path is left as it was
+    path = tmp_path / "sig.csv"
+    path.write_text("0,1.0\n")
+    for bad in ([1.0, math.nan], [math.inf], [], [[1.0, 2.0], [3.0, 4.0]], 1.0):
+        with pytest.raises(ValueError, match="non-empty 1-D array of finite values"):
+            write_signal_csv(path, bad)
+        assert path.read_text() == "0,1.0\n"
+    with pytest.raises(ValueError):
+        write_signal_csv(tmp_path / "new.csv", [[1.0]])
+    assert not (tmp_path / "new.csv").exists()
 
 
 def test_signal_csv_rejects_gaps(tmp_path):
