@@ -3,7 +3,6 @@ masks, Monte Carlo validation, and an iterative-thresholding recovery demo.
 """
 
 from .bounds import (
-    BoundSpec,
     bound_report,
     gaussian_bound,
     gaussian_bound_approx,
@@ -34,7 +33,6 @@ __all__ = [
     "generate_mask",
     "worst_case_mask",
     "is_prime",
-    "BoundSpec",
     "worst_case_bound",
     "ratio_approximation",
     "q_inverse",

@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from statistics import NormalDist
 
 from .masks import _as_index, is_prime
 
 __all__ = [
-    "BoundSpec",
     "worst_case_bound",
     "ratio_approximation",
     "q_inverse",
@@ -45,41 +43,6 @@ __all__ = [
     "thresholds",
     "bound_report",
 ]
-
-
-@dataclass(frozen=True)
-class BoundSpec:
-    """Inputs shared by the bound evaluators.
-
-    n_p defaults to ceil(n*p), the typical support size. union_mode=False
-    keeps the per-bin tail budget eps as-is; union_mode=True divides it by
-    the N-1 candidate bins (union bound over all of them).
-    """
-
-    n: int
-    p: float
-    n_p: int | None = None
-    epsilon: float = 1e-4
-    union_mode: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _mask_length(self.n))
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0, 1), got {self.p!r}")
-        n_p = math.ceil(self.n * self.p) if self.n_p is None else _as_index(self.n_p, "n_p")
-        if not 1 <= n_p <= self.n:
-            raise ValueError(f"n_p must lie in [1, {self.n}], got {self.n_p!r}")
-        object.__setattr__(self, "n_p", n_p)
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if self.effective_epsilon / 2.0 == 0.0:
-            raise ValueError(
-                f"epsilon {self.epsilon!r} is too small: its per-tail budget effective_epsilon / 2 is 0"
-            )
-
-    @property
-    def effective_epsilon(self) -> float:
-        return self.epsilon / (self.n - 1) if self.union_mode else self.epsilon
 
 
 def _mask_length(n, least: int = 2) -> int:
@@ -141,15 +104,24 @@ def ratio_approximation(n: int, p: float) -> float:
     0.19); it is then clamped to 0 with a warning. Tends to
     sin(p*pi)/(p*pi) as N grows.
     """
+    ratio = _ratio_approx(n, p)
+    _warn_if_clamped(n, p)
+    return ratio
+
+
+def _ratio_approx(n: int, p: float) -> float:
+    """ratio_approximation without the clamped-radicand warning."""
     n = _mask_length(n, 1)
     if not 0.0 < p <= 1.0 or n * p < 1.0:
         raise ValueError(f"need 0 < p <= 1 and n*p >= 1, got n={n}, p={p!r}")
-    np_mean = n * p
+    return math.sqrt(max(_ratio_radicand(n, p), 0.0)) / (n * p)
+
+
+def _warn_if_clamped(n: int, p: float) -> None:
+    # called once by each public function, so stacklevel 3 names its caller
     radicand = _ratio_radicand(n, p)
     if radicand < 0.0:
-        warnings.warn(f"ratio approximation radicand {radicand:.3g} < 0 at n={n}, p={p}; clamped to 0")
-        radicand = 0.0
-    return math.sqrt(radicand) / np_mean
+        warnings.warn(f"ratio approximation radicand {radicand:.3g} < 0 at n={n}, p={p}; clamped to 0", stacklevel=3)
 
 
 _STANDARD_NORMAL = NormalDist()
@@ -168,28 +140,41 @@ def q_inverse(y: float) -> float:
     return -_STANDARD_NORMAL.inv_cdf(y)
 
 
-def _variance(spec: BoundSpec) -> float:
-    """p(1-p)N, the Gaussian model's variance of Re{A_k} and Im{A_k}, k != 0."""
-    return spec.p * (1.0 - spec.p) * spec.n
+def _gaussian_model(n: int, p: float, epsilon: float, union: bool) -> tuple[float, float]:
+    """Check n, p and epsilon; return the Gaussian model's variance p(1-p)N
+    of Re{A_k} and Im{A_k}, k != 0, and its per-bin tail budget eps'. That
+    is eps as-is, or under ``union`` eps/(N-1): a union bound over the N-1
+    candidate bins."""
+    n = _mask_length(n)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    budget = epsilon / (n - 1) if union else epsilon
+    if budget / 2.0 == 0.0:
+        raise ValueError(f"epsilon {epsilon!r} is too small: its per-tail budget effective_epsilon / 2 is 0")
+    return p * (1.0 - p) * n, budget
 
 
-def gaussian_bound(spec: BoundSpec) -> float:
+def gaussian_bound(n: int, p: float, *, epsilon: float = 1e-4, union: bool = False) -> float:
     """Threshold T with per-bin P(|A_k| > T) <= eps under the Gaussian model.
 
     T = sqrt(2 * var) * Q^-1(eps'/2), splitting the eps budget between the
-    real and imaginary parts; eps' is spec.effective_epsilon.
+    real and imaginary parts; eps' is eps, or eps/(N-1) under ``union``.
     """
-    return math.sqrt(2.0 * _variance(spec)) * q_inverse(spec.effective_epsilon / 2.0)
+    variance, budget = _gaussian_model(n, p, epsilon, union)
+    return math.sqrt(2.0 * variance) * q_inverse(budget / 2.0)
 
 
-def gaussian_bound_approx(spec: BoundSpec) -> float:
+def gaussian_bound_approx(n: int, p: float, *, epsilon: float = 1e-4, union: bool = False) -> float:
     """gaussian_bound with the tail approximation Q(x) ~ exp(-x^2/2)/2.
 
     Closed form 2*sqrt(var * ln(1/eps')); an upper bound on gaussian_bound
     since Q(x) <= exp(-x^2/2)/2 for x >= 0.
     """
+    variance, budget = _gaussian_model(n, p, epsilon, union)
     # -ln(eps') rather than ln(1/eps'): 1/eps' overflows for subnormal eps'
-    return 2.0 * math.sqrt(_variance(spec) * -math.log(spec.effective_epsilon))
+    return 2.0 * math.sqrt(variance * -math.log(budget))
 
 
 def sigma_bound(n: int, p: float, m: int) -> float:
@@ -207,40 +192,52 @@ def sigma_bound(n: int, p: float, m: int) -> float:
     return sigma3 if m == 3 else (4.0 / 3.0) * sigma3
 
 
-def thresholds(spec: BoundSpec) -> dict[str, float]:
+def thresholds(n: int, p: float, *, epsilon: float = 1e-4) -> dict[str, float]:
     """The four threshold families a simulated peak is compared with:
-    gaussian_T, sigma3, sigma4 and worst_case (at spec.n_p), in that order."""
-    _warn_if_composite(spec.n)
-    return {
-        "gaussian_T": gaussian_bound(spec),
-        "sigma3": sigma_bound(spec.n, spec.p, 3),
-        "sigma4": sigma_bound(spec.n, spec.p, 4),
-        "worst_case": _worst_case(spec.n, spec.n_p),
+    gaussian_T, sigma3, sigma4 and worst_case (at n_p = ceil(N*p)), in
+    that order."""
+    record = {
+        "gaussian_T": gaussian_bound(n, p, epsilon=epsilon),  # checks n, p and epsilon first
+        "sigma3": sigma_bound(n, p, 3),
+        "sigma4": sigma_bound(n, p, 4),
+        "worst_case": _worst_case(n, math.ceil(n * p)),
     }
+    _warn_if_composite(n)
+    return record
 
 
-def bound_report(spec: BoundSpec) -> dict[str, float]:
-    """Every bound family for one spec, as one flat record in the column
+def bound_report(
+    n: int, p: float, *, n_p: int | None = None, epsilon: float = 1e-4, union: bool = False
+) -> dict[str, float]:
+    """Every bound family for one (N, p), as one flat record in the column
     order ``maskspectra bounds`` prints.
 
-    worst_case_ratio is worst_case / n_p; worst_case_ratio_np divides by the
-    continuous mean support N*p instead, which is the normalization used by
-    the reference ratio figures. ratio_approx is the closed-form large-N
-    approximation of worst_case / (N*p).
+    n_p defaults to ceil(N*p), the typical support size; ``union`` divides
+    eps by the N-1 candidate bins, as in gaussian_bound. worst_case_ratio is
+    worst_case / n_p; worst_case_ratio_np divides by the continuous mean
+    support N*p instead, which is the normalization used by the reference
+    ratio figures. ratio_approx is the closed-form large-N approximation of
+    worst_case / (N*p).
     """
-    _warn_if_composite(spec.n)
-    worst_case = _worst_case(spec.n, spec.n_p)
-    return {
-        "n": spec.n,
-        "p": spec.p,
-        "n_p": spec.n_p,
-        "epsilon": spec.epsilon,
+    n = _mask_length(n)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    n_p = math.ceil(n * p) if n_p is None else _as_index(n_p, "n_p")
+    worst_case = _worst_case(n, n_p)
+    record = {
+        "n": n,
+        "p": p,
+        "n_p": n_p,
+        "epsilon": epsilon,
         "worst_case": worst_case,
-        "worst_case_ratio": worst_case / spec.n_p,
-        "worst_case_ratio_np": worst_case / (spec.n * spec.p),
-        "gaussian_T": gaussian_bound(spec),
-        "gaussian_T_approx": gaussian_bound_approx(spec),
-        "sigma3": sigma_bound(spec.n, spec.p, 3),
-        "sigma4": sigma_bound(spec.n, spec.p, 4),
-        "ratio_approx": ratio_approximation(spec.n, spec.p),
+        "worst_case_ratio": worst_case / n_p,
+        "worst_case_ratio_np": worst_case / (n * p),
+        "gaussian_T": gaussian_bound(n, p, epsilon=epsilon, union=union),
+        "gaussian_T_approx": gaussian_bound_approx(n, p, epsilon=epsilon, union=union),
+        "sigma3": sigma_bound(n, p, 3),
+        "sigma4": sigma_bound(n, p, 4),
+        "ratio_approx": _ratio_approx(n, p),
     }
+    _warn_if_composite(n)
+    _warn_if_clamped(n, p)
+    return record

@@ -67,14 +67,14 @@ def _render(records: list[dict], fmt: str) -> str:
 
 
 def cmd_bounds(args) -> int:
-    spec = bounds.BoundSpec(args.n, args.p, n_p=args.np, epsilon=args.eps, union_mode=args.union)
-    _emit(_render([bounds.bound_report(spec)], args.format), args.out)
+    report = bounds.bound_report(args.n, args.p, n_p=args.np, epsilon=args.eps, union=args.union)
+    _emit(_render([report], args.format), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
-    thresholds = tuple(bounds.thresholds(bounds.BoundSpec(args.n, args.p, epsilon=args.eps)).items())
+    thresholds = tuple(bounds.thresholds(args.n, args.p, epsilon=args.eps).items())
     spec = montecarlo.ExperimentSpec(MaskConfig(args.n, args.p, seed), args.trials, thresholds=thresholds)
     [(stats, _)] = montecarlo.run_experiment([spec], args.workers)
     payload = {"N": args.n, "p": args.p, "seed": seed, **stats.to_dict()}
@@ -139,7 +139,8 @@ def cmd_figure(args) -> int:
     if args.mode == "bounds":
         # per-N bound and simulation curves at a fixed sampling rate
         ns = _parse_list(args.ns, "--ns", int, "integers")
-        bound_specs = [bounds.BoundSpec(n, args.rate, epsilon=args.eps) for n in ns]
+        # every N's thresholds come first, so a bad --eps fails before any trial runs
+        limits = [bounds.thresholds(n, args.rate, epsilon=args.eps) for n in ns]
         specs = [montecarlo.ExperimentSpec(MaskConfig(n, args.rate, seed), args.trials) for n in ns]
         records = [
             {
@@ -147,9 +148,9 @@ def cmd_figure(args) -> int:
                 "sim_max_mean": stats.per_trial_max.mean,
                 "sim_global_max": stats.global_max,
                 "mean_abs": stats.mean_abs_coeff,
-                **bounds.thresholds(bound_spec),
+                **limit,
             }
-            for n, bound_spec, (stats, _) in zip(ns, bound_specs, montecarlo.run_experiment(specs, args.workers))
+            for n, limit, (stats, _) in zip(ns, limits, montecarlo.run_experiment(specs, args.workers))
         ]
     elif args.n is None:
         raise ValueError(f"--n is required for mode {args.mode!r}")

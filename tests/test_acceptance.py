@@ -45,7 +45,7 @@ def grid_stats():
     """10^4-trial runs for the (N, p) grid, thresholds at T(1e-4) and 4-sigma."""
     cells, specs = {}, []
     for n, p in itertools.product(GRID_NS, GRID_PS):
-        t_gauss = bounds.gaussian_bound(bounds.BoundSpec(n, p, epsilon=1e-4))
+        t_gauss = bounds.gaussian_bound(n, p, epsilon=1e-4)
         s4 = bounds.sigma_bound(n, p, 4)
         cells[(n, p)] = (t_gauss, s4)
         specs.append(

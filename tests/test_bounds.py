@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from scipy.special import erfcinv
 
 from maskspectra.bounds import (
-    BoundSpec,
     bound_report,
     gaussian_bound,
     gaussian_bound_approx,
@@ -22,6 +22,7 @@ from maskspectra.bounds import (
     worst_case_bound,
 )
 from maskspectra.masks import is_prime, worst_case_mask
+from maskspectra.montecarlo import records_to_json
 from oracles import dft_direct, max_nonzero_bin, q_function, worst_case_cosine_sum
 
 
@@ -56,8 +57,8 @@ def test_worst_case_warns_for_composite_length():
     "call",
     [
         lambda: worst_case_bound(128, 64),
-        lambda: thresholds(BoundSpec(128, 0.5)),
-        lambda: bound_report(BoundSpec(128, 0.5)),
+        lambda: thresholds(128, 0.5),
+        lambda: bound_report(128, 0.5),
     ],
     ids=["worst_case_bound", "thresholds", "bound_report"],
 )
@@ -219,48 +220,44 @@ def test_q_inverse_against_mpmath_log_space_oracle():
 
 
 def test_gaussian_bound_reference_value():
-    spec = BoundSpec(127, 0.5, epsilon=1e-4)
-    assert gaussian_bound(spec) == pytest.approx(31.0, abs=0.1)
+    assert gaussian_bound(127, 0.5, epsilon=1e-4) == pytest.approx(31.0, abs=0.1)
 
 
 def test_gaussian_bound_union_mode_is_larger():
-    plain = gaussian_bound(BoundSpec(127, 0.5, epsilon=1e-4))
-    union = gaussian_bound(BoundSpec(127, 0.5, epsilon=1e-4, union_mode=True))
+    plain = gaussian_bound(127, 0.5, epsilon=1e-4)
+    union = gaussian_bound(127, 0.5, epsilon=1e-4, union=True)
     assert union > plain
 
 
 def test_gaussian_bound_vanishes_as_epsilon_approaches_one():
-    assert gaussian_bound(BoundSpec(127, 0.5, epsilon=1 - 1e-9)) == pytest.approx(0.0, abs=1e-3)
+    assert gaussian_bound(127, 0.5, epsilon=1 - 1e-9) == pytest.approx(0.0, abs=1e-3)
 
 
 def test_gaussian_bound_decreasing_in_epsilon():
-    values = [gaussian_bound(BoundSpec(127, 0.5, epsilon=e)) for e in (1e-8, 1e-6, 1e-4, 1e-2, 0.3)]
+    values = [gaussian_bound(127, 0.5, epsilon=e) for e in (1e-8, 1e-6, 1e-4, 1e-2, 0.3)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_gaussian_approx_reference_value():
-    spec = BoundSpec(127, 0.5, epsilon=1e-4)
-    assert gaussian_bound_approx(spec) == pytest.approx(34.2, abs=0.1)
+    assert gaussian_bound_approx(127, 0.5, epsilon=1e-4) == pytest.approx(34.2, abs=0.1)
 
 
 def test_gaussian_approx_dominates_exact_bound():
     # Q(x) <= exp(-x^2/2)/2 for x >= 0
     for eps in (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.23):
-        spec = BoundSpec(127, 0.5, epsilon=eps)
-        assert gaussian_bound_approx(spec) >= gaussian_bound(spec), eps
+        assert gaussian_bound_approx(127, 0.5, epsilon=eps) >= gaussian_bound(127, 0.5, epsilon=eps), eps
 
 
 def test_gaussian_approx_stays_finite_for_subnormal_epsilon():
     # down to a subnormal eps' = eps / 126, whose reciprocal overflows
     for eps in (1e-300, 1e-308, 1e-310, 1e-315, 1e-320):
-        spec = BoundSpec(127, 0.5, epsilon=eps, union_mode=True)
-        approx = gaussian_bound_approx(spec)
-        assert math.isfinite(approx) and approx >= gaussian_bound(spec), eps
-    assert gaussian_bound_approx(BoundSpec(127, 0.5, epsilon=1e-320, union_mode=True)) == pytest.approx(306.9, abs=0.1)
+        approx = gaussian_bound_approx(127, 0.5, epsilon=eps, union=True)
+        assert math.isfinite(approx) and approx >= gaussian_bound(127, 0.5, epsilon=eps, union=True), eps
+    assert gaussian_bound_approx(127, 0.5, epsilon=1e-320, union=True) == pytest.approx(306.9, abs=0.1)
 
 
 def test_gaussian_approx_vanishes_as_epsilon_approaches_one():
-    assert gaussian_bound_approx(BoundSpec(127, 0.5, epsilon=1 - 1e-9)) == pytest.approx(0.0, abs=1e-2)
+    assert gaussian_bound_approx(127, 0.5, epsilon=1 - 1e-9) == pytest.approx(0.0, abs=1e-2)
 
 
 def test_sigma_bound_values_and_ratio():
@@ -283,28 +280,30 @@ def test_sigma_bound_multiplier_policy():
             sigma_bound(127, 0.5, m)
 
 
-def test_bound_spec_defaults_and_validation():
-    spec = BoundSpec(127, 0.5)
-    assert spec.n_p == 64
-    assert BoundSpec(127, 0.5, epsilon=1e-4, union_mode=True).effective_epsilon == pytest.approx(1e-4 / 126)
+def test_bound_report_defaults_and_validation():
+    assert bound_report(127, 0.5)["n_p"] == 64
+    # union divides eps by the N - 1 = 126 candidate bins
+    union = bound_report(127, 0.5, epsilon=1e-4, union=True)
+    assert union["gaussian_T"] == gaussian_bound(127, 0.5, union=True) == gaussian_bound(127, 0.5, epsilon=1e-4 / 126)
     with pytest.raises(ValueError):
-        BoundSpec(127, 0.5, n_p=128)
+        bound_report(127, 0.5, n_p=128)
     with pytest.raises(ValueError):
-        BoundSpec(127, 0.5, epsilon=0.0)
+        bound_report(127, 0.5, epsilon=0.0)
 
 
 def test_bounds_accept_numpy_integers():
     # a length read off a numpy array is an integer too; bools and floats are not
     n = np.int64(127)
-    spec = BoundSpec(n, 0.5, n_p=np.int32(64))
-    assert (spec.n, spec.n_p) == (127, 64) and type(spec.n) is int and type(spec.n_p) is int
+    report = bound_report(n, 0.5, n_p=np.int32(64))
+    assert (report["n"], report["n_p"]) == (127, 64) and type(report["n"]) is int and type(report["n_p"]) is int
+    json.loads(records_to_json(report))  # strict JSON takes the record as it is
     assert worst_case_bound(n, np.int64(64)) == worst_case_bound(127, 64)
     assert worst_case_bound(np.int32(127), 64) == worst_case_bound(127, 64)
     assert ratio_approximation(n, 0.5) == ratio_approximation(127, 0.5)
     assert sigma_bound(n, 0.5, 3) == sigma_bound(127, 0.5, 3)
     for bad in (True, 127.0):
         for call in (
-            lambda: BoundSpec(bad, 0.5),
+            lambda: bound_report(bad, 0.5),
             lambda: worst_case_bound(bad, 1),
             lambda: worst_case_bound(127, bad),
             lambda: ratio_approximation(bad, 0.5),
@@ -315,11 +314,11 @@ def test_bounds_accept_numpy_integers():
     with pytest.raises(ValueError, match="must be an integer"):
         worst_case_bound(127, 64.0)
     with pytest.raises(ValueError, match="must be an integer"):
-        BoundSpec(127, 0.5, n_p=True)
+        bound_report(127, 0.5, n_p=True)
 
 
 def test_bound_report_table_row():
-    rep = bound_report(BoundSpec(127, 0.5, n_p=64, epsilon=1e-4))
+    rep = bound_report(127, 0.5, n_p=64, epsilon=1e-4)
     assert rep["worst_case"] == pytest.approx(40.426, abs=1e-3)
     assert rep["worst_case_ratio"] == pytest.approx(40.4264 / 64, abs=1e-4)
     # the printed table normalizes by N*p, which rounds to 0.637
@@ -331,30 +330,74 @@ def test_bound_report_table_row():
 
 
 def test_bound_report_low_rate_row():
-    rep = bound_report(BoundSpec(127, 0.1, n_p=13, epsilon=1e-4))
+    rep = bound_report(127, 0.1, n_p=13, epsilon=1e-4)
     assert rep["worst_case"] == pytest.approx(12.778, abs=1e-3)
     assert rep["worst_case_ratio_np"] == pytest.approx(1.006, abs=5e-3)
 
 
 @pytest.mark.parametrize(
     "spec",
-    [BoundSpec(127, 0.5), BoundSpec(1543, 0.8, n_p=1), BoundSpec(131, 0.25, epsilon=1e-6, union_mode=True)],
+    [(127, 0.5, {}), (1543, 0.8, {"n_p": 1}), (131, 0.25, {"epsilon": 1e-6, "union": True})],
 )
 def test_bound_report_values_are_the_bound_functions(spec):
     # each value is exactly what its bound function returns, in the column order the CLI prints
-    wc = worst_case_bound(spec.n, spec.n_p)
+    n, p, options = spec
+    n_p = options.get("n_p", math.ceil(n * p))
+    epsilon, union = options.get("epsilon", 1e-4), options.get("union", False)
+    wc = worst_case_bound(n, n_p)
     want = {
-        "n": spec.n,
-        "p": spec.p,
-        "n_p": spec.n_p,
-        "epsilon": spec.epsilon,
+        "n": n,
+        "p": p,
+        "n_p": n_p,
+        "epsilon": epsilon,
         "worst_case": wc,
-        "worst_case_ratio": wc / spec.n_p,
-        "worst_case_ratio_np": wc / (spec.n * spec.p),
-        "gaussian_T": gaussian_bound(spec),
-        "gaussian_T_approx": gaussian_bound_approx(spec),
-        "sigma3": sigma_bound(spec.n, spec.p, 3),
-        "sigma4": sigma_bound(spec.n, spec.p, 4),
-        "ratio_approx": ratio_approximation(spec.n, spec.p),
+        "worst_case_ratio": wc / n_p,
+        "worst_case_ratio_np": wc / (n * p),
+        "gaussian_T": gaussian_bound(n, p, epsilon=epsilon, union=union),
+        "gaussian_T_approx": gaussian_bound_approx(n, p, epsilon=epsilon, union=union),
+        "sigma3": sigma_bound(n, p, 3),
+        "sigma4": sigma_bound(n, p, 4),
+        "ratio_approx": ratio_approximation(n, p),
     }
-    assert list(bound_report(spec).items()) == list(want.items())
+    assert list(bound_report(n, p, **options).items()) == list(want.items())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: ratio_approximation(7, 0.15), lambda: bound_report(7, 0.15)],
+    ids=["ratio_approximation", "bound_report"],
+)
+def test_radicand_warning_names_the_caller_once(call):
+    # the clamped-radicand warning points at the line that called the public function, here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
+    assert "radicand" in str(caught[0].message)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: thresholds(1.5, 0.5), "n must be an integer, got 1.5"),
+        (lambda: thresholds(128, 0.0), "p must lie in (0, 1), got 0.0"),
+        (lambda: bound_report(True, 0.5), "n must be an integer, got True"),
+        (lambda: bound_report(128, 0.5, n_p=200), "n_p must lie in [1, 128], got 200"),
+        (lambda: bound_report(128, 0.5, epsilon=0.0), "epsilon must lie in (0, 1), got 0.0"),
+        (
+            lambda: bound_report(128, 0.5, epsilon=5e-324),
+            "epsilon 5e-324 is too small: its per-tail budget effective_epsilon / 2 is 0",
+        ),
+    ],
+    ids=["thresholds-n", "thresholds-p", "report-n", "report-n_p", "report-eps", "report-tiny-eps"],
+)
+def test_bad_input_fails_before_the_composite_warning(call, message):
+    # N = 128 is composite: a warning raised before the check would hide the
+    # ValueError under filterwarnings = error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as info:
+            call()
+    assert str(info.value) == message
+    assert caught == []

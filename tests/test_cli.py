@@ -125,6 +125,20 @@ def test_bounds_rejects_eps_whose_tail_budget_underflows(capsys):
         assert "epsilon" in err and "q_inverse" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--n", "127", "--p", "0.5", "--trials", "600"), ("figure", "--mode", "bounds", "--trials", "8")],
+    ids=["simulate", "figure"],
+)
+def test_bad_eps_fails_before_any_trial(capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(montecarlo, "run_experiment", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run_cli(capsys, *argv, "--eps", "0")
+    assert code == 2 and out == ""
+    assert "epsilon must lie in (0, 1)" in err
+    assert calls == []
+
+
 def test_records_to_json_writes_non_finite_as_null():
     # strict JSON has no Infinity or NaN
     payload = [{"bound": math.inf, "low": -math.inf, "snr": math.nan, "n": 7, "x": 1.5}]
@@ -485,7 +499,7 @@ def test_readme_library_sketch_runs(tmp_path):
     printed, loaded = result.stdout.splitlines()
     assert loaded == "[]"
     global_max, worst_case, exceeded = printed.split()
-    report = bounds.bound_report(bounds.BoundSpec(127, 0.5, epsilon=1e-4))
+    report = bounds.bound_report(127, 0.5, epsilon=1e-4)
     spec = montecarlo.ExperimentSpec(
         MaskConfig(127, 0.5, seed=7), trials=20_000, thresholds=(("gaussian_T", report["gaussian_T"]),)
     )

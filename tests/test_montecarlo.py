@@ -119,7 +119,7 @@ def test_exceedance_zero_threshold_always_hit():
 
 
 def test_exceedance_gaussian_bound_never_hit():
-    t = bounds.gaussian_bound(bounds.BoundSpec(127, 0.5, epsilon=1e-4))
+    t = bounds.gaussian_bound(127, 0.5, epsilon=1e-4)
     spec = ExperimentSpec(MaskConfig(127, 0.5, seed=5), trials=2000, thresholds=(("g", t),))
     stats = _stats(spec)
     assert stats.exceedance_counts["g"] / stats.trials == 0.0
