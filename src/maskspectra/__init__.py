@@ -11,7 +11,7 @@ from .bounds import (
     sigma_bound,
     worst_case_bound,
 )
-from .masks import Mask, MaskConfig, generate_mask, is_prime, worst_case_mask
+from .masks import Mask, generate_mask, is_prime, worst_case_mask
 from .montecarlo import (
     ExperimentSpec,
     RunningStats,
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Mask",
-    "MaskConfig",
     "generate_mask",
     "worst_case_mask",
     "is_prime",

@@ -31,7 +31,7 @@ import math
 import warnings
 from statistics import NormalDist
 
-from .masks import _as_index, is_prime
+from .masks import _as_index, _mask_length, _unit_interval, is_prime
 
 __all__ = [
     "worst_case_bound",
@@ -43,15 +43,6 @@ __all__ = [
     "thresholds",
     "bound_report",
 ]
-
-
-def _mask_length(n, least: int = 2) -> int:
-    """``n`` as a Python int: integers of any type, numpy's included, but
-    not ``bool`` or a float."""
-    n = _as_index(n, "n")
-    if n < least:
-        raise ValueError(f"n must be an integer >= {least}, got {n!r}")
-    return n
 
 
 def _warn_if_composite(n: int) -> None:
@@ -111,7 +102,7 @@ def ratio_approximation(n: int, p: float) -> float:
 
 def _ratio_approx(n: int, p: float) -> float:
     """ratio_approximation without the clamped-radicand warning."""
-    n = _mask_length(n, 1)
+    n = _mask_length(n, least=1)
     if not 0.0 < p <= 1.0 or n * p < 1.0:
         raise ValueError(f"need 0 < p <= 1 and n*p >= 1, got n={n}, p={p!r}")
     return math.sqrt(max(_ratio_radicand(n, p), 0.0)) / (n * p)
@@ -145,14 +136,11 @@ def _gaussian_model(n: int, p: float, epsilon: float, union: bool) -> tuple[floa
     of Re{A_k} and Im{A_k}, k != 0, and its per-bin tail budget eps'. That
     is eps as-is, or under ``union`` eps/(N-1): a union bound over the N-1
     candidate bins."""
-    n = _mask_length(n)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    n, p, epsilon = _mask_length(n), _unit_interval(p, "p"), _unit_interval(epsilon, "epsilon")
     budget = epsilon / (n - 1) if union else epsilon
     if budget / 2.0 == 0.0:
-        raise ValueError(f"epsilon {epsilon!r} is too small: its per-tail budget effective_epsilon / 2 is 0")
+        tail = "epsilon / (N - 1) / 2" if union else "epsilon / 2"
+        raise ValueError(f"epsilon {epsilon!r} is too small: its per-tail budget {tail} is 0")
     return p * (1.0 - p) * n, budget
 
 
@@ -183,9 +171,7 @@ def sigma_bound(n: int, p: float, m: int) -> float:
     The m=4 value is computed as (4/3) times the m=3 value so their ratio
     is exactly 4/3 in floating point.
     """
-    n = _mask_length(n)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    n, p = _mask_length(n), _unit_interval(p, "p")
     if m not in (3, 4):
         raise ValueError(f"m must be 3 or 4, got {m!r}")
     sigma3 = 3.0 * math.sqrt(p * (1.0 - p) * n)
@@ -219,11 +205,10 @@ def bound_report(
     ratio figures. ratio_approx is the closed-form large-N approximation of
     worst_case / (N*p).
     """
-    n = _mask_length(n)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    n, p = _mask_length(n), _unit_interval(p, "p")
     n_p = math.ceil(n * p) if n_p is None else _as_index(n_p, "n_p")
     worst_case = _worst_case(n, n_p)
+    epsilon = _unit_interval(epsilon, "epsilon")
     record = {
         "n": n,
         "p": p,

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import bounds, montecarlo, recovery
-from .masks import MaskConfig, generate_mask, worst_case_mask
+from .masks import generate_mask, worst_case_mask
 
 DEFAULT_SEED = 1729
 SEED_ENV_VAR = "MASKSPECTRA_SEED"
@@ -75,7 +75,7 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     thresholds = tuple(bounds.thresholds(args.n, args.p, epsilon=args.eps).items())
-    spec = montecarlo.ExperimentSpec(MaskConfig(args.n, args.p, seed), args.trials, thresholds=thresholds)
+    spec = montecarlo.ExperimentSpec(args.n, args.p, args.trials, seed, thresholds)
     [(stats, _)] = montecarlo.run_experiment([spec], args.workers)
     payload = {"N": args.n, "p": args.p, "seed": seed, **stats.to_dict()}
     if args.format == "json":
@@ -111,7 +111,7 @@ def cmd_table1(args) -> int:
     seed = _resolve_seed(args.seed)
     large_n_trials = args.trials if args.full_scale else min(args.trials, _LARGE_N_TRIALS)
     specs = [
-        montecarlo.ExperimentSpec(MaskConfig(n, p, seed), large_n_trials if n >= _LARGE_N else args.trials)
+        montecarlo.ExperimentSpec(n, p, large_n_trials if n >= _LARGE_N else args.trials, seed)
         for n, p in TABLE1_ROWS
     ]
     records = []
@@ -141,7 +141,7 @@ def cmd_figure(args) -> int:
         ns = _parse_list(args.ns, "--ns", int, "integers")
         # every N's thresholds come first, so a bad --eps fails before any trial runs
         limits = [bounds.thresholds(n, args.rate, epsilon=args.eps) for n in ns]
-        specs = [montecarlo.ExperimentSpec(MaskConfig(n, args.rate, seed), args.trials) for n in ns]
+        specs = [montecarlo.ExperimentSpec(n, args.rate, args.trials, seed) for n in ns]
         records = [
             {
                 "N": n,
@@ -161,8 +161,7 @@ def cmd_figure(args) -> int:
             raise ValueError(f"--ps {args.ps!r} names a column twice: {', '.join(names)}")
         # per rate, the per-bin max over trials of |A_k|/(N*p): the
         # aliasing-noise level of the sampled spectrum against the signal line
-        configs = [MaskConfig(args.n, p, seed) for p in ps]  # every rate is checked before the trial count
-        specs = [montecarlo.ExperimentSpec(config, args.trials) for config in configs]
+        specs = [montecarlo.ExperimentSpec(args.n, p, args.trials, seed) for p in ps]
         curves = [
             bin_max / (args.n * p) for p, (_, bin_max) in zip(ps, montecarlo.run_experiment(specs, args.workers))
         ]
@@ -212,7 +211,7 @@ def cmd_recover(args) -> int:
     if args.rate == 1.0:
         mask = worst_case_mask(n, n)  # full sampling
     else:
-        mask = generate_mask(MaskConfig(n, args.rate, seed), 0)
+        mask = generate_mask(n, args.rate, seed)
     xs = recovery.sample_random(x, mask)
     _, history = recovery.recover(
         xs, mask, iterations=args.iters, t0=args.t0, alpha=args.alpha, tol=args.tol, reference=x

@@ -1,13 +1,15 @@
-"""Bernoulli 0/1 sampling masks: configuration, generation, the worst-case block.
+"""Bernoulli 0/1 sampling masks: generation, the worst-case block, parameter checks.
 
-Masks are immutable once built; generation is a pure function of
-(seed, trial_index) via a counter-based RNG, so any execution order or
-degree of parallelism reproduces the same sequence of masks. Only
-``_draw_uniforms`` keys that RNG, for ``generate_mask`` and ``montecarlo``.
+Masks are immutable once built; generation is a pure function of (n, p,
+seed, trial_index) via a counter-based RNG, so any execution order or
+degree of parallelism reproduces the same masks. Only ``_draw_uniforms``
+keys that RNG, for ``generate_mask`` and ``montecarlo``; ``_mask_params``
+checks (n, p, seed) for both, and ``_unit_interval`` every rate and epsilon.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 import threading
 from dataclasses import dataclass, field
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "MaskConfig",
     "Mask",
     "is_prime",
     "generate_mask",
@@ -36,6 +37,33 @@ def _as_index(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _mask_length(value, name: str = "n", least: int = 2) -> int:
+    """``value`` as a Python int of at least ``least``: integers of any
+    type, numpy's included, but not ``bool`` or a float."""
+    n = _as_index(value, name)
+    if n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return n
+
+
+def _unit_interval(value, name: str) -> float:
+    """``value`` as a Python float in the open interval (0, 1): any real
+    type, numpy's included, but not ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    return float(value)
+
+
+def _mask_params(n, p, seed) -> tuple[int, float, int]:
+    """Check mask length ``n`` >= 2, rate ``p`` and 64-bit ``seed``, in
+    that order; return them as int, float and int."""
+    n, p = _mask_length(n, "mask length n"), _unit_interval(p, "sampling rate p")
+    key = _as_index(seed, "seed")
+    if not 0 <= key < _UINT64_SPAN:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+    return n, p, key
+
+
 def is_prime(n: int) -> bool:
     """Trial-division primality test (sufficient for mask lengths)."""
     if n < 2:
@@ -50,27 +78,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-@dataclass(frozen=True)
-class MaskConfig:
-    """Experiment parameters: mask length ``n``, keep-probability ``p``, RNG seed."""
-
-    n: int
-    p: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        n = _as_index(self.n, "mask length n")
-        if n < 2:
-            raise ValueError(f"mask length n must be an integer >= 2, got {self.n!r}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"sampling rate p must lie in (0, 1), got {self.p!r}")
-        seed = _as_index(self.seed, "seed")
-        if not 0 <= seed < _UINT64_SPAN:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -124,17 +131,16 @@ def _draw_uniforms(seed: int, first: int, out: np.ndarray) -> None:
         gen.random(out=row)
 
 
-def generate_mask(config: MaskConfig, trial_index: int = 0) -> Mask:
-    """Draw one i.i.d. Bernoulli(p) mask for the given trial index.
-
-    The same (config.seed, trial_index) always yields the same bits.
-    """
+def generate_mask(n: int, p: float, seed: int = 0, trial_index: int = 0) -> Mask:
+    """Draw one i.i.d. Bernoulli(p) mask of length n for the given trial
+    index; the same (n, p, seed, trial_index) always yields the same bits."""
+    n, p, seed = _mask_params(n, p, seed)
     trial_index = _as_index(trial_index, "trial_index")
     if trial_index < 0 or trial_index >= _UINT64_SPAN:
         raise ValueError(f"trial_index must fit in 64 unsigned bits, got {trial_index!r}")
-    uniforms = np.empty((1, config.n))
-    _draw_uniforms(config.seed, trial_index, uniforms)
-    return Mask(uniforms[0] < config.p)
+    uniforms = np.empty((1, n))
+    _draw_uniforms(seed, trial_index, uniforms)
+    return Mask(uniforms[0] < p)
 
 
 def worst_case_mask(n: int, n_p: int) -> Mask:

@@ -3,12 +3,13 @@
 One engine serves every command: the chunk kernel ``_run_chunk`` reduces
 each trial's off-center DFT magnitudes to per-trial statistics and to a
 per-bin max, and the driver ``run_experiment`` takes a list of
-experiments and a worker count, runs all their chunks through one task
-list, in-process or in one pool, and merges each experiment's chunks into
-one (statistics, per-bin max) pair. It is the module's only entry point
-to the engine: each Monte Carlo command of the CLI makes one call with
-all its rows or rates and builds its report from the pairs, so a CLI call
-opens at most one pool.
+experiments, ``ExperimentSpec(n, p, trials, seed, thresholds)``, and a
+worker count, runs all their chunks through one task list, in-process or
+in one pool, and merges each experiment's chunks into one (statistics,
+per-bin max) pair. It is the module's only entry point to the engine:
+each Monte Carlo command of the CLI makes one call with all its rows or
+rates and builds its report from the pairs, so a CLI call opens at most
+one pool.
 
 A mask is ``u < p`` with uniforms ``u`` that depend on (seed, t) alone,
 so experiments that share (N, seed, trials) differ only in their rate
@@ -81,7 +82,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .masks import MaskConfig, _as_index, _draw_uniforms
+from .masks import _as_index, _draw_uniforms, _mask_params
 
 __all__ = [
     "RunningStats",
@@ -169,21 +170,24 @@ class ExperimentSpec:
     infinite value is allowed.
     """
 
-    config: MaskConfig
+    n: int
+    p: float
     trials: int
+    seed: int = 0
     thresholds: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        n, p, seed = _mask_params(self.n, self.p, self.seed)
         trials = _as_index(self.trials, "trials")
         # trial indices key the RNG and must fit its 64-bit key word
         if not 1 <= trials <= 1 << 64:
             raise ValueError(f"trials must lie in [1, 2**64], got {self.trials!r}")
-        object.__setattr__(self, "trials", trials)
         thresholds = tuple(_threshold(entry) for entry in self.thresholds)
         labels = [label for label, _ in thresholds]
         if len(set(labels)) != len(labels):
             raise ValueError("threshold labels must be unique")
-        object.__setattr__(self, "thresholds", thresholds)
+        for name, value in zip(("n", "p", "trials", "seed", "thresholds"), (n, p, trials, seed, thresholds)):
+            object.__setattr__(self, name, value)
 
 
 def _threshold(entry) -> tuple[str, float]:
@@ -371,21 +375,21 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
     if not specs:
         raise ValueError("specs must be non-empty")
     workers = min(count, os.cpu_count() or 1)
-    share = sum(spec.trials * spec.config.n for spec in specs) / workers  # mask elements per worker
+    share = sum(spec.trials * spec.n for spec in specs) / workers  # mask elements per worker
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, spec in enumerate(specs):
-        groups.setdefault((spec.config.n, spec.config.seed, spec.trials), []).append(i)
+        groups.setdefault((spec.n, spec.seed, spec.trials), []).append(i)
     tasks, owners = [], []
     for (n, seed, trials), members in groups.items():
         # a task that outweighs a worker's share leaves the other workers idle
         parts = [[i] for i in members] if min(trials, _CHUNK_TRIALS) * n * len(members) > share else [members]
         for part in parts:
-            rates = tuple((specs[i].config.p, specs[i].thresholds) for i in part)
+            rates = tuple((specs[i].p, specs[i].thresholds) for i in part)
             for start in range(0, trials, _CHUNK_TRIALS):
                 tasks.append((n, seed, start, min(start + _CHUNK_TRIALS, trials), rates))
                 owners.append(part)
     totals = [
-        (TrialStats(exceedance_counts={label: 0 for label, _ in spec.thresholds}), np.zeros(spec.config.n - 1))
+        (TrialStats(exceedance_counts={label: 0 for label, _ in spec.thresholds}), np.zeros(spec.n - 1))
         for spec in specs
     ]
     workers = min(workers, len(tasks))

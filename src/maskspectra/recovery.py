@@ -203,10 +203,14 @@ def recover(
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.shape != mask.bits.shape:
         raise ValueError(f"sampled signal length {xs.size} != mask length {mask.n}")
+    if not np.isfinite(xs).all():
+        raise ValueError("sampled signal must be finite")
     if reference is not None:
         reference = np.asarray(reference, dtype=np.float64)
         if reference.shape != xs.shape:
             raise ValueError(f"reference shape {reference.shape} != sampled signal shape {xs.shape}")
+        if not np.isfinite(reference).all():
+            raise ValueError("reference signal must be finite")
         reference = to_transform_order(reference)
         ref_energy = float(np.sum(reference * reference))
     weights = to_transform_order(1.0 - step * mask.bits)

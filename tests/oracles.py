@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from maskspectra.masks import Mask, MaskConfig
+from maskspectra.masks import Mask
 from maskspectra.montecarlo import RunningStats
 from maskspectra.recovery import SignalSpec, _relative_norm, _snr_db
 from maskspectra.spectrum import _as_real_vector
@@ -54,12 +54,12 @@ def dft_direct(x) -> np.ndarray:
     return coeffs
 
 
-def oracle_mask(config: MaskConfig, t: int) -> Mask:
-    """The mask of trial t from a Philox built for it with the 128-bit key
-    (seed << 64) + t: the keying that the package's one re-keyed generator
-    must reproduce."""
-    rng = np.random.Generator(np.random.Philox(key=(config.seed << 64) + t))
-    return Mask(rng.random(config.n) < config.p)
+def oracle_mask(n: int, p: float, seed: int, t: int) -> Mask:
+    """The length-n, rate-p mask of trial t from a Philox built for it with
+    the 128-bit key (seed << 64) + t: the keying that the package's one
+    re-keyed generator must reproduce for generate_mask(n, p, seed, t)."""
+    rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
+    return Mask(rng.random(n) < p)
 
 
 def spectrum_of_mask(mask: Mask) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 import scipy.fft
 
 from maskspectra import bounds
-from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
+from maskspectra.masks import generate_mask, worst_case_mask
 from maskspectra.montecarlo import ExperimentSpec, run_experiment
 from maskspectra.recovery import (
     demo_signal_path,
@@ -49,11 +49,7 @@ def grid_stats():
         s4 = bounds.sigma_bound(n, p, 4)
         cells[(n, p)] = (t_gauss, s4)
         specs.append(
-            ExperimentSpec(
-                MaskConfig(n, p, GRID_SEED),
-                trials=GRID_TRIALS,
-                thresholds=(("gaussian_T", t_gauss), ("sigma4", s4)),
-            )
+            ExperimentSpec(n, p, GRID_TRIALS, GRID_SEED, thresholds=(("gaussian_T", t_gauss), ("sigma4", s4)))
         )
     # the whole grid is one driver call
     results = run_experiment(specs, workers=4)
@@ -135,9 +131,9 @@ def test_criterion_4_simulated_maxima_match_reference_table():
     # trial-count-insensitive.
     [(stats_a, _), (stats_b, _), (stats_c, _)] = run_experiment(
         [
-            ExperimentSpec(MaskConfig(127, 0.5, GRID_SEED), 100_000),
-            ExperimentSpec(MaskConfig(127, 0.1, GRID_SEED), 100_000),
-            ExperimentSpec(MaskConfig(131071, 0.5, GRID_SEED), 1000),
+            ExperimentSpec(127, 0.5, 100_000, GRID_SEED),
+            ExperimentSpec(127, 0.1, 100_000, GRID_SEED),
+            ExperimentSpec(131071, 0.5, 1000, GRID_SEED),
         ],
         workers=4,
     )
@@ -191,9 +187,8 @@ def test_criterion_7_ratio_approximation_fidelity():
 def test_criterion_8_invariant_suites():
     # Parseval, conjugate symmetry, DC bin = n_p: 1000 masks over three lengths
     for n, count in ((7, 334), (127, 333), (1543, 333)):
-        cfg = MaskConfig(n, 0.5, seed=n + 1)
         for t in range(count):
-            mask = generate_mask(cfg, t)
+            mask = generate_mask(n, 0.5, n + 1, t)
             coeffs = spectrum_of_mask(mask)
             mags = np.abs(coeffs)
             assert abs(coeffs[0] - mask.n_p) <= 1e-9
@@ -210,8 +205,7 @@ def test_criterion_8_invariant_suites():
         assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max(), n
 
     # deterministic parallel reduction: 1 worker vs 8, bit-identical
-    cfg = MaskConfig(127, 0.5, seed=31)
-    spec = ExperimentSpec(cfg, trials=2000, thresholds=(("t", 11.0),))
+    spec = ExperimentSpec(127, 0.5, 2000, seed=31, thresholds=(("t", 11.0),))
     [(one, _)] = run_experiment([spec], workers=1)
     [(eight, _)] = run_experiment([spec], workers=8)
     assert one.per_trial_max == eight.per_trial_max
@@ -240,14 +234,14 @@ def test_criterion_9_recovery_demo():
     # iterations under every mask seed 0..39, not just a lucky one
     finals = {}
     for seed in range(40):
-        mask = generate_mask(MaskConfig(n, 0.5, seed=seed), 0)
+        mask = generate_mask(n, 0.5, seed)
         _, history = recover(sample_random(x, mask), mask, iterations=50, reference=x)
         finals[seed] = history[-1][2]
     failed = {seed: round(snr, 2) for seed, snr in finals.items() if not snr >= 40.0}
     assert not failed, f"mask seeds below 40 dB: {failed}"
 
     # fixed point: the true signal is stationary under one more step
-    mask = generate_mask(MaskConfig(n, 0.5, seed=11), 0)
+    mask = generate_mask(n, 0.5, 11)
     z = x + min(n / mask.n_p, 2.0) * (sample_random(x, mask) - mask.bits * x)
     step = from_transform_order(synthesize_ordered(*analyze_ordered(to_transform_order(z)), 5.0))
     assert np.abs(step - x).max() < 1e-9

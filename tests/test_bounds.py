@@ -291,6 +291,18 @@ def test_bound_report_defaults_and_validation():
         bound_report(127, 0.5, epsilon=0.0)
 
 
+def test_bound_report_takes_numpy_floats_as_floats():
+    # a float32 rate and epsilon are read as the floats they hold: the record
+    # is strict JSON and equals the float record bit for bit
+    report = bound_report(127, np.float32(0.1), epsilon=np.float32(1e-4))
+    want = bound_report(127, float(np.float32(0.1)), epsilon=float(np.float32(1e-4)))
+    assert records_to_json(report) == records_to_json(want)
+    assert report.keys() == want.keys()
+    for key, value in report.items():
+        assert type(value) is type(want[key]) and value == want[key], key
+    assert thresholds(127, np.float32(0.1)) == thresholds(127, float(np.float32(0.1)))
+
+
 def test_bounds_accept_numpy_integers():
     # a length read off a numpy array is an integer too; bools and floats are not
     n = np.int64(127)
@@ -387,10 +399,14 @@ def test_radicand_warning_names_the_caller_once(call):
         (lambda: bound_report(128, 0.5, epsilon=0.0), "epsilon must lie in (0, 1), got 0.0"),
         (
             lambda: bound_report(128, 0.5, epsilon=5e-324),
-            "epsilon 5e-324 is too small: its per-tail budget effective_epsilon / 2 is 0",
+            "epsilon 5e-324 is too small: its per-tail budget epsilon / 2 is 0",
+        ),
+        (
+            lambda: bound_report(128, 0.5, epsilon=5e-322, union=True),
+            "epsilon 5e-322 is too small: its per-tail budget epsilon / (N - 1) / 2 is 0",
         ),
     ],
-    ids=["thresholds-n", "thresholds-p", "report-n", "report-n_p", "report-eps", "report-tiny-eps"],
+    ids=["thresholds-n", "thresholds-p", "report-n", "report-n_p", "report-eps", "report-tiny-eps", "report-union-eps"],
 )
 def test_bad_input_fails_before_the_composite_warning(call, message):
     # N = 128 is composite: a warning raised before the check would hide the

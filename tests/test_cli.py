@@ -11,7 +11,7 @@ import pytest
 import maskspectra
 from maskspectra import bounds, cli, montecarlo
 from maskspectra.cli import main
-from maskspectra.masks import MaskConfig, generate_mask
+from maskspectra.masks import generate_mask
 from maskspectra.recovery import random_band_signal, synthesize_signal, write_signal_csv
 
 
@@ -227,6 +227,18 @@ def test_figure_ratio_mode_rejects_colliding_rates(capsys):
         assert "--ps" in err and "twice" in err
 
 
+def test_figure_ratio_mode_checks_each_rate_with_its_trial_count(capsys):
+    # the specs are made one rate at a time, each checking (N, p, seed) and
+    # then the trial count: a bad count shows up at the first good rate,
+    # before any later rate is read
+    argv = ("figure", "--mode", "ratio", "--n", "31", "--trials", "0")
+    for ps, message in (
+        ("0.5,1.5", "error: trials must lie in [1, 2**64], got 0\n"),
+        ("1.5,0.5", "error: sampling rate p must lie in (0, 1), got 1.5\n"),
+    ):
+        assert run_cli(capsys, *argv, "--ps", ps) == (2, "", message)
+
+
 def test_figure_ratio_mode_requires_n(capsys):
     code, _, err = run_cli(capsys, "figure", "--mode", "ratio")
     assert code == 2
@@ -308,7 +320,7 @@ def test_recover_rejects_out_of_range_inputs(capsys):
 def test_recover_rejects_an_empty_mask(capsys):
     # at rate 0.001 seed 11 samples none of the 127 demo samples, and the
     # step N/n_p is undefined
-    assert generate_mask(MaskConfig(127, 0.001, 11), 0).n_p == 0
+    assert generate_mask(127, 0.001, 11).n_p == 0
     code, out, err = run_cli(capsys, "recover", "--rate", "0.001", "--seed", "11", "--t0", "1")
     assert code == 2 and out == ""
     assert "nothing was sampled" in err
@@ -500,9 +512,7 @@ def test_readme_library_sketch_runs(tmp_path):
     assert loaded == "[]"
     global_max, worst_case, exceeded = printed.split()
     report = bounds.bound_report(127, 0.5, epsilon=1e-4)
-    spec = montecarlo.ExperimentSpec(
-        MaskConfig(127, 0.5, seed=7), trials=20_000, thresholds=(("gaussian_T", report["gaussian_T"]),)
-    )
+    spec = montecarlo.ExperimentSpec(127, 0.5, 20_000, seed=7, thresholds=(("gaussian_T", report["gaussian_T"]),))
     [(stats, _)] = montecarlo.run_experiment([spec])  # one worker: the same bits as the sketch's two
     assert (float(global_max), float(worst_case), int(exceeded)) == (stats.global_max, report["worst_case"], 0)
     assert stats.global_max <= report["worst_case"]

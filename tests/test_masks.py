@@ -1,34 +1,36 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maskspectra.bounds import bound_report, gaussian_bound, sigma_bound
 from maskspectra.masks import (
     Mask,
-    MaskConfig,
     generate_mask,
     is_prime,
     worst_case_mask,
 )
+from maskspectra.montecarlo import ExperimentSpec
 from oracles import oracle_mask
 
 
 def test_n_p_equals_popcount():
-    cfg = MaskConfig(8, 0.4, seed=123)
     for t in range(20):
-        m = generate_mask(cfg, t)
+        m = generate_mask(8, 0.4, 123, t)
         assert m.n_p == int(np.sum(m.bits))
 
 
 def test_generate_is_deterministic():
-    cfg = MaskConfig(127, 0.5, seed=42)
-    a = generate_mask(cfg, 17)
-    b = generate_mask(cfg, 17)
+    a = generate_mask(127, 0.5, 42, 17)
+    b = generate_mask(127, 0.5, 42, 17)
     assert np.array_equal(a.bits, b.bits)
     # independent of evaluation order
-    c = generate_mask(cfg, 3)
-    a2 = generate_mask(cfg, 17)
+    c = generate_mask(127, 0.5, 42, 3)
+    a2 = generate_mask(127, 0.5, 42, 17)
     assert np.array_equal(a.bits, a2.bits)
     assert not np.array_equal(a.bits, c.bits)
 
@@ -43,21 +45,19 @@ def test_generate_is_deterministic():
 def test_trial_key_is_seed_high_word_trial_low_word(seed, t):
     # the re-keyed generator against a Philox built with the 128-bit key
     # (seed << 64) + t, over the full range of both words
-    config = MaskConfig(127, 0.5, seed=seed)
-    assert np.array_equal(generate_mask(config, t).bits, oracle_mask(config, t).bits)
+    assert np.array_equal(generate_mask(127, 0.5, seed, t).bits, oracle_mask(127, 0.5, seed, t).bits)
 
 
 def test_distinct_seeds_distinct_masks():
-    a = generate_mask(MaskConfig(127, 0.5, seed=1), 0)
-    b = generate_mask(MaskConfig(127, 0.5, seed=2), 0)
+    a = generate_mask(127, 0.5, 1)
+    b = generate_mask(127, 0.5, 2)
     assert not np.array_equal(a.bits, b.bits)
 
 
 def test_mean_support_matches_binomial_oracle():
     # Binomial mean N*p = 63.5; sample mean over 1e5 trials has sd ~ 5.6/sqrt(1e5)
-    cfg = MaskConfig(127, 0.5, seed=7)
     trials = 100_000
-    total = sum(generate_mask(cfg, t).n_p for t in range(trials))
+    total = sum(generate_mask(127, 0.5, 7, t).n_p for t in range(trials))
     mean = total / trials
     assert 64 - 1.5 <= mean <= 64 + 1.5
 
@@ -79,31 +79,70 @@ def test_worst_case_mask_layout():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MaskConfig(1, 0.5)
-    with pytest.raises(ValueError):
-        MaskConfig(10, 0.0)
-    with pytest.raises(ValueError):
-        MaskConfig(10, 1.0)
-    with pytest.raises(ValueError):
-        MaskConfig(10, 0.5, seed=-1)
-    with pytest.raises(ValueError):
-        generate_mask(MaskConfig(10, 0.5), -1)
+    # generate_mask and ExperimentSpec share one check of (n, p, seed), in that order
+    def checks(n, p, seed=0):
+        return (lambda: generate_mask(n, p, seed), lambda: ExperimentSpec(n, p, 1, seed))
+
+    for (n, p, seed), message in (
+        ((1, 0.5, 0), "mask length n must be an integer >= 2, got 1"),
+        ((10, 0.0, 0), "sampling rate p must lie in (0, 1), got 0.0"),
+        ((10, 1.0, 0), "sampling rate p must lie in (0, 1), got 1.0"),
+        ((10, 0.5, -1), "seed must fit in 64 unsigned bits, got -1"),
+        ((10, 0.5, 2**64), "seed must fit in 64 unsigned bits, got 18446744073709551616"),
+        ((1, 2.0, -1), "mask length n must be an integer >= 2, got 1"),
+        ((10, 2.0, -1), "sampling rate p must lie in (0, 1), got 2.0"),
+    ):
+        for call in checks(n, p, seed):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
     # any integer type is accepted and stored as int; floats and bools are not truncated
-    cfg = MaskConfig(np.int64(127), 0.5, seed=np.uint64(2**64 - 1))
-    assert (cfg.n, cfg.seed) == (127, 2**64 - 1) and type(cfg.n) is int and type(cfg.seed) is int
-    assert cfg == MaskConfig(127, 0.5, seed=2**64 - 1)
+    spec = ExperimentSpec(np.int64(127), np.float64(0.5), 1, seed=np.uint64(2**64 - 1))
+    assert (spec.n, spec.p, spec.seed) == (127, 0.5, 2**64 - 1)
+    assert (type(spec.n), type(spec.p), type(spec.seed)) == (int, float, int)
+    assert spec == ExperimentSpec(127, 0.5, 1, seed=2**64 - 1)
+    want = generate_mask(127, 0.5, 2**64 - 1, 1).bits
+    assert np.array_equal(generate_mask(np.int64(127), np.float64(0.5), np.uint64(2**64 - 1), 1).bits, want)
     for bad in ({"n": 127.0}, {"n": True}, {"n": "127"}, {"seed": 1.9}, {"seed": True}, {"seed": np.bool_(1)}):
         kwargs = {"n": 127, "p": 0.5, **bad}
-        with pytest.raises(ValueError):
-            MaskConfig(**kwargs)
+        for call in checks(**kwargs):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
     # the same for trial indices: 1.5 and True must not read as trial 1
-    want = generate_mask(cfg, 1).bits
-    assert np.array_equal(generate_mask(cfg, np.int64(1)).bits, want)
-    assert np.array_equal(generate_mask(cfg, np.uint64(1)).bits, want)
-    for bad in (1.5, 1.0, True, np.bool_(True), "1", 2**64, np.int64(-1)):
+    want = generate_mask(127, 0.5, 0, 1).bits
+    assert np.array_equal(generate_mask(127, 0.5, 0, np.int64(1)).bits, want)
+    assert np.array_equal(generate_mask(127, 0.5, 0, np.uint64(1)).bits, want)
+    for bad in (-1, 1.5, 1.0, True, np.bool_(True), "1", 2**64, np.int64(-1)):
         with pytest.raises(ValueError, match="trial_index"):
-            generate_mask(cfg, bad)
+            generate_mask(127, 0.5, 0, bad)
+
+
+def test_every_rate_check_rejects_non_real_values():
+    # one check serves every rate and epsilon: a str, None, complex, bool or
+    # NaN value is a ValueError naming it, never a TypeError from the comparison
+    for p in ("0.5", None, 0.5 + 0j, True, np.bool_(True), math.nan, np.float32(1.0)):
+        for call in (
+            lambda: ExperimentSpec(127, p, 1),
+            lambda: generate_mask(127, p),
+            lambda: gaussian_bound(127, p),
+            lambda: sigma_bound(127, p, 3),
+            lambda: bound_report(127, p),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value).endswith(f"p must lie in (0, 1), got {p!r}")
+    for bad in ("1e-4", None, 1e-4 + 0j, True):
+        with pytest.raises(ValueError) as info:
+            gaussian_bound(127, 0.5, epsilon=bad)
+        assert str(info.value) == f"epsilon must lie in (0, 1), got {bad!r}"
+
+
+def test_rates_of_any_real_type_are_kept_as_float():
+    p = float(np.float32(0.1))
+    spec = ExperimentSpec(127, np.float32(0.1), 1)
+    assert type(spec.p) is float and spec.p == p
+    assert np.array_equal(generate_mask(127, np.float32(0.1), 3).bits, generate_mask(127, p, 3).bits)
+    assert ExperimentSpec(127, Fraction(1, 2), 1).p == 0.5
 
 
 def test_is_prime_against_oracle():

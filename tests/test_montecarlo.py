@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from maskspectra import bounds
 from maskspectra.cli import TABLE1_ROWS, main
-from maskspectra.masks import MaskConfig, generate_mask
+from maskspectra.masks import generate_mask
 from maskspectra.montecarlo import (
     ExperimentSpec,
     RunningStats,
@@ -75,7 +75,7 @@ def test_running_stats_merge_empty():
 
 
 def test_run_experiment_reruns_identically():
-    spec = ExperimentSpec(MaskConfig(127, 0.5, seed=3), trials=700)
+    spec = ExperimentSpec(127, 0.5, 700, seed=3)
     a = _stats(spec)
     b = _stats(spec)
     assert a.per_trial_max == b.per_trial_max
@@ -85,10 +85,9 @@ def test_run_experiment_reruns_identically():
 
 def test_parallel_reduction_bit_identical():
     # 1 worker vs 4 workers must agree exactly, field by field
-    cfg = MaskConfig(127, 0.5, seed=3)
-    thresholds = (("t", 12.0),)
-    serial = _stats(ExperimentSpec(cfg, trials=1500, thresholds=thresholds), workers=1)
-    parallel = _stats(ExperimentSpec(cfg, trials=1500, thresholds=thresholds), workers=4)
+    spec = ExperimentSpec(127, 0.5, 1500, seed=3, thresholds=(("t", 12.0),))
+    serial = _stats(spec, workers=1)
+    parallel = _stats(spec, workers=4)
     assert serial.trials == parallel.trials
     assert serial.per_trial_max == parallel.per_trial_max
     assert serial.mean_abs == parallel.mean_abs
@@ -98,7 +97,7 @@ def test_parallel_reduction_bit_identical():
 
 
 def test_trial_stats_basic_ordering():
-    stats = _stats(ExperimentSpec(MaskConfig(127, 0.5, seed=8), trials=300))
+    stats = _stats(ExperimentSpec(127, 0.5, 300, seed=8))
     assert stats.global_max >= stats.per_trial_max.mean >= 0.0
     assert stats.per_trial_max.mean >= stats.mean_abs_coeff
     assert stats.n_p_stats.mean == pytest.approx(63.5, abs=2.0)
@@ -106,21 +105,20 @@ def test_trial_stats_basic_ordering():
 
 def test_flat_mask_trial_has_zero_peak():
     # p -> 1 boundary: the realized mask is all ones, so no off-center energy
-    cfg = MaskConfig(127, 1.0 - 1e-12, seed=3)
-    assert generate_mask(cfg, 0).n_p == 127
-    stats = _stats(ExperimentSpec(cfg, trials=1))
+    assert generate_mask(127, 1.0 - 1e-12, 3).n_p == 127
+    stats = _stats(ExperimentSpec(127, 1.0 - 1e-12, 1, seed=3))
     assert stats.per_trial_max.mean == pytest.approx(0.0, abs=1e-9)
 
 
 def test_exceedance_zero_threshold_always_hit():
-    spec = ExperimentSpec(MaskConfig(127, 0.5, seed=5), trials=300, thresholds=(("zero", 0.0),))
+    spec = ExperimentSpec(127, 0.5, 300, seed=5, thresholds=(("zero", 0.0),))
     stats = _stats(spec)
     assert stats.exceedance_counts["zero"] / stats.trials == 1.0
 
 
 def test_exceedance_gaussian_bound_never_hit():
     t = bounds.gaussian_bound(127, 0.5, epsilon=1e-4)
-    spec = ExperimentSpec(MaskConfig(127, 0.5, seed=5), trials=2000, thresholds=(("g", t),))
+    spec = ExperimentSpec(127, 0.5, 2000, seed=5, thresholds=(("g", t),))
     stats = _stats(spec)
     assert stats.exceedance_counts["g"] / stats.trials == 0.0
 
@@ -128,16 +126,15 @@ def test_exceedance_gaussian_bound_never_hit():
 def test_exceedance_three_sigma_band():
     # 3-sigma sits low enough in the tail to be crossed occasionally
     s3 = bounds.sigma_bound(127, 0.5, 3)
-    spec = ExperimentSpec(MaskConfig(127, 0.5, seed=7), trials=2000, thresholds=(("s3", s3),))
+    spec = ExperimentSpec(127, 0.5, 2000, seed=7, thresholds=(("s3", s3),))
     stats = _stats(spec)
     rate = stats.exceedance_counts["s3"] / stats.trials
     assert 0.0 < rate < 0.2
 
 
 def test_conditioned_peaks_respect_worst_case():
-    cfg = MaskConfig(127, 0.5, seed=13)
     for t in range(400):
-        mask = generate_mask(cfg, t)
+        mask = generate_mask(127, 0.5, 13, t)
         if mask.n_p == 0:
             continue
         _, peak = max_nonzero_bin(spectrum_of_mask(mask))
@@ -150,7 +147,7 @@ def test_peak_mean_grows_like_sqrt_log_n():
         g = math.sqrt(2.0 * math.log((n - 1) / 2))
         return scale * (g + np.euler_gamma / g)
 
-    specs = [ExperimentSpec(MaskConfig(n, 0.5, seed=7), trials=1000) for n in (127, 8191)]
+    specs = [ExperimentSpec(n, 0.5, 1000, seed=7) for n in (127, 8191)]
     [(small, _), (big, _)] = run_experiment(specs)
     sim_ratio = big.per_trial_max.mean / small.per_trial_max.mean
     oracle_ratio = ev_mean(8191, 0.5) / ev_mean(127, 0.5)
@@ -160,7 +157,7 @@ def test_peak_mean_grows_like_sqrt_log_n():
 def test_streaming_memory_footprint():
     # aggregates only: far below the ~80 MB a trials-by-N retention would need
     tracemalloc.start()
-    run_experiment([ExperimentSpec(MaskConfig(127, 0.5, seed=9), trials=20000)])
+    run_experiment([ExperimentSpec(127, 0.5, 20000, seed=9)])
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 20 * 1024 * 1024
@@ -196,7 +193,7 @@ def test_table1_caps_large_n_rows_in_one_place(monkeypatch, capsys):
     calls = []
 
     def fake_run(specs, workers=1):
-        calls.append([(spec.config.n, spec.trials) for spec in specs])
+        calls.append([(spec.n, spec.trials) for spec in specs])
         return [(TrialStats(), None) for _ in specs]
 
     monkeypatch.setattr(mc, "run_experiment", fake_run)
@@ -234,10 +231,9 @@ def _ratio_curves(ps, capsys):
 
 
 def test_noise_ratio_curve_shape_and_consistency(capsys):
-    cfg = MaskConfig(1009, 0.1, seed=7)
     [curve] = _ratio_curves([0.1], capsys)
     assert curve.shape == (1008,)
-    stats = _stats(ExperimentSpec(cfg, trials=300))
+    stats = _stats(ExperimentSpec(1009, 0.1, 300, seed=7))
     assert float(curve.max() * 1009 * 0.1) == stats.global_max
 
 
@@ -278,7 +274,6 @@ def test_engine_matches_per_trial_oracle():
     # order as the engine does; 1100 trials span three chunks
     import maskspectra.montecarlo as mc
 
-    cfg = MaskConfig(257, 0.3, seed=11)
     thresholds = (("s3", bounds.sigma_bound(257, 0.3, 3)), ("s4", bounds.sigma_bound(257, 0.3, 4)))
     peaks, means, n_ps = RunningStats(), RunningStats(), RunningStats()
     all_peaks = []
@@ -286,7 +281,7 @@ def test_engine_matches_per_trial_oracle():
     for start in range(0, 1100, mc._CHUNK_TRIALS):
         chunk = (RunningStats(), RunningStats(), RunningStats())
         for t in range(start, min(start + mc._CHUNK_TRIALS, 1100)):
-            mask = oracle_mask(cfg, t)
+            mask = oracle_mask(257, 0.3, 11, t)
             coeffs = spectrum_of_mask(mask)
             _, peak = max_nonzero_bin(coeffs)
             mags = np.abs(coeffs[1:])
@@ -297,7 +292,7 @@ def test_engine_matches_per_trial_oracle():
             bin_max = np.maximum(bin_max, mags)
         for total, part in zip((peaks, means, n_ps), chunk):
             total.merge(part)
-    [(stats, bins)] = run_experiment([ExperimentSpec(cfg, trials=1100, thresholds=thresholds)])
+    [(stats, bins)] = run_experiment([ExperimentSpec(257, 0.3, 1100, 11, thresholds)])
     assert stats.trials == 1100
     _assert_stats_close(stats.per_trial_max, peaks, 257)
     _assert_stats_close(stats.mean_abs, means, 257)
@@ -307,13 +302,13 @@ def test_engine_matches_per_trial_oracle():
     _assert_bins_close(bins, bin_max, 257)
 
 
-def _oracle_chunk(config, start, stop):
+def _oracle_chunk(n, p, seed, start, stop):
     # the per-trial path: one Philox, Mask and transform per trial
     stats = TrialStats()
     peaks = []
-    bin_max = np.zeros(config.n - 1)
+    bin_max = np.zeros(n - 1)
     for t in range(start, stop):
-        mask = oracle_mask(config, t)
+        mask = oracle_mask(n, p, seed, t)
         mags = np.abs(spectrum_of_mask(mask)[1:])
         peak = float(mags.max())
         stats.trials += 1
@@ -325,11 +320,11 @@ def _oracle_chunk(config, start, stop):
     return stats, peaks, bin_max
 
 
-def _chunk(config, start, stop, thresholds=()):
-    # the chunk kernel at config's rate alone: one (stats, per-bin max)
+def _chunk(n, p, seed, start, stop, thresholds=()):
+    # the chunk kernel at the one rate p: one (stats, per-bin max)
     import maskspectra.montecarlo as mc
 
-    [result] = mc._run_chunk((config.n, config.seed, start, stop, ((config.p, thresholds),)))
+    [result] = mc._run_chunk((n, seed, start, stop, ((p, thresholds),)))
     return result
 
 
@@ -357,10 +352,9 @@ def test_block_kernel_matches_per_trial_oracle(n, p, seed, count, at_end, start)
     # last trial at index 2**64 - 1, the largest key word
     if at_end:
         start = 2**64 - count
-    config = MaskConfig(n, p, seed=seed)
     thresholds = (("s3", bounds.sigma_bound(n, p, 3)), ("zero", 0.0))
-    stats, bin_max = _chunk(config, start, start + count, thresholds)
-    oracle, peaks, oracle_bin_max = _oracle_chunk(config, start, start + count)
+    stats, bin_max = _chunk(n, p, seed, start, start + count, thresholds)
+    oracle, peaks, oracle_bin_max = _oracle_chunk(n, p, seed, start, start + count)
     assert stats.trials == oracle.trials == count
     _assert_stats_close(stats.n_p_stats, oracle.n_p_stats, n)
     _assert_stats_close(stats.per_trial_max, oracle.per_trial_max, n)
@@ -383,12 +377,11 @@ def test_block_kernel_matches_per_trial_oracle(n, p, seed, count, at_end, start)
 def test_block_kernel_split_is_exact(n, p, seed, start, first, second):
     # trial t is always paired with trial t ^ 1, so its values do not depend
     # on where a chunk starts or stops: [a, c) and [a, b) + [b, c) agree exactly
-    config = MaskConfig(n, p, seed=seed)
     thresholds = (("s3", bounds.sigma_bound(n, p, 3)),)
     a, b, c = start, start + first, start + first + second
-    whole, whole_bins = _chunk(config, a, c, thresholds)
-    left, left_bins = _chunk(config, a, b, thresholds)
-    right, right_bins = _chunk(config, b, c, thresholds)
+    whole, whole_bins = _chunk(n, p, seed, a, c, thresholds)
+    left, left_bins = _chunk(n, p, seed, a, b, thresholds)
+    right, right_bins = _chunk(n, p, seed, b, c, thresholds)
     assert whole.trials == left.trials + right.trials == c - a
     assert np.array_equal(whole_bins, np.maximum(left_bins, right_bins))
     assert np.array_equal(whole_bins, whole_bins[::-1])  # |A_k| == |A_{N-k}| exactly
@@ -404,9 +397,8 @@ def test_block_kernel_memory_is_bounded():
     # need ~67 MB for its complex transform alone
     import maskspectra.montecarlo as mc
 
-    config = MaskConfig(8191, 0.5, seed=3)
     tracemalloc.start()
-    stats, _ = _chunk(config, 0, mc._CHUNK_TRIALS)
+    stats, _ = _chunk(8191, 0.5, 3, 0, mc._CHUNK_TRIALS)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert stats.trials == mc._CHUNK_TRIALS
@@ -426,7 +418,7 @@ def test_kernel_buffers_last_one_driver_call(monkeypatch):
         return result
 
     monkeypatch.setattr(mc, "_run_chunk", recording)
-    run_experiment([ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1100)])  # chunks of 512, 512, 76
+    run_experiment([ExperimentSpec(127, 0.5, 1100, seed=1)])  # chunks of 512, 512, 76
     assert len(seen) == 3 and all(len(entries) == 1 for entries in seen)
     for entries in seen[1:]:
         assert all(a is b for a, b in zip(entries[0], seen[0][0]))
@@ -470,11 +462,11 @@ def test_threads_keep_their_own_kernel_workspace():
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    spec = ExperimentSpec(MaskConfig(127, 0.3, seed=8), trials=2048, thresholds=(("t", 10.0),))
+    spec = ExperimentSpec(127, 0.3, 2048, seed=8, thresholds=(("t", 10.0),))
     keys = [(seed, t) for seed in (0, 8, 2**64 - 1) for t in (0, 5, 2**64 - 1)]
 
     def masks():
-        return [generate_mask(MaskConfig(131, 0.4, seed=seed), t).bits.tobytes() for seed, t in keys]
+        return [generate_mask(131, 0.4, seed, t).bits.tobytes() for seed, t in keys]
 
     def run():
         return _stats(spec), masks(), _stats(spec)
@@ -523,15 +515,15 @@ def test_worker_count_is_clamped_without_spawning(monkeypatch, fake_pool):
     opened, chunksizes = fake_pool
     for cpu in (2, 8):
         monkeypatch.setattr(os, "cpu_count", lambda cpu=cpu: cpu)
-        stats = _stats(ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500), workers=100000)
+        stats = _stats(ExperimentSpec(127, 0.5, 1500, seed=1), workers=100000)
         assert stats.trials == 1500
     assert opened == [2, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run_experiment([ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500)], workers=4)
+    run_experiment([ExperimentSpec(127, 0.5, 1500, seed=1)], workers=4)
     assert opened == [2, 3]  # unknown CPU count: runs serially, opens no pool
     # three chunks go out one per task; 17 chunks on 2 workers in batches of 2
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    run_experiment([ExperimentSpec(MaskConfig(31, 0.5, seed=1), trials=512 * 17)], workers=2)
+    run_experiment([ExperimentSpec(31, 0.5, 512 * 17, seed=1)], workers=2)
     assert opened == [2, 3, 2]
     assert chunksizes[:2] == [1, 1] and chunksizes[2] > 1
 
@@ -544,7 +536,7 @@ def test_every_row_shares_one_pool(monkeypatch, fake_pool, capsys):
     opened, chunksizes = fake_pool
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     rows = [
-        ExperimentSpec(MaskConfig(n, p, seed=3), trials)
+        ExperimentSpec(n, p, trials, seed=3)
         for n, p, trials in ((127, 0.5, 1100), (131, 0.1, 1100), (131071, 0.5, 2))
     ]
     pooled, serial = run_experiment(rows, workers=2), run_experiment(rows)
@@ -562,13 +554,13 @@ def test_every_row_shares_one_pool(monkeypatch, fake_pool, capsys):
     assert opened == [2, 2, 2]
     # a batch holds at most len(tasks) // (4 * workers) chunks and at most
     # _BATCH_ELEMS mask elements, counted by the largest chunk
-    specs = [ExperimentSpec(MaskConfig(31, 0.5, seed=1), 512 * 40), ExperimentSpec(MaskConfig(7, 0.5), 9)]
+    specs = [ExperimentSpec(31, 0.5, 512 * 40, seed=1), ExperimentSpec(7, 0.5, 9)]
     run_experiment(specs, workers=2)
     monkeypatch.setattr(mc, "_BATCH_ELEMS", 512 * 31 * 3 + 1)
     run_experiment(specs, workers=2)
     assert chunksizes[-2:] == [41 // 8, 3]
     # three rates that share a draw make one task per chunk, three times the work
-    run_experiment([ExperimentSpec(MaskConfig(31, p, seed=1), 512 * 40) for p in (0.2, 0.5, 0.8)], workers=2)
+    run_experiment([ExperimentSpec(31, p, 512 * 40, seed=1) for p in (0.2, 0.5, 0.8)], workers=2)
     assert chunksizes[-1] == 1
 
 
@@ -578,14 +570,14 @@ def test_multi_spec_run_matches_one_run_per_spec():
     # spec's result equals its own run field for field
     shared = 2 * 512 + 101  # the last chunk ends inside a pair
     specs = [
-        ExperimentSpec(MaskConfig(61, 0.1, seed=4), shared, (("t", 6.0),)),
-        ExperimentSpec(MaskConfig(31, 0.5, seed=6), 512 * 3 + 100, (("s3", bounds.sigma_bound(31, 0.5, 3)),)),
-        ExperimentSpec(MaskConfig(61, 0.5, seed=4), shared, (("s3", bounds.sigma_bound(61, 0.5, 3)),)),
-        ExperimentSpec(MaskConfig(64, 0.3, seed=2), 700),
-        ExperimentSpec(MaskConfig(61, 0.5, seed=5), shared),  # another seed: another draw
-        ExperimentSpec(MaskConfig(61, 0.9, seed=4), shared, (("s4", bounds.sigma_bound(61, 0.9, 4)), ("t", 49.0))),
-        ExperimentSpec(MaskConfig(61, 0.5, seed=4), shared - 1),  # another trial count: another draw
-        ExperimentSpec(MaskConfig(127, 0.8, seed=9), 300, (("t", 20.0),)),
+        ExperimentSpec(61, 0.1, shared, 4, (("t", 6.0),)),
+        ExperimentSpec(31, 0.5, 512 * 3 + 100, 6, (("s3", bounds.sigma_bound(31, 0.5, 3)),)),
+        ExperimentSpec(61, 0.5, shared, 4, (("s3", bounds.sigma_bound(61, 0.5, 3)),)),
+        ExperimentSpec(64, 0.3, 700, seed=2),
+        ExperimentSpec(61, 0.5, shared, seed=5),  # another seed: another draw
+        ExperimentSpec(61, 0.9, shared, 4, (("s4", bounds.sigma_bound(61, 0.9, 4)), ("t", 49.0))),
+        ExperimentSpec(61, 0.5, shared - 1, seed=4),  # another trial count: another draw
+        ExperimentSpec(127, 0.8, 300, 9, (("t", 20.0),)),
     ]
     alone = [run_experiment([spec])[0] for spec in specs]
     for workers in (1, 2, 3):
@@ -612,7 +604,7 @@ def test_rates_of_one_draw_key_each_trial_once(monkeypatch):
         original(seed, first, out)
 
     monkeypatch.setattr(mc, "_draw_uniforms", counting_draw)
-    run_experiment([ExperimentSpec(MaskConfig(127, p, seed=3), 1024) for p in (0.1, 0.5, 0.8)], workers=1)
+    run_experiment([ExperimentSpec(127, p, 1024, seed=3) for p in (0.1, 0.5, 0.8)], workers=1)
     assert sorted(keyed) == list(range(1024))
 
 
@@ -632,7 +624,7 @@ def test_rates_split_where_one_task_would_outweigh_a_worker(monkeypatch, fake_po
 
     monkeypatch.setattr(mc, "_run_chunk", recording)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    specs = [ExperimentSpec(MaskConfig(257, p, seed=3), 600) for p in (0.1, 0.5, 0.8)]
+    specs = [ExperimentSpec(257, p, 600, seed=3) for p in (0.1, 0.5, 0.8)]
     serial = run_experiment(specs)
     assert rates_per_task == [3, 3]
     rates_per_task.clear()
@@ -640,14 +632,14 @@ def test_rates_split_where_one_task_would_outweigh_a_worker(monkeypatch, fake_po
     assert rates_per_task == [1] * 6
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(split, serial))
     rates_per_task.clear()
-    run_experiment([ExperimentSpec(spec.config, 4096) for spec in specs], workers=2)
+    run_experiment([ExperimentSpec(spec.n, spec.p, 4096, spec.seed) for spec in specs], workers=2)
     assert rates_per_task == [3] * 8
 
 
 def test_batched_pool_tasks_are_bit_identical():
     # 17 chunks: a pool gets them in batches, yet every field matches the
     # in-process run exactly
-    spec = ExperimentSpec(MaskConfig(31, 0.5, seed=6), 512 * 17, (("s3", bounds.sigma_bound(31, 0.5, 3)),))
+    spec = ExperimentSpec(31, 0.5, 512 * 17, 6, (("s3", bounds.sigma_bound(31, 0.5, 3)),))
     [(serial, serial_bins)] = run_experiment([spec], workers=1)
     for workers in (2, 3):
         [(stats, bins)] = run_experiment([spec], workers=workers)
@@ -664,8 +656,7 @@ def test_chunk_statistics_do_not_depend_on_block_size(monkeypatch):
     # cannot change a single bit
     import maskspectra.montecarlo as mc
 
-    config = MaskConfig(127, 0.3, seed=4)
-    task = (config, 3, 3 + mc._CHUNK_TRIALS, (("t", 10.0),))
+    task = (127, 0.3, 4, 3, 3 + mc._CHUNK_TRIALS, (("t", 10.0),))
     whole, whole_bins = _chunk(*task)
     monkeypatch.setattr(mc, "_BLOCK_ELEMS", 127 * 6)
     blocked, blocked_bins = _chunk(*task)
@@ -687,18 +678,17 @@ def test_kernel_transforms_at_least_eight_rows_in_place(monkeypatch):
         calls.append((a.shape, kwargs.get("out") is a))
         return fft(a, *args, **kwargs)
 
-    config = MaskConfig(127, 0.3, seed=4)
-    whole, whole_bins = _chunk(config, 0, mc._CHUNK_TRIALS)
+    whole, whole_bins = _chunk(127, 0.3, 4, 0, mc._CHUNK_TRIALS)
     monkeypatch.setattr(mc, "_BLOCK_ELEMS", 127 * 6)
     monkeypatch.setattr(np.fft, "fft", recording_fft)
-    blocked, blocked_bins = _chunk(config, 0, mc._CHUNK_TRIALS)
+    blocked, blocked_bins = _chunk(127, 0.3, 4, 0, mc._CHUNK_TRIALS)
     assert calls == [((8, 127), True)] * (mc._CHUNK_TRIALS // 16)
     assert blocked.per_trial_max == whole.per_trial_max
     assert np.array_equal(blocked_bins, whole_bins)
 
 
 def test_noise_ratio_parallel_matches_serial():
-    spec = ExperimentSpec(MaskConfig(257, 0.5, seed=2), 1200)
+    spec = ExperimentSpec(257, 0.5, 1200, seed=2)
     [(_, serial)] = run_experiment([spec], workers=1)
     [(_, parallel)] = run_experiment([spec], workers=3)
     assert np.array_equal(serial, parallel)
@@ -706,19 +696,19 @@ def test_noise_ratio_parallel_matches_serial():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ExperimentSpec(MaskConfig(127, 0.5), trials=0)
+        ExperimentSpec(127, 0.5, trials=0)
     with pytest.raises(ValueError):
-        run_experiment([ExperimentSpec(MaskConfig(127, 0.5), trials=1)], workers=0)
+        run_experiment([ExperimentSpec(127, 0.5, trials=1)], workers=0)
     with pytest.raises(ValueError):
-        ExperimentSpec(MaskConfig(127, 0.5), trials=1, thresholds=(("a", 1.0), ("a", 2.0)))
+        ExperimentSpec(127, 0.5, trials=1, thresholds=(("a", 1.0), ("a", 2.0)))
     # integers of any type are accepted; floats, bools and trial indices past 2**64 - 1 are not
-    spec = ExperimentSpec(MaskConfig(127, 0.5), trials=np.int64(3))
+    spec = ExperimentSpec(127, 0.5, trials=np.int64(3))
     assert spec.trials == 3 and type(spec.trials) is int
     assert _stats(spec, workers=np.int32(2)).trials == 3
-    assert ExperimentSpec(MaskConfig(127, 0.5), trials=2**64).trials == 2**64
+    assert ExperimentSpec(127, 0.5, trials=2**64).trials == 2**64
     for bad in (2.5, True, 2**64 + 1):
         with pytest.raises(ValueError):
-            ExperimentSpec(MaskConfig(127, 0.5), trials=bad)
+            ExperimentSpec(127, 0.5, trials=bad)
     for bad in (True, 2.0):
         with pytest.raises(ValueError):
             run_experiment([spec], workers=bad)
@@ -727,11 +717,10 @@ def test_spec_validation():
 def test_spec_rejects_malformed_thresholds():
     # each threshold is a (str label, real value) pair, checked when the
     # spec is made; NaN would count 0 exceedances without testing any
-    config = MaskConfig(127, 0.5)
     for bad in (("t", float("nan")), ("s", "5"), ("s", None), ("t", 1.0, 2.0)):
         with pytest.raises(ValueError, match="threshold"):
-            ExperimentSpec(config, trials=1, thresholds=(bad,))
-    spec = ExperimentSpec(config, trials=1, thresholds=[("inf", math.inf), ("low", -math.inf), ("n", np.float32(2))])
+            ExperimentSpec(127, 0.5, trials=1, thresholds=(bad,))
+    spec = ExperimentSpec(127, 0.5, trials=1, thresholds=[("inf", math.inf), ("low", -math.inf), ("n", np.float32(2))])
     assert spec.thresholds == (("inf", math.inf), ("low", -math.inf), ("n", 2.0))
     assert all(type(value) is float for _, value in spec.thresholds)
     assert _stats(spec).exceedance_counts == {"inf": 0, "low": 1, "n": 1}
@@ -745,7 +734,7 @@ def test_csv_rendering():
 
 
 def test_json_mirrors_stats_fields():
-    stats = _stats(ExperimentSpec(MaskConfig(127, 0.5, seed=4), trials=64, thresholds=(("t", 10.0),)))
+    stats = _stats(ExperimentSpec(127, 0.5, 64, seed=4, thresholds=(("t", 10.0),)))
     payload = stats.to_dict()
     assert set(payload) == {
         "trials",
@@ -789,7 +778,7 @@ def test_failures_discard_all_progress(monkeypatch):
 
     monkeypatch.setattr(mc, "_run_chunk", flaky)
     with pytest.raises(MemoryError):
-        run_experiment([ExperimentSpec(MaskConfig(127, 0.5, seed=1), trials=1500)])
+        run_experiment([ExperimentSpec(127, 0.5, 1500, seed=1)])
     assert mc._workspace.buffers == {}  # the first chunk's buffers go with the failed call
 
 
@@ -829,9 +818,8 @@ def test_running_stats_merge_is_associative(parts):
 )
 def test_block_kernel_peaks_respect_worst_case(n, p, seed, start):
     # at prime N no mask with n_p ones has a peak above the contiguous block's
-    config = MaskConfig(n, p, seed=seed)
     for t in range(start, start + 16):
-        stats, _ = _chunk(config, t, t + 1)
+        stats, _ = _chunk(n, p, seed, t, t + 1)
         n_p = int(stats.n_p_stats.max)
         peak = stats.per_trial_max.max
         bound = bounds.worst_case_bound(n, n_p) if n_p else 0.0

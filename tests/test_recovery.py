@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from maskspectra import recovery, spectrum
 from maskspectra.bounds import ratio_approximation
-from maskspectra.masks import MaskConfig, generate_mask, is_prime, worst_case_mask
+from maskspectra.masks import generate_mask, is_prime, worst_case_mask
 from maskspectra.recovery import (
     SignalSpec,
     demo_signal_path,
@@ -31,7 +31,7 @@ from oracles import dft_direct, demo_signal_spec, hard_threshold, sampled_residu
 
 DEMO = demo_signal_spec()
 DEMO_X = synthesize_signal(DEMO)
-DEMO_MASK = generate_mask(MaskConfig(127, 0.5, seed=11), 0)
+DEMO_MASK = generate_mask(127, 0.5, 11)
 
 
 def test_dc_only_band_gives_constant_signal():
@@ -244,12 +244,36 @@ def test_recover_iterations_must_be_an_integer():
 
 @pytest.mark.parametrize("n", [127, 8191])
 def test_recover_rejects_mismatched_reference(n):
-    mask = generate_mask(MaskConfig(n, 0.5, seed=4), 0)
+    mask = generate_mask(n, 0.5, 4)
     x = synthesize_signal(random_band_signal(n, 2, seed=4))
     xs = sample_random(x, mask)
     for bad in (x[:1], x[:-1], np.stack((x, x))):
         with pytest.raises(ValueError, match="reference"):
             recover(xs, mask, iterations=2, reference=bad)
+
+
+@pytest.mark.parametrize("n", [127, 8191])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_recover_rejects_non_finite_input_before_any_transform(monkeypatch, n, bad):
+    # a NaN sample used to run every iteration at threshold NaN and return
+    # the zero estimate; an infinite one warned from inside numpy.fft
+    mask = generate_mask(n, 0.5, 4)
+    x = synthesize_signal(random_band_signal(n, 2, seed=4))
+    xs = sample_random(x, mask)
+    spoiled = x.copy()
+    spoiled[n // 2] = bad
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform ran")
+
+    monkeypatch.setattr(recovery, "to_transform_order", no_transform)
+    monkeypatch.setattr(recovery, "analyze_ordered", no_transform)
+    with pytest.raises(ValueError, match="^sampled signal must be finite$"):
+        recover(spoiled, mask)
+    with pytest.raises(ValueError, match="^sampled signal must be finite$"):
+        recover(spoiled, mask, reference=x)
+    with pytest.raises(ValueError, match="^reference signal must be finite$"):
+        recover(xs, mask, reference=spoiled)
 
 
 def test_history_without_reference_has_nan_snr():
@@ -466,7 +490,7 @@ def test_rader_inverse_of_kept_pairs_is_real_ifft(n, seed):
 def test_rader_step_matches_scipy_step(monkeypatch):
     n = 8191
     x = synthesize_signal(random_band_signal(n, 8, seed=7))
-    mask = generate_mask(MaskConfig(n, 0.5, seed=8), 0)
+    mask = generate_mask(n, 0.5, 8)
     xs = sample_random(x, mask)
     rng = np.random.Generator(np.random.Philox(key=9))
     estimate = x + 0.01 * rng.normal(size=n) + 0.2  # off-band noise and a DC offset
@@ -519,7 +543,7 @@ def test_rader_plan_selection(monkeypatch):
             assert isinstance(plan, CountingPlan), n
             assert plan._size == size, n
         xs = np.zeros(8191)
-        mask = generate_mask(MaskConfig(8191, 0.5, seed=1), 0)
+        mask = generate_mask(8191, 0.5, 1)
         for _ in range(3):
             recover(xs, mask, t0=1.0)
         assert built == list(sizes)
@@ -535,7 +559,7 @@ def test_rader_plan_lookup_tests_primality_once(monkeypatch):
     plan = spectrum._rader_plan((8191,))
     assert plan is not None
     calls.clear()
-    mask = generate_mask(MaskConfig(8191, 0.5, seed=1), 0)
+    mask = generate_mask(8191, 0.5, 1)
     recover(mask.bits.astype(np.float64), mask, iterations=3)
     assert spectrum._rader_plan((8191,)) is plan
     assert calls == []
@@ -545,7 +569,7 @@ def test_rader_plan_survives_shapes_without_a_plan():
     # shapes without a plan are not cached, so any number of them between
     # two steps leaves the 8191 plan in place
     n = 8191
-    mask = generate_mask(MaskConfig(n, 0.5, seed=2), 0)
+    mask = generate_mask(n, 0.5, 2)
     xs = sample_random(synthesize_signal(random_band_signal(n, 4, seed=3)), mask)
     first, _ = recover(xs, mask, t0=0.5)
     plan = spectrum._rader_plan((n,))
@@ -560,7 +584,7 @@ def test_rader_recovery_permutes_once(monkeypatch):
     # at a planned N the loop runs in Rader order: the same permutations
     # in and out whatever the number of iterations
     n = 8191
-    mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
+    mask = generate_mask(n, 0.5, 6)
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
     xs = sample_random(x, mask)
     calls = []
@@ -586,7 +610,7 @@ def test_rader_recovery_permutes_once(monkeypatch):
 def test_rader_recovery_matches_scipy_oracle(monkeypatch):
     n = 8191
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
-    mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
+    mask = generate_mask(n, 0.5, 6)
     xs = sample_random(x, mask)
     assert spectrum._rader_plan((n,)) is not None
     estimate, history = recover(xs, mask, iterations=50, tol=0.0, reference=x)
@@ -616,7 +640,7 @@ def test_stop_truncates_the_history_and_keeps_forty_db(rate):
     # the full run's, and no seed that reaches 40 dB in full ends below it
     stopped = 0
     for seed in range(40):
-        mask = generate_mask(MaskConfig(127, rate, seed), 0)
+        mask = generate_mask(127, rate, seed)
         xs = sample_random(DEMO_X, mask)
         full_estimate, full = recover(xs, mask, tol=0.0, reference=DEMO_X)
         estimate, history = recover(xs, mask, reference=DEMO_X)
@@ -638,7 +662,7 @@ def _n8191_case():
     """A band-limited N = 8191 signal, a half-rate mask and its samples."""
     n = 8191
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
-    mask = generate_mask(MaskConfig(n, 0.5, seed=6), 0)
+    mask = generate_mask(n, 0.5, 6)
     return x, mask, sample_random(x, mask)
 
 
@@ -687,7 +711,7 @@ def test_every_demo_seed_reaches_forty_db(rate):
     # step of 2, not capped at N/n_p, misses it for 20 seeds at rate 0.9
     failed = []
     for seed in range(40):
-        mask = generate_mask(MaskConfig(127, rate, seed), 0)
+        mask = generate_mask(127, rate, seed)
         _, history = recover(sample_random(DEMO_X, mask), mask, reference=DEMO_X)
         if not history[-1][2] >= 40.0:
             failed.append(seed)
@@ -702,7 +726,7 @@ def test_long_runs_never_diverge(rate):
     # SNRs far below 0 dB. Capped at 2 the residual never exceeds the zero
     # estimate's, 1, and seeds that find no support stall above 0 dB.
     for seed in range(10):
-        mask = generate_mask(MaskConfig(127, rate, seed), 0)
+        mask = generate_mask(127, rate, seed)
         _, history = recover(sample_random(DEMO_X, mask), mask, iterations=500, tol=0.0, reference=DEMO_X)
         assert max(row[3] for row in history) <= 1.0 + 1e-12, seed
         assert history[-1][2] > 0.0, seed
@@ -717,7 +741,7 @@ def test_empty_mask_is_rejected_up_front():
 
 @pytest.mark.parametrize("n", [127, 8191])
 def test_zero_samples_with_explicit_t0_stop_after_one_row(n):
-    mask = generate_mask(MaskConfig(n, 0.5, seed=3), 0)
+    mask = generate_mask(n, 0.5, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         estimate, history = recover(np.zeros(n), mask, t0=1.0, reference=np.zeros(n))

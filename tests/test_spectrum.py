@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maskspectra import spectrum
-from maskspectra.masks import MaskConfig, generate_mask, worst_case_mask
+from maskspectra.masks import generate_mask, worst_case_mask
 from maskspectra.spectrum import (
     analyze_ordered,
     from_transform_order,
@@ -62,9 +62,8 @@ def test_worst_case_block_peak_matches_reference_value():
 def test_mask_spectrum_invariants():
     # Parseval, conjugate symmetry, and DC bin = n_p
     for n, count in ((7, 334), (127, 333), (1543, 333)):
-        cfg = MaskConfig(n, 0.4, seed=n)
         for t in range(count):
-            mask = generate_mask(cfg, t)
+            mask = generate_mask(n, 0.4, n, t)
             coeffs = spectrum_of_mask(mask)
             assert abs(coeffs[0].imag) < 1e-9
             assert coeffs[0].real == pytest.approx(mask.n_p, abs=1e-9)
@@ -111,7 +110,7 @@ def test_max_nonzero_bin_needs_two_bins():
     trial=st.integers(0, 2**64 - 1),
 )
 def test_mask_spectrum_dc_and_conjugate_symmetry(n, p, seed, trial):
-    mask = generate_mask(MaskConfig(n, p, seed=seed), trial)
+    mask = generate_mask(n, p, seed, trial)
     coeffs = spectrum_of_mask(mask)
     direct = dft_direct(mask.bits)
     tol = 1e-12 * n
