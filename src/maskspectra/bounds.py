@@ -28,6 +28,7 @@ any bin exceeds it at 4.5e-12. The values here keep the model as it is.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from statistics import NormalDist
 
@@ -96,15 +97,19 @@ def ratio_approximation(n: int, p: float) -> float:
     sin(p*pi)/(p*pi) as N grows.
     """
     ratio = _ratio_approx(n, p)
-    _warn_if_clamped(n, p)
+    _warn_if_clamped(n, float(p))
     return ratio
 
 
 def _ratio_approx(n: int, p: float) -> float:
-    """ratio_approximation without the clamped-radicand warning."""
+    """ratio_approximation without the clamped-radicand warning. p may be
+    of any real type, numpy's included, but not ``bool``, and is read as a
+    Python float."""
     n = _mask_length(n, least=1)
-    if not 0.0 < p <= 1.0 or n * p < 1.0:
+    real = isinstance(p, numbers.Real) and not isinstance(p, bool)
+    if not real or not 0.0 < p <= 1.0 or n * float(p) < 1.0:
         raise ValueError(f"need 0 < p <= 1 and n*p >= 1, got n={n}, p={p!r}")
+    p = float(p)
     return math.sqrt(max(_ratio_radicand(n, p), 0.0)) / (n * p)
 
 

@@ -1,13 +1,14 @@
 """Sparse recovery demo: iterative hard thresholding of a sampled band-limited
 signal from a bound-derived threshold, with the step min(N/n_p, 2),
 stopped once the estimate matches the samples. recover is the only
-thresholding step: it runs in spectrum's transform order and calls
-spectrum.analyze_ordered and synthesize_ordered apart, so that no step
-transforms what is already transformed.
+thresholding step: it fetches spectrum.transform_plan(N) once, runs in
+that plan's order and calls its analyze and synthesize apart, so that no
+step transforms what is already transformed.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -17,12 +18,7 @@ import numpy as np
 
 from .bounds import ratio_approximation, sigma_bound
 from .masks import Mask, _as_index
-from .spectrum import (
-    analyze_ordered,
-    from_transform_order,
-    synthesize_ordered,
-    to_transform_order,
-)
+from .spectrum import transform_plan
 
 __all__ = [
     "SignalSpec",
@@ -141,6 +137,20 @@ def _initial_threshold(mask: Mask, peak: float) -> float:
     return c * peak / p_hat
 
 
+def _finite_float(value, name: str, sign: str) -> float:
+    """``value`` as a Python float that is finite and, as ``sign`` says,
+    ``positive`` or ``nonnegative``: any real type, numpy's included, but
+    not ``bool``. It is converted before it is compared, so an int beyond
+    the largest float counts as infinite."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        x = math.inf
+    if not (0.0 < x if sign == "positive" else 0.0 <= x) or x == math.inf:
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+    return x
+
+
 def _relative_norm(v: np.ndarray, scale: float) -> float:
     """||v|| / scale, with 0/0 = 0."""
     norm = float(np.linalg.norm(v))
@@ -180,13 +190,14 @@ def recover(
     at the latest; tol = 0 runs them all. The stop changes no iterate, so
     the history is a prefix of the history with tol = 0.
 
-    The loop runs in spectrum's transform order: the weights 1 - lam M, the
-    scaled samples lam xs and the reference are permuted into it once, and
-    the final estimate back out of it. SNRs do not depend on the order. The
-    step's input z = (1 - lam M) x + lam xs is lam xs while the estimate is
-    zero, so xs is transformed once, for t0 and, scaled by lam, for every
-    such step; a step that keeps no bin skips the inverse transform. With
-    z formed, r_i = ||x_i - z_(i+1)|| / (lam ||xs||).
+    The loop runs in the order of spectrum.transform_plan(N), fetched once:
+    the weights 1 - lam M, the scaled samples lam xs and the reference are
+    permuted into it once, and the final estimate back out of it. SNRs do
+    not depend on the order. The step's input z = (1 - lam M) x + lam xs
+    is lam xs while the estimate is zero, so xs is transformed once, for
+    t0 and, scaled by lam, for every such step; a step that keeps no bin
+    skips the inverse transform. With z formed,
+    r_i = ||x_i - z_(i+1)|| / (lam ||xs||).
     """
     step = _step_size(mask)  # rejects an empty mask
     iterations = _as_index(iterations, "iterations")
@@ -194,12 +205,10 @@ def recover(
         raise ValueError("iterations must be >= 1")
     # t0 = inf drops every bin, and alpha = inf makes the first
     # threshold t0 * exp(-inf * 0) = nan, which keeps every bin
-    if t0 is not None and not 0.0 < t0 < math.inf:
-        raise ValueError(f"t0 must be positive and finite, got {t0!r}")
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
+    if t0 is not None:
+        t0 = _finite_float(t0, "t0", "positive")
+    alpha = _finite_float(alpha, "alpha", "positive")
+    tol = _finite_float(tol, "tol", "nonnegative")
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.shape != mask.bits.shape:
         raise ValueError(f"sampled signal length {xs.size} != mask length {mask.n}")
@@ -211,11 +220,13 @@ def recover(
             raise ValueError(f"reference shape {reference.shape} != sampled signal shape {xs.shape}")
         if not np.isfinite(reference).all():
             raise ValueError("reference signal must be finite")
-        reference = to_transform_order(reference)
+    plan = transform_plan(mask.n)
+    if reference is not None:
+        reference = plan.to_order(reference)
         ref_energy = float(np.sum(reference * reference))
-    weights = to_transform_order(1.0 - step * mask.bits)
-    xs = to_transform_order(xs)
-    coeffs, magnitudes = analyze_ordered(xs)
+    weights = plan.to_order(1.0 - step * mask.bits)
+    xs = plan.to_order(xs)
+    coeffs, magnitudes = plan.analyze(xs)
     if t0 is None:
         t0 = _initial_threshold(mask, float(magnitudes.max()))
     # the step's input and its spectrum while the estimate is zero
@@ -226,10 +237,10 @@ def recover(
     history: list[tuple[int, float, float, float, int]] = []
     for i in range(iterations):
         threshold = t0 * math.exp(-alpha * i)
-        coeffs, magnitudes = sampled if z is drive else analyze_ordered(z)
+        coeffs, magnitudes = sampled if z is drive else plan.analyze(z)
         kept = int(np.count_nonzero(magnitudes > threshold))
         if kept:
-            estimate = synthesize_ordered(coeffs, magnitudes, threshold)
+            estimate = plan.synthesize(coeffs, magnitudes, threshold)
             z = weights * estimate
             z += drive
         else:
@@ -239,7 +250,7 @@ def recover(
         history.append((i, threshold, snr, residual, kept))
         if tol > 0.0 and residual <= tol:
             break
-    return from_transform_order(estimate), history
+    return plan.from_order(estimate), history
 
 
 def read_signal_csv(path) -> np.ndarray:

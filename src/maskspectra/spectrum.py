@@ -10,15 +10,15 @@ cas = cos + sin, as one real cyclic convolution of length N - 1 (Rader's
 algorithm). It takes and returns data in Rader order, a fixed permutation
 of samples and bins, so the DHT, which is its own inverse up to a factor
 N, serves both directions; |X_k|^2 = (h_k^2 + h_-k^2) / 2. Where the plan
-beats numpy's transform the functions here use it, and numpy.fft
-elsewhere; no other module chooses between the two. The choice fixes the
-transform order, Rader order or natural order: to_transform_order and
-from_transform_order move data into and out of it, and analyze_ordered
-(the spectrum and one magnitude per bin) and synthesize_ordered (keep the
-bins whose magnitude is above a threshold and invert) hard-threshold
-within it, so an iterative loop permutes its inputs once and its result
-once instead of at every step, and a loop that already holds a spectrum
-can skip either transform.
+beats numpy's transform, transform_plan(N) returns it, and elsewhere one
+plan that runs numpy.fft in natural order; no other module chooses
+between the two. Both plans have the same four methods: to_order and
+from_order move a length-N signal into and out of the plan's order,
+analyze gives the spectrum and one magnitude per bin, and synthesize
+keeps the bins whose magnitude is above a threshold and inverts them. An
+iterative hard-thresholding loop so permutes its inputs once and its
+result once instead of at every step, and a loop that already holds a
+spectrum can skip either transform.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .masks import is_prime
 
-__all__ = ["to_transform_order", "from_transform_order", "analyze_ordered", "synthesize_ordered"]
+__all__ = ["transform_plan"]
 
 # One analysis plus synthesis, timed at 110 primes from 101 to 39409 (2
 # vCPUs): a Rader plan took 0.13-0.91 of numpy.fft's natural-order time at
@@ -42,13 +42,6 @@ __all__ = ["to_transform_order", "from_transform_order", "analyze_ordered", "syn
 # 9 of 12 primes.
 _RADER_MIN_N = 256
 _RADER_SMOOTH_FACTOR = 67
-
-
-def _as_real_vector(x) -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("input must be a nonempty 1-D real sequence")
-    return arr
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -90,8 +83,9 @@ class _RaderPlan:
     input in g^q order with the kernel cas(2 pi g^-r / n), whose rfft is
     precomputed. Input in Rader order is the input in g^q order reversed,
     so the transform maps Rader order to Rader order. Since
-    g^((n-1)/2) = -1, bin -k sits (n-1)/2 positions after bin k. Every
-    method works along the last axis.
+    g^((n-1)/2) = -1, bin -k sits (n-1)/2 positions after bin k. dht and
+    magnitudes work along the last axis; the other methods take one
+    length-n signal.
 
     Where n - 1 has a prime factor above _RADER_SMOOTH_FACTOR, the
     convolution runs zero-padded to a 5-smooth length L >= 2n - 3 against
@@ -162,87 +156,73 @@ class _RaderPlan:
         mags[..., 0] = np.abs(h[..., 0])
         return mags
 
+    def to_order(self, x: np.ndarray) -> np.ndarray:
+        """The length-n signal x in Rader order."""
+        return x[self.order]
+
+    def from_order(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of to_order: x back in natural order."""
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
+
+    def analyze(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Hartley bins of the Rader-ordered z and their magnitudes, in
+        Rader order; a pair (k, -k) shares one magnitude."""
+        h = self.dht(z)
+        return h, self.magnitudes(h)
+
+    def synthesize(self, spectrum: np.ndarray, magnitudes: np.ndarray, threshold: float) -> np.ndarray:
+        """The real signal, in Rader order, of the bins of analyze's output
+        whose magnitude is strictly above the threshold. The pairs (k, -k),
+        which share |X_k|, are kept or dropped together, and the kept
+        Hartley bins are scaled by 1/n: their DHT is then the real inverse
+        transform. Agrees with the natural-order plan at the ulp level. The
+        spectrum is not modified, so it can serve again."""
+        if not threshold >= 0.0:
+            raise ValueError("threshold must be nonnegative")
+        kept = spectrum * np.where(magnitudes <= threshold, 0.0, 1.0 / self.n)
+        kept[0] = 0.0 if magnitudes[0] <= threshold else spectrum[0] / self.n
+        return self.dht(kept)
+
+
+class _NaturalPlan:
+    """numpy.fft in natural order, for every length without a Rader plan:
+    the orders are the identity, and the spectrum is the complex DFT.
+    Composed as from_order(synthesize(*analyze(to_order(z)), threshold)),
+    either plan gives ifft(where(|fft(z)| > threshold, fft(z), 0)).real
+    for real 1-D z."""
+
+    def to_order(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def from_order(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def analyze(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        coeffs = np.fft.fft(z)
+        return coeffs, np.abs(coeffs)
+
+    def synthesize(self, spectrum: np.ndarray, magnitudes: np.ndarray, threshold: float) -> np.ndarray:
+        if not threshold >= 0.0:
+            raise ValueError("threshold must be nonnegative")
+        return np.ascontiguousarray(np.fft.ifft(np.where(magnitudes <= threshold, 0.0, spectrum)).real)
+
+
+_NATURAL_PLAN = _NaturalPlan()
+
 
 @lru_cache(maxsize=8)
 def _cached_rader_plan(n: int) -> _RaderPlan:
     return _RaderPlan(n)
 
 
-@lru_cache(maxsize=256)
-def _has_rader_plan(n: int) -> bool:
-    return n > _RADER_MIN_N and is_prime(n)
-
-
-def _rader_plan(shape: tuple[int, ...]) -> _RaderPlan | None:
-    """The cached Rader plan for a real 1-D array of this shape, or None
-    where numpy's transform is as fast (or the array is not 1-D).
-
-    Whether a length has a plan is cached apart from the plans, so shapes
-    without one never evict a plan.
+def transform_plan(n: int) -> _RaderPlan | _NaturalPlan:
+    """The transform of real length-n signals and the order it works in:
+    the cached Rader plan at primes above _RADER_MIN_N, where it beats
+    numpy's transform, and the one natural-order plan elsewhere. Lengths
+    without a Rader plan never reach the cache, so they cannot evict one.
     """
-    if len(shape) != 1 or not _has_rader_plan(shape[0]):
-        return None
-    return _cached_rader_plan(shape[0])
-
-
-def to_transform_order(x) -> np.ndarray:
-    """Real 1-D x in the sample order the transform works in at its length:
-    Rader order (see _RaderPlan) where a plan runs, and natural order,
-    x itself, elsewhere. Bins are ordered the same way."""
-    x = _as_real_vector(x)
-    plan = _rader_plan(x.shape)
-    return x if plan is None else x[plan.order]
-
-
-def from_transform_order(x) -> np.ndarray:
-    """Inverse of to_transform_order: x back in natural order."""
-    x = _as_real_vector(x)
-    plan = _rader_plan(x.shape)
-    if plan is None:
-        return x
-    out = np.empty_like(x)
-    out[plan.order] = x
-    return out
-
-
-def analyze_ordered(z) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum of real z, given in transform order, and its magnitudes:
-    the analysis half of a hard-thresholding step.
-
-    Both have length N and transform order: magnitudes[i] is |X| of the bin
-    at position i. Through a Rader plan the spectrum is the Hartley bins in
-    Rader order, where a pair (k, -k) shares one magnitude; through
-    numpy.fft it is the complex DFT. In both, the largest magnitude is the
-    peak, and a threshold keeps the bins whose magnitude is above it.
-    """
-    z = _as_real_vector(z)
-    plan = _rader_plan(z.shape)
-    if plan is None:
-        coeffs = np.fft.fft(z)
-        return coeffs, np.abs(coeffs)
-    h = plan.dht(z)
-    return h, plan.magnitudes(h)
-
-
-def synthesize_ordered(spectrum: np.ndarray, magnitudes: np.ndarray, threshold: float) -> np.ndarray:
-    """The synthesis half of a hard-thresholding step: keep the bins of
-    analyze_ordered's output whose magnitude is strictly above the
-    threshold, and invert them into a real signal in transform order.
-    Composed as synthesize_ordered(*analyze_ordered(z), threshold) between
-    to_transform_order and from_transform_order, the halves give
-    ifft(where(|fft(z)| > threshold, fft(z), 0)).real for real 1-D z.
-
-    Through a Rader plan the pairs (k, -k), which share |X_k|, are kept or
-    dropped together, and the kept Hartley bins are scaled by 1/N: their
-    DHT is then the real inverse transform. Agrees with numpy.fft's path at the
-    ulp level. The spectrum is not modified, so it can serve again.
-    """
-    if not threshold >= 0.0:
-        raise ValueError("threshold must be nonnegative")
-    plan = _rader_plan(spectrum.shape)
-    if plan is None:
-        return np.ascontiguousarray(np.fft.ifft(np.where(magnitudes <= threshold, 0.0, spectrum)).real)
-    n = spectrum.size
-    kept = spectrum * np.where(magnitudes <= threshold, 0.0, 1.0 / n)
-    kept[0] = 0.0 if magnitudes[0] <= threshold else spectrum[0] / n
-    return plan.dht(kept)
+    if n > _RADER_MIN_N and is_prime(n):
+        return _cached_rader_plan(n)
+    return _NATURAL_PLAN

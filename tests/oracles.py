@@ -10,7 +10,6 @@ import numpy as np
 from maskspectra.masks import Mask
 from maskspectra.montecarlo import RunningStats
 from maskspectra.recovery import SignalSpec, _relative_norm, _snr_db
-from maskspectra.spectrum import _as_real_vector
 
 _DIRECT_BLOCK_ROWS = 256
 
@@ -42,7 +41,9 @@ def dft_direct(x) -> np.ndarray:
     Twiddle phases are reduced with (k*n) mod N before scaling so the
     arguments passed to exp stay in [0, 2*pi).
     """
-    arr = _as_real_vector(x)
+    arr = np.ascontiguousarray(x, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("input must be a nonempty 1-D real sequence")
     n = arr.size
     idx = np.arange(n, dtype=np.int64)
     coeffs = np.empty(n, dtype=np.complex128)

@@ -22,12 +22,7 @@ from maskspectra.recovery import (
     recover,
     sample_random,
 )
-from maskspectra.spectrum import (
-    analyze_ordered,
-    from_transform_order,
-    synthesize_ordered,
-    to_transform_order,
-)
+from maskspectra.spectrum import transform_plan
 from oracles import dft_direct, q_function, spectrum_of_mask, worst_case_cosine_sum
 
 GRID_NS = (127, 1543, 8191)
@@ -243,7 +238,8 @@ def test_criterion_9_recovery_demo():
     # fixed point: the true signal is stationary under one more step
     mask = generate_mask(n, 0.5, 11)
     z = x + min(n / mask.n_p, 2.0) * (sample_random(x, mask) - mask.bits * x)
-    step = from_transform_order(synthesize_ordered(*analyze_ordered(to_transform_order(z)), 5.0))
+    plan = transform_plan(n)
+    step = plan.from_order(plan.synthesize(*plan.analyze(plan.to_order(z)), 5.0))
     assert np.abs(step - x).max() < 1e-9
     _report(
         "criterion 9 (recovery demo)",

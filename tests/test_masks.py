@@ -7,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maskspectra.bounds import bound_report, gaussian_bound, sigma_bound
+from maskspectra.bounds import bound_report, gaussian_bound, ratio_approximation, sigma_bound
 from maskspectra.masks import (
     Mask,
     generate_mask,
@@ -135,6 +135,11 @@ def test_every_rate_check_rejects_non_real_values():
         with pytest.raises(ValueError) as info:
             gaussian_bound(127, 0.5, epsilon=bad)
         assert str(info.value) == f"epsilon must lie in (0, 1), got {bad!r}"
+    # the ratio approximation also takes p = 1, and keeps its own message
+    for p in ("0.5", None, 0.5 + 0j, True, np.bool_(True), math.nan, np.float32(1.5)):
+        with pytest.raises(ValueError) as info:
+            ratio_approximation(127, p)
+        assert str(info.value) == f"need 0 < p <= 1 and n*p >= 1, got n=127, p={p!r}"
 
 
 def test_rates_of_any_real_type_are_kept_as_float():
@@ -143,6 +148,10 @@ def test_rates_of_any_real_type_are_kept_as_float():
     assert type(spec.p) is float and spec.p == p
     assert np.array_equal(generate_mask(127, np.float32(0.1), 3).bits, generate_mask(127, p, 3).bits)
     assert ExperimentSpec(127, Fraction(1, 2), 1).p == 0.5
+    ratio = ratio_approximation(127, np.float32(0.1))
+    assert type(ratio) is float and ratio == ratio_approximation(127, p)
+    assert ratio_approximation(127, np.float32(1.0)) == ratio_approximation(127, 1.0)
+    assert ratio_approximation(127, Fraction(1, 2)) == ratio_approximation(127, 0.5)
 
 
 def test_is_prime_against_oracle():

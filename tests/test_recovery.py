@@ -21,12 +21,7 @@ from maskspectra.recovery import (
     synthesize_signal,
     write_signal_csv,
 )
-from maskspectra.spectrum import (
-    analyze_ordered,
-    from_transform_order,
-    synthesize_ordered,
-    to_transform_order,
-)
+from maskspectra.spectrum import transform_plan
 from oracles import dft_direct, demo_signal_spec, hard_threshold, sampled_residual, snr_db
 
 DEMO = demo_signal_spec()
@@ -138,7 +133,8 @@ def test_fixed_point_of_recovery_step():
     # estimate == true signal stays put when T is below the on-band minimum (10)
     xs = sample_random(DEMO_X, DEMO_MASK)
     z = DEMO_X + min(DEMO_MASK.n / DEMO_MASK.n_p, 2.0) * (xs - DEMO_MASK.bits * DEMO_X)
-    out = from_transform_order(synthesize_ordered(*analyze_ordered(to_transform_order(z)), 5.0))
+    plan = transform_plan(127)
+    out = plan.from_order(plan.synthesize(*plan.analyze(plan.to_order(z)), 5.0))
     assert np.abs(out - DEMO_X).max() < 1e-9
 
 
@@ -221,6 +217,24 @@ def test_recover_validation():
             recover(xs, DEMO_MASK, t0=bad)
         with pytest.raises(ValueError, match="alpha"):
             recover(xs, DEMO_MASK, alpha=bad)
+    # a str, complex or bool is a ValueError naming the argument, never a
+    # TypeError from the comparison, nor True read as 1.0
+    for bad in ("1", 1.0 + 0j, True, np.bool_(True)):
+        with pytest.raises(ValueError) as info:
+            recover(xs, DEMO_MASK, t0=bad)
+        assert str(info.value) == f"t0 must be positive and finite, got {bad!r}"
+    for bad in ("0.1", None, 0.1 + 0j, True):
+        with pytest.raises(ValueError) as info:
+            recover(xs, DEMO_MASK, alpha=bad)
+        assert str(info.value) == f"alpha must be positive and finite, got {bad!r}"
+    for bad in ("0", None, 0j, False, 10**400):
+        with pytest.raises(ValueError) as info:
+            recover(xs, DEMO_MASK, tol=bad)
+        assert str(info.value) == f"tol must be nonnegative and finite, got {bad!r}"
+    # numpy reals are read as Python floats, so the history holds floats
+    _, history = recover(xs, DEMO_MASK, iterations=2, t0=np.float32(50.0), alpha=np.float64(0.1), tol=np.int64(0))
+    assert history == recover(xs, DEMO_MASK, iterations=2, t0=50.0, alpha=0.1, tol=0.0)[1]
+    assert all(type(row[1]) is float for row in history)
     with pytest.raises(ValueError):
         recover(np.zeros(64), DEMO_MASK, t0=1.0)
 
@@ -264,10 +278,9 @@ def test_recover_rejects_non_finite_input_before_any_transform(monkeypatch, n, b
     spoiled[n // 2] = bad
 
     def no_transform(*args, **kwargs):
-        raise AssertionError("a transform ran")
+        raise AssertionError("a transform plan was fetched")
 
-    monkeypatch.setattr(recovery, "to_transform_order", no_transform)
-    monkeypatch.setattr(recovery, "analyze_ordered", no_transform)
+    monkeypatch.setattr(recovery, "transform_plan", no_transform)
     with pytest.raises(ValueError, match="^sampled signal must be finite$"):
         recover(spoiled, mask)
     with pytest.raises(ValueError, match="^sampled signal must be finite$"):
@@ -494,24 +507,25 @@ def test_rader_step_matches_scipy_step(monkeypatch):
     xs = sample_random(x, mask)
     rng = np.random.Generator(np.random.Philox(key=9))
     estimate = x + 0.01 * rng.normal(size=n) + 0.2  # off-band noise and a DC offset
-    assert spectrum._rader_plan((n,)) is not None
+    plan = transform_plan(n)
+    assert isinstance(plan, spectrum._RaderPlan)
     z = estimate + min(n / mask.n_p, 2.0) * (xs - mask.bits * estimate)
     spectrum_z = scipy.fft.fft(z)
-    ordered = analyze_ordered(to_transform_order(z))
+    ordered = plan.analyze(plan.to_order(z))
     for threshold in (0.0, 0.05, 0.5, 1.0, 5.0, 0.999 * np.abs(spectrum_z).max(), 1e9):
         want = scipy.fft.ifft(hard_threshold(spectrum_z, threshold)).real
-        got = from_transform_order(synthesize_ordered(*ordered, threshold))
+        got = plan.from_order(plan.synthesize(*ordered, threshold))
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), np.abs(z).max()), threshold
-    assert from_transform_order(synthesize_ordered(*ordered, 1e9)).tolist() == [0.0] * n
+    assert plan.from_order(plan.synthesize(*ordered, 1e9)).tolist() == [0.0] * n
     with pytest.raises(ValueError, match="nonnegative"):
-        synthesize_ordered(*ordered, -1.0)
+        plan.synthesize(*ordered, -1.0)
     # the initial threshold takes its peak from the same magnitudes; here
     # the DC bin, which has no mirror, is the peak
     dc_heavy = xs + (1.0 - mask.bits) * estimate
     spectrum_dc = scipy.fft.fft(dc_heavy)
     assert abs(spectrum_dc[0]) == np.abs(spectrum_dc).max()
     with monkeypatch.context() as m:
-        m.setattr(spectrum, "_rader_plan", lambda shape: None)
+        m.setattr(recovery, "transform_plan", lambda n: spectrum._NATURAL_PLAN)
         want_t0 = _default_t0(dc_heavy, mask)
     assert _default_t0(dc_heavy, mask) == pytest.approx(want_t0, rel=1e-12)
 
@@ -529,8 +543,7 @@ def test_rader_plan_selection(monkeypatch):
     try:
         # 8192 and 1000 are composite, and 127 and 251 lie below the crossover
         for n in (8192, 1000, 127, 251):
-            assert spectrum._rader_plan((n,)) is None, n
-        assert spectrum._rader_plan((1, 8191)) is None
+            assert transform_plan(n) is spectrum._NATURAL_PLAN, n
         assert built == []
         # every prime above the crossover has a plan: a plain one where N - 1
         # has no prime factor above 67 (8190 = 2 * 3^2 * 5 * 7 * 13,
@@ -539,7 +552,7 @@ def test_rader_plan_selection(monkeypatch):
         # 1278 = 2 * 3^2 * 71, 508 = 2^2 * 127, 4098 = 2 * 3 * 683)
         sizes = {8191: 8190, 1033: 1032, 1609: 1608, 1543: 3125, 1279: 2560, 509: 1024, 4099: 8640}
         for n, size in sizes.items():
-            plan = spectrum._rader_plan((n,))
+            plan = transform_plan(n)
             assert isinstance(plan, CountingPlan), n
             assert plan._size == size, n
         xs = np.zeros(8191)
@@ -551,32 +564,31 @@ def test_rader_plan_selection(monkeypatch):
         spectrum._cached_rader_plan.cache_clear()
 
 
-def test_rader_plan_lookup_tests_primality_once(monkeypatch):
-    # whether a length has a plan is cached with the answer, so a recovery
-    # loop's lookups after the first test no primes
-    calls = []
-    monkeypatch.setattr(spectrum, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    plan = spectrum._rader_plan((8191,))
-    assert plan is not None
-    calls.clear()
-    mask = generate_mask(8191, 0.5, 1)
-    recover(mask.bits.astype(np.float64), mask, iterations=3)
-    assert spectrum._rader_plan((8191,)) is plan
-    assert calls == []
+@pytest.mark.parametrize("n", [127, 1000, 8191])
+def test_recover_looks_up_its_plan_once(monkeypatch, n):
+    # one recover call asks for its plan once, whatever the number of
+    # iterations, and so tests the length for primality at most once
+    lookups, primality = [], []
+    monkeypatch.setattr(recovery, "transform_plan", lambda m: lookups.append(m) or transform_plan(m))
+    monkeypatch.setattr(spectrum, "is_prime", lambda m: primality.append(m) or is_prime(m))
+    mask = generate_mask(n, 0.5, 1)
+    _, history = recover(mask.bits.astype(np.float64), mask, iterations=3, tol=0.0, reference=mask.bits)
+    assert len(history) == 3
+    assert lookups == [n]
+    assert primality == ([] if n <= spectrum._RADER_MIN_N else [n])
 
 
 def test_rader_plan_survives_shapes_without_a_plan():
-    # shapes without a plan are not cached, so any number of them between
-    # two steps leaves the 8191 plan in place
+    # lengths without a plan never reach the plan cache, so any number of
+    # them between two recoveries leaves the 8191 plan in place
     n = 8191
     mask = generate_mask(n, 0.5, 2)
     xs = sample_random(synthesize_signal(random_band_signal(n, 4, seed=3)), mask)
     first, _ = recover(xs, mask, t0=0.5)
-    plan = spectrum._rader_plan((n,))
+    plan = transform_plan(n)
     for m in (127, 128, 251, 255, 8192, 131072, 4097, 2048, 1000, 3):
-        assert spectrum._rader_plan((m,)) is None, m
-    assert spectrum._rader_plan((2, n)) is None
-    assert spectrum._rader_plan((n,)) is plan
+        assert transform_plan(m) is spectrum._NATURAL_PLAN, m
+    assert transform_plan(n) is plan
     assert np.array_equal(recover(xs, mask, t0=0.5)[0], first)
 
 
@@ -587,37 +599,38 @@ def test_rader_recovery_permutes_once(monkeypatch):
     mask = generate_mask(n, 0.5, 6)
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
     xs = sample_random(x, mask)
+    assert isinstance(transform_plan(n), spectrum._RaderPlan)
     calls = []
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(self, *args):
             calls.append(name)
-            return fn(*args)
+            return fn(self, *args)
         return wrapper
 
-    for name in ("to_transform_order", "from_transform_order"):
-        monkeypatch.setattr(recovery, name, counted(name, getattr(recovery, name)))
+    for name in ("to_order", "from_order"):
+        monkeypatch.setattr(spectrum._RaderPlan, name, counted(name, getattr(spectrum._RaderPlan, name)))
     seen = []
     for iterations in (1, 7):
         calls.clear()
         estimate, history = recover(xs, mask, iterations=iterations, reference=x)
         seen.append(sorted(calls))
         assert len(history) == iterations
-    assert seen[0] == seen[1] == ["from_transform_order"] + ["to_transform_order"] * 3
-    assert spectrum._rader_plan((n,)) is not None
+    assert seen[0] == seen[1] == ["from_order"] + ["to_order"] * 3
 
 
-def test_rader_recovery_matches_scipy_oracle(monkeypatch):
-    n = 8191
+# 8191 runs the plain plan and 1543 the padded one
+@pytest.mark.parametrize("n", [8191, 1543])
+def test_rader_recovery_matches_scipy_oracle(monkeypatch, n):
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
     mask = generate_mask(n, 0.5, 6)
     xs = sample_random(x, mask)
-    assert spectrum._rader_plan((n,)) is not None
+    assert isinstance(transform_plan(n), spectrum._RaderPlan)
     estimate, history = recover(xs, mask, iterations=50, tol=0.0, reference=x)
 
     # the same loop on the natural-order numpy.fft transforms alone
     with monkeypatch.context() as m:
-        m.setattr(spectrum, "_rader_plan", lambda shape: None)
+        m.setattr(recovery, "transform_plan", lambda n: spectrum._NATURAL_PLAN)
         _, natural_history = recover(xs, mask, iterations=50, tol=0.0, reference=x)
     t0 = natural_history[0][1]
     assert history[0][1] == pytest.approx(t0, rel=1e-12)
@@ -690,7 +703,8 @@ def test_recover_never_transforms_the_same_thing_twice(monkeypatch):
     # above the scaled peak: never with the default t0 (c is about 0.67),
     # and for the first 7 steps from twice the scaled peak
     x, mask, xs = _n8191_case()
-    scaled_peak = min(mask.n / mask.n_p, 2.0) * float(analyze_ordered(to_transform_order(xs))[1].max())
+    plan = transform_plan(mask.n)
+    scaled_peak = min(mask.n / mask.n_p, 2.0) * float(plan.analyze(plan.to_order(xs))[1].max())
     for t0, least_empty in ((None, 0), (2.0 * scaled_peak, 3)):
         calls = []
         dht = spectrum._RaderPlan.dht

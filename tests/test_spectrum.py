@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 from maskspectra import spectrum
 from maskspectra.masks import generate_mask, worst_case_mask
-from maskspectra.spectrum import (
-    analyze_ordered,
-    from_transform_order,
-    synthesize_ordered,
-    to_transform_order,
-)
+from maskspectra.spectrum import transform_plan
 from oracles import dft_direct, hard_threshold, max_nonzero_bin, spectrum_of_mask
 
 # grid spanning primes, powers of two, and mixed composites
@@ -120,7 +115,7 @@ def test_mask_spectrum_dc_and_conjugate_symmetry(n, p, seed, trial):
     assert np.abs(coeffs - mirror).max() <= tol
 
 
-# analyze_ordered and synthesize_ordered run a Rader plan at the first four
+# transform_plan returns a Rader plan at the first four
 # lengths (padded at 1543, whose N - 1 has the prime factor 257) and
 # numpy.fft in natural order at the others (127 lies below the crossover,
 # 128 is even)
@@ -132,16 +127,17 @@ NATURAL_LENGTHS = (127, 128)
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), offset=st.sampled_from([0.0, 0.3]), frac=st.floats(0.05, 0.95))
 def test_keep_above_and_peak_magnitude_match_scipy(n, seed, offset, frac):
-    assert (spectrum._rader_plan((n,)) is not None) == (n in RADER_LENGTHS)
+    plan = transform_plan(n)
+    assert isinstance(plan, spectrum._RaderPlan) == (n in RADER_LENGTHS)
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.normal(size=n) + offset  # with the offset, the DC bin is the peak
     coeffs = scipy.fft.fft(z)
     mags = np.abs(coeffs)
     peak = float(mags.max())
-    ordered = analyze_ordered(to_transform_order(z))
+    ordered = plan.analyze(plan.to_order(z))
     assert float(ordered[1].max()) == pytest.approx(peak, rel=1e-12)
     # one magnitude per bin, in transform order, on both paths
-    assert np.abs(ordered[1] - to_transform_order(mags)).max() <= 1e-12 * peak
+    assert np.abs(ordered[1] - plan.to_order(mags)).max() <= 1e-12 * peak
     # a middle threshold splits the off-DC bins; none may sit on it, where
     # an ulp decides whether a bin is kept
     middle = frac * float(mags[1:].max())
@@ -150,12 +146,12 @@ def test_keep_above_and_peak_magnitude_match_scipy(n, seed, offset, frac):
     scale = max(np.abs(z).max(), 1.0)
     for threshold in (0.0, middle, 1.01 * peak):
         want = scipy.fft.ifft(hard_threshold(coeffs, threshold)).real
-        got = from_transform_order(synthesize_ordered(*ordered, threshold))
+        got = plan.from_order(plan.synthesize(*ordered, threshold))
         assert np.abs(got - want).max() <= 1e-12 * scale, threshold
-    assert from_transform_order(synthesize_ordered(*ordered, 1.01 * peak)).tolist() == [0.0] * n
+    assert plan.from_order(plan.synthesize(*ordered, 1.01 * peak)).tolist() == [0.0] * n
     for bad in (-1.0, np.nan):
         with pytest.raises(ValueError, match="nonnegative"):
-            synthesize_ordered(*ordered, bad)
+            plan.synthesize(*ordered, bad)
 
 
 @pytest.mark.parametrize("n", RADER_LENGTHS + NATURAL_LENGTHS)
@@ -164,16 +160,17 @@ def test_one_analysis_serves_many_syntheses(n):
     # fresh analysis and synthesis give, and leaves the analysis as it was
     rng = np.random.Generator(np.random.Philox(key=n))
     x = rng.normal(size=n) + 0.3
-    z = to_transform_order(x)
-    coeffs, mags = analyze_ordered(z)
+    plan = transform_plan(n)
+    z = plan.to_order(x)
+    coeffs, mags = plan.analyze(z)
     kept_before = coeffs.copy(), mags.copy()
-    assert float(mags.max()) == float(analyze_ordered(to_transform_order(x))[1].max())
+    assert float(mags.max()) == float(plan.analyze(plan.to_order(x))[1].max())
     assert float(mags.max()) == pytest.approx(float(np.abs(scipy.fft.fft(x)).max()), rel=1e-12)
     for threshold in (0.0, 0.5 * float(np.median(mags)), 2.0 * float(np.median(mags)), float(mags.max())):
-        got = synthesize_ordered(coeffs, mags, threshold)
-        assert np.array_equal(got, synthesize_ordered(*analyze_ordered(z), threshold)), threshold
-    assert not synthesize_ordered(coeffs, mags, float(mags.max())).any()
+        got = plan.synthesize(coeffs, mags, threshold)
+        assert np.array_equal(got, plan.synthesize(*plan.analyze(z), threshold)), threshold
+    assert not plan.synthesize(coeffs, mags, float(mags.max())).any()
     assert np.array_equal(coeffs, kept_before[0]) and np.array_equal(mags, kept_before[1])
     for bad in (-1.0, np.nan):
         with pytest.raises(ValueError, match="nonnegative"):
-            synthesize_ordered(coeffs, mags, bad)
+            plan.synthesize(coeffs, mags, bad)
