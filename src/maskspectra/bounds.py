@@ -23,12 +23,18 @@ simulations observe no exceedance of T(eps): at N = 127, p = 0.5 and
 eps = 1e-4, T = 31.0, and a Rayleigh model of the peak with the exact
 variance, 1 - (1 - exp(-T^2/(p(1-p)N)))^((N-1)/2), puts the chance that
 any bin exceeds it at 4.5e-12. The values here keep the model as it is.
+
+worst_case_bound warns when N is composite, and ratio_approximation when
+it clamps its radicand. Each warning names the line that called into the
+library, the first stack frame outside this module and ``recovery``: a
+direct call, ``thresholds``, ``bound_report`` or ``recover`` alike.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from statistics import NormalDist
 
@@ -46,14 +52,18 @@ __all__ = [
 ]
 
 
-def _warn_if_composite(n: int) -> None:
-    # called once by each public function, so stacklevel 3 names its caller
-    if not is_prime(n):
-        warnings.warn(
-            f"worst-case bound assumes prime mask length; n={n} is composite, "
-            "so the contiguous block may not be the true maximizer",
-            stacklevel=3,
-        )
+# The library code that computes bounds: a warning names the first stack
+# frame outside it, so recover's warning names the line that called recover.
+_LIBRARY_MODULES = frozenset({__name__, f"{__package__}.recovery"})
+
+
+def _warn_at_caller(message: str) -> None:
+    """Issue ``message`` as a UserWarning at the first stack frame outside
+    ``_LIBRARY_MODULES``, however many library calls lie between."""
+    level, frame = 2, sys._getframe(1)
+    while frame.f_back is not None and frame.f_globals.get("__name__") in _LIBRARY_MODULES:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, stacklevel=level)
 
 
 def worst_case_bound(n: int, n_p: int) -> float:
@@ -62,22 +72,19 @@ def worst_case_bound(n: int, n_p: int) -> float:
     The block's spectrum is a Dirichlet kernel, peaking at k = 1 with
     |sin(pi*n_p/n) / sin(pi/n)|. The numerator is taken at m = min(n_p,
     n - n_p), which leaves sin^2 unchanged and keeps its argument in
-    [0, pi/2].
+    [0, pi/2]. Warns if n is composite.
     """
-    bound = _worst_case(n, n_p)
-    _warn_if_composite(n)
-    return bound
-
-
-def _worst_case(n: int, n_p: int) -> float:
-    """worst_case_bound without the composite-n warning."""
     n, n_p = _mask_length(n), _as_index(n_p, "n_p")
     if not 1 <= n_p <= n:
         raise ValueError(f"n_p must lie in [1, {n}], got {n_p!r}")
     m = min(n_p, n - n_p)
-    if m == 0:
-        return 0.0
-    return abs(math.sin(math.pi * m / n) / math.sin(math.pi / n))
+    bound = abs(math.sin(math.pi * m / n) / math.sin(math.pi / n)) if m else 0.0
+    if not is_prime(n):
+        _warn_at_caller(
+            f"worst-case bound assumes prime mask length; n={n} is composite, "
+            "so the contiguous block may not be the true maximizer"
+        )
+    return bound
 
 
 def _ratio_radicand(n: int, p: float) -> float:
@@ -85,6 +92,14 @@ def _ratio_radicand(n: int, p: float) -> float:
     radicand of ``ratio_approximation``; negative for some small N*p."""
     s = math.sin(p * math.pi)
     return n * p + (n / math.pi) ** 2 * s * s - n * (s - math.sin(2.0 * p * math.pi) / (2.0 * math.pi))
+
+
+def _ratio_rate(n: int, p: float) -> float:
+    """p, of any real type but bool, as a float with 0 < p <= 1, n*p >= 1."""
+    real = isinstance(p, numbers.Real) and not isinstance(p, bool)
+    if not real or not 0.0 < p <= 1.0 or n * float(p) < 1.0:
+        raise ValueError(f"need 0 < p <= 1 and n*p >= 1, got n={n}, p={p!r}")
+    return float(p)
 
 
 def ratio_approximation(n: int, p: float) -> float:
@@ -96,28 +111,12 @@ def ratio_approximation(n: int, p: float) -> float:
     0.19); it is then clamped to 0 with a warning. Tends to
     sin(p*pi)/(p*pi) as N grows.
     """
-    ratio = _ratio_approx(n, p)
-    _warn_if_clamped(n, float(p))
-    return ratio
-
-
-def _ratio_approx(n: int, p: float) -> float:
-    """ratio_approximation without the clamped-radicand warning. p may be
-    of any real type, numpy's included, but not ``bool``, and is read as a
-    Python float."""
     n = _mask_length(n, least=1)
-    real = isinstance(p, numbers.Real) and not isinstance(p, bool)
-    if not real or not 0.0 < p <= 1.0 or n * float(p) < 1.0:
-        raise ValueError(f"need 0 < p <= 1 and n*p >= 1, got n={n}, p={p!r}")
-    p = float(p)
-    return math.sqrt(max(_ratio_radicand(n, p), 0.0)) / (n * p)
-
-
-def _warn_if_clamped(n: int, p: float) -> None:
-    # called once by each public function, so stacklevel 3 names its caller
+    p = _ratio_rate(n, p)
     radicand = _ratio_radicand(n, p)
     if radicand < 0.0:
-        warnings.warn(f"ratio approximation radicand {radicand:.3g} < 0 at n={n}, p={p}; clamped to 0", stacklevel=3)
+        _warn_at_caller(f"ratio approximation radicand {radicand:.3g} < 0 at n={n}, p={p}; clamped to 0")
+    return math.sqrt(max(radicand, 0.0)) / (n * p)
 
 
 _STANDARD_NORMAL = NormalDist()
@@ -187,14 +186,12 @@ def thresholds(n: int, p: float, *, epsilon: float = 1e-4) -> dict[str, float]:
     """The four threshold families a simulated peak is compared with:
     gaussian_T, sigma3, sigma4 and worst_case (at n_p = ceil(N*p)), in
     that order."""
-    record = {
+    return {
         "gaussian_T": gaussian_bound(n, p, epsilon=epsilon),  # checks n, p and epsilon first
         "sigma3": sigma_bound(n, p, 3),
         "sigma4": sigma_bound(n, p, 4),
-        "worst_case": _worst_case(n, math.ceil(n * p)),
+        "worst_case": worst_case_bound(n, math.ceil(n * p)),
     }
-    _warn_if_composite(n)
-    return record
 
 
 def bound_report(
@@ -212,9 +209,11 @@ def bound_report(
     """
     n, p = _mask_length(n), _unit_interval(p, "p")
     n_p = math.ceil(n * p) if n_p is None else _as_index(n_p, "n_p")
-    worst_case = _worst_case(n, n_p)
     epsilon = _unit_interval(epsilon, "epsilon")
-    record = {
+    gaussian_T = gaussian_bound(n, p, epsilon=epsilon, union=union)  # checks epsilon's budget
+    _ratio_rate(n, p)  # every input is checked before the first warning
+    worst_case = worst_case_bound(n, n_p)
+    return {
         "n": n,
         "p": p,
         "n_p": n_p,
@@ -222,12 +221,9 @@ def bound_report(
         "worst_case": worst_case,
         "worst_case_ratio": worst_case / n_p,
         "worst_case_ratio_np": worst_case / (n * p),
-        "gaussian_T": gaussian_bound(n, p, epsilon=epsilon, union=union),
+        "gaussian_T": gaussian_T,
         "gaussian_T_approx": gaussian_bound_approx(n, p, epsilon=epsilon, union=union),
         "sigma3": sigma_bound(n, p, 3),
         "sigma4": sigma_bound(n, p, 4),
-        "ratio_approx": _ratio_approx(n, p),
+        "ratio_approx": ratio_approximation(n, p),
     }
-    _warn_if_composite(n)
-    _warn_if_clamped(n, p)
-    return record

@@ -165,9 +165,11 @@ class ExperimentSpec:
     """One simulation campaign: mask parameters, trial count, thresholds.
 
     Each threshold is a (label, value) pair: a unique str label and a real
-    value, kept as a float. The kernel counts the trials whose peak
-    exceeds the value, so NaN, which no peak exceeds, is rejected; an
-    infinite value is allowed.
+    value T, kept as a float. The kernel counts the trials whose peak
+    exceeds T(1 + 1e-12) + 1e-12 N: a mask that attains T exactly, as a
+    block-equivalent mask attains the worst-case bound, is not counted
+    when its transform rounds its peak up. NaN, which no peak exceeds, is
+    rejected; an infinite value is allowed.
     """
 
     n: int
@@ -341,8 +343,9 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
             per_trial_max=RunningStats.from_values(peaks),
             mean_abs=RunningStats.from_values(means),
             n_p_stats=RunningStats.from_values(n_ps),
-            # strict exceedance
-            exceedance_counts={label: int(np.count_nonzero(peaks > value)) for label, value in thresholds},
+            exceedance_counts={
+                label: int(np.count_nonzero(peaks > value * (1.0 + 1e-12) + 1e-12 * n)) for label, value in thresholds
+            },
         )
         results.append((stats, np.concatenate((rate_max, rate_max[: n - 1 - half][::-1]))))
     return results

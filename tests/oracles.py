@@ -12,6 +12,7 @@ from maskspectra.montecarlo import RunningStats
 from maskspectra.recovery import SignalSpec, _relative_norm, _snr_db
 
 _DIRECT_BLOCK_ROWS = 256
+_LAW_CHUNK_MASKS = 1 << 15
 
 
 @lru_cache(maxsize=8)
@@ -61,6 +62,25 @@ def oracle_mask(n: int, p: float, seed: int, t: int) -> Mask:
     re-keyed generator must reproduce for generate_mask(n, p, seed, t)."""
     rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
     return Mask(rng.random(n) < p)
+
+
+@lru_cache(maxsize=2)
+def exact_peak_law(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Peak max_{k!=0} |A_k| and weight (count of ones) of every one of the
+    2^n masks of length n, enumerated in chunks: mask m holds bit i of m at
+    position i. Under rate p, mask m has probability p^w (1-p)^(n-w) for
+    its weight w, so the two arrays give the exact law of any per-trial
+    statistic of the Monte Carlo engine at that length."""
+    count = 1 << n
+    peaks, weights = np.empty(count), np.empty(count, dtype=np.int64)
+    positions = np.arange(n)
+    for start in range(0, count, _LAW_CHUNK_MASKS):
+        codes = np.arange(start, min(start + _LAW_CHUNK_MASKS, count))
+        bits = ((codes[:, None] >> positions) & 1).astype(np.float64)
+        # bins 1..n//2: |A_{n-k}| = |A_k| for a real mask
+        peaks[codes] = np.abs(np.fft.rfft(bits, axis=1)[:, 1:]).max(axis=1)
+        weights[codes] = bits.sum(axis=1)
+    return peaks, weights
 
 
 def spectrum_of_mask(mask: Mask) -> np.ndarray:

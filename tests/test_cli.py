@@ -219,6 +219,26 @@ def test_figure_approx_mode_at_small_n(capsys):
         assert all("composite" in str(w.message) for w in caught), [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--n", "128", "--p", "0.5"),
+        ("bounds", "--n", "7", "--p", "0.15"),
+        ("simulate", "--n", "128", "--p", "0.5", "--trials", "4"),
+        ("figure", "--mode", "approx", "--n", "100"),
+    ],
+    ids=["bounds-composite", "bounds-clamped", "simulate", "figure-approx"],
+)
+def test_bound_warnings_name_cli(capsys, argv):
+    # a composite-N or clamped-radicand warning names the line of cli.py
+    # that called into the bounds, not a line of bounds.py
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and caught
+    assert {w.filename for w in caught} == {cli.__file__}
+
+
 def test_figure_ratio_mode_rejects_colliding_rates(capsys):
     # both rates print as ratio_p0.1, and 0.5 twice would drop a JSON key
     for ps in ("0.1,0.1000001", "0.5,0.5"):

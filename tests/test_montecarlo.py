@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from maskspectra import bounds
 from maskspectra.cli import TABLE1_ROWS, main
@@ -18,7 +19,7 @@ from maskspectra.montecarlo import (
     records_to_json,
     run_experiment,
 )
-from oracles import max_nonzero_bin, oracle_mask, push, spectrum_of_mask
+from oracles import exact_peak_law, max_nonzero_bin, oracle_mask, push, spectrum_of_mask
 
 
 def _stats(spec, workers=1):
@@ -261,11 +262,16 @@ def _assert_bins_close(got, want, n):
     assert all(_close(a, b, n) for a, b in zip(got.tolist(), want.tolist()))
 
 
+def _allowed(value, n):
+    # the kernel counts a peak above this, not above the threshold itself
+    return value * (1.0 + 1e-12) + 1e-12 * n
+
+
 def _assert_counts_bracketed(counts, peaks, thresholds, n):
-    # a peak within 1e-12 * N of a threshold may fall on either side of it
+    # a peak within 1e-12 * N of the allowed threshold may fall on either side of it
     for label, value in thresholds:
-        low = sum(peak > value + 1e-12 * n for peak in peaks)
-        high = sum(peak > value - 1e-12 * n for peak in peaks)
+        low = sum(peak > _allowed(value, n) + 1e-12 * n for peak in peaks)
+        high = sum(peak > _allowed(value, n) - 1e-12 * n for peak in peaks)
         assert low <= counts[label] <= high, label
 
 
@@ -823,7 +829,28 @@ def test_block_kernel_peaks_respect_worst_case(n, p, seed, start):
         n_p = int(stats.n_p_stats.max)
         peak = stats.per_trial_max.max
         bound = bounds.worst_case_bound(n, n_p) if n_p else 0.0
-        assert peak <= bound * (1.0 + 1e-12) + 1e-12 * n, (t, n_p)
+        assert peak <= _allowed(bound, n), (t, n_p)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5])
+@pytest.mark.parametrize("n", [17, 19])
+def test_engine_matches_the_exact_law(n, p):
+    # all 2^N masks enumerated give the exact law of each statistic. A mask
+    # that ties the worst-case bound, as a block does, is no exceedance: at
+    # N = 17, p = 0.5 ties carry probability 0.0021 and nothing exceeds
+    trials = 100_000
+    limits = bounds.thresholds(n, p)
+    stats = _stats(ExperimentSpec(n, p, trials, seed=1729, thresholds=tuple(limits.items())))
+    peaks, weights = exact_peak_law(n)
+    probs = p**weights * (1.0 - p) ** (n - weights)
+    mean = float(probs @ peaks)
+    peak_se = math.sqrt((float(probs @ (peaks * peaks)) - mean * mean) / trials)
+    assert abs(stats.per_trial_max.mean - mean) <= 4.0 * peak_se
+    assert abs(stats.n_p_stats.mean - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p) / trials)
+    for label, value in limits.items():
+        rate = float(probs[peaks > _allowed(value, n)].sum())
+        low, high = binom.ppf([0.0005, 0.9995], trials, rate)
+        assert low <= stats.exceedance_counts[label] <= high, (label, stats.exceedance_counts[label], rate)
 
 
 @settings(max_examples=100, deadline=None)

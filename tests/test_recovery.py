@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from maskspectra import recovery, spectrum
 from maskspectra.bounds import ratio_approximation
-from maskspectra.masks import generate_mask, is_prime, worst_case_mask
+from maskspectra.masks import Mask, generate_mask, is_prime, worst_case_mask
 from maskspectra.recovery import (
     SignalSpec,
     demo_signal_path,
@@ -774,3 +774,14 @@ def test_sampled_residual_values():
         warnings.simplefilter("error")
         assert sampled_residual(np.zeros(4), mask, np.zeros(4)) == 0.0
         assert sampled_residual(np.zeros(4), mask, np.ones(4)) == math.inf
+
+
+def test_clamped_radicand_warning_names_the_caller_of_recover():
+    # one sampled position of 100 gives p_hat = 0.01, where the ratio
+    # approximation clamps its radicand; the warning names this file
+    mask = Mask(np.arange(100) == 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        recover(mask.bits * 1.0, mask, iterations=1)
+    assert [(w.filename, w.category) for w in caught] == [(__file__, UserWarning)]
+    assert "radicand" in str(caught[0].message)
