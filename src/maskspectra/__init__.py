@@ -21,7 +21,6 @@ from .montecarlo import (
 from .recovery import (
     SignalSpec,
     recover,
-    sample_random,
     synthesize_signal,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "run_experiment",
     "SignalSpec",
     "synthesize_signal",
-    "sample_random",
     "recover",
     "__version__",
 ]

@@ -38,7 +38,7 @@ import sys
 import warnings
 from statistics import NormalDist
 
-from .masks import _as_index, _mask_length, _unit_interval, is_prime
+from .masks import _as_index, _mask_length, _support_size, _unit_interval, is_prime
 
 __all__ = [
     "worst_case_bound",
@@ -190,7 +190,7 @@ def thresholds(n: int, p: float, *, epsilon: float = 1e-4) -> dict[str, float]:
         "gaussian_T": gaussian_bound(n, p, epsilon=epsilon),  # checks n, p and epsilon first
         "sigma3": sigma_bound(n, p, 3),
         "sigma4": sigma_bound(n, p, 4),
-        "worst_case": worst_case_bound(n, math.ceil(n * p)),
+        "worst_case": worst_case_bound(n, _support_size(n, p)),
     }
 
 
@@ -208,7 +208,7 @@ def bound_report(
     worst_case / (N*p).
     """
     n, p = _mask_length(n), _unit_interval(p, "p")
-    n_p = math.ceil(n * p) if n_p is None else _as_index(n_p, "n_p")
+    n_p = _support_size(n, p) if n_p is None else _as_index(n_p, "n_p")
     epsilon = _unit_interval(epsilon, "epsilon")
     gaussian_T = gaussian_bound(n, p, epsilon=epsilon, union=union)  # checks epsilon's budget
     _ratio_rate(n, p)  # every input is checked before the first warning

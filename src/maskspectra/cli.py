@@ -1,6 +1,7 @@
 """Command-line interface: bound evaluation, Monte Carlo runs, reference
 table/figure data, and the recovery demo. Emits CSV (default) or JSON for
-external plotting; no rendering happens here.
+external plotting; no rendering happens here. Every command that draws
+masks takes the same --seed, 1729 by default, and nothing else sets it.
 
 Exit codes: 0 success, 2 usage/validation error, 3 runtime failure.
 """
@@ -9,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
 from . import bounds, montecarlo, recovery
-from .masks import generate_mask, worst_case_mask
+from .masks import _support_size, generate_mask, worst_case_mask
 
 DEFAULT_SEED = 1729
-SEED_ENV_VAR = "MASKSPECTRA_SEED"
 
 # Reference grid: (N, p) pairs of the comparison table. The mask length of
 # the middle three rows is 1543 throughout (their printed support sizes
@@ -34,22 +33,10 @@ TABLE1_ROWS: tuple[tuple[int, float], ...] = (
     (131071, 0.1),
 )
 _LARGE_N = 65536  # table1 runs rows at or above this N ...
-_LARGE_N_TRIALS = 1000  # ... at no more than this many trials, unless --full-scale
+_LARGE_N_TRIALS = 1000  # ... at no more than this many trials
 
 _USAGE_ERROR = 2
 _RUNTIME_ERROR = 3
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -73,18 +60,17 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args.seed)
     thresholds = tuple(bounds.thresholds(args.n, args.p, epsilon=args.eps).items())
-    spec = montecarlo.ExperimentSpec(args.n, args.p, args.trials, seed, thresholds)
+    spec = montecarlo.ExperimentSpec(args.n, args.p, args.trials, args.seed, thresholds)
     [(stats, _)] = montecarlo.run_experiment([spec], args.workers)
-    payload = {"N": args.n, "p": args.p, "seed": seed, **stats.to_dict()}
+    payload = {"N": args.n, "p": args.p, "seed": args.seed, **stats.to_dict()}
     if args.format == "json":
         _emit(montecarlo.records_to_json(payload), args.out)
         return 0
     flat = {
         "N": args.n,
         "p": args.p,
-        "seed": seed,
+        "seed": args.seed,
         "trials": stats.trials,
         "max_mean": stats.per_trial_max.mean,
         "max_variance": stats.per_trial_max.variance,
@@ -106,17 +92,18 @@ def cmd_table1(args) -> int:
 
     sim_max_mean is the mean over trials of the per-trial max; sim_ratio
     divides it by n_p = ceil(N*p). bound_ratio is bound/(N*p), the
-    normalization the reference table prints.
+    normalization the reference table prints. Rows at N >= 65536 run at
+    most 1000 trials; ``simulate`` with the row's N and p and the same
+    --trials and --seed gives the same statistics at any trial count.
     """
-    seed = _resolve_seed(args.seed)
-    large_n_trials = args.trials if args.full_scale else min(args.trials, _LARGE_N_TRIALS)
+    large_n_trials = min(args.trials, _LARGE_N_TRIALS)
     specs = [
-        montecarlo.ExperimentSpec(n, p, large_n_trials if n >= _LARGE_N else args.trials, seed)
+        montecarlo.ExperimentSpec(n, p, large_n_trials if n >= _LARGE_N else args.trials, args.seed)
         for n, p in TABLE1_ROWS
     ]
     records = []
     for (n, p), (stats, _) in zip(TABLE1_ROWS, montecarlo.run_experiment(specs, args.workers)):
-        n_p = math.ceil(n * p)
+        n_p = _support_size(n, p)
         bound = bounds.worst_case_bound(n, n_p)
         records.append(
             {
@@ -135,13 +122,12 @@ def cmd_table1(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    seed = _resolve_seed(args.seed)
     if args.mode == "bounds":
         # per-N bound and simulation curves at a fixed sampling rate
         ns = _parse_list(args.ns, "--ns", int, "integers")
         # every N's thresholds come first, so a bad --eps fails before any trial runs
         limits = [bounds.thresholds(n, args.rate, epsilon=args.eps) for n in ns]
-        specs = [montecarlo.ExperimentSpec(n, args.rate, args.trials, seed) for n in ns]
+        specs = [montecarlo.ExperimentSpec(n, args.rate, args.trials, args.seed) for n in ns]
         records = [
             {
                 "N": n,
@@ -161,7 +147,7 @@ def cmd_figure(args) -> int:
             raise ValueError(f"--ps {args.ps!r} names a column twice: {', '.join(names)}")
         # per rate, the per-bin max over trials of |A_k|/(N*p): the
         # aliasing-noise level of the sampled spectrum against the signal line
-        specs = [montecarlo.ExperimentSpec(args.n, p, args.trials, seed) for p in ps]
+        specs = [montecarlo.ExperimentSpec(args.n, p, args.trials, args.seed) for p in ps]
         curves = [
             bin_max / (args.n * p) for p, (_, bin_max) in zip(ps, montecarlo.run_experiment(specs, args.workers))
         ]
@@ -181,7 +167,7 @@ def cmd_figure(args) -> int:
             raise ValueError(f"n must be an integer >= 2, got {args.n!r}")
         records = []
         for p in ps:
-            n_p = math.ceil(args.n * p)
+            n_p = _support_size(args.n, p)
             records.append(
                 {
                     "p": p,
@@ -200,7 +186,6 @@ _HISTORY_COLUMNS = ("iteration", "threshold", "snr_db", "residual", "kept")
 
 
 def cmd_recover(args) -> int:
-    seed = _resolve_seed(args.seed)
     if not 0.0 < args.rate <= 1.0:
         raise ValueError(f"--rate must lie in (0, 1], got {args.rate!r}")
     signal_path = args.signal if args.signal else recovery.demo_signal_path()
@@ -211,15 +196,12 @@ def cmd_recover(args) -> int:
     if args.rate == 1.0:
         mask = worst_case_mask(n, n)  # full sampling
     else:
-        mask = generate_mask(n, args.rate, seed)
-    xs = recovery.sample_random(x, mask)
-    _, history = recovery.recover(
-        xs, mask, iterations=args.iters, t0=args.t0, alpha=args.alpha, tol=args.tol, reference=x
-    )
+        mask = generate_mask(n, args.rate, args.seed)
+    _, history = recovery.recover(x, mask, iterations=args.iters, tol=args.tol, reference=x)
     csv_text = montecarlo.records_to_csv([dict(zip(_HISTORY_COLUMNS, row)) for row in history])
     _, _, final_snr, residual, _ = history[-1]
     summary = (
-        f"recover: n={n} rate={args.rate:g} n_p={mask.n_p} seed={seed} "
+        f"recover: n={n} rate={args.rate:g} n_p={mask.n_p} seed={args.seed} "
         f"iterations={len(history)} residual={residual:.3g} final_snr_db={final_snr:.3f}\n"
     )
     if args.out:
@@ -255,6 +237,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def add_seed(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
+
     p_bounds = sub.add_parser("bounds", help="evaluate every bound family for one (N, p, eps)")
     p_bounds.add_argument("--n", type=int, required=True, help="mask length N")
     p_bounds.add_argument("--p", type=float, required=True, help="sampling rate in (0,1)")
@@ -268,19 +253,14 @@ def _parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=float, required=True)
     p_sim.add_argument("--trials", type=int, default=10000)
     p_sim.add_argument("--eps", type=float, default=1e-4)
-    p_sim.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+    add_seed(p_sim)
     p_sim.add_argument("--workers", type=int, default=1)
     add_common(p_sim)
 
     p_table = sub.add_parser("table1", help="simulated maxima vs worst-case bound for the reference grid")
     p_table.add_argument("--trials", type=int, default=10000)
-    p_table.add_argument("--seed", type=int, default=None)
+    add_seed(p_table)
     p_table.add_argument("--workers", type=int, default=1)
-    p_table.add_argument(
-        "--full-scale",
-        action="store_true",
-        help="run N=131071 rows at the full trial count (long; default caps them at 1000)",
-    )
     add_common(p_table)
 
     p_fig = sub.add_parser("figure", help="bound/simulation curves for external plotting")
@@ -296,14 +276,14 @@ def _parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--ps", default="0.1,0.2,0.5,0.8", help="comma-separated rates (ratio mode)")
     p_fig.add_argument("--eps", type=float, default=1e-4)
     p_fig.add_argument("--trials", type=int, default=1000)
-    p_fig.add_argument("--seed", type=int, default=None)
+    add_seed(p_fig)
     p_fig.add_argument("--workers", type=int, default=1)
     add_common(p_fig)
 
     p_rec = sub.add_parser("recover", help="iterative-thresholding recovery demo on a band-limited fixture")
     p_rec.add_argument("--signal", default=None, help="signal fixture CSV (default: bundled demo)")
     p_rec.add_argument("--rate", type=float, default=0.5, help="sampling rate; 1 keeps every sample")
-    p_rec.add_argument("--seed", type=int, default=None)
+    add_seed(p_rec)
     p_rec.add_argument("--iters", type=int, default=50, help="most iterations to run")
     p_rec.add_argument(
         "--tol",
@@ -311,8 +291,6 @@ def _parser() -> argparse.ArgumentParser:
         default=1e-6,
         help="stop once the relative residual on the sampled positions is at most this (0: run every iteration)",
     )
-    p_rec.add_argument("--alpha", type=float, default=0.1, help="threshold decay rate per iteration")
-    p_rec.add_argument("--t0", type=float, default=None, help="initial threshold (default: bound-derived)")
     p_rec.add_argument("--out", default=None, help="history CSV file (default: stdout)")
 
     return parser

@@ -9,6 +9,7 @@ checks (n, p, seed) for both, and ``_unit_interval`` every rate and epsilon.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import threading
@@ -52,6 +53,14 @@ def _unit_interval(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
     return float(value)
+
+
+def _support_size(n: int, p: float) -> int:
+    """The typical support size n_p = ceil(N*p). The product is lowered by
+    1e-12 relative first, the exceedance tolerance of the Monte Carlo
+    kernel, so that one rounded just above an integer, as 100 * 0.07 is,
+    does not round up to the next."""
+    return math.ceil(n * p * (1 - 1e-12))
 
 
 def _mask_params(n, p, seed) -> tuple[int, float, int]:

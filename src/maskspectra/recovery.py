@@ -1,6 +1,8 @@
-"""Sparse recovery demo: iterative hard thresholding of a sampled band-limited
-signal from a bound-derived threshold, with the step min(N/n_p, 2),
-stopped once the estimate matches the samples. recover is the only
+"""Sparse recovery demo: iterative hard thresholding of a band-limited
+signal from the samples a mask keeps, with the threshold the mask-noise
+bounds set decaying by exp(-0.1) per iteration and the step min(N/n_p, 2),
+stopped once the estimate matches the samples. recover samples its input
+itself, so it takes the whole signal or its samples alike. It is the only
 thresholding step: it fetches spectrum.transform_plan(N) once, runs in
 that plan's order and calls its analyze and synthesize apart, so that no
 step transforms what is already transformed.
@@ -24,7 +26,6 @@ __all__ = [
     "SignalSpec",
     "synthesize_signal",
     "random_band_signal",
-    "sample_random",
     "recover",
     "read_signal_csv",
     "write_signal_csv",
@@ -90,14 +91,6 @@ def random_band_signal(n: int, pairs: int, seed: int = 0) -> SignalSpec:
     return SignalSpec(n=n, band=tuple(band), amplitudes=tuple(amps))
 
 
-def sample_random(x, mask: Mask) -> np.ndarray:
-    """Pointwise product of the signal with the mask bits."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.shape != mask.bits.shape:
-        raise ValueError(f"signal length {arr.size} != mask length {mask.n}")
-    return arr * mask.bits
-
-
 def _snr_db(ref_energy: float, ref: np.ndarray, est: np.ndarray) -> float:
     """10*log10(||ref||^2 / ||ref - est||^2) given ref_energy = ||ref||^2;
     inf for an exact match, -inf for a zero reference and a nonzero error."""
@@ -137,17 +130,20 @@ def _initial_threshold(mask: Mask, peak: float) -> float:
     return c * peak / p_hat
 
 
-def _finite_float(value, name: str, sign: str) -> float:
-    """``value`` as a Python float that is finite and, as ``sign`` says,
-    ``positive`` or ``nonnegative``: any real type, numpy's included, but
-    not ``bool``. It is converted before it is compared, so an int beyond
-    the largest float counts as infinite."""
+# iteration i thresholds at _initial_threshold(...) * exp(-_THRESHOLD_DECAY * i)
+_THRESHOLD_DECAY = 0.1
+
+
+def _tolerance(value) -> float:
+    """``value`` as a Python float that is finite and nonnegative: any real
+    type, numpy's included, but not ``bool``. It is converted before it is
+    compared, so an int beyond the largest float counts as infinite."""
     try:
         x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
     except OverflowError:
         x = math.inf
-    if not (0.0 < x if sign == "positive" else 0.0 <= x) or x == math.inf:
-        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {value!r}")
     return x
 
 
@@ -160,32 +156,33 @@ def _relative_norm(v: np.ndarray, scale: float) -> float:
 
 
 def recover(
-    xs,
+    x,
     mask: Mask,
     *,
     iterations: int = 50,
-    t0: float | None = None,
-    alpha: float = 0.1,
     tol: float = 1e-6,
     reference=None,
 ) -> tuple[np.ndarray, list[tuple[int, float, float, float, int]]]:
-    """Iterate hard-thresholded re-synthesis from the signal xs sampled by mask.
+    """Iterate hard-thresholded re-synthesis from the samples xs = M x of
+    the signal x that the mask M keeps.
 
-    Starts from the zero estimate with threshold t0 * exp(-alpha * i) at
-    iteration i; t0=None derives it from the mask-noise bounds (see
-    _initial_threshold). Every iteration steps towards the known samples,
-    z = x + lam (xs - M x) for the mask M and the estimate x, then keeps
-    the bins of z above the threshold. The step lam = min(N/n_p, 2) scales
-    the misfit on the sampled positions by the inverse of the sampling
-    rate, capped at 2 (see _step_size), so the mask must sample something;
-    under full sampling lam = 1 and z re-imposes the samples. Returns the
-    final estimate and the per-iteration history (iteration, threshold,
-    snr_db, residual, kept): snr_db is NaN unless a reference signal is
-    supplied, residual is r_i below, and kept counts the DFT bins above the
-    threshold. The reference is for scoring only and never stops the loop.
+    x may be the whole signal or its samples: recover multiplies it by
+    the mask bits itself, so both give the same bytes. Starts from the
+    zero estimate with threshold t0 * exp(-0.1 * i) at iteration i, where
+    t0 derives from the mask-noise bounds (see _initial_threshold). Every
+    iteration steps towards the known samples, z = e + lam (xs - M e) for
+    the estimate e, then keeps the bins of z above the threshold. The step
+    lam = min(N/n_p, 2) scales the misfit on the sampled positions by the
+    inverse of the sampling rate, capped at 2 (see _step_size), so the
+    mask must sample something; under full sampling lam = 1 and z
+    re-imposes the samples. Returns the final estimate and the
+    per-iteration history (iteration, threshold, snr_db, residual, kept):
+    snr_db is NaN unless a reference signal is supplied, residual is r_i
+    below, and kept counts the DFT bins above the threshold. The reference
+    is for scoring only and never stops the loop.
 
     The loop stops after iteration i once r_i, the residual
-    ||M x_i - xs|| / ||xs|| of the estimate x_i on the sampled positions
+    ||M e_i - xs|| / ||xs|| of the estimate e_i on the sampled positions
     (0/0 counts as 0), is at most tol, and after ``iterations`` iterations
     at the latest; tol = 0 runs them all. The stop changes no iterate, so
     the history is a prefix of the history with tol = 0.
@@ -193,31 +190,27 @@ def recover(
     The loop runs in the order of spectrum.transform_plan(N), fetched once:
     the weights 1 - lam M, the scaled samples lam xs and the reference are
     permuted into it once, and the final estimate back out of it. SNRs do
-    not depend on the order. The step's input z = (1 - lam M) x + lam xs
+    not depend on the order. The step's input z = (1 - lam M) e + lam xs
     is lam xs while the estimate is zero, so xs is transformed once, for
     t0 and, scaled by lam, for every such step; a step that keeps no bin
     skips the inverse transform. With z formed,
-    r_i = ||x_i - z_(i+1)|| / (lam ||xs||).
+    r_i = ||e_i - z_(i+1)|| / (lam ||xs||).
     """
     step = _step_size(mask)  # rejects an empty mask
     iterations = _as_index(iterations, "iterations")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    # t0 = inf drops every bin, and alpha = inf makes the first
-    # threshold t0 * exp(-inf * 0) = nan, which keeps every bin
-    if t0 is not None:
-        t0 = _finite_float(t0, "t0", "positive")
-    alpha = _finite_float(alpha, "alpha", "positive")
-    tol = _finite_float(tol, "tol", "nonnegative")
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if xs.shape != mask.bits.shape:
-        raise ValueError(f"sampled signal length {xs.size} != mask length {mask.n}")
-    if not np.isfinite(xs).all():
-        raise ValueError("sampled signal must be finite")
+    tol = _tolerance(tol)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape != mask.bits.shape:
+        raise ValueError(f"signal length {x.size} != mask length {mask.n}")
+    # checked before sampling, where an unsampled NaN would spoil its zero
+    if not np.isfinite(x).all():
+        raise ValueError("signal must be finite")
     if reference is not None:
         reference = np.asarray(reference, dtype=np.float64)
-        if reference.shape != xs.shape:
-            raise ValueError(f"reference shape {reference.shape} != sampled signal shape {xs.shape}")
+        if reference.shape != x.shape:
+            raise ValueError(f"reference shape {reference.shape} != signal shape {x.shape}")
         if not np.isfinite(reference).all():
             raise ValueError("reference signal must be finite")
     plan = transform_plan(mask.n)
@@ -225,10 +218,9 @@ def recover(
         reference = plan.to_order(reference)
         ref_energy = float(np.sum(reference * reference))
     weights = plan.to_order(1.0 - step * mask.bits)
-    xs = plan.to_order(xs)
+    xs = plan.to_order(x * mask.bits)
     coeffs, magnitudes = plan.analyze(xs)
-    if t0 is None:
-        t0 = _initial_threshold(mask, float(magnitudes.max()))
+    t0 = _initial_threshold(mask, float(magnitudes.max()))
     # the step's input and its spectrum while the estimate is zero
     drive, sampled = step * xs, (step * coeffs, step * magnitudes)
     scale = step * float(np.linalg.norm(xs))
@@ -236,7 +228,7 @@ def recover(
     estimate, z = zero, drive
     history: list[tuple[int, float, float, float, int]] = []
     for i in range(iterations):
-        threshold = t0 * math.exp(-alpha * i)
+        threshold = t0 * math.exp(-_THRESHOLD_DECAY * i)
         coeffs, magnitudes = sampled if z is drive else plan.analyze(z)
         kept = int(np.count_nonzero(magnitudes > threshold))
         if kept:

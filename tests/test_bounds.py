@@ -291,6 +291,17 @@ def test_bound_report_defaults_and_validation():
         bound_report(127, 0.5, epsilon=0.0)
 
 
+def test_default_support_size_is_not_pushed_up_by_rounding():
+    # 100 * 0.07 rounds to 7.000000000000001, whose ceiling is 8: the
+    # support size N*p is 7 all the same
+    assert math.ceil(100 * 0.07) == 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # N = 100 is composite
+        assert bound_report(100, 0.07)["n_p"] == 7
+        assert thresholds(100, 0.07)["worst_case"] == worst_case_bound(100, 7)
+        assert bound_report(101, 0.07)["n_p"] == 8
+
+
 def test_bound_report_takes_numpy_floats_as_floats():
     # a float32 rate and epsilon are read as the floats they hold: the record
     # is strict JSON and equals the float record bit for bit

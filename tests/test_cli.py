@@ -12,7 +12,14 @@ import maskspectra
 from maskspectra import bounds, cli, montecarlo
 from maskspectra.cli import main
 from maskspectra.masks import generate_mask
-from maskspectra.recovery import random_band_signal, synthesize_signal, write_signal_csv
+from maskspectra.recovery import (
+    demo_signal_path,
+    random_band_signal,
+    read_signal_csv,
+    recover,
+    synthesize_signal,
+    write_signal_csv,
+)
 
 
 def run_cli(capsys, *argv):
@@ -88,12 +95,14 @@ def test_reports_csv_json_cross_decode(capsys):
                 assert float(text) == pytest.approx(float(record[key]), rel=1e-8), (args, key)
     # recover writes its history, which has no JSON form, through the same
     # writer: integer iterations, floats at 9 significant digits
-    _, out, _ = run_cli(capsys, "recover", "--iters", "2", "--t0", "33", "--alpha", "0.1")
+    _, out, _ = run_cli(capsys, "recover", "--iters", "2")
     header, rows = parse_csv(out)
     assert header == ["iteration", "threshold", "snr_db", "residual", "kept"]
     assert out.endswith("\n")
     assert [row["iteration"] for row in rows] == ["0", "1"]
-    assert [row["threshold"] for row in rows] == ["33", f"{33.0 * math.exp(-0.1):.9g}"]
+    x = read_signal_csv(demo_signal_path())
+    t0 = recover(x, generate_mask(x.size, 0.5, cli.DEFAULT_SEED), iterations=1)[1][0][1]
+    assert [row["threshold"] for row in rows] == [f"{t0:.9g}", f"{t0 * math.exp(-0.1):.9g}"]
     assert all(row["snr_db"] == f"{float(row['snr_db']):.9g}" for row in rows)
     assert all(row["residual"] == f"{float(row['residual']):.9g}" for row in rows)
     assert all(row["kept"] == str(int(row["kept"])) for row in rows)
@@ -219,6 +228,20 @@ def test_figure_approx_mode_at_small_n(capsys):
         assert all("composite" in str(w.message) for w in caught), [str(w.message) for w in caught]
 
 
+def test_figure_approx_mode_support_sizes(capsys):
+    # 100 * p lands just above an integer at p = 0.07, 0.14, 0.28, 0.55 and
+    # 0.56; n_p is that integer there, not the next one
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # N = 100 is composite
+        _, out, _ = run_cli(capsys, "figure", "--mode", "approx", "--n", "100")
+        _, rows = parse_csv(out)
+        assert {"0.07", "0.14", "0.28", "0.55", "0.56"} <= {row["p"] for row in rows}
+        for row in rows:
+            n_p = round(100 * float(row["p"]))
+            assert row["n_p"] == str(n_p), row
+            assert row["exact_ratio"] == f"{bounds.worst_case_bound(100, n_p) / n_p:.9g}", row
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -322,16 +345,15 @@ def test_recover_rejects_bad_tol(capsys):
 
 
 def test_recover_full_sampling_one_iteration(capsys):
-    code, out, err = run_cli(capsys, "recover", "--rate", "1", "--iters", "1", "--t0", "5")
+    code, out, err = run_cli(capsys, "recover", "--rate", "1", "--iters", "1")
     assert code == 0
     final_snr = float(out.strip().split("\n")[-1].split(",")[2])
     assert final_snr >= 100.0
 
 
 def test_recover_rejects_out_of_range_inputs(capsys):
-    # a rate above 1 used to sample everything, and an infinite t0 or alpha
-    # gave infinite or NaN thresholds
-    for flag, value in (("--rate", "7"), ("--rate", "0"), ("--rate", "nan"), ("--t0", "inf"), ("--alpha", "inf")):
+    # a rate above 1 used to sample everything
+    for flag, value in (("--rate", "7"), ("--rate", "0"), ("--rate", "nan")):
         code, out, err = run_cli(capsys, "recover", "--iters", "2", flag, value)
         assert code == 2 and out == "", flag
         assert flag.lstrip("-") in err, flag
@@ -341,7 +363,7 @@ def test_recover_rejects_an_empty_mask(capsys):
     # at rate 0.001 seed 11 samples none of the 127 demo samples, and the
     # step N/n_p is undefined
     assert generate_mask(127, 0.001, 11).n_p == 0
-    code, out, err = run_cli(capsys, "recover", "--rate", "0.001", "--seed", "11", "--t0", "1")
+    code, out, err = run_cli(capsys, "recover", "--rate", "0.001", "--seed", "11")
     assert code == 2 and out == ""
     assert "nothing was sampled" in err
 
@@ -366,23 +388,6 @@ def test_simulate_csv_json_cross_decode(capsys):
     assert float(flat["global_max"]) == pytest.approx(payload["global_max"], rel=1e-8)
     assert float(flat["mean_abs_coeff"]) == pytest.approx(payload["mean_abs_coeff"], rel=1e-8)
     assert int(flat["exceed_gaussian_T"]) == payload["exceedance_counts"]["gaussian_T"]
-
-
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("MASKSPECTRA_SEED", "5")
-    _, out_env, _ = run_cli(capsys, "simulate", "--n", "127", "--p", "0.5", "--trials", "50")
-    monkeypatch.delenv("MASKSPECTRA_SEED")
-    _, out_flag, _ = run_cli(capsys, "simulate", "--n", "127", "--p", "0.5", "--trials", "50", "--seed", "5")
-    assert out_env == out_flag
-
-
-def test_malformed_seed_env_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("MASKSPECTRA_SEED", "abc")
-    code, out, err = run_cli(capsys, "simulate", "--n", "127", "--p", "0.5", "--trials", "4")
-    assert (code, out) == (2, "")
-    assert err == "error: MASKSPECTRA_SEED must be an integer, got 'abc'\n"
-    # an explicit --seed does not read the variable
-    assert run_cli(capsys, "simulate", "--n", "127", "--p", "0.5", "--trials", "4", "--seed", "5")[0] == 0
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -515,6 +520,17 @@ sys.modules["scipy"] = None
 exec(sys.argv[1])
 print(sorted(name for name, module in sys.modules.items() if name.startswith("scipy") and module is not None))
 """
+
+
+def test_readme_cli_lines_parse():
+    # every command line in the README's CLI block parses, so a flag the
+    # parser dropped cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("maskspectra ")]
+    assert len(lines) >= 8
+    for argv in lines:
+        cli._parser().parse_args(argv)
 
 
 def test_readme_library_sketch_runs(tmp_path):

@@ -178,7 +178,7 @@ def test_table1_row_values(monkeypatch, capsys):
 
 
 def test_table1_default_grid_shape(capsys):
-    argv = ["table1", "--trials", "20", "--seed", "1", "--full-scale"]
+    argv = ["table1", "--trials", "20", "--seed", "1"]
     rows = _json_stdout(argv, capsys)
     assert len(rows) == 9
     assert [(r["N"], r["p"]) for r in rows] == list(TABLE1_ROWS)
@@ -187,8 +187,8 @@ def test_table1_default_grid_shape(capsys):
 
 
 def test_table1_caps_large_n_rows_in_one_place(monkeypatch, capsys):
-    # rows at N >= 65536 run min(trials, 1000) trials, or every trial
-    # with --full-scale, and the whole table is one driver call
+    # rows at N >= 65536 run min(trials, 1000) trials, and the whole table
+    # is one driver call
     import maskspectra.montecarlo as mc
 
     calls = []
@@ -200,14 +200,25 @@ def test_table1_caps_large_n_rows_in_one_place(monkeypatch, capsys):
     monkeypatch.setattr(mc, "run_experiment", fake_run)
     small = [(n, 20) for n in (127, 127, 127, 1543, 1543, 1543)]
     assert main(["table1", "--trials", "20"]) == 0
-    assert main(["table1", "--trials", "20", "--full-scale"]) == 0
-    assert calls == [small + [(131071, 20)] * 3] * 2
+    assert calls == [small + [(131071, 20)] * 3]
     calls.clear()
     assert main(["table1", "--trials", "1500"]) == 0
-    assert main(["table1", "--trials", "1500", "--full-scale"]) == 0
     big = [(n, 1500) for n, _ in small]
-    assert calls == [big + [(131071, 1000)] * 3, big + [(131071, 1500)] * 3]
+    assert calls == [big + [(131071, 1000)] * 3]
     capsys.readouterr()
+
+
+def test_table1_large_n_rows_match_simulate(capsys):
+    # simulate runs a large-N row at any trial count, so table1 needs no
+    # switch to lift its cap: at the same (N, p, trials, seed) the two
+    # report the same statistics, bit for bit
+    rows = _json_stdout(["table1", "--trials", "8", "--seed", "3"], capsys)
+    large = [row for row in rows if row["N"] == 131071]
+    assert [row["p"] for row in large] == [0.5, 0.8, 0.1]
+    for row in large:
+        sim = _json_stdout(["simulate", "--n", "131071", "--p", str(row["p"]), "--trials", "8", "--seed", "3"], capsys)
+        assert sim["trials"] == 8
+        assert (row["sim_max_mean"], row["sim_global_max"]) == (sim["per_trial_max"]["mean"], sim["global_max"])
 
 
 def test_table1_rejects_empty():

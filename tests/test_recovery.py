@@ -17,7 +17,6 @@ from maskspectra.recovery import (
     random_band_signal,
     read_signal_csv,
     recover,
-    sample_random,
     synthesize_signal,
     write_signal_csv,
 )
@@ -83,19 +82,11 @@ def test_signal_spec_validation():
         SignalSpec(n=8, band=(1,), amplitudes=(1.0, 2.0))
 
 
-def test_sample_random_identity_and_annihilation():
-    x = DEMO_X
-    assert np.array_equal(sample_random(x, worst_case_mask(127, 127)), x)
-    assert np.all(sample_random(x, worst_case_mask(127, 0)) == 0.0)
-    with pytest.raises(ValueError):
-        sample_random(x[:64], DEMO_MASK)
-
-
 def test_sampling_is_circular_convolution_in_frequency():
     n = 127
     x = DEMO_X
     mask = DEMO_MASK
-    lhs = scipy.fft.fft(sample_random(x, mask))
+    lhs = scipy.fft.fft(x * mask.bits)
     big_x = scipy.fft.fft(x)
     big_m = scipy.fft.fft(mask.bits.astype(float))
     rhs = np.array([np.sum(big_x * big_m[(k - np.arange(n)) % n]) for k in range(n)]) / n
@@ -131,7 +122,7 @@ def test_snr_db_rejects_mismatched_shapes():
 
 def test_fixed_point_of_recovery_step():
     # estimate == true signal stays put when T is below the on-band minimum (10)
-    xs = sample_random(DEMO_X, DEMO_MASK)
+    xs = DEMO_X * DEMO_MASK.bits
     z = DEMO_X + min(DEMO_MASK.n / DEMO_MASK.n_p, 2.0) * (xs - DEMO_MASK.bits * DEMO_X)
     plan = transform_plan(127)
     out = plan.from_order(plan.synthesize(*plan.analyze(plan.to_order(z)), 5.0))
@@ -139,23 +130,39 @@ def test_fixed_point_of_recovery_step():
 
 
 def test_full_sampling_recovers_in_one_iteration():
+    # the default t0, 3.55 here, lies below the weakest band line
     mask = worst_case_mask(127, 127)
-    xs = sample_random(DEMO_X, mask)
-    estimate, history = recover(xs, mask, iterations=1, t0=5.0, reference=DEMO_X)
+    estimate, history = recover(DEMO_X, mask, iterations=1, reference=DEMO_X)
+    assert history[-1][1] < 5.0
     assert history[-1][2] >= 100.0
     assert np.abs(estimate - DEMO_X).max() < 1e-10
 
 
 def test_demo_recovery_reaches_forty_db():
-    xs = sample_random(DEMO_X, DEMO_MASK)
-    estimate, history = recover(xs, DEMO_MASK, iterations=50, tol=0.0, reference=DEMO_X)
+    estimate, history = recover(DEMO_X, DEMO_MASK, iterations=50, tol=0.0, reference=DEMO_X)
     assert history[-1][2] >= 40.0
     assert len(history) == 50
 
 
+@pytest.mark.parametrize("n", [127, 8191])
+def test_recover_samples_its_input(n):
+    # recover multiplies its input by the mask bits, so the whole signal
+    # gives the bytes its samples give; taken as samples, the whole demo
+    # signal under seed 11 ended at -33 dB
+    if n == 127:
+        x, mask = DEMO_X, DEMO_MASK
+    else:
+        x, mask, _ = _n8191_case()
+    estimate, history = recover(x, mask, reference=x)
+    from_samples, samples_history = recover(x * mask.bits, mask, reference=x)
+    assert estimate.tobytes() == from_samples.tobytes()
+    assert history == samples_history
+    assert history[-1][2] >= 40.0
+
+
 def test_low_threshold_admits_alias_bins_on_first_pass():
     # starting below the aliasing-noise floor keeps off-band bins immediately
-    xs = sample_random(DEMO_X, DEMO_MASK)
+    xs = DEMO_X * DEMO_MASK.bits
     kept = hard_threshold(scipy.fft.fft(xs), 1.0)
     support = set(np.flatnonzero(np.abs(kept) > 0.0).tolist())
     assert set(DEMO.band) < support  # strictly larger than the true band
@@ -164,27 +171,26 @@ def test_low_threshold_admits_alias_bins_on_first_pass():
 def test_reference_never_stops_the_loop():
     # the reference only scores: against -x the SNR falls as the estimate
     # improves, yet every iteration runs and nothing warns
-    xs = sample_random(DEMO_X, DEMO_MASK)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, history = recover(xs, DEMO_MASK, iterations=50, tol=0.0, reference=-DEMO_X)
+        _, history = recover(DEMO_X, DEMO_MASK, iterations=50, tol=0.0, reference=-DEMO_X)
     assert [row[0] for row in history] == list(range(50))
 
 
 def test_converged_estimate_matches_known_samples():
-    xs = sample_random(DEMO_X, DEMO_MASK)
+    xs = DEMO_X * DEMO_MASK.bits
     estimate, _ = recover(xs, DEMO_MASK, iterations=200, reference=DEMO_X)
     on_mask = estimate * DEMO_MASK.bits
     assert np.linalg.norm(on_mask - xs) <= 1e-6 * np.linalg.norm(xs)
 
 
 def _default_t0(xs, mask):
-    """The initial threshold recover derives when given no t0."""
+    """The initial threshold recover derives."""
     return recover(xs, mask, iterations=1)[1][0][1]
 
 
 def test_default_threshold_rules():
-    xs = sample_random(DEMO_X, DEMO_MASK)
+    xs = DEMO_X * DEMO_MASK.bits
     t0 = _default_t0(xs, DEMO_MASK)
     peak = float(np.abs(scipy.fft.fft(xs)).max())
     assert t0 > peak  # margin above every sampled-spectrum line
@@ -199,7 +205,7 @@ def test_default_threshold_margin_divides_by_n_p():
     n, n_p = 1543, 49
     mask = worst_case_mask(n, n_p)
     assert math.ceil(n * (n_p / n)) == n_p + 1
-    xs = sample_random(synthesize_signal(random_band_signal(n, 4, seed=3)), mask)
+    xs = synthesize_signal(random_band_signal(n, 4, seed=3)) * mask.bits
     p_hat = n_p / n
     c = ratio_approximation(n, p_hat) + 3.0 * math.sqrt(p_hat * (1.0 - p_hat) * n) / n_p
     want = c * float(np.abs(scipy.fft.fft(xs)).max()) / p_hat
@@ -207,91 +213,73 @@ def test_default_threshold_margin_divides_by_n_p():
 
 
 def test_recover_validation():
-    xs = sample_random(DEMO_X, DEMO_MASK)
     with pytest.raises(ValueError):
-        recover(xs, DEMO_MASK, iterations=0)
-    # an infinite or NaN t0 or alpha would give a history of NaN or
-    # infinite thresholds that keep or drop every bin
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="t0"):
-            recover(xs, DEMO_MASK, t0=bad)
-        with pytest.raises(ValueError, match="alpha"):
-            recover(xs, DEMO_MASK, alpha=bad)
+        recover(DEMO_X, DEMO_MASK, iterations=0)
     # a str, complex or bool is a ValueError naming the argument, never a
-    # TypeError from the comparison, nor True read as 1.0
-    for bad in ("1", 1.0 + 0j, True, np.bool_(True)):
-        with pytest.raises(ValueError) as info:
-            recover(xs, DEMO_MASK, t0=bad)
-        assert str(info.value) == f"t0 must be positive and finite, got {bad!r}"
-    for bad in ("0.1", None, 0.1 + 0j, True):
-        with pytest.raises(ValueError) as info:
-            recover(xs, DEMO_MASK, alpha=bad)
-        assert str(info.value) == f"alpha must be positive and finite, got {bad!r}"
+    # TypeError from the comparison, nor False read as 0.0
     for bad in ("0", None, 0j, False, 10**400):
         with pytest.raises(ValueError) as info:
-            recover(xs, DEMO_MASK, tol=bad)
+            recover(DEMO_X, DEMO_MASK, tol=bad)
         assert str(info.value) == f"tol must be nonnegative and finite, got {bad!r}"
     # numpy reals are read as Python floats, so the history holds floats
-    _, history = recover(xs, DEMO_MASK, iterations=2, t0=np.float32(50.0), alpha=np.float64(0.1), tol=np.int64(0))
-    assert history == recover(xs, DEMO_MASK, iterations=2, t0=50.0, alpha=0.1, tol=0.0)[1]
+    _, history = recover(DEMO_X, DEMO_MASK, iterations=2, tol=np.int64(0))
+    assert history == recover(DEMO_X, DEMO_MASK, iterations=2, tol=0.0)[1]
     assert all(type(row[1]) is float for row in history)
-    with pytest.raises(ValueError):
-        recover(np.zeros(64), DEMO_MASK, t0=1.0)
+    with pytest.raises(ValueError, match="^signal length 64 != mask length 127$"):
+        recover(DEMO_X[:64], DEMO_MASK)
 
 
 def test_recover_tol_must_be_nonnegative_and_finite():
-    xs = sample_random(DEMO_X, DEMO_MASK)
     for bad in (-1e-9, -1.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="tol"):
-            recover(xs, DEMO_MASK, tol=bad)
+            recover(DEMO_X, DEMO_MASK, tol=bad)
     assert inspect.signature(recover).parameters["tol"].default == 1e-6
-    assert len(recover(xs, DEMO_MASK, iterations=3, tol=0.0)[1]) == 3
+    assert len(recover(DEMO_X, DEMO_MASK, iterations=3, tol=0.0)[1]) == 3
 
 
 def test_recover_iterations_must_be_an_integer():
-    xs = sample_random(DEMO_X, DEMO_MASK)
     for bad in (2.5, 3.0, True, "3"):
         with pytest.raises(ValueError, match="iterations"):
-            recover(xs, DEMO_MASK, iterations=bad)
-    assert len(recover(xs, DEMO_MASK, iterations=np.int64(3), tol=0.0)[1]) == 3
+            recover(DEMO_X, DEMO_MASK, iterations=bad)
+    assert len(recover(DEMO_X, DEMO_MASK, iterations=np.int64(3), tol=0.0)[1]) == 3
 
 
 @pytest.mark.parametrize("n", [127, 8191])
 def test_recover_rejects_mismatched_reference(n):
     mask = generate_mask(n, 0.5, 4)
     x = synthesize_signal(random_band_signal(n, 2, seed=4))
-    xs = sample_random(x, mask)
     for bad in (x[:1], x[:-1], np.stack((x, x))):
         with pytest.raises(ValueError, match="reference"):
-            recover(xs, mask, iterations=2, reference=bad)
+            recover(x, mask, iterations=2, reference=bad)
 
 
 @pytest.mark.parametrize("n", [127, 8191])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_recover_rejects_non_finite_input_before_any_transform(monkeypatch, n, bad):
     # a NaN sample used to run every iteration at threshold NaN and return
-    # the zero estimate; an infinite one warned from inside numpy.fft
+    # the zero estimate; an infinite one warned from inside numpy.fft.
+    # Both are rejected at a sampled position and at one the mask leaves
+    # out, where sampling would make inf or NaN times zero a NaN
     mask = generate_mask(n, 0.5, 4)
     x = synthesize_signal(random_band_signal(n, 2, seed=4))
-    xs = sample_random(x, mask)
-    spoiled = x.copy()
-    spoiled[n // 2] = bad
 
     def no_transform(*args, **kwargs):
         raise AssertionError("a transform plan was fetched")
 
     monkeypatch.setattr(recovery, "transform_plan", no_transform)
-    with pytest.raises(ValueError, match="^sampled signal must be finite$"):
-        recover(spoiled, mask)
-    with pytest.raises(ValueError, match="^sampled signal must be finite$"):
-        recover(spoiled, mask, reference=x)
-    with pytest.raises(ValueError, match="^reference signal must be finite$"):
-        recover(xs, mask, reference=spoiled)
+    for bit in (0, 1):
+        spoiled = x.copy()
+        spoiled[np.flatnonzero(mask.bits == bit)[0]] = bad
+        with pytest.raises(ValueError, match="^signal must be finite$"):
+            recover(spoiled, mask)
+        with pytest.raises(ValueError, match="^signal must be finite$"):
+            recover(spoiled, mask, reference=x)
+        with pytest.raises(ValueError, match="^reference signal must be finite$"):
+            recover(x, mask, reference=spoiled)
 
 
 def test_history_without_reference_has_nan_snr():
-    xs = sample_random(DEMO_X, DEMO_MASK)
-    _, history = recover(xs, DEMO_MASK, iterations=3)
+    _, history = recover(DEMO_X, DEMO_MASK, iterations=3)
     assert len(history) == 3
     assert all(math.isnan(row[2]) for row in history)
 
@@ -504,7 +492,7 @@ def test_rader_step_matches_scipy_step(monkeypatch):
     n = 8191
     x = synthesize_signal(random_band_signal(n, 8, seed=7))
     mask = generate_mask(n, 0.5, 8)
-    xs = sample_random(x, mask)
+    xs = x * mask.bits
     rng = np.random.Generator(np.random.Philox(key=9))
     estimate = x + 0.01 * rng.normal(size=n) + 0.2  # off-band noise and a DC offset
     plan = transform_plan(n)
@@ -520,8 +508,8 @@ def test_rader_step_matches_scipy_step(monkeypatch):
     with pytest.raises(ValueError, match="nonnegative"):
         plan.synthesize(*ordered, -1.0)
     # the initial threshold takes its peak from the same magnitudes; here
-    # the DC bin, which has no mirror, is the peak
-    dc_heavy = xs + (1.0 - mask.bits) * estimate
+    # the DC bin, which has no mirror, is the peak of the samples
+    dc_heavy = mask.bits * estimate
     spectrum_dc = scipy.fft.fft(dc_heavy)
     assert abs(spectrum_dc[0]) == np.abs(spectrum_dc).max()
     with monkeypatch.context() as m:
@@ -555,10 +543,9 @@ def test_rader_plan_selection(monkeypatch):
             plan = transform_plan(n)
             assert isinstance(plan, CountingPlan), n
             assert plan._size == size, n
-        xs = np.zeros(8191)
         mask = generate_mask(8191, 0.5, 1)
         for _ in range(3):
-            recover(xs, mask, t0=1.0)
+            recover(mask.bits, mask, iterations=1)
         assert built == list(sizes)
     finally:
         spectrum._cached_rader_plan.cache_clear()
@@ -583,13 +570,13 @@ def test_rader_plan_survives_shapes_without_a_plan():
     # them between two recoveries leaves the 8191 plan in place
     n = 8191
     mask = generate_mask(n, 0.5, 2)
-    xs = sample_random(synthesize_signal(random_band_signal(n, 4, seed=3)), mask)
-    first, _ = recover(xs, mask, t0=0.5)
+    x = synthesize_signal(random_band_signal(n, 4, seed=3))
+    first, _ = recover(x, mask)
     plan = transform_plan(n)
     for m in (127, 128, 251, 255, 8192, 131072, 4097, 2048, 1000, 3):
         assert transform_plan(m) is spectrum._NATURAL_PLAN, m
     assert transform_plan(n) is plan
-    assert np.array_equal(recover(xs, mask, t0=0.5)[0], first)
+    assert np.array_equal(recover(x, mask)[0], first)
 
 
 def test_rader_recovery_permutes_once(monkeypatch):
@@ -598,7 +585,6 @@ def test_rader_recovery_permutes_once(monkeypatch):
     n = 8191
     mask = generate_mask(n, 0.5, 6)
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
-    xs = sample_random(x, mask)
     assert isinstance(transform_plan(n), spectrum._RaderPlan)
     calls = []
 
@@ -613,7 +599,7 @@ def test_rader_recovery_permutes_once(monkeypatch):
     seen = []
     for iterations in (1, 7):
         calls.clear()
-        estimate, history = recover(xs, mask, iterations=iterations, reference=x)
+        estimate, history = recover(x, mask, iterations=iterations, reference=x)
         seen.append(sorted(calls))
         assert len(history) == iterations
     assert seen[0] == seen[1] == ["from_order"] + ["to_order"] * 3
@@ -624,14 +610,14 @@ def test_rader_recovery_permutes_once(monkeypatch):
 def test_rader_recovery_matches_scipy_oracle(monkeypatch, n):
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
     mask = generate_mask(n, 0.5, 6)
-    xs = sample_random(x, mask)
+    xs = x * mask.bits
     assert isinstance(transform_plan(n), spectrum._RaderPlan)
-    estimate, history = recover(xs, mask, iterations=50, tol=0.0, reference=x)
+    estimate, history = recover(x, mask, iterations=50, tol=0.0, reference=x)
 
     # the same loop on the natural-order numpy.fft transforms alone
     with monkeypatch.context() as m:
         m.setattr(recovery, "transform_plan", lambda n: spectrum._NATURAL_PLAN)
-        _, natural_history = recover(xs, mask, iterations=50, tol=0.0, reference=x)
+        _, natural_history = recover(x, mask, iterations=50, tol=0.0, reference=x)
     t0 = natural_history[0][1]
     assert history[0][1] == pytest.approx(t0, rel=1e-12)
     oracle, oracle_kept = np.zeros(n), []
@@ -654,9 +640,9 @@ def test_stop_truncates_the_history_and_keeps_forty_db(rate):
     stopped = 0
     for seed in range(40):
         mask = generate_mask(127, rate, seed)
-        xs = sample_random(DEMO_X, mask)
-        full_estimate, full = recover(xs, mask, tol=0.0, reference=DEMO_X)
-        estimate, history = recover(xs, mask, reference=DEMO_X)
+        xs = DEMO_X * mask.bits
+        full_estimate, full = recover(DEMO_X, mask, tol=0.0, reference=DEMO_X)
+        estimate, history = recover(DEMO_X, mask, reference=DEMO_X)
         assert len(full) == 50
         assert history == full[: len(history)], seed
         if len(history) < 50:
@@ -671,17 +657,17 @@ def test_stop_truncates_the_history_and_keeps_forty_db(rate):
     assert stopped >= {0.2: 1, 0.3: 20, 0.4: 30, 0.5: 40}[rate]
 
 
-def _n8191_case():
-    """A band-limited N = 8191 signal, a half-rate mask and its samples."""
+def _n8191_case(rate=0.5, mask_seed=6):
+    """A band-limited N = 8191 signal, a mask and its samples."""
     n = 8191
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
-    mask = generate_mask(n, 0.5, 6)
-    return x, mask, sample_random(x, mask)
+    mask = generate_mask(n, rate, mask_seed)
+    return x, mask, x * mask.bits
 
 
 def test_stop_at_n8191_keeps_over_one_hundred_db():
     x, mask, xs = _n8191_case()
-    estimate, history = recover(xs, mask, iterations=50, reference=x)
+    estimate, history = recover(x, mask, iterations=50, reference=x)
     assert len(history) < 50
     assert history[-1][2] >= 100.0
     assert sampled_residual(xs, mask, estimate) <= 1e-6 * (1 + 1e-9)
@@ -690,8 +676,8 @@ def test_stop_at_n8191_keeps_over_one_hundred_db():
 def test_stop_at_n8191_within_ten_iterations():
     # the step min(N/n_p, 2) stops this fixture after 9 iterations; at
     # unit step it took 27
-    x, mask, xs = _n8191_case()
-    _, history = recover(xs, mask, iterations=50, reference=x)
+    x, mask, _ = _n8191_case()
+    _, history = recover(x, mask, iterations=50, reference=x)
     assert len(history) <= 10
     assert history[-1][3] <= 1e-6
 
@@ -700,23 +686,24 @@ def test_recover_never_transforms_the_same_thing_twice(monkeypatch):
     # the samples are transformed once, for t0 and, scaled by the step, for
     # every step whose estimate is zero; every later step analyses once and
     # synthesizes once. A step keeps no bin while its threshold is at or
-    # above the scaled peak: never with the default t0 (c is about 0.67),
-    # and for the first 7 steps from twice the scaled peak
-    x, mask, xs = _n8191_case()
-    plan = transform_plan(mask.n)
-    scaled_peak = min(mask.n / mask.n_p, 2.0) * float(plan.analyze(plan.to_order(xs))[1].max())
-    for t0, least_empty in ((None, 0), (2.0 * scaled_peak, 3)):
+    # above the scaled peak: never at half rate (c is about 0.67), and for
+    # the first 9 and 10 steps at rate 0.2
+    for rate, mask_seed, least_empty in ((0.5, 6, 0), (0.2, 6, 9), (0.2, 7, 10)):
+        x, mask, xs = _n8191_case(rate, mask_seed)
+        plan = transform_plan(mask.n)
+        scaled_peak = min(mask.n / mask.n_p, 2.0) * float(plan.analyze(plan.to_order(xs))[1].max())
         calls = []
         dht = spectrum._RaderPlan.dht
         with monkeypatch.context() as m:
             m.setattr(spectrum._RaderPlan, "dht", lambda self, *args: calls.append(1) or dht(self, *args))
-            _, history = recover(xs, mask, t0=t0, reference=x)
+            _, history = recover(x, mask, reference=x)
+        case = (rate, mask_seed)
         empty = sum(1 for row in history if row[1] >= scaled_peak)
-        assert empty >= least_empty, t0
-        assert all(row[1] >= scaled_peak and row[4] == 0 for row in history[:empty]), t0
-        assert all(row[4] > 0 for row in history[empty:]), t0
+        assert empty >= least_empty, case
+        assert all(row[1] >= scaled_peak and row[4] == 0 for row in history[:empty]), case
+        assert all(row[4] > 0 for row in history[empty:]), case
         # 1 for xs, len - empty - 1 analyses, len - empty syntheses
-        assert len(calls) == 2 * (len(history) - empty), t0
+        assert len(calls) == 2 * (len(history) - empty), case
 
 
 @pytest.mark.parametrize("rate", [0.3, 0.9])
@@ -726,7 +713,7 @@ def test_every_demo_seed_reaches_forty_db(rate):
     failed = []
     for seed in range(40):
         mask = generate_mask(127, rate, seed)
-        _, history = recover(sample_random(DEMO_X, mask), mask, reference=DEMO_X)
+        _, history = recover(DEMO_X, mask, reference=DEMO_X)
         if not history[-1][2] >= 40.0:
             failed.append(seed)
     assert failed == []
@@ -741,7 +728,7 @@ def test_long_runs_never_diverge(rate):
     # estimate's, 1, and seeds that find no support stall above 0 dB.
     for seed in range(10):
         mask = generate_mask(127, rate, seed)
-        _, history = recover(sample_random(DEMO_X, mask), mask, iterations=500, tol=0.0, reference=DEMO_X)
+        _, history = recover(DEMO_X, mask, iterations=500, tol=0.0, reference=DEMO_X)
         assert max(row[3] for row in history) <= 1.0 + 1e-12, seed
         assert history[-1][2] > 0.0, seed
 
@@ -750,18 +737,7 @@ def test_empty_mask_is_rejected_up_front():
     # the step min(N/n_p, 2) needs at least one sample
     empty = worst_case_mask(127, 0)
     with pytest.raises(ValueError, match="nothing was sampled"):
-        recover(np.zeros(127), empty, t0=1.0)
-
-
-@pytest.mark.parametrize("n", [127, 8191])
-def test_zero_samples_with_explicit_t0_stop_after_one_row(n):
-    mask = generate_mask(n, 0.5, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        estimate, history = recover(np.zeros(n), mask, t0=1.0, reference=np.zeros(n))
-        assert sampled_residual(np.zeros(n), mask, estimate) == 0.0
-    assert len(history) == 1
-    assert not estimate.any()
+        recover(np.zeros(127), empty)
 
 
 def test_sampled_residual_values():
