@@ -18,11 +18,7 @@ from .montecarlo import (
     TrialStats,
     run_experiment,
 )
-from .recovery import (
-    SignalSpec,
-    recover,
-    synthesize_signal,
-)
+from .recovery import recover, synthesize_signal
 
 __version__ = "0.1.0"
 
@@ -42,7 +38,6 @@ __all__ = [
     "TrialStats",
     "RunningStats",
     "run_experiment",
-    "SignalSpec",
     "synthesize_signal",
     "recover",
     "__version__",

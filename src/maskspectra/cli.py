@@ -1,7 +1,8 @@
 """Command-line interface: bound evaluation, Monte Carlo runs, reference
 table/figure data, and the recovery demo. Emits CSV (default) or JSON for
-external plotting; no rendering happens here. Every command that draws
-masks takes the same --seed, 1729 by default, and nothing else sets it.
+external plotting; no rendering happens here, and no other module formats
+or writes a report. Every command that draws masks takes the same --seed,
+1729 by default, and nothing else sets it.
 
 Exit codes: 0 success, 2 usage/validation error, 3 runtime failure.
 """
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
+import math
 import os
 import sys
 
@@ -47,10 +50,43 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _format_cell(value) -> str:
+    return f"{value:.9g}" if isinstance(value, float) else str(value)
+
+
+def records_to_csv(records: list[dict]) -> str:
+    """CSV of flat records: the header row is the first record's keys in
+    their order, and every record is one row of those keys' values. Floats
+    are written at 9 significant digits; lines end in LF. records_to_json
+    writes the same records with the same keys."""
+    if not records:
+        raise ValueError("records must be non-empty")
+    cols = list(records[0])
+    lines = [",".join(cols)]
+    for rec in records:
+        lines.append(",".join(_format_cell(rec[c]) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def records_to_json(payload) -> str:
+    """JSON mirror of the CSV/report payloads. Non-finite floats (an
+    infinite bound, an undefined SNR) become null, so the output is strict
+    JSON that any parser accepts."""
+    return json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n"
+
+
 def _render(records: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return montecarlo.records_to_json(records)
-    return montecarlo.records_to_csv(records)
+    return records_to_json(records) if fmt == "json" else records_to_csv(records)
 
 
 def cmd_bounds(args) -> int:
@@ -59,31 +95,37 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _summary(stats: montecarlo.RunningStats) -> dict:
+    return {key: getattr(stats, key) for key in ("count", "mean", "variance", "min", "max")}
+
+
 def cmd_simulate(args) -> int:
     thresholds = tuple(bounds.thresholds(args.n, args.p, epsilon=args.eps).items())
     spec = montecarlo.ExperimentSpec(args.n, args.p, args.trials, args.seed, thresholds)
     [(stats, _)] = montecarlo.run_experiment([spec], args.workers)
-    payload = {"N": args.n, "p": args.p, "seed": args.seed, **stats.to_dict()}
+    peaks = stats.per_trial_max
+    head = {"N": args.n, "p": args.p, "seed": args.seed, "trials": peaks.count}
     if args.format == "json":
-        _emit(montecarlo.records_to_json(payload), args.out)
+        record = {
+            **head,
+            "per_trial_max": _summary(peaks),
+            "global_max": peaks.max,
+            "mean_abs_coeff": stats.mean_abs.mean,
+            "exceedance_counts": stats.exceedance_counts,
+            "n_p_stats": _summary(stats.n_p_stats),
+        }
+        _emit(records_to_json(record), args.out)
         return 0
-    flat = {
-        "N": args.n,
-        "p": args.p,
-        "seed": args.seed,
-        "trials": stats.trials,
-        "max_mean": stats.per_trial_max.mean,
-        "max_variance": stats.per_trial_max.variance,
-        "max_min": stats.per_trial_max.min,
-        "max_max": stats.per_trial_max.max,
-        "global_max": stats.global_max,
-        "mean_abs_coeff": stats.mean_abs_coeff,
+    record = {
+        **head,
+        **{f"max_{key}": value for key, value in _summary(peaks).items() if key != "count"},
+        "global_max": peaks.max,
+        "mean_abs_coeff": stats.mean_abs.mean,
         "n_p_mean": stats.n_p_stats.mean,
         "n_p_variance": stats.n_p_stats.variance,
+        **{f"exceed_{label}": count for label, count in stats.exceedance_counts.items()},
     }
-    for label, _ in thresholds:
-        flat[f"exceed_{label}"] = stats.exceedance_counts[label]
-    _emit(montecarlo.records_to_csv([flat]), args.out)
+    _emit(records_to_csv([record]), args.out)
     return 0
 
 
@@ -111,7 +153,7 @@ def cmd_table1(args) -> int:
                 "p": p,
                 "n_p": n_p,
                 "sim_max_mean": stats.per_trial_max.mean,
-                "sim_global_max": stats.global_max,
+                "sim_global_max": stats.per_trial_max.max,
                 "sim_ratio": stats.per_trial_max.mean / n_p,
                 "bound_worst": bound,
                 "bound_ratio": bound / (n * p),
@@ -132,8 +174,8 @@ def cmd_figure(args) -> int:
             {
                 "N": n,
                 "sim_max_mean": stats.per_trial_max.mean,
-                "sim_global_max": stats.global_max,
-                "mean_abs": stats.mean_abs_coeff,
+                "sim_global_max": stats.per_trial_max.max,
+                "mean_abs": stats.mean_abs.mean,
                 **limit,
             }
             for n, limit, (stats, _) in zip(ns, limits, montecarlo.run_experiment(specs, args.workers))
@@ -198,7 +240,7 @@ def cmd_recover(args) -> int:
     else:
         mask = generate_mask(n, args.rate, args.seed)
     _, history = recovery.recover(x, mask, iterations=args.iters, tol=args.tol, reference=x)
-    csv_text = montecarlo.records_to_csv([dict(zip(_HISTORY_COLUMNS, row)) for row in history])
+    csv_text = records_to_csv([dict(zip(_HISTORY_COLUMNS, row)) for row in history])
     _, _, final_snr, residual, _ = history[-1]
     summary = (
         f"recover: n={n} rate={args.rate:g} n_p={mask.n_p} seed={args.seed} "

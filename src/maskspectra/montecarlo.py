@@ -72,7 +72,6 @@ too.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import numbers
 import os
@@ -89,8 +88,6 @@ __all__ = [
     "ExperimentSpec",
     "TrialStats",
     "run_experiment",
-    "records_to_csv",
-    "records_to_json",
 ]
 
 _CHUNK_TRIALS = 512
@@ -150,15 +147,6 @@ class RunningStats:
         """Sample variance (ddof=1); 0 for fewer than two samples."""
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "variance": self.variance,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -209,44 +197,22 @@ def _threshold(entry) -> tuple[str, float]:
 
 @dataclass
 class TrialStats:
-    """Streaming aggregates over trials of per-trial spectral maxima."""
+    """Streaming aggregates over trials of per-trial spectral maxima: the
+    peak max |A_k| over k != 0, the bin mean of |A_k| over k != 0 and n_p
+    of each trial. Every trial has the same bin count, so the mean of the
+    bin means is the mean of |A_k| over all bins and trials."""
 
-    trials: int = 0
     per_trial_max: RunningStats = field(default_factory=RunningStats)
     mean_abs: RunningStats = field(default_factory=RunningStats)
     n_p_stats: RunningStats = field(default_factory=RunningStats)
     exceedance_counts: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def global_max(self) -> float:
-        return self.per_trial_max.max if self.trials else 0.0
-
-    @property
-    def mean_abs_coeff(self) -> float:
-        """Mean of |A_k| over all k != 0 and all trials.
-
-        Every trial contributes the same number of bins, so this equals the
-        mean over trials of the per-trial bin means.
-        """
-        return self.mean_abs.mean
-
     def merge(self, other: "TrialStats") -> None:
-        self.trials += other.trials
         self.per_trial_max.merge(other.per_trial_max)
         self.mean_abs.merge(other.mean_abs)
         self.n_p_stats.merge(other.n_p_stats)
         for label, count in other.exceedance_counts.items():
             self.exceedance_counts[label] = self.exceedance_counts.get(label, 0) + count
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "per_trial_max": self.per_trial_max.to_dict(),
-            "global_max": self.global_max,
-            "mean_abs_coeff": self.mean_abs_coeff,
-            "exceedance_counts": dict(self.exceedance_counts),
-            "n_p_stats": self.n_p_stats.to_dict(),
-        }
 
 
 class _Workspace(threading.local):
@@ -339,7 +305,6 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
     results = []
     for (_, thresholds), (peaks, means, n_ps), rate_max in zip(rates, values, half_max):
         stats = TrialStats(
-            trials=stop - start,
             per_trial_max=RunningStats.from_values(peaks),
             mean_abs=RunningStats.from_values(means),
             n_p_stats=RunningStats.from_values(n_ps),
@@ -414,37 +379,3 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
         _workspace.buffers.clear()  # the block buffers last one call
     return totals
 
-
-def _format_cell(value) -> str:
-    return f"{value:.9g}" if isinstance(value, float) else str(value)
-
-
-def records_to_csv(records: list[dict]) -> str:
-    """CSV of flat records: the header row is the first record's keys in
-    their order, and every record is one row of those keys' values. Floats
-    are written at 9 significant digits; lines end in LF. records_to_json
-    writes the same records with the same keys."""
-    if not records:
-        raise ValueError("records must be non-empty")
-    cols = list(records[0])
-    lines = [",".join(cols)]
-    for rec in records:
-        lines.append(",".join(_format_cell(rec[c]) for c in cols))
-    return "\n".join(lines) + "\n"
-
-
-def _finite_or_null(value):
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(item) for item in value]
-    return value
-
-
-def records_to_json(payload) -> str:
-    """JSON mirror of the CSV/report payloads. Non-finite floats (an
-    infinite bound, an undefined SNR) become null, so the output is strict
-    JSON that any parser accepts."""
-    return json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n"

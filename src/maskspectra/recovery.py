@@ -12,18 +12,16 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import ratio_approximation, sigma_bound
-from .masks import Mask, _as_index
+from .masks import Mask, _as_index, _mask_length
 from .spectrum import transform_plan
 
 __all__ = [
-    "SignalSpec",
     "synthesize_signal",
     "random_band_signal",
     "recover",
@@ -32,37 +30,17 @@ __all__ = [
     "demo_signal_path",
 ]
 
-@dataclass(frozen=True)
-class SignalSpec:
-    """A band-limited test signal: active DFT bins and their amplitudes.
-
-    band/amplitudes must be conjugate-symmetric (bin n-k carries the
-    conjugate of bin k) so the synthesized time signal is real.
-    """
-
-    n: int
-    band: tuple[int, ...]
-    amplitudes: tuple[complex, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("signal length must be positive")
-        if len(self.band) != len(self.amplitudes):
-            raise ValueError("band and amplitudes must have equal length")
-        if any(not 0 <= k < self.n for k in self.band):
-            raise ValueError("band indices must lie in [0, n-1]")
-        if len(set(self.band)) != len(self.band):
-            raise ValueError("band indices must be distinct")
-
-
-def synthesize_signal(spec: SignalSpec) -> np.ndarray:
-    """Inverse DFT of the banded spectrum; raises if the band is not symmetric."""
-    coeffs = np.zeros(spec.n, dtype=np.complex128)
-    for k, a in zip(spec.band, spec.amplitudes):
-        coeffs[k] = a
-    mirrored = np.conj(coeffs[(-np.arange(spec.n)) % spec.n])
+def synthesize_signal(coeffs) -> np.ndarray:
+    """The real signal whose length-n DFT is ``coeffs``, a spectrum in
+    which bin n-k holds the conjugate of bin k. A spectrum that is not
+    1-D, empty, not finite or not conjugate-symmetric raises ValueError
+    before any transform."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    if coeffs.ndim != 1 or coeffs.size == 0 or not np.isfinite(coeffs).all():
+        raise ValueError("spectrum must be a non-empty 1-D array of finite values")
+    mirrored = np.conj(coeffs[(-np.arange(coeffs.size)) % coeffs.size])
     if not np.allclose(coeffs, mirrored, rtol=0.0, atol=1e-9 * (1.0 + np.abs(coeffs).max())):
-        raise ValueError("band/amplitudes are not conjugate-symmetric; time signal would be complex")
+        raise ValueError("spectrum is not conjugate-symmetric; time signal would be complex")
     x = np.fft.ifft(coeffs)
     residue = float(np.abs(x.imag).max())
     if residue > 1e-9:
@@ -70,25 +48,24 @@ def synthesize_signal(spec: SignalSpec) -> np.ndarray:
     return np.ascontiguousarray(x.real)
 
 
-def random_band_signal(n: int, pairs: int, seed: int = 0) -> SignalSpec:
-    """Random conjugate-symmetric spec with ``pairs`` mirrored bin pairs.
+def random_band_signal(n: int, pairs: int, seed: int = 0) -> np.ndarray:
+    """Random length-n spectrum with ``pairs`` mirrored bin pairs, zero
+    elsewhere: bin n-k holds the conjugate of bin k.
 
     Bin positions are drawn from [1, (n-1)//2], so no pair holds the
     Nyquist bin n/2 of an even n, its own mirror; pair magnitudes lie in
     [1, 2).
     """
+    n = _mask_length(n)
     pairs = _as_index(pairs, "pairs")
     if pairs < 1 or pairs > (n - 1) // 2:
         raise ValueError(f"pairs must lie in [1, {(n - 1) // 2}], got {pairs!r}")
     rng = np.random.Generator(np.random.Philox(key=_as_index(seed, "seed")))
-    positions = 1 + rng.permutation((n - 1) // 2)[:pairs]
-    band: list[int] = []
-    amps: list[complex] = []
-    for k in positions:
+    coeffs = np.zeros(n, dtype=np.complex128)
+    for k in 1 + rng.permutation((n - 1) // 2)[:pairs]:
         a = (1.0 + rng.random()) * np.exp(2j * np.pi * rng.random())
-        band.extend([int(k), int(n - k)])
-        amps.extend([complex(a), complex(np.conj(a))])
-    return SignalSpec(n=n, band=tuple(band), amplitudes=tuple(amps))
+        coeffs[k], coeffs[n - k] = a, np.conj(a)
+    return coeffs
 
 
 def _snr_db(ref_energy: float, ref: np.ndarray, est: np.ndarray) -> float:

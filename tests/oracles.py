@@ -9,7 +9,7 @@ import numpy as np
 
 from maskspectra.masks import Mask
 from maskspectra.montecarlo import RunningStats
-from maskspectra.recovery import SignalSpec, _relative_norm, _snr_db
+from maskspectra.recovery import _relative_norm, _snr_db
 
 _DIRECT_BLOCK_ROWS = 256
 _LAW_CHUNK_MASKS = 1 << 15
@@ -141,13 +141,11 @@ def sampled_residual(xs, mask: Mask, estimate) -> float:
     return _relative_norm(mask.bits * np.asarray(estimate, dtype=np.float64) - xs, float(np.linalg.norm(xs)))
 
 
-def demo_signal_spec() -> SignalSpec:
-    """The bundled demo signal: 5 active bins (DC plus two mirrored pairs),
-    on-band magnitudes between 10 and 40, length 127."""
+def demo_signal_spec() -> np.ndarray:
+    """The bundled demo signal's spectrum: 5 active bins (DC plus two
+    mirrored pairs), on-band magnitudes between 10 and 40, length 127."""
     a1 = 15.0 * complex(math.cos(0.7), math.sin(0.7))
     a2 = 10.0 * complex(math.cos(-1.1), math.sin(-1.1))
-    return SignalSpec(
-        n=127,
-        band=(0, 1, 2, 125, 126),
-        amplitudes=(40.0 + 0.0j, a1, a2, a2.conjugate(), a1.conjugate()),
-    )
+    coeffs = np.zeros(127, dtype=np.complex128)
+    coeffs[[0, 1, 2, 125, 126]] = (40.0, a1, a2, a2.conjugate(), a1.conjugate())
+    return coeffs

@@ -146,14 +146,14 @@ def test_criterion_4_simulated_maxima_match_reference_table():
 
 def test_criterion_5_gaussian_bound_is_confident(grid_stats):
     for (n, p), (stats, t_gauss, _) in grid_stats.items():
-        assert stats.exceedance_counts["gaussian_T"] / stats.trials == 0.0, (n, p, t_gauss)
+        assert stats.exceedance_counts["gaussian_T"] / stats.per_trial_max.count == 0.0, (n, p, t_gauss)
     _report("criterion 5 (confident bound)", f"0 exceedances of T(1e-4) across {len(grid_stats)} cells x 10^4 trials")
 
 
 def test_criterion_6_four_sigma_tracks_the_maximum(grid_stats):
     total_exceed = 0
     for (n, p), (stats, _, s4) in grid_stats.items():
-        assert 0.75 <= s4 / stats.global_max <= 1.25, (n, p, s4, stats.global_max)
+        assert 0.75 <= s4 / stats.per_trial_max.max <= 1.25, (n, p, s4, stats.per_trial_max.max)
         total_exceed += stats.exceedance_counts["sigma4"]
     assert total_exceed > 0  # sometimes sits under the maximum curve
     _report("criterion 6 (4-sigma tracking)", f"within 25% everywhere, {total_exceed} exceedances on grid")

@@ -21,8 +21,8 @@ from maskspectra.bounds import (
     thresholds,
     worst_case_bound,
 )
+from maskspectra.cli import records_to_json
 from maskspectra.masks import is_prime, worst_case_mask
-from maskspectra.montecarlo import records_to_json
 from oracles import dft_direct, max_nonzero_bin, q_function, worst_case_cosine_sum
 
 

@@ -151,7 +151,7 @@ def test_bad_eps_fails_before_any_trial(capsys, monkeypatch, argv):
 def test_records_to_json_writes_non_finite_as_null():
     # strict JSON has no Infinity or NaN
     payload = [{"bound": math.inf, "low": -math.inf, "snr": math.nan, "n": 7, "x": 1.5}]
-    text = montecarlo.records_to_json(payload)
+    text = cli.records_to_json(payload)
     assert json.loads(text, parse_constant=reject_constant) == [
         {"bound": None, "low": None, "snr": None, "n": 7, "x": 1.5}
     ]
@@ -550,5 +550,5 @@ def test_readme_library_sketch_runs(tmp_path):
     report = bounds.bound_report(127, 0.5, epsilon=1e-4)
     spec = montecarlo.ExperimentSpec(127, 0.5, 20_000, seed=7, thresholds=(("gaussian_T", report["gaussian_T"]),))
     [(stats, _)] = montecarlo.run_experiment([spec])  # one worker: the same bits as the sketch's two
-    assert (float(global_max), float(worst_case), int(exceeded)) == (stats.global_max, report["worst_case"], 0)
-    assert stats.global_max <= report["worst_case"]
+    assert (float(global_max), float(worst_case), int(exceeded)) == (stats.per_trial_max.max, report["worst_case"], 0)
+    assert stats.per_trial_max.max <= report["worst_case"]

@@ -12,7 +12,6 @@ from maskspectra import recovery, spectrum
 from maskspectra.bounds import ratio_approximation
 from maskspectra.masks import Mask, generate_mask, is_prime, worst_case_mask
 from maskspectra.recovery import (
-    SignalSpec,
     demo_signal_path,
     random_band_signal,
     read_signal_csv,
@@ -28,58 +27,87 @@ DEMO_X = synthesize_signal(DEMO)
 DEMO_MASK = generate_mask(127, 0.5, 11)
 
 
+def _spectrum(n, bins):
+    # a length-n spectrum holding bins = {k: amplitude} and zero elsewhere
+    coeffs = np.zeros(n, dtype=np.complex128)
+    for k, a in bins.items():
+        coeffs[k] = a
+    return coeffs
+
+
 def test_dc_only_band_gives_constant_signal():
-    x = synthesize_signal(SignalSpec(n=16, band=(0,), amplitudes=(16.0 + 0j,)))
+    x = synthesize_signal(_spectrum(16, {0: 16.0}))
     assert np.allclose(x, 1.0, atol=1e-12)
 
 
 def test_empty_band_gives_zero_signal():
-    x = synthesize_signal(SignalSpec(n=16, band=(), amplitudes=()))
+    x = synthesize_signal(np.zeros(16, dtype=np.complex128))
     assert np.all(x == 0.0)
 
 
 def test_random_symmetric_band_roundtrip():
-    spec = random_band_signal(127, pairs=2, seed=21)
-    assert len(spec.band) == 4
-    x = synthesize_signal(spec)
-    coeffs = scipy.fft.fft(x)
-    off_band = np.delete(np.abs(coeffs), list(spec.band))
+    coeffs = random_band_signal(127, pairs=2, seed=21)
+    band = np.flatnonzero(coeffs)
+    assert len(band) == 4
+    x = synthesize_signal(coeffs)
+    off_band = np.delete(np.abs(scipy.fft.fft(x)), band)
     assert off_band.max() < 1e-9
 
 
 def test_random_band_signal_takes_integers_only():
     # numpy integers are integers; floats and bools would silently become other seeds
-    assert random_band_signal(127, np.int64(3), seed=np.uint64(5)) == random_band_signal(127, 3, seed=5)
+    want = random_band_signal(127, 3, seed=5)
+    assert np.array_equal(random_band_signal(np.int64(127), np.int64(3), seed=np.uint64(5)), want)
     for kwargs in ({"seed": 1.5}, {"seed": True}, {"pairs": 2.5}, {"pairs": True}):
         with pytest.raises(ValueError, match="must be an integer"):
             random_band_signal(127, **{"pairs": 2, **kwargs})
+
+
+@pytest.mark.parametrize("n", [127.0, "127", True])
+def test_random_band_signal_checks_length(n):
+    # a float or string length and a bool (once read as n = 1) are not lengths
+    with pytest.raises(ValueError, match="n must be an integer"):
+        random_band_signal(n, 2)
 
 
 @pytest.mark.parametrize("n", [8, 128, 1000])
 def test_random_band_signal_at_even_length(n):
     # the Nyquist bin n/2 is its own mirror, so no pair may draw it
     for seed in range(40):
-        spec = random_band_signal(n, pairs=3, seed=seed)
-        assert n // 2 not in spec.band and len(set(spec.band)) == 6, seed
-        x = synthesize_signal(spec)
+        coeffs = random_band_signal(n, pairs=3, seed=seed)
+        band = np.flatnonzero(coeffs)
+        assert n // 2 not in band and len(band) == 6, seed
+        assert np.array_equal(coeffs[(-band) % n], np.conj(coeffs[band])), seed
+        x = synthesize_signal(coeffs)
         assert x.dtype == np.float64 and x.shape == (n,)
-        assert np.abs(np.delete(scipy.fft.fft(x), list(spec.band))).max() < 1e-9, seed
+        assert np.abs(np.delete(scipy.fft.fft(x), band)).max() < 1e-9, seed
 
 
 def test_asymmetric_band_rejected():
     with pytest.raises(ValueError, match="symmetric"):
-        synthesize_signal(SignalSpec(n=16, band=(1,), amplitudes=(1.0 + 0j,)))
+        synthesize_signal(_spectrum(16, {1: 1.0}))
     with pytest.raises(ValueError, match="symmetric"):
-        synthesize_signal(SignalSpec(n=16, band=(0,), amplitudes=(1.0 + 1.0j,)))
+        synthesize_signal(_spectrum(16, {0: 1.0 + 1.0j}))
 
 
-def test_signal_spec_validation():
-    with pytest.raises(ValueError):
-        SignalSpec(n=8, band=(9,), amplitudes=(1.0,))
-    with pytest.raises(ValueError):
-        SignalSpec(n=8, band=(1, 1), amplitudes=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        SignalSpec(n=8, band=(1,), amplitudes=(1.0, 2.0))
+@pytest.mark.parametrize("bad", [math.nan, math.nan * 1j], ids=["nan", "nan-imag"])
+def test_synthesize_rejects_nan_before_transforming(bad, monkeypatch):
+    # a NaN once warned inside the symmetry check, then reported an asymmetry
+    monkeypatch.setattr(np.fft, "ifft", lambda *args, **kwargs: pytest.fail("transformed"))
+    with pytest.raises(ValueError, match="finite"):
+        synthesize_signal(_spectrum(4, {1: bad, 3: bad}))
+
+
+def test_synthesize_rejects_infinite_pair():
+    # an infinite pair once gave [inf, 0, -inf, 0], which no fixture reader takes
+    with pytest.raises(ValueError, match="finite"):
+        synthesize_signal(_spectrum(4, {1: math.inf, 3: math.inf}))
+
+
+@pytest.mark.parametrize("bad", [np.zeros(0), np.zeros((2, 4)), 1.0], ids=["empty", "2-d", "scalar"])
+def test_synthesize_rejects_non_spectra(bad):
+    with pytest.raises(ValueError, match="non-empty 1-D"):
+        synthesize_signal(bad)
 
 
 def test_sampling_is_circular_convolution_in_frequency():
@@ -165,7 +193,7 @@ def test_low_threshold_admits_alias_bins_on_first_pass():
     xs = DEMO_X * DEMO_MASK.bits
     kept = hard_threshold(scipy.fft.fft(xs), 1.0)
     support = set(np.flatnonzero(np.abs(kept) > 0.0).tolist())
-    assert set(DEMO.band) < support  # strictly larger than the true band
+    assert set(np.flatnonzero(DEMO).tolist()) < support  # strictly larger than the true band
 
 
 def test_reference_never_stops_the_loop():
