@@ -33,12 +33,11 @@ direct call, ``thresholds``, ``bound_report`` or ``recover`` alike.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings
 from statistics import NormalDist
 
-from .masks import _as_index, _mask_length, _support_size, _unit_interval, is_prime
+from .masks import _MAX_LENGTH, _integer, _real, _support_size, is_prime
 
 __all__ = [
     "worst_case_bound",
@@ -74,9 +73,8 @@ def worst_case_bound(n: int, n_p: int) -> float:
     n - n_p), which leaves sin^2 unchanged and keeps its argument in
     [0, pi/2]. Warns if n is composite.
     """
-    n, n_p = _mask_length(n), _as_index(n_p, "n_p")
-    if not 1 <= n_p <= n:
-        raise ValueError(f"n_p must lie in [1, {n}], got {n_p!r}")
+    n = _integer(n, "n", 2, _MAX_LENGTH)
+    n_p = _integer(n_p, "n_p", 1, n)
     m = min(n_p, n - n_p)
     bound = abs(math.sin(math.pi * m / n) / math.sin(math.pi / n)) if m else 0.0
     if not is_prime(n):
@@ -94,12 +92,10 @@ def _ratio_radicand(n: int, p: float) -> float:
     return n * p + (n / math.pi) ** 2 * s * s - n * (s - math.sin(2.0 * p * math.pi) / (2.0 * math.pi))
 
 
-def _ratio_rate(n: int, p: float) -> float:
-    """p, of any real type but bool, as a float with 0 < p <= 1, n*p >= 1."""
-    real = isinstance(p, numbers.Real) and not isinstance(p, bool)
-    if not real or not 0.0 < p <= 1.0 or n * float(p) < 1.0:
-        raise ValueError(f"need 0 < p <= 1 and n*p >= 1, got n={n}, p={p!r}")
-    return float(p)
+def _check_mean_support(n: int, p: float) -> None:
+    """Reject a mean support N*p below 1, where ratio_approximation is undefined."""
+    if n * p < 1.0:
+        raise ValueError(f"need n*p >= 1, got n={n}, p={p!r}")
 
 
 def ratio_approximation(n: int, p: float) -> float:
@@ -111,8 +107,8 @@ def ratio_approximation(n: int, p: float) -> float:
     0.19); it is then clamped to 0 with a warning. Tends to
     sin(p*pi)/(p*pi) as N grows.
     """
-    n = _mask_length(n, least=1)
-    p = _ratio_rate(n, p)
+    n, p = _integer(n, "n", 1, _MAX_LENGTH), _real(p, "p", "(0, 1]")
+    _check_mean_support(n, p)
     radicand = _ratio_radicand(n, p)
     if radicand < 0.0:
         _warn_at_caller(f"ratio approximation radicand {radicand:.3g} < 0 at n={n}, p={p}; clamped to 0")
@@ -128,8 +124,7 @@ def q_inverse(y: float) -> float:
     quantile Phi^-1 (Wichura's AS 241, as statistics.NormalDist
     computes it), to a few ulp in x for every y in (0, 1), subnormal y
     included."""
-    if not 0.0 < y < 1.0:
-        raise ValueError(f"q_inverse argument must lie in (0, 1), got {y!r}")
+    y = _real(y, "q_inverse argument", "(0, 1)")
     if y == 0.5:
         return 0.0  # -Phi^-1(0.5) is -0.0
     return -_STANDARD_NORMAL.inv_cdf(y)
@@ -140,7 +135,8 @@ def _gaussian_model(n: int, p: float, epsilon: float, union: bool) -> tuple[floa
     of Re{A_k} and Im{A_k}, k != 0, and its per-bin tail budget eps'. That
     is eps as-is, or under ``union`` eps/(N-1): a union bound over the N-1
     candidate bins."""
-    n, p, epsilon = _mask_length(n), _unit_interval(p, "p"), _unit_interval(epsilon, "epsilon")
+    n, p = _integer(n, "n", 2, _MAX_LENGTH), _real(p, "p", "(0, 1)")
+    epsilon = _real(epsilon, "epsilon", "(0, 1)")
     budget = epsilon / (n - 1) if union else epsilon
     if budget / 2.0 == 0.0:
         tail = "epsilon / (N - 1) / 2" if union else "epsilon / 2"
@@ -175,9 +171,7 @@ def sigma_bound(n: int, p: float, m: int) -> float:
     The m=4 value is computed as (4/3) times the m=3 value so their ratio
     is exactly 4/3 in floating point.
     """
-    n, p = _mask_length(n), _unit_interval(p, "p")
-    if m not in (3, 4):
-        raise ValueError(f"m must be 3 or 4, got {m!r}")
+    n, p, m = _integer(n, "n", 2, _MAX_LENGTH), _real(p, "p", "(0, 1)"), _integer(m, "m", 3, 4)
     sigma3 = 3.0 * math.sqrt(p * (1.0 - p) * n)
     return sigma3 if m == 3 else (4.0 / 3.0) * sigma3
 
@@ -207,11 +201,11 @@ def bound_report(
     ratio figures. ratio_approx is the closed-form large-N approximation of
     worst_case / (N*p).
     """
-    n, p = _mask_length(n), _unit_interval(p, "p")
-    n_p = _support_size(n, p) if n_p is None else _as_index(n_p, "n_p")
-    epsilon = _unit_interval(epsilon, "epsilon")
+    n, p = _integer(n, "n", 2, _MAX_LENGTH), _real(p, "p", "(0, 1)")
+    n_p = _support_size(n, p) if n_p is None else _integer(n_p, "n_p", 1, n)
+    epsilon = _real(epsilon, "epsilon", "(0, 1)")
     gaussian_T = gaussian_bound(n, p, epsilon=epsilon, union=union)  # checks epsilon's budget
-    _ratio_rate(n, p)  # every input is checked before the first warning
+    _check_mean_support(n, p)  # every input is checked before the first warning
     worst_case = worst_case_bound(n, n_p)
     return {
         "n": n,

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import bounds, montecarlo, recovery
-from .masks import _support_size, generate_mask, worst_case_mask
+from .masks import _MAX_LENGTH, _integer, _real, _support_size, generate_mask, worst_case_mask
 
 DEFAULT_SEED = 1729
 
@@ -199,14 +199,14 @@ def cmd_figure(args) -> int:
         ]
     elif args.mode == "approx":
         # the approximation needs N*p >= 1 and a radicand >= 0; the radicand
-        # leaves out low-p points at some N up to 114 (p = 0.01 at N = 100)
+        # leaves out low-p points at some N up to 114 (p = 0.01 at N = 100),
+        # and at every N >= 2 keeps some
+        _integer(args.n, "n", 2, _MAX_LENGTH)
         ps = [
             p
             for p in (i / 100.0 for i in range(1, 100))
             if args.n * p >= 1.0 and bounds._ratio_radicand(args.n, p) >= 0.0
         ]
-        if not ps:
-            raise ValueError(f"n must be an integer >= 2, got {args.n!r}")
         records = []
         for p in ps:
             n_p = _support_size(args.n, p)
@@ -228,8 +228,7 @@ _HISTORY_COLUMNS = ("iteration", "threshold", "snr_db", "residual", "kept")
 
 
 def cmd_recover(args) -> int:
-    if not 0.0 < args.rate <= 1.0:
-        raise ValueError(f"--rate must lie in (0, 1], got {args.rate!r}")
+    _real(args.rate, "--rate", "(0, 1]")
     signal_path = args.signal if args.signal else recovery.demo_signal_path()
     if not os.path.isfile(signal_path):
         raise ValueError(f"signal fixture not found: {signal_path}")

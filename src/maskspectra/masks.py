@@ -4,7 +4,13 @@ Masks are immutable once built; generation is a pure function of (n, p,
 seed, trial_index) via a counter-based RNG, so any execution order or
 degree of parallelism reproduces the same masks. Only ``_draw_uniforms``
 keys that RNG, for ``generate_mask`` and ``montecarlo``; ``_mask_params``
-checks (n, p, seed) for both, and ``_unit_interval`` every rate and epsilon.
+checks (n, p, seed) for both.
+
+Every numeric parameter of the package goes through one call of one of
+two checks here: ``_integer`` for counts, lengths, seeds and indices (any
+integer type but ``bool``, in a closed range; a mask length at most
+``_MAX_LENGTH``), and ``_real`` for rates, epsilons, tolerances and
+thresholds (any real type but ``bool``, in an interval NaN never lies in).
 """
 
 from __future__ import annotations
@@ -25,68 +31,84 @@ __all__ = [
 ]
 
 _UINT64_SPAN = 1 << 64
+# The longest mask: is_prime trial-divides up to sqrt(N), at most 2**16
+# divisions, and the closed-form bounds stay finite.
+_MAX_LENGTH = 1 << 32
 
 
-def _as_index(value, name: str) -> int:
-    """``value`` as a Python int: any integer type, numpy's included, but
-    not ``bool`` and not a float, which would otherwise be truncated."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _integer(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as a Python int in [lo, hi], or at least lo where hi is
+    None: any integer type, numpy's included, but not ``bool`` and not a
+    float, which would otherwise be truncated."""
     try:
-        return operator.index(value)
+        k = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        k = None
+    if k is None or k < lo or (hi is not None and k > hi):
+        limits = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {limits}, got {value!r}")
+    return k
 
 
-def _mask_length(value, name: str = "n", least: int = 2) -> int:
-    """``value`` as a Python int of at least ``least``: integers of any
-    type, numpy's included, but not ``bool`` or a float."""
-    n = _as_index(value, name)
-    if n < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
-    return n
+def _real(value, name: str, interval: str) -> float:
+    """``value`` as a Python float in ``interval``, written "(0, 1]" or
+    "[0, inf)" with open or closed ends: any real type, numpy's included,
+    but not ``bool``. NaN lies in no interval, and an int beyond the float
+    range counts as +inf or -inf."""
+    x = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf if value > 0 else -math.inf
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo <= x if interval[0] == "[" else lo < x
+    below = x <= hi if interval[-1] == "]" else x < hi
+    if not (above and below):
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+    return x
 
 
-def _unit_interval(value, name: str) -> float:
-    """``value`` as a Python float in the open interval (0, 1): any real
-    type, numpy's included, but not ``bool``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
-    return float(value)
+# Relative rounding allowance: the support size lowers N*p by it before
+# its ceiling, and a Monte Carlo trial exceeds a threshold T only above
+# T(1 + _ROUNDING) + _ROUNDING * N.
+_ROUNDING = 1e-12
 
 
 def _support_size(n: int, p: float) -> int:
     """The typical support size n_p = ceil(N*p). The product is lowered by
-    1e-12 relative first, the exceedance tolerance of the Monte Carlo
-    kernel, so that one rounded just above an integer, as 100 * 0.07 is,
-    does not round up to the next."""
-    return math.ceil(n * p * (1 - 1e-12))
+    _ROUNDING relative first, so that one rounded just above an integer,
+    as 100 * 0.07 is, does not round up to the next."""
+    return math.ceil(n * p * (1 - _ROUNDING))
 
 
 def _mask_params(n, p, seed) -> tuple[int, float, int]:
-    """Check mask length ``n`` >= 2, rate ``p`` and 64-bit ``seed``, in
-    that order; return them as int, float and int."""
-    n, p = _mask_length(n, "mask length n"), _unit_interval(p, "sampling rate p")
-    key = _as_index(seed, "seed")
-    if not 0 <= key < _UINT64_SPAN:
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed!r}")
-    return n, p, key
+    """Check mask length ``n``, rate ``p`` and 64-bit ``seed``, in that
+    order; return them as int, float and int."""
+    return (
+        _integer(n, "mask length n", 2, _MAX_LENGTH),
+        _real(p, "sampling rate p", "(0, 1)"),
+        _integer(seed, "seed", 0, _UINT64_SPAN - 1),
+    )
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The distinct prime factors of m >= 1 in increasing order, by trial division."""
+    factors, f = [], 2
+    while f * f <= m:
+        if m % f == 0:
+            factors.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        factors.append(m)
+    return factors
 
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test (sufficient for mask lengths)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 @dataclass(frozen=True)
@@ -144,9 +166,7 @@ def generate_mask(n: int, p: float, seed: int = 0, trial_index: int = 0) -> Mask
     """Draw one i.i.d. Bernoulli(p) mask of length n for the given trial
     index; the same (n, p, seed, trial_index) always yields the same bits."""
     n, p, seed = _mask_params(n, p, seed)
-    trial_index = _as_index(trial_index, "trial_index")
-    if trial_index < 0 or trial_index >= _UINT64_SPAN:
-        raise ValueError(f"trial_index must fit in 64 unsigned bits, got {trial_index!r}")
+    trial_index = _integer(trial_index, "trial_index", 0, _UINT64_SPAN - 1)
     uniforms = np.empty((1, n))
     _draw_uniforms(seed, trial_index, uniforms)
     return Mask(uniforms[0] < p)
@@ -158,9 +178,8 @@ def worst_case_mask(n: int, n_p: int) -> Mask:
     Among all masks with a fixed number of ones (and prime length), this
     arrangement maximizes the peak off-center DFT magnitude.
     """
-    n, n_p = _as_index(n, "n"), _as_index(n_p, "n_p")
-    if not 0 <= n_p <= n:
-        raise ValueError(f"n_p must lie in [0, {n}], got {n_p}")
+    n = _integer(n, "n", 1, _MAX_LENGTH)
+    n_p = _integer(n_p, "n_p", 0, n)
     bits = np.zeros(n, dtype=np.uint8)
     bits[:n_p] = 1
     return Mask(bits)

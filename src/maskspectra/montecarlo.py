@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -81,7 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .masks import _as_index, _draw_uniforms, _mask_params
+from .masks import _ROUNDING, _draw_uniforms, _integer, _mask_params, _real
 
 __all__ = [
     "RunningStats",
@@ -154,10 +153,12 @@ class ExperimentSpec:
 
     Each threshold is a (label, value) pair: a unique str label and a real
     value T, kept as a float. The kernel counts the trials whose peak
-    exceeds T(1 + 1e-12) + 1e-12 N: a mask that attains T exactly, as a
+    exceeds T(1 + r) + r N, with the rounding allowance r =
+    ``masks._ROUNDING`` (1e-12): a mask that attains T exactly, as a
     block-equivalent mask attains the worst-case bound, is not counted
     when its transform rounds its peak up. NaN, which no peak exceeds, is
-    rejected; an infinite value is allowed.
+    rejected; an infinite value is allowed, and an int beyond the float
+    range is read as one.
     """
 
     n: int
@@ -168,10 +169,8 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         n, p, seed = _mask_params(self.n, self.p, self.seed)
-        trials = _as_index(self.trials, "trials")
         # trial indices key the RNG and must fit its 64-bit key word
-        if not 1 <= trials <= 1 << 64:
-            raise ValueError(f"trials must lie in [1, 2**64], got {self.trials!r}")
+        trials = _integer(self.trials, "trials", 1, 1 << 64)
         thresholds = tuple(_threshold(entry) for entry in self.thresholds)
         labels = [label for label, _ in thresholds]
         if len(set(labels)) != len(labels):
@@ -185,14 +184,9 @@ def _threshold(entry) -> tuple[str, float]:
         label, value = entry
     except (TypeError, ValueError):
         raise ValueError(f"a threshold must be a (label, value) pair, got {entry!r}") from None
-    if (
-        not isinstance(label, str)
-        or isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or math.isnan(value)
-    ):
-        raise ValueError(f"a threshold must pair a str label with a real value other than NaN, got {entry!r}")
-    return label, float(value)
+    if not isinstance(label, str):
+        raise ValueError(f"a threshold label must be a str, got {label!r}")
+    return label, _real(value, f"threshold {label!r}", "[-inf, inf]")
 
 
 @dataclass
@@ -309,7 +303,8 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
             mean_abs=RunningStats.from_values(means),
             n_p_stats=RunningStats.from_values(n_ps),
             exceedance_counts={
-                label: int(np.count_nonzero(peaks > value * (1.0 + 1e-12) + 1e-12 * n)) for label, value in thresholds
+                label: int(np.count_nonzero(peaks > value * (1.0 + _ROUNDING) + _ROUNDING * n))
+                for label, value in thresholds
             },
         )
         results.append((stats, np.concatenate((rate_max, rate_max[: n - 1 - half][::-1]))))
@@ -337,12 +332,9 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
     Any worker failure propagates and the whole result is discarded;
     there are no partial results.
     """
-    count = _as_index(workers, "workers")
-    if count < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    workers = min(_integer(workers, "workers", 1), os.cpu_count() or 1)
     if not specs:
         raise ValueError("specs must be non-empty")
-    workers = min(count, os.cpu_count() or 1)
     share = sum(spec.trials * spec.n for spec in specs) / workers  # mask elements per worker
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, spec in enumerate(specs):

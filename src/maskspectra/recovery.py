@@ -10,7 +10,6 @@ step transforms what is already transformed.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import ratio_approximation, sigma_bound
-from .masks import Mask, _as_index, _mask_length
+from .masks import _MAX_LENGTH, Mask, _integer, _real
 from .spectrum import transform_plan
 
 __all__ = [
@@ -56,11 +55,9 @@ def random_band_signal(n: int, pairs: int, seed: int = 0) -> np.ndarray:
     Nyquist bin n/2 of an even n, its own mirror; pair magnitudes lie in
     [1, 2).
     """
-    n = _mask_length(n)
-    pairs = _as_index(pairs, "pairs")
-    if pairs < 1 or pairs > (n - 1) // 2:
-        raise ValueError(f"pairs must lie in [1, {(n - 1) // 2}], got {pairs!r}")
-    rng = np.random.Generator(np.random.Philox(key=_as_index(seed, "seed")))
+    n = _integer(n, "n", 2, _MAX_LENGTH)
+    pairs = _integer(pairs, "pairs", 1, (n - 1) // 2)
+    rng = np.random.Generator(np.random.Philox(key=_integer(seed, "seed", 0, (1 << 128) - 1)))
     coeffs = np.zeros(n, dtype=np.complex128)
     for k in 1 + rng.permutation((n - 1) // 2)[:pairs]:
         a = (1.0 + rng.random()) * np.exp(2j * np.pi * rng.random())
@@ -109,19 +106,6 @@ def _initial_threshold(mask: Mask, peak: float) -> float:
 
 # iteration i thresholds at _initial_threshold(...) * exp(-_THRESHOLD_DECAY * i)
 _THRESHOLD_DECAY = 0.1
-
-
-def _tolerance(value) -> float:
-    """``value`` as a Python float that is finite and nonnegative: any real
-    type, numpy's included, but not ``bool``. It is converted before it is
-    compared, so an int beyond the largest float counts as infinite."""
-    try:
-        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:
-        x = math.inf
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"tol must be nonnegative and finite, got {value!r}")
-    return x
 
 
 def _relative_norm(v: np.ndarray, scale: float) -> float:
@@ -174,10 +158,8 @@ def recover(
     r_i = ||e_i - z_(i+1)|| / (lam ||xs||).
     """
     step = _step_size(mask)  # rejects an empty mask
-    iterations = _as_index(iterations, "iterations")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    tol = _tolerance(tol)
+    iterations = _integer(iterations, "iterations", 1)
+    tol = _real(tol, "tol", "[0, inf)")
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != mask.bits.shape:
         raise ValueError(f"signal length {x.size} != mask length {mask.n}")

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .masks import is_prime
+from .masks import _prime_factors, is_prime
 
 __all__ = ["transform_plan"]
 
@@ -42,19 +42,6 @@ __all__ = ["transform_plan"]
 # 9 of 12 primes.
 _RADER_MIN_N = 256
 _RADER_SMOOTH_FACTOR = 67
-
-
-def _prime_factors(m: int) -> list[int]:
-    factors, f = [], 2
-    while f * f <= m:
-        if m % f == 0:
-            factors.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        factors.append(m)
-    return factors
 
 
 def _fast_length(n: int) -> int:

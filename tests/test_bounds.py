@@ -276,7 +276,7 @@ def test_sigma_bound_sqrt_scaling():
 
 def test_sigma_bound_multiplier_policy():
     for m in (2, 5):
-        with pytest.raises(ValueError, match="3 or 4"):
+        with pytest.raises(ValueError, match=r"^m must be an integer in \[3, 4\], got"):
             sigma_bound(127, 0.5, m)
 
 
@@ -400,14 +400,23 @@ def test_radicand_warning_names_the_caller_once(call):
     assert "radicand" in str(caught[0].message)
 
 
+def test_bound_report_warns_in_column_order():
+    # worst_case precedes ratio_approx in the record, and so does its warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bound_report(100, 0.01)
+    assert ["composite" in str(w.message) for w in caught] == [True, False]
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: thresholds(1.5, 0.5), "n must be an integer, got 1.5"),
+        (lambda: thresholds(1.5, 0.5), "n must be an integer in [2, 4294967296], got 1.5"),
         (lambda: thresholds(128, 0.0), "p must lie in (0, 1), got 0.0"),
-        (lambda: bound_report(True, 0.5), "n must be an integer, got True"),
-        (lambda: bound_report(128, 0.5, n_p=200), "n_p must lie in [1, 128], got 200"),
+        (lambda: bound_report(True, 0.5), "n must be an integer in [2, 4294967296], got True"),
+        (lambda: bound_report(128, 0.5, n_p=200), "n_p must be an integer in [1, 128], got 200"),
         (lambda: bound_report(128, 0.5, epsilon=0.0), "epsilon must lie in (0, 1), got 0.0"),
+        (lambda: bound_report(128, 0.005), "need n*p >= 1, got n=128, p=0.005"),
         (
             lambda: bound_report(128, 0.5, epsilon=5e-324),
             "epsilon 5e-324 is too small: its per-tail budget epsilon / 2 is 0",
@@ -417,7 +426,16 @@ def test_radicand_warning_names_the_caller_once(call):
             "epsilon 5e-322 is too small: its per-tail budget epsilon / (N - 1) / 2 is 0",
         ),
     ],
-    ids=["thresholds-n", "thresholds-p", "report-n", "report-n_p", "report-eps", "report-tiny-eps", "report-union-eps"],
+    ids=[
+        "thresholds-n",
+        "thresholds-p",
+        "report-n",
+        "report-n_p",
+        "report-eps",
+        "report-np",
+        "report-tiny-eps",
+        "report-union-eps",
+    ],
 )
 def test_bad_input_fails_before_the_composite_warning(call, message):
     # N = 128 is composite: a warning raised before the check would hide the

@@ -134,6 +134,15 @@ def test_bounds_rejects_eps_whose_tail_budget_underflows(capsys):
         assert "epsilon" in err and "q_inverse" not in err
 
 
+@pytest.mark.parametrize("n", ["1000000000000000003", str(10**300)], ids=["1e18+3", "1e300"])
+def test_bounds_rejects_a_mask_length_beyond_the_limit_at_once(capsys, n):
+    # the first ran past a 20 s timeout in is_prime; the second exited 3
+    # from an overflow in the ratio approximation's radicand
+    code, out, err = run_cli(capsys, "bounds", "--n", n, "--p", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n must be an integer in [2, 4294967296], got ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [("simulate", "--n", "127", "--p", "0.5", "--trials", "600"), ("figure", "--mode", "bounds", "--trials", "8")],
@@ -276,7 +285,7 @@ def test_figure_ratio_mode_checks_each_rate_with_its_trial_count(capsys):
     # before any later rate is read
     argv = ("figure", "--mode", "ratio", "--n", "31", "--trials", "0")
     for ps, message in (
-        ("0.5,1.5", "error: trials must lie in [1, 2**64], got 0\n"),
+        ("0.5,1.5", "error: trials must be an integer in [1, 18446744073709551616], got 0\n"),
         ("1.5,0.5", "error: sampling rate p must lie in (0, 1), got 1.5\n"),
     ):
         assert run_cli(capsys, *argv, "--ps", ps) == (2, "", message)

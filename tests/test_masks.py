@@ -7,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maskspectra.bounds import bound_report, gaussian_bound, ratio_approximation, sigma_bound
+from maskspectra.bounds import bound_report, gaussian_bound, ratio_approximation, sigma_bound, worst_case_bound
 from maskspectra.masks import (
     Mask,
     generate_mask,
@@ -15,6 +15,7 @@ from maskspectra.masks import (
     worst_case_mask,
 )
 from maskspectra.montecarlo import ExperimentSpec
+from maskspectra.recovery import random_band_signal
 from oracles import oracle_mask
 
 
@@ -84,18 +85,29 @@ def test_config_validation():
         return (lambda: generate_mask(n, p, seed), lambda: ExperimentSpec(n, p, 1, seed))
 
     for (n, p, seed), message in (
-        ((1, 0.5, 0), "mask length n must be an integer >= 2, got 1"),
+        ((1, 0.5, 0), "mask length n must be an integer in [2, 4294967296], got 1"),
         ((10, 0.0, 0), "sampling rate p must lie in (0, 1), got 0.0"),
         ((10, 1.0, 0), "sampling rate p must lie in (0, 1), got 1.0"),
-        ((10, 0.5, -1), "seed must fit in 64 unsigned bits, got -1"),
-        ((10, 0.5, 2**64), "seed must fit in 64 unsigned bits, got 18446744073709551616"),
-        ((1, 2.0, -1), "mask length n must be an integer >= 2, got 1"),
+        ((10, 0.5, -1), "seed must be an integer in [0, 18446744073709551615], got -1"),
+        ((10, 0.5, 2**64), "seed must be an integer in [0, 18446744073709551615], got 18446744073709551616"),
+        ((1, 2.0, -1), "mask length n must be an integer in [2, 4294967296], got 1"),
         ((10, 2.0, -1), "sampling rate p must lie in (0, 1), got 2.0"),
     ):
         for call in checks(n, p, seed):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == message
+    # every other integer goes through the same check: a float multiplier is
+    # not read as 3, and worst_case_mask's length is at least 1 (1 is valid)
+    for call, message in (
+        (lambda: sigma_bound(127, 0.5, 3.0), "m must be an integer in [3, 4], got 3.0"),
+        (lambda: worst_case_mask(-3, 0), "n must be an integer in [1, 4294967296], got -3"),
+        (lambda: worst_case_mask(0, 0), "n must be an integer in [1, 4294967296], got 0"),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    assert worst_case_mask(1, 1).bits.tolist() == [1]
     # any integer type is accepted and stored as int; floats and bools are not truncated
     spec = ExperimentSpec(np.int64(127), np.float64(0.5), 1, seed=np.uint64(2**64 - 1))
     assert (spec.n, spec.p, spec.seed) == (127, 0.5, 2**64 - 1)
@@ -139,7 +151,30 @@ def test_every_rate_check_rejects_non_real_values():
     for p in ("0.5", None, 0.5 + 0j, True, np.bool_(True), math.nan, np.float32(1.5)):
         with pytest.raises(ValueError) as info:
             ratio_approximation(127, p)
-        assert str(info.value) == f"need 0 < p <= 1 and n*p >= 1, got n=127, p={p!r}"
+        assert str(info.value) == f"p must lie in (0, 1], got {p!r}"
+    # a threshold, like tol, reads an int beyond the float range as infinite
+    spec = ExperimentSpec(127, 0.5, 1, thresholds=(("a", 10**400), ("b", -(10**400))))
+    assert spec.thresholds == (("a", math.inf), ("b", -math.inf))
+
+
+def test_every_mask_length_has_one_upper_limit():
+    # is_prime trial-divides up to sqrt(N), which ran for minutes at
+    # N = 10**18 + 3, and the ratio radicand overflowed at N = 10**300
+    for n in (2**32 + 1, 10**18 + 3, 10**300):
+        for call in (
+            lambda: generate_mask(n, 0.5),
+            lambda: ExperimentSpec(n, 0.5, 1),
+            lambda: worst_case_mask(n, 1),
+            lambda: worst_case_bound(n, 1),
+            lambda: ratio_approximation(n, 0.5),
+            lambda: gaussian_bound(n, 0.5),
+            lambda: sigma_bound(n, 0.5, 3),
+            lambda: bound_report(n, 0.5),
+            lambda: random_band_signal(n, 1),
+        ):
+            with pytest.raises(ValueError, match=r"n must be an integer in \[[12], 4294967296\], got"):
+                call()
+    assert sigma_bound(2**32, 0.5, 3) == 3.0 * 2**15  # the limit itself is a length
 
 
 def test_rates_of_any_real_type_are_kept_as_float():

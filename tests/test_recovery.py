@@ -70,6 +70,14 @@ def test_random_band_signal_checks_length(n):
         random_band_signal(n, 2)
 
 
+def test_random_band_signal_seed_is_a_philox_key():
+    # any 128-bit key is a seed; a negative one is rejected by the seed check
+    assert np.count_nonzero(random_band_signal(31, 2, seed=(1 << 128) - 1)) == 4
+    for seed in (-1, 1 << 128, 1.0):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, "):
+            random_band_signal(31, 2, seed=seed)
+
+
 @pytest.mark.parametrize("n", [8, 128, 1000])
 def test_random_band_signal_at_even_length(n):
     # the Nyquist bin n/2 is its own mirror, so no pair may draw it
@@ -248,7 +256,7 @@ def test_recover_validation():
     for bad in ("0", None, 0j, False, 10**400):
         with pytest.raises(ValueError) as info:
             recover(DEMO_X, DEMO_MASK, tol=bad)
-        assert str(info.value) == f"tol must be nonnegative and finite, got {bad!r}"
+        assert str(info.value) == f"tol must lie in [0, inf), got {bad!r}"
     # numpy reals are read as Python floats, so the history holds floats
     _, history = recover(DEMO_X, DEMO_MASK, iterations=2, tol=np.int64(0))
     assert history == recover(DEMO_X, DEMO_MASK, iterations=2, tol=0.0)[1]
