@@ -340,6 +340,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # an --out that cannot be opened fails before the run, not after it
+        if args.out and os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out!r} is a directory")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"--out {args.out!r} names a directory that does not exist")
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

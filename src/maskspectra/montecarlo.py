@@ -1,10 +1,10 @@
 """Monte Carlo validation of the bounds: streaming trial statistics.
 
-One engine serves every command: the chunk kernel ``_run_chunk`` reduces
-each trial's off-center DFT magnitudes to per-trial statistics and to a
+One engine serves every command: the span kernel ``_run_span`` reduces
+each trial's off-center DFT magnitudes to per-chunk statistics and to a
 per-bin max, and the driver ``run_experiment`` takes a list of
 experiments, ``ExperimentSpec(n, p, trials, seed, thresholds)``, and a
-worker count, runs all their chunks through one task list, in-process or
+worker count, runs all their spans through one task list, in-process or
 in one pool, and merges each experiment's chunks into one (statistics,
 per-bin max) pair. It is the module's only entry point to the engine:
 each Monte Carlo command of the CLI makes one call with all its rows or
@@ -13,15 +13,15 @@ one pool.
 
 A mask is ``u < p`` with uniforms ``u`` that depend on (seed, t) alone,
 so experiments that share (N, seed, trials) differ only in their rate
-and thresholds. The driver gives them one task per chunk carrying all
+and thresholds. The driver gives them one task per span carrying all
 their rates, and the kernel draws each trial's uniforms once and
 thresholds them at every rate; the rest of the kernel runs once per
 rate. An experiment alone is a task with one rate, and so is each rate
-of a group whose task would outweigh a worker's share of the call (at
+of a group whose chunk would outweigh a worker's share of the call (at
 600 trials, table1's N = 131071 rows would otherwise leave one of two
 workers a 512-trial task at three rates and the other an 88-trial one).
 
-The kernel works through its chunk in blocks of ``_BLOCK_ELEMS // N``
+The kernel works through its span in blocks of ``_BLOCK_ELEMS // N``
 trials, rounded down to an even count and at least
 ``_BLOCK_MIN_TRIALS`` (16), so a block holds about ``_BLOCK_ELEMS`` mask
 elements up to N = 4096, and 16 trials above it. One call of
@@ -34,39 +34,38 @@ shape (block/2, N) serves the whole block. With Z that transform,
 unpacked for k = 1..N//2 only, through two scratch arrays; the other half
 mirrors them exactly, and the bin sum counts every bin twice except the
 Nyquist bin of even N.
-Per rate, each trial's peak, bin mean and n_p go into three chunk-length
-arrays in trial order, and each array becomes one ``RunningStats`` by
-array reductions at the end of the chunk (``RunningStats.from_values``).
-A pool receives the tasks in batches sized by work: at most a quarter of
-a worker's share of the tasks and about ``_BATCH_ELEMS`` mask elements,
-counted by the largest task as trials times N times rates, so at
-N = 1543 each task is its own batch and an N = 131071 task never shares
-one. Results come back in task order.
+Per rate, each trial's peak, bin mean and n_p go into three span-length
+arrays in trial order, and at the end of the span each chunk's slice of
+each array becomes one ``RunningStats`` by array reductions
+(``RunningStats.from_values``).
+
+The driver cuts the work into tasks once. A task is a span: a run of
+whole chunks of ``_CHUNK_TRIALS`` trials, at most a quarter of a
+worker's share of the call's chunks and about ``_BATCH_ELEMS`` mask
+elements, counted by the largest chunk as trials times N times rates, so
+at N = 1543 each span is one chunk and an N = 131071 span never holds
+two. In-process and pooled runs cut the same spans, and results come
+back in task order.
 
 Buffer lifetime: the block buffers (uniforms, a second 0/1 target where
 a task has several rates, the packed transform, the magnitudes and the
-unpack scratch) belong to a per-thread workspace, so they outlive a
-chunk. They are sized for the chunk's block and kept for one (N, rate
-count) shape at a time, so a shorter chunk works in views of them, and a
-chunk of another N, with one rate after several or the reverse, or with
-a longer block replaces them. Making a set first allocates and frees one
-buffer-sized block, which keeps numpy.fft's per-call scratch on glibc's
-heap (see ``_Workspace.block_buffers``). The driver drops the buffers
-when it returns or fails, so an in-process call keeps none, and a pool
-worker keeps its own until the pool ends with the call. No value passes
-from one block to the next through a buffer: every element a block reads
-is written in that block.
+unpack scratch) are locals of ``_run_span``, sized for its block, so
+they last one span and no kernel state outlives a call or is shared
+between threads. Making them first allocates and frees one buffer-sized
+block, which keeps numpy.fft's per-call scratch on glibc's heap. No
+value passes from one block to the next through a buffer: every element
+a block reads is written in that block.
 
 Determinism contract: trial t is always transformed together with trial
-t ^ 1 (a chunk that starts or ends inside a pair draws the partner and
+t ^ 1 (a span that starts or ends inside a pair draws the partner and
 discards it), and each trial's uniforms are keyed by (seed, t) alone, so
-every per-trial value is a pure function of (seed, t), whatever the chunk
+every per-trial value is a pure function of (seed, t), whatever the span
 boundaries, block size, trial count or worker count. Chunks are fixed
-runs of ``_CHUNK_TRIALS`` trials, independent of the worker count, and
-are merged in order (Chan et al.), so any worker count and any block
-size give bit-identical results; the per-bin max, the exceedance counts
-and the per-trial extremes are bit-identical under any other chunking
-too.
+runs of ``_CHUNK_TRIALS`` trials, independent of the span length and the
+worker count, and are merged in order (Chan et al.), so any worker count
+and any block size give bit-identical results; the per-bin max, the
+exceedance counts and the per-trial extremes are bit-identical under any
+other chunking too.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -96,7 +94,7 @@ _BLOCK_ELEMS = 1 << 16  # mask elements per block: 512 KB of uniforms, 512 KB of
 # that costs about a row's transform (at N = 131071 a lone row took 27 ms,
 # a row of an 8-row call 13.7 ms; at N = 8191, 0.90 and 0.37 ms; 2 vCPUs).
 _BLOCK_MIN_TRIALS = 16
-_BATCH_ELEMS = 1 << 20  # mask elements times rates per pool batch: one N = 1543 chunk, 16 chunks at N = 127
+_BATCH_ELEMS = 1 << 20  # mask elements times rates per span: one N = 1543 chunk, 16 chunks at N = 127
 
 @dataclass(slots=True)
 class RunningStats:
@@ -209,46 +207,11 @@ class TrialStats:
             self.exceedance_counts[label] = self.exceedance_counts.get(label, 0) + count
 
 
-class _Workspace(threading.local):
-    """The chunk kernel's block buffers of one block shape, one set per thread."""
-
-    def __init__(self) -> None:
-        self.buffers: dict[tuple[int, bool], tuple[np.ndarray, ...]] = {}
-
-    def block_buffers(self, rows: int, n: int, second: bool) -> tuple[np.ndarray, ...]:
-        """Buffers for blocks of up to ``rows`` trials of length ``n``:
-        uniforms, 0/1 target (a second array where ``second``, else the
-        uniforms), packed transform, magnitudes and unpack scratch. A set
-        with at least ``rows`` rows for the same (n, second) is reused;
-        otherwise it is dropped first, so at most one set is alive."""
-        key = (n, second)
-        if key not in self.buffers or len(self.buffers[key][0]) < rows:
-            self.buffers.clear()
-            # glibc maps each allocation above its mmap threshold (128 KB at
-            # start) afresh, and raises the threshold to the size of a mapped
-            # block once one is freed. numpy.fft's per-call scratch outgrows
-            # the starting threshold from N of a few thousand, so until a
-            # block this size has been freed, every transform faults its
-            # scratch in anew (28,672 faults per 512-trial chunk at N = 8191).
-            # Allocating and freeing one buffer-sized block keeps it on the heap.
-            np.empty((rows, n))
-            uniforms = np.empty((rows, n))
-            self.buffers[key] = (
-                uniforms,
-                np.empty((rows, n)) if second else uniforms,
-                np.empty((rows // 2, n), dtype=np.complex128),
-                np.empty((rows // 2, 2, n // 2)),
-                np.empty((2, rows // 2, n // 2), dtype=np.complex128),  # Z_k + conj Z_{N-k}, Z_k - conj Z_{N-k}
-            )
-        return self.buffers[key]
-
-
-_workspace = _Workspace()
-
-
-def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
+def _run_span(args: tuple) -> tuple[list[list[TrialStats]], list[np.ndarray]]:
     """Trials [start, stop) of one (N, seed) at every rate of ``rates``,
-    ``((p, thresholds), ...)``; returns one (stats, per-bin max) per rate.
+    ``((p, thresholds), ...)``, as chunks of ``_CHUNK_TRIALS`` trials from
+    ``start``; returns, for each chunk in order, one ``TrialStats`` per
+    rate, and one per-bin max per rate over the whole span.
 
     Each trial's uniforms are drawn once and thresholded at every rate.
     """
@@ -256,14 +219,26 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
     half = n // 2  # bins k = 1..N//2; |A_{N-k}| = |A_k| for real masks
     half_max = np.zeros((len(rates), half))
     values = np.empty((len(rates), 3, stop - start))  # per rate: peak, bin mean, n_p of each trial
-    # trial t is always transformed with trial t ^ 1, so a chunk that starts
+    # trial t is always transformed with trial t ^ 1, so a span that starts
     # or ends inside a pair draws the missing partner and discards it
     first, end = start & ~1, (stop + 1) & ~1
     rows = min(end - first, max(_BLOCK_MIN_TRIALS, (_BLOCK_ELEMS // n) & ~1))
+    # glibc maps each allocation above its mmap threshold (128 KB at start)
+    # afresh, and raises the threshold to the size of a mapped block once one
+    # is freed. numpy.fft's per-call scratch outgrows the starting threshold
+    # from N of a few thousand, so until a block this size has been freed,
+    # every transform faults its scratch in anew (28,672 faults per 512-trial
+    # chunk at N = 8191). Allocating and freeing one buffer-sized block keeps
+    # it on the heap.
+    np.empty((rows, n))
+    uniforms = np.empty((rows, n))
     # every rate but the last writes its 0/1 mask into a second buffer, so
     # the uniforms survive for the next rate; the last one overwrites them
-    uniforms, second, packed, mags, scratch = _workspace.block_buffers(rows, n, len(rates) > 1)
+    second = np.empty((rows, n)) if len(rates) > 1 else uniforms
     targets = [second] * (len(rates) - 1) + [uniforms]
+    packed = np.empty((rows // 2, n), dtype=np.complex128)
+    mags = np.empty((rows // 2, 2, half))
+    scratch = np.empty((2, rows // 2, half), dtype=np.complex128)  # Z_k + conj Z_{N-k}, Z_k - conj Z_{N-k}
     for lo in range(first, end, rows):
         hi = min(lo + rows, end)
         block = uniforms[: hi - lo]
@@ -296,19 +271,24 @@ def _run_chunk(args: tuple) -> list[tuple[TrialStats, np.ndarray]]:
             np.divide(sums, n - 1, out=means[out])
             bits[keep].sum(axis=1, out=n_ps[out])  # exact: a sum of 0s and 1s
             np.maximum(rate_max, half_mags.max(axis=0), out=rate_max)
-    results = []
-    for (_, thresholds), (peaks, means, n_ps), rate_max in zip(rates, values, half_max):
-        stats = TrialStats(
-            per_trial_max=RunningStats.from_values(peaks),
-            mean_abs=RunningStats.from_values(means),
-            n_p_stats=RunningStats.from_values(n_ps),
-            exceedance_counts={
-                label: int(np.count_nonzero(peaks > value * (1.0 + _ROUNDING) + _ROUNDING * n))
-                for label, value in thresholds
-            },
+    chunks = []
+    for lo in range(0, stop - start, _CHUNK_TRIALS):
+        chunk = slice(lo, lo + _CHUNK_TRIALS)
+        chunks.append(
+            [
+                TrialStats(
+                    per_trial_max=RunningStats.from_values(peaks[chunk]),
+                    mean_abs=RunningStats.from_values(means[chunk]),
+                    n_p_stats=RunningStats.from_values(n_ps[chunk]),
+                    exceedance_counts={
+                        label: int(np.count_nonzero(peaks[chunk] > value * (1.0 + _ROUNDING) + _ROUNDING * n))
+                        for label, value in thresholds
+                    },
+                )
+                for (_, thresholds), (peaks, means, n_ps) in zip(rates, values)
+            ]
         )
-        results.append((stats, np.concatenate((rate_max, rate_max[: n - 1 - half][::-1]))))
-    return results
+    return chunks, [np.concatenate((rate_max, rate_max[: n - 1 - half][::-1])) for rate_max in half_max]
 
 
 def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[TrialStats, np.ndarray]]:
@@ -317,17 +297,16 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
     spec, the per-bin max holding max |A_k| over trials for k = 1..N-1.
 
     Specs that share (N, seed, trials) differ only in their rate and
-    thresholds, so they share one task per chunk and one draw per trial:
-    the task carries all their rates. Where such a task would hold more
-    mask elements than a worker's share of the call, each rate gets its own
-    tasks instead; either way every bit of the result is the same. One pool
-    serves the whole call, with at most ``workers`` workers and at most one
-    worker per task and per CPU; one worker runs in-process. A pool
-    receives the tasks in batches of at most ``len(tasks) // (4 * workers)``
-    tasks and about ``_BATCH_ELEMS`` mask elements, counted by the largest
-    task as its trials times N times its rate count. The kernel keeps its
-    block buffers from chunk to chunk; the call drops this thread's when it
-    returns or fails.
+    thresholds, so they share their tasks and one draw per trial: each
+    task carries all their rates. Where a chunk of such a task would hold
+    more mask elements than a worker's share of the call, each rate gets
+    its own tasks instead; either way every bit of the result is the same.
+    One pool serves the whole call, with at most ``workers`` workers and at
+    most one worker per chunk and per CPU; one worker runs in-process. Each
+    task is a span of whole chunks, at most ``chunks // (4 * workers)`` of
+    them and about ``_BATCH_ELEMS`` mask elements, counted by the largest
+    chunk as its trials times N times its rate count; in-process and pooled
+    runs cut the same spans. No kernel buffer outlives its span.
 
     Any worker failure propagates and the whole result is discarded;
     there are no partial results.
@@ -339,35 +318,35 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault((spec.n, spec.seed, spec.trials), []).append(i)
-    tasks, owners = [], []
+    parts = []  # (n, seed, trials, the specs whose rates one task carries)
     for (n, seed, trials), members in groups.items():
         # a task that outweighs a worker's share leaves the other workers idle
-        parts = [[i] for i in members] if min(trials, _CHUNK_TRIALS) * n * len(members) > share else [members]
-        for part in parts:
-            rates = tuple((specs[i].p, specs[i].thresholds) for i in part)
-            for start in range(0, trials, _CHUNK_TRIALS):
-                tasks.append((n, seed, start, min(start + _CHUNK_TRIALS, trials), rates))
-                owners.append(part)
+        split = min(trials, _CHUNK_TRIALS) * n * len(members) > share
+        parts += [(n, seed, trials, [i]) for i in members] if split else [(n, seed, trials, members)]
+    chunks = sum(-(-trials // _CHUNK_TRIALS) for _, _, trials, _ in parts)
+    workers = min(workers, chunks)
+    largest = max(min(trials, _CHUNK_TRIALS) * n * len(members) for n, _, trials, members in parts)
+    span = _CHUNK_TRIALS * max(1, min(chunks // (4 * workers), _BATCH_ELEMS // largest))
+    tasks, owners = [], []
+    for n, seed, trials, members in parts:
+        rates = tuple((specs[i].p, specs[i].thresholds) for i in members)
+        for start in range(0, trials, span):
+            tasks.append((n, seed, start, min(start + span, trials), rates))
+            owners.append(members)
     totals = [
         (TrialStats(exceedance_counts={label: 0 for label, _ in spec.thresholds}), np.zeros(spec.n - 1))
         for spec in specs
     ]
-    workers = min(workers, len(tasks))
-    try:
-        with contextlib.ExitStack() as stack:
-            if workers > 1:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-                largest = max((stop - start) * n * len(rates) for n, _, start, stop, rates in tasks)
-                batch = max(1, min(len(tasks) // (4 * workers), _BATCH_ELEMS // largest))
-                results = pool.map(_run_chunk, tasks, chunksize=batch)
-            else:
-                results = map(_run_chunk, tasks)
-            for members, task_results in zip(owners, results):
-                for i, (chunk_stats, chunk_bin_max) in zip(members, task_results):
-                    total, bin_max = totals[i]
-                    total.merge(chunk_stats)
-                    np.maximum(bin_max, chunk_bin_max, out=bin_max)
-    finally:
-        _workspace.buffers.clear()  # the block buffers last one call
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_run_span, tasks)
+        else:
+            results = map(_run_span, tasks)
+        for members, (chunk_stats, span_bin_max) in zip(owners, results):
+            for rate_stats in chunk_stats:
+                for i, stats in zip(members, rate_stats):
+                    totals[i][0].merge(stats)
+            for i, rate_bin_max in zip(members, span_bin_max):
+                np.maximum(totals[i][1], rate_bin_max, out=totals[i][1])
     return totals
-

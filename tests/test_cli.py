@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import maskspectra
-from maskspectra import bounds, cli, montecarlo
+from maskspectra import bounds, cli, montecarlo, recovery
 from maskspectra.cli import main
 from maskspectra.masks import generate_mask
 from maskspectra.recovery import (
@@ -155,6 +155,28 @@ def test_bad_eps_fails_before_any_trial(capsys, monkeypatch, argv):
     assert code == 2 and out == ""
     assert "epsilon must lie in (0, 1)" in err
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv", [("simulate", "--n", "127", "--p", "0.5", "--trials", "10"), ("recover",)], ids=["simulate", "recover"]
+)
+def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    # a directory, or a file in a missing directory, is a usage error found
+    # before any trial or recovery runs, not a failure after the whole run
+    calls = []
+
+    def called(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("no work may run before --out is checked")
+
+    monkeypatch.setattr(montecarlo, "run_experiment", called)
+    monkeypatch.setattr(recovery, "recover", called)
+    for out in (tmp_path, tmp_path / "missing" / "x.csv"):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, ""), err
+        assert err.startswith("error: --out "), err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_records_to_json_writes_non_finite_as_null():

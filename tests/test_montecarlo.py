@@ -334,11 +334,11 @@ def _oracle_chunk(n, p, seed, start, stop):
 
 
 def _chunk(n, p, seed, start, stop, thresholds=()):
-    # the chunk kernel at the one rate p: one (stats, per-bin max)
+    # a one-chunk span at the one rate p: one (stats, per-bin max)
     import maskspectra.montecarlo as mc
 
-    [result] = mc._run_chunk((n, seed, start, stop, ((p, thresholds),)))
-    return result
+    [[stats]], [bin_max] = mc._run_span((n, seed, start, stop, ((p, thresholds),)))
+    return stats, bin_max
 
 
 @settings(max_examples=12, deadline=None)
@@ -418,60 +418,27 @@ def test_block_kernel_memory_is_bounded():
     assert peak < 16 * 1024 * 1024
 
 
-def test_kernel_buffers_last_one_driver_call(monkeypatch):
-    # the chunks of one N reuse one set of buffers, and the driver drops it
-    # when it returns
+def test_span_gives_the_bytes_of_its_chunks_run_alone():
+    # a 3-chunk span returns each chunk's statistics apart, with the bytes
+    # of three one-chunk spans, at one rate and at two; its last chunk ends
+    # inside a pair, and its per-bin max is the max of theirs
     import maskspectra.montecarlo as mc
 
-    seen, original = [], mc._run_chunk
-
-    def recording(task):
-        result = original(task)
-        seen.append(list(mc._workspace.buffers.values()))
-        return result
-
-    monkeypatch.setattr(mc, "_run_chunk", recording)
-    run_experiment([ExperimentSpec(127, 0.5, 1100, seed=1)])  # chunks of 512, 512, 76
-    assert len(seen) == 3 and all(len(entries) == 1 for entries in seen)
-    for entries in seen[1:]:
-        assert all(a is b for a, b in zip(entries[0], seen[0][0]))
-    assert mc._workspace.buffers == {}
+    for rates in (((0.3, (("t", 10.0),)),), ((0.3, (("t", 10.0),)), (0.8, ()))):
+        chunks, bins = mc._run_span((127, 3, 0, 1125, rates))
+        alone = [mc._run_span((127, 3, start, stop, rates)) for start, stop in ((0, 512), (512, 1024), (1024, 1125))]
+        assert len(chunks) == 3
+        for got, ([want], _) in zip(chunks, alone):
+            assert got == want
+        for rate, rate_bins in enumerate(bins):
+            want = np.maximum.reduce([chunk_bins[rate] for _, chunk_bins in alone])
+            assert rate_bins.tobytes() == want.tobytes()
 
 
-def test_reused_buffers_carry_nothing_between_chunks():
-    # a chunk after a chunk of another N, of another rate count, or a short
-    # chunk in the same buffers, all left full of NaN, gives the bytes it
-    # gives in a fresh workspace
-    import maskspectra.montecarlo as mc
-
-    def fresh(task):
-        mc._workspace.buffers.clear()
-        return mc._run_chunk(task)
-
-    one_rate = (127, 3, 513, 1025, ((0.3, (("t", 10.0),)),))
-    two_rates = (127, 3, 513, 1025, ((0.3, (("t", 10.0),)), (0.8, ())))
-    for task in (one_rate, two_rates):
-        want = fresh(task)
-        for before in (
-            (131, 3, 0, 512, ((0.3, ()),)),
-            (127, 3, 0, 512, ((0.3, ()),) if task is two_rates else ((0.1, ()), (0.8, ()))),
-            (127, 3, 1024, 1112, task[-1]),
-        ):
-            fresh(before)
-            for buffer in next(iter(mc._workspace.buffers.values())):
-                buffer.fill(np.nan)
-            got = mc._run_chunk(task)
-            assert len(got) == len(want)
-            for (stats, bins), (want_stats, want_bins) in zip(got, want):
-                assert stats == want_stats, before
-                assert bins.tobytes() == want_bins.tobytes(), before
-    mc._workspace.buffers.clear()
-
-
-def test_threads_keep_their_own_kernel_workspace():
-    # the keyed generator and the kernel's buffers are per thread, so runs
-    # and generate_mask calls on several threads of one process, switching
-    # often, each give the serial result
+def test_runs_on_threads_give_the_serial_result():
+    # the keyed generator is per thread and the kernel's buffers are per
+    # span, so runs and generate_mask calls on several threads of one
+    # process, switching often, each give the serial result
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -499,10 +466,10 @@ def test_threads_keep_their_own_kernel_workspace():
 @pytest.fixture
 def fake_pool(monkeypatch):
     """An in-process stand-in for the process pool; records the size each
-    pool was opened with and the batch size of each ``map``."""
+    pool was opened with and the trial count of each span of each ``map``."""
     import maskspectra.montecarlo as mc
 
-    opened, chunksizes = [], []
+    opened, spans = [], []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -514,18 +481,18 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            chunksizes.append(chunksize)
+        def map(self, fn, tasks):
+            spans.append([stop - start for _, _, start, stop, _ in tasks])
             return map(fn, tasks)
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", FakePool)
-    return opened, chunksizes
+    return opened, spans
 
 
 def test_worker_count_is_clamped_without_spawning(monkeypatch, fake_pool):
     import os
 
-    opened, chunksizes = fake_pool
+    opened, spans = fake_pool
     for cpu in (2, 8):
         monkeypatch.setattr(os, "cpu_count", lambda cpu=cpu: cpu)
         stats = _stats(ExperimentSpec(127, 0.5, 1500, seed=1), workers=100000)
@@ -534,11 +501,11 @@ def test_worker_count_is_clamped_without_spawning(monkeypatch, fake_pool):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_experiment([ExperimentSpec(127, 0.5, 1500, seed=1)], workers=4)
     assert opened == [2, 3]  # unknown CPU count: runs serially, opens no pool
-    # three chunks go out one per task; 17 chunks on 2 workers in batches of 2
+    # three chunks go out one per task; 17 chunks on 2 workers in spans of 2
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     run_experiment([ExperimentSpec(31, 0.5, 512 * 17, seed=1)], workers=2)
     assert opened == [2, 3, 2]
-    assert chunksizes[:2] == [1, 1] and chunksizes[2] > 1
+    assert spans == [[512, 512, 476]] * 2 + [[1024] * 8 + [512]]
 
 
 def test_every_row_shares_one_pool(monkeypatch, fake_pool, capsys):
@@ -546,7 +513,7 @@ def test_every_row_shares_one_pool(monkeypatch, fake_pool, capsys):
 
     import maskspectra.montecarlo as mc
 
-    opened, chunksizes = fake_pool
+    opened, spans = fake_pool
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     rows = [
         ExperimentSpec(n, p, trials, seed=3)
@@ -565,16 +532,16 @@ def test_every_row_shares_one_pool(monkeypatch, fake_pool, capsys):
         assert main([*argv, "--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
     assert opened == [2, 2, 2]
-    # a batch holds at most len(tasks) // (4 * workers) chunks and at most
+    # a span holds at most chunks // (4 * workers) chunks and at most
     # _BATCH_ELEMS mask elements, counted by the largest chunk
     specs = [ExperimentSpec(31, 0.5, 512 * 40, seed=1), ExperimentSpec(7, 0.5, 9)]
     run_experiment(specs, workers=2)
     monkeypatch.setattr(mc, "_BATCH_ELEMS", 512 * 31 * 3 + 1)
     run_experiment(specs, workers=2)
-    assert chunksizes[-2:] == [41 // 8, 3]
+    assert spans[-2:] == [[512 * (41 // 8)] * 8 + [9], [512 * 3] * 13 + [512, 9]]
     # three rates that share a draw make one task per chunk, three times the work
     run_experiment([ExperimentSpec(31, p, 512 * 40, seed=1) for p in (0.2, 0.5, 0.8)], workers=2)
-    assert chunksizes[-1] == 1
+    assert spans[-1] == [512] * 40
 
 
 def test_multi_spec_run_matches_one_run_per_spec():
@@ -629,13 +596,13 @@ def test_rates_split_where_one_task_would_outweigh_a_worker(monkeypatch, fake_po
 
     import maskspectra.montecarlo as mc
 
-    rates_per_task, original = [], mc._run_chunk
+    rates_per_task, original = [], mc._run_span
 
     def recording(task):
         rates_per_task.append(len(task[-1]))
         return original(task)
 
-    monkeypatch.setattr(mc, "_run_chunk", recording)
+    monkeypatch.setattr(mc, "_run_span", recording)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     specs = [ExperimentSpec(257, p, 600, seed=3) for p in (0.1, 0.5, 0.8)]
     serial = run_experiment(specs)
@@ -650,8 +617,8 @@ def test_rates_split_where_one_task_would_outweigh_a_worker(monkeypatch, fake_po
 
 
 def test_batched_pool_tasks_are_bit_identical():
-    # 17 chunks: a pool gets them in batches, yet every field matches the
-    # in-process run exactly
+    # 17 chunks: a pool gets them in spans of two chunks, yet every field
+    # matches the in-process run exactly
     spec = ExperimentSpec(31, 0.5, 512 * 17, 6, (("s3", bounds.sigma_bound(31, 0.5, 3)),))
     [(serial, serial_bins)] = run_experiment([spec], workers=1)
     for workers in (2, 3):
@@ -785,7 +752,7 @@ def test_failures_discard_all_progress(monkeypatch):
     import maskspectra.montecarlo as mc
 
     calls = {"n": 0}
-    original = mc._run_chunk
+    original = mc._run_span
 
     def flaky(args):
         calls["n"] += 1
@@ -793,10 +760,9 @@ def test_failures_discard_all_progress(monkeypatch):
             raise MemoryError("simulated exhaustion")
         return original(args)
 
-    monkeypatch.setattr(mc, "_run_chunk", flaky)
+    monkeypatch.setattr(mc, "_run_span", flaky)
     with pytest.raises(MemoryError):
         run_experiment([ExperimentSpec(127, 0.5, 1500, seed=1)])
-    assert mc._workspace.buffers == {}  # the first chunk's buffers go with the failed call
 
 
 def _stats_of(values):
