@@ -11,7 +11,7 @@ from .bounds import (
     sigma_bound,
     worst_case_bound,
 )
-from .masks import Mask, generate_mask, is_prime, worst_case_mask
+from .masks import generate_mask, is_prime
 from .montecarlo import (
     ExperimentSpec,
     RunningStats,
@@ -23,9 +23,7 @@ from .recovery import recover, synthesize_signal
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mask",
     "generate_mask",
-    "worst_case_mask",
     "is_prime",
     "worst_case_bound",
     "ratio_approximation",

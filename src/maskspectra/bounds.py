@@ -179,7 +179,9 @@ def sigma_bound(n: int, p: float, m: int) -> float:
 def thresholds(n: int, p: float, *, epsilon: float = 1e-4) -> dict[str, float]:
     """The four threshold families a simulated peak is compared with:
     gaussian_T, sigma3, sigma4 and worst_case (at n_p = ceil(N*p)), in
-    that order."""
+    that order. worst_case is one value for every trial: a trial with more
+    than ceil(N*p) ones can exceed it even at prime N, except at p = 0.5,
+    where ceil(N*p) ones give the largest block peak of any count."""
     return {
         "gaussian_T": gaussian_bound(n, p, epsilon=epsilon),  # checks n, p and epsilon first
         "sigma3": sigma_bound(n, p, 3),

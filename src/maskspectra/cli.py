@@ -16,8 +16,10 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import bounds, montecarlo, recovery
-from .masks import _MAX_LENGTH, _integer, _real, _support_size, generate_mask, worst_case_mask
+from .masks import _MAX_LENGTH, _integer, _real, _support_size, generate_mask
 
 DEFAULT_SEED = 1729
 
@@ -235,15 +237,21 @@ def cmd_recover(args) -> int:
     x = recovery.read_signal_csv(signal_path)
     n = int(x.size)
     if args.rate == 1.0:
-        mask = worst_case_mask(n, n)  # full sampling
+        mask = np.ones(n, dtype=bool)  # full sampling
     else:
         mask = generate_mask(n, args.rate, args.seed)
     _, history = recovery.recover(x, mask, iterations=args.iters, tol=args.tol, reference=x)
     csv_text = records_to_csv([dict(zip(_HISTORY_COLUMNS, row)) for row in history])
-    _, _, final_snr, residual, _ = history[-1]
+    _, _, final_snr, residual, kept = history[-1]
+    n_p = int(np.count_nonzero(mask))
+    # the residual stop, or the iteration cap; and whether the kept bins,
+    # as unknowns, number at most half the samples (Candes, Romberg and Tao)
+    stopped = "tol" if args.tol > 0 and residual <= args.tol else "cap"
+    identified = "yes" if 2 * kept <= n_p else "no"
     summary = (
-        f"recover: n={n} rate={args.rate:g} n_p={mask.n_p} seed={args.seed} "
-        f"iterations={len(history)} residual={residual:.3g} final_snr_db={final_snr:.3f}\n"
+        f"recover: n={n} rate={args.rate:g} n_p={n_p} seed={args.seed} "
+        f"iterations={len(history)} residual={residual:.3g} final_snr_db={final_snr:.3f} "
+        f"stopped={stopped} identified={identified}\n"
     )
     if args.out:
         _emit(csv_text, args.out)

@@ -1,10 +1,10 @@
-"""Bernoulli 0/1 sampling masks: generation, the worst-case block, parameter checks.
+"""Bernoulli 0/1 sampling masks: generation and parameter checks.
 
-Masks are immutable once built; generation is a pure function of (n, p,
-seed, trial_index) via a counter-based RNG, so any execution order or
-degree of parallelism reproduces the same masks. Only ``_draw_uniforms``
-keys that RNG, for ``generate_mask`` and ``montecarlo``; ``_mask_params``
-checks (n, p, seed) for both.
+A mask is a 1-D bool row, True where a sample is kept. Generation is a
+pure function of (n, p, seed, trial_index) via a counter-based RNG, so
+any execution order or degree of parallelism reproduces the same masks.
+Only ``_draw_uniforms`` keys that RNG, for ``generate_mask`` and
+``montecarlo``; ``_mask_params`` checks (n, p, seed) for both.
 
 Every numeric parameter of the package goes through one call of one of
 two checks here: ``_integer`` for counts, lengths, seeds and indices (any
@@ -19,15 +19,12 @@ import math
 import numbers
 import operator
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "Mask",
     "is_prime",
     "generate_mask",
-    "worst_case_mask",
 ]
 
 _UINT64_SPAN = 1 << 64
@@ -111,30 +108,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
 
 
-@dataclass(frozen=True)
-class Mask:
-    """A realized 0/1 sequence and its number of ones, n_p."""
-
-    bits: np.ndarray
-    n_p: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        raw = np.asarray(self.bits)
-        if raw.ndim != 1:
-            raise ValueError("mask bits must be one-dimensional")
-        # checked before the uint8 cast, which would truncate 1.7 to 1 and wrap 256 to 0
-        if raw.dtype != np.bool_ and not ((raw == 0) | (raw == 1)).all():
-            raise ValueError("mask bits must be 0 or 1")
-        bits = np.ascontiguousarray(raw, dtype=np.uint8)
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "n_p", int(np.count_nonzero(bits)))
-
-    @property
-    def n(self) -> int:
-        return int(self.bits.size)
-
-
 _philox = threading.local()
 
 
@@ -162,24 +135,12 @@ def _draw_uniforms(seed: int, first: int, out: np.ndarray) -> None:
         gen.random(out=row)
 
 
-def generate_mask(n: int, p: float, seed: int = 0, trial_index: int = 0) -> Mask:
+def generate_mask(n: int, p: float, seed: int = 0, trial_index: int = 0) -> np.ndarray:
     """Draw one i.i.d. Bernoulli(p) mask of length n for the given trial
-    index; the same (n, p, seed, trial_index) always yields the same bits."""
+    index, as a bool row; the same (n, p, seed, trial_index) always yields
+    the same row."""
     n, p, seed = _mask_params(n, p, seed)
     trial_index = _integer(trial_index, "trial_index", 0, _UINT64_SPAN - 1)
     uniforms = np.empty((1, n))
     _draw_uniforms(seed, trial_index, uniforms)
-    return Mask(uniforms[0] < p)
-
-
-def worst_case_mask(n: int, n_p: int) -> Mask:
-    """The mask with n_p ones in a contiguous block at the origin.
-
-    Among all masks with a fixed number of ones (and prime length), this
-    arrangement maximizes the peak off-center DFT magnitude.
-    """
-    n = _integer(n, "n", 1, _MAX_LENGTH)
-    n_p = _integer(n_p, "n_p", 0, n)
-    bits = np.zeros(n, dtype=np.uint8)
-    bits[:n_p] = 1
-    return Mask(bits)
+    return uniforms[0] < p

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import ratio_approximation, sigma_bound
-from .masks import _MAX_LENGTH, Mask, _integer, _real
+from .masks import _MAX_LENGTH, _integer, _real
 from .spectrum import transform_plan
 
 __all__ = [
@@ -77,28 +77,28 @@ def _snr_db(ref_energy: float, ref: np.ndarray, est: np.ndarray) -> float:
     return 10.0 * math.log10(ref_energy / den)
 
 
-def _step_size(mask: Mask) -> float:
-    """The recovery step min(N/n_p, 2): the inverse of the sampling rate,
-    1 under full sampling, capped at 2. Once the threshold keeps every bin,
-    a step multiplies the misfit on the sampled positions by 1 - step, so
-    a larger one diverges."""
-    if mask.n_p == 0:
+def _step_size(n: int, n_p: int) -> float:
+    """The recovery step min(N/n_p, 2) for a length-n mask with n_p ones:
+    the inverse of the sampling rate, 1 under full sampling, capped at 2.
+    Once the threshold keeps every bin, a step multiplies the misfit on the
+    sampled positions by 1 - step, so a larger one diverges."""
+    if n_p == 0:
         raise ValueError("mask has empty support; nothing was sampled")
-    return min(mask.n / mask.n_p, 2.0)
+    return min(n / n_p, 2.0)
 
 
-def _initial_threshold(mask: Mask, peak: float) -> float:
-    """Initial threshold c * peak / p_hat for the samples xs, with
-    peak = max|DFT(xs)| and p_hat = n_p/n; the mask is not empty.
+def _initial_threshold(n: int, n_p: int, peak: float) -> float:
+    """Initial threshold c * peak / p_hat for the samples xs of a length-n
+    mask with n_p >= 1 ones, with peak = max|DFT(xs)| and p_hat = n_p/n.
 
     c adds a 3-sigma margin of the mask spectrum (normalized by n_p) to the
     worst-case ratio approximation, placing T0 above the aliasing noise of
     every line in the sampled spectrum.
     """
-    p_hat = mask.n_p / mask.n
-    c = ratio_approximation(mask.n, p_hat)
+    p_hat = n_p / n
+    c = ratio_approximation(n, p_hat)
     if p_hat < 1.0:
-        c += sigma_bound(mask.n, p_hat, 3) / mask.n_p
+        c += sigma_bound(n, p_hat, 3) / n_p
     if peak == 0.0:
         raise ValueError("sampled signal is identically zero")
     return c * peak / p_hat
@@ -118,7 +118,7 @@ def _relative_norm(v: np.ndarray, scale: float) -> float:
 
 def recover(
     x,
-    mask: Mask,
+    mask,
     *,
     iterations: int = 50,
     tol: float = 1e-6,
@@ -127,8 +127,10 @@ def recover(
     """Iterate hard-thresholded re-synthesis from the samples xs = M x of
     the signal x that the mask M keeps.
 
+    The mask is a 1-D row of 0s and 1s of x's length, bool or numeric;
+    any other value (2, 1.7, NaN) raises ValueError before any transform.
     x may be the whole signal or its samples: recover multiplies it by
-    the mask bits itself, so both give the same bytes. Starts from the
+    the mask itself, so both give the same bytes. Starts from the
     zero estimate with threshold t0 * exp(-0.1 * i) at iteration i, where
     t0 derives from the mask-noise bounds (see _initial_threshold). Every
     iteration steps towards the known samples, z = e + lam (xs - M e) for
@@ -157,12 +159,18 @@ def recover(
     skips the inverse transform. With z formed,
     r_i = ||e_i - z_(i+1)|| / (lam ||xs||).
     """
-    step = _step_size(mask)  # rejects an empty mask
+    mask = np.asarray(mask)
+    # checked before the bool cast, which would read 2, 1.7 and NaN as 1
+    if mask.ndim != 1 or not ((mask == 0) | (mask == 1)).all():
+        raise ValueError("mask must be a 1-D row of 0s and 1s")
+    mask = mask.astype(bool)
+    n, n_p = mask.size, int(np.count_nonzero(mask))
+    step = _step_size(n, n_p)  # rejects an empty mask
     iterations = _integer(iterations, "iterations", 1)
     tol = _real(tol, "tol", "[0, inf)")
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.shape != mask.bits.shape:
-        raise ValueError(f"signal length {x.size} != mask length {mask.n}")
+    if x.shape != mask.shape:
+        raise ValueError(f"signal length {x.size} != mask length {n}")
     # checked before sampling, where an unsampled NaN would spoil its zero
     if not np.isfinite(x).all():
         raise ValueError("signal must be finite")
@@ -172,14 +180,14 @@ def recover(
             raise ValueError(f"reference shape {reference.shape} != signal shape {x.shape}")
         if not np.isfinite(reference).all():
             raise ValueError("reference signal must be finite")
-    plan = transform_plan(mask.n)
+    plan = transform_plan(n)
     if reference is not None:
         reference = plan.to_order(reference)
         ref_energy = float(np.sum(reference * reference))
-    weights = plan.to_order(1.0 - step * mask.bits)
-    xs = plan.to_order(x * mask.bits)
+    weights = plan.to_order(1.0 - step * mask)
+    xs = plan.to_order(x * mask)
     coeffs, magnitudes = plan.analyze(xs)
-    t0 = _initial_threshold(mask, float(magnitudes.max()))
+    t0 = _initial_threshold(n, n_p, float(magnitudes.max()))
     # the step's input and its spectrum while the estimate is zero
     drive, sampled = step * xs, (step * coeffs, step * magnitudes)
     scale = step * float(np.linalg.norm(xs))

@@ -7,7 +7,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from maskspectra.masks import Mask
 from maskspectra.montecarlo import RunningStats
 from maskspectra.recovery import _relative_norm, _snr_db
 
@@ -56,12 +55,19 @@ def dft_direct(x) -> np.ndarray:
     return coeffs
 
 
-def oracle_mask(n: int, p: float, seed: int, t: int) -> Mask:
+def oracle_mask(n: int, p: float, seed: int, t: int) -> np.ndarray:
     """The length-n, rate-p mask of trial t from a Philox built for it with
     the 128-bit key (seed << 64) + t: the keying that the package's one
     re-keyed generator must reproduce for generate_mask(n, p, seed, t)."""
     rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
-    return Mask(rng.random(n) < p)
+    return rng.random(n) < p
+
+
+def worst_case_mask(n: int, n_p: int) -> np.ndarray:
+    """The length-n bool row with n_p ones in a contiguous block at the
+    origin. Among all masks with n_p ones at prime n, this arrangement
+    maximizes the peak off-center DFT magnitude (bounds.worst_case_bound)."""
+    return np.arange(n) < n_p
 
 
 @lru_cache(maxsize=2)
@@ -83,9 +89,9 @@ def exact_peak_law(n: int) -> tuple[np.ndarray, np.ndarray]:
     return peaks, weights
 
 
-def spectrum_of_mask(mask: Mask) -> np.ndarray:
-    """Complex DFT coefficients of a mask's bits."""
-    return np.fft.fft(mask.bits.astype(np.float64))
+def spectrum_of_mask(mask) -> np.ndarray:
+    """Complex DFT coefficients of a 0/1 mask row."""
+    return np.fft.fft(np.asarray(mask, dtype=np.float64))
 
 
 def max_nonzero_bin(coeffs) -> tuple[int, float]:
@@ -134,11 +140,11 @@ def snr_db(reference, estimate) -> float:
     return _snr_db(float(np.sum(ref * ref)), ref, est)
 
 
-def sampled_residual(xs, mask: Mask, estimate) -> float:
+def sampled_residual(xs, mask, estimate) -> float:
     """||mask * estimate - xs|| / ||xs||, the estimate's relative misfit on
     the sampled positions; it needs no reference signal. 0/0 counts as 0."""
     xs = np.asarray(xs, dtype=np.float64)
-    return _relative_norm(mask.bits * np.asarray(estimate, dtype=np.float64) - xs, float(np.linalg.norm(xs)))
+    return _relative_norm(mask * np.asarray(estimate, dtype=np.float64) - xs, float(np.linalg.norm(xs)))
 
 
 def demo_signal_spec() -> np.ndarray:

@@ -22,8 +22,8 @@ from maskspectra.bounds import (
     worst_case_bound,
 )
 from maskspectra.cli import records_to_json
-from maskspectra.masks import is_prime, worst_case_mask
-from oracles import dft_direct, max_nonzero_bin, q_function, worst_case_cosine_sum
+from maskspectra.masks import is_prime
+from oracles import dft_direct, max_nonzero_bin, q_function, worst_case_cosine_sum, worst_case_mask
 
 
 def test_worst_case_reference_values():
@@ -111,11 +111,11 @@ def test_no_mask_beats_the_block_exhaustively():
 
 def test_block_attains_the_bound():
     # primes up to 4096; exact reference transform for the small one
-    value = max_nonzero_bin(dft_direct(worst_case_mask(13, 4).bits.astype(float)))[1]
+    value = max_nonzero_bin(dft_direct(worst_case_mask(13, 4)))[1]
     assert abs(value - worst_case_bound(13, 4)) <= 1e-9
     for n in (13, 127, 541, 1543, 4093):
         for n_p in (1, n // 3, n // 2, n - 1, n):
-            value = max_nonzero_bin(scipy.fft.fft(worst_case_mask(n, n_p).bits.astype(float)))[1]
+            value = max_nonzero_bin(scipy.fft.fft(worst_case_mask(n, n_p).astype(float)))[1]
             assert abs(value - worst_case_bound(n, n_p)) <= 1e-9 * max(1.0, value)
 
 
@@ -127,7 +127,7 @@ PRIMES_TO_10K = [n for n in range(2, 10_001) if is_prime(n)]
 def test_worst_case_bound_is_the_block_peak(data, n):
     n_p = data.draw(st.integers(1, n), label="n_p")
     value = worst_case_bound(n, n_p)
-    peak = float(np.abs(scipy.fft.fft(worst_case_mask(n, n_p).bits.astype(float)))[1:].max())
+    peak = float(np.abs(scipy.fft.fft(worst_case_mask(n, n_p).astype(float)))[1:].max())
     # scaled by sqrt(n_p) = ||bits||_2 too: the FFT's own rounding error is
     # relative to its input's norm, and the peak is only 1 at n_p = N - 1
     assert abs(peak - value) <= 1e-12 * max(value, math.sqrt(n_p))

@@ -368,6 +368,33 @@ def test_recover_stops_on_the_sampled_residual(capsys, tmp_path):
     assert _summary_fields(err)["residual"] == runs["1e-6"][0]["residual"]
 
 
+def test_recover_says_why_it_stopped_and_whether_it_is_identified(capsys, tmp_path):
+    # the summary ends with stopped=tol|cap and identified=yes|no, the
+    # latter yes where the last row keeps at most half as many bins as
+    # there are samples. At rate 0.2 demo seeds 5, 8 and 34 end on alias
+    # bins at 2.7, 7.4 and 3.9 dB, and exactly these are flagged
+    def summary(*argv):
+        out = tmp_path / "history.csv"
+        code, stdout, err = run_cli(capsys, "recover", *argv, "--out", str(out))
+        assert code == 0 and err == ""
+        last = out.read_text().strip().split("\n")[-1].split(",")
+        return stdout, _summary_fields(stdout), int(last[4])
+
+    for seed in (5, 8, 34):
+        stdout, fields, kept = summary("--rate", "0.2", "--seed", str(seed))
+        assert stdout.endswith(" stopped=cap identified=no\n"), seed
+        assert 2 * kept > int(fields["n_p"]) and float(fields["final_snr_db"]) < 10.0, seed
+    for seed in (4, 6):
+        assert summary("--rate", "0.2", "--seed", str(seed))[1]["identified"] == "yes", seed
+    stdout, fields, kept = summary()
+    assert stdout.endswith(" stopped=tol identified=yes\n")
+    assert float(fields["residual"]) <= 1e-6 and 2 * kept <= int(fields["n_p"])
+    assert summary("--tol", "0")[0].endswith(" stopped=cap identified=yes\n")
+    # full sampling counts every sample
+    fields = summary("--rate", "1")[1]
+    assert (fields["n_p"], fields["stopped"], fields["identified"]) == ("127", "tol", "yes")
+
+
 def test_recover_rejects_bad_tol(capsys):
     for value in ("-1e-6", "nan", "inf"):
         code, out, err = run_cli(capsys, "recover", "--iters", "2", f"--tol={value}")
@@ -393,7 +420,7 @@ def test_recover_rejects_out_of_range_inputs(capsys):
 def test_recover_rejects_an_empty_mask(capsys):
     # at rate 0.001 seed 11 samples none of the 127 demo samples, and the
     # step N/n_p is undefined
-    assert generate_mask(127, 0.001, 11).n_p == 0
+    assert not generate_mask(127, 0.001, 11).any()
     code, out, err = run_cli(capsys, "recover", "--rate", "0.001", "--seed", "11")
     assert code == 2 and out == ""
     assert "nothing was sampled" in err

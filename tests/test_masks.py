@@ -8,32 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maskspectra.bounds import bound_report, gaussian_bound, ratio_approximation, sigma_bound, worst_case_bound
-from maskspectra.masks import (
-    Mask,
-    generate_mask,
-    is_prime,
-    worst_case_mask,
-)
+from maskspectra import recovery
+from maskspectra.masks import generate_mask, is_prime
 from maskspectra.montecarlo import ExperimentSpec
-from maskspectra.recovery import random_band_signal
-from oracles import oracle_mask
-
-
-def test_n_p_equals_popcount():
-    for t in range(20):
-        m = generate_mask(8, 0.4, 123, t)
-        assert m.n_p == int(np.sum(m.bits))
+from maskspectra.recovery import random_band_signal, recover, synthesize_signal
+from oracles import oracle_mask, worst_case_mask
 
 
 def test_generate_is_deterministic():
     a = generate_mask(127, 0.5, 42, 17)
+    assert a.dtype == np.bool_ and a.shape == (127,)
     b = generate_mask(127, 0.5, 42, 17)
-    assert np.array_equal(a.bits, b.bits)
+    assert np.array_equal(a, b)
     # independent of evaluation order
     c = generate_mask(127, 0.5, 42, 3)
     a2 = generate_mask(127, 0.5, 42, 17)
-    assert np.array_equal(a.bits, a2.bits)
-    assert not np.array_equal(a.bits, c.bits)
+    assert np.array_equal(a, a2)
+    assert not np.array_equal(a, c)
 
 
 @settings(max_examples=50, deadline=None)
@@ -46,37 +37,29 @@ def test_generate_is_deterministic():
 def test_trial_key_is_seed_high_word_trial_low_word(seed, t):
     # the re-keyed generator against a Philox built with the 128-bit key
     # (seed << 64) + t, over the full range of both words
-    assert np.array_equal(generate_mask(127, 0.5, seed, t).bits, oracle_mask(127, 0.5, seed, t).bits)
+    assert np.array_equal(generate_mask(127, 0.5, seed, t), oracle_mask(127, 0.5, seed, t))
 
 
 def test_distinct_seeds_distinct_masks():
     a = generate_mask(127, 0.5, 1)
     b = generate_mask(127, 0.5, 2)
-    assert not np.array_equal(a.bits, b.bits)
+    assert not np.array_equal(a, b)
 
 
 def test_mean_support_matches_binomial_oracle():
     # Binomial mean N*p = 63.5; sample mean over 1e5 trials has sd ~ 5.6/sqrt(1e5)
     trials = 100_000
-    total = sum(generate_mask(127, 0.5, 7, t).n_p for t in range(trials))
+    total = sum(int(np.count_nonzero(generate_mask(127, 0.5, 7, t))) for t in range(trials))
     mean = total / trials
     assert 64 - 1.5 <= mean <= 64 + 1.5
 
 
 def test_worst_case_mask_layout():
-    m = worst_case_mask(5, 2)
-    assert m.bits.tolist() == [1, 1, 0, 0, 0]
-    assert worst_case_mask(5, 0).n_p == 0
-    assert worst_case_mask(5, 5).bits.tolist() == [1] * 5
-    with pytest.raises(ValueError):
-        worst_case_mask(5, 6)
-    with pytest.raises(ValueError):
-        worst_case_mask(5, -1)
-    # any integer type; a float or bool is rejected, not truncated or read as 1
-    assert worst_case_mask(np.int64(5), np.uint8(2)).bits.tolist() == [1, 1, 0, 0, 0]
-    for n, n_p in ((127, 5.5), (127, True), (127.0, 5), (True, 1), (127, "5")):
-        with pytest.raises(ValueError):
-            worst_case_mask(n, n_p)
+    # the test oracle's block of ones at the origin
+    assert worst_case_mask(5, 2).tolist() == [1, 1, 0, 0, 0]
+    assert not worst_case_mask(5, 0).any()
+    assert worst_case_mask(5, 5).tolist() == [1] * 5
+    assert worst_case_mask(1, 1).tolist() == [1]
 
 
 def test_config_validation():
@@ -98,32 +81,26 @@ def test_config_validation():
                 call()
             assert str(info.value) == message
     # every other integer goes through the same check: a float multiplier is
-    # not read as 3, and worst_case_mask's length is at least 1 (1 is valid)
-    for call, message in (
-        (lambda: sigma_bound(127, 0.5, 3.0), "m must be an integer in [3, 4], got 3.0"),
-        (lambda: worst_case_mask(-3, 0), "n must be an integer in [1, 4294967296], got -3"),
-        (lambda: worst_case_mask(0, 0), "n must be an integer in [1, 4294967296], got 0"),
-    ):
-        with pytest.raises(ValueError) as info:
-            call()
-        assert str(info.value) == message
-    assert worst_case_mask(1, 1).bits.tolist() == [1]
+    # not read as 3
+    with pytest.raises(ValueError) as info:
+        sigma_bound(127, 0.5, 3.0)
+    assert str(info.value) == "m must be an integer in [3, 4], got 3.0"
     # any integer type is accepted and stored as int; floats and bools are not truncated
     spec = ExperimentSpec(np.int64(127), np.float64(0.5), 1, seed=np.uint64(2**64 - 1))
     assert (spec.n, spec.p, spec.seed) == (127, 0.5, 2**64 - 1)
     assert (type(spec.n), type(spec.p), type(spec.seed)) == (int, float, int)
     assert spec == ExperimentSpec(127, 0.5, 1, seed=2**64 - 1)
-    want = generate_mask(127, 0.5, 2**64 - 1, 1).bits
-    assert np.array_equal(generate_mask(np.int64(127), np.float64(0.5), np.uint64(2**64 - 1), 1).bits, want)
+    want = generate_mask(127, 0.5, 2**64 - 1, 1)
+    assert np.array_equal(generate_mask(np.int64(127), np.float64(0.5), np.uint64(2**64 - 1), 1), want)
     for bad in ({"n": 127.0}, {"n": True}, {"n": "127"}, {"seed": 1.9}, {"seed": True}, {"seed": np.bool_(1)}):
         kwargs = {"n": 127, "p": 0.5, **bad}
         for call in checks(**kwargs):
             with pytest.raises(ValueError, match="must be an integer"):
                 call()
     # the same for trial indices: 1.5 and True must not read as trial 1
-    want = generate_mask(127, 0.5, 0, 1).bits
-    assert np.array_equal(generate_mask(127, 0.5, 0, np.int64(1)).bits, want)
-    assert np.array_equal(generate_mask(127, 0.5, 0, np.uint64(1)).bits, want)
+    want = generate_mask(127, 0.5, 0, 1)
+    assert np.array_equal(generate_mask(127, 0.5, 0, np.int64(1)), want)
+    assert np.array_equal(generate_mask(127, 0.5, 0, np.uint64(1)), want)
     for bad in (-1, 1.5, 1.0, True, np.bool_(True), "1", 2**64, np.int64(-1)):
         with pytest.raises(ValueError, match="trial_index"):
             generate_mask(127, 0.5, 0, bad)
@@ -164,7 +141,6 @@ def test_every_mask_length_has_one_upper_limit():
         for call in (
             lambda: generate_mask(n, 0.5),
             lambda: ExperimentSpec(n, 0.5, 1),
-            lambda: worst_case_mask(n, 1),
             lambda: worst_case_bound(n, 1),
             lambda: ratio_approximation(n, 0.5),
             lambda: gaussian_bound(n, 0.5),
@@ -181,7 +157,7 @@ def test_rates_of_any_real_type_are_kept_as_float():
     p = float(np.float32(0.1))
     spec = ExperimentSpec(127, np.float32(0.1), 1)
     assert type(spec.p) is float and spec.p == p
-    assert np.array_equal(generate_mask(127, np.float32(0.1), 3).bits, generate_mask(127, p, 3).bits)
+    assert np.array_equal(generate_mask(127, np.float32(0.1), 3), generate_mask(127, p, 3))
     assert ExperimentSpec(127, Fraction(1, 2), 1).p == 0.5
     ratio = ratio_approximation(127, np.float32(0.1))
     assert type(ratio) is float and ratio == ratio_approximation(127, p)
@@ -194,20 +170,25 @@ def test_is_prime_against_oracle():
         assert is_prime(n) == sympy.isprime(n), n
 
 
-def test_mask_bits_validation():
-    with pytest.raises(ValueError):
-        Mask(np.array([0, 1, 2], dtype=np.uint8))
-    with pytest.raises(ValueError):
-        Mask(np.zeros((2, 2), dtype=np.uint8))
-    # non-binary values are rejected, not truncated by the uint8 cast
-    with pytest.raises(ValueError):
-        Mask(np.array([0.5, 1.7, 0]))
-    with pytest.raises(ValueError):
-        Mask(np.array([0.0, np.nan, 1.0]))
+def test_mask_bits_validation(monkeypatch):
+    # recover takes the mask from outside: a row that is not 1-D or holds
+    # anything but 0 and 1 is rejected before any transform, not read as
+    # True by the bool cast
+    x = synthesize_signal(random_band_signal(127, 2, seed=4))
+    row = generate_mask(127, 0.5, 4)
+    want = recover(x, row, iterations=3)[1]
+    # a numeric 0/1 row is the same mask as the bool one
+    for same in (row.astype(np.uint8), row.astype(np.float64), row.astype(np.float32), row.tolist()):
+        assert recover(x, same, iterations=3)[1] == want
 
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform plan was fetched")
 
-def test_mask_immutable():
-    m = worst_case_mask(8, 3)
-    with pytest.raises(ValueError):
-        m.bits[0] = 0
-
+    monkeypatch.setattr(recovery, "transform_plan", no_transform)
+    for value, dtype in ((2, np.uint8), (256, np.uint16), (1.7, np.float64), (np.nan, np.float64)):
+        bad = row.astype(dtype)
+        bad[0] = value
+        with pytest.raises(ValueError, match="^mask must be a 1-D row of 0s and 1s$"):
+            recover(x, bad)
+    with pytest.raises(ValueError, match="^mask must be a 1-D row of 0s and 1s$"):
+        recover(x, np.stack((row, row)))

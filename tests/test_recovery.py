@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from maskspectra import recovery, spectrum
 from maskspectra.bounds import ratio_approximation
-from maskspectra.masks import Mask, generate_mask, is_prime, worst_case_mask
+from maskspectra.masks import generate_mask, is_prime
 from maskspectra.recovery import (
     demo_signal_path,
     random_band_signal,
@@ -20,7 +20,7 @@ from maskspectra.recovery import (
     write_signal_csv,
 )
 from maskspectra.spectrum import transform_plan
-from oracles import dft_direct, demo_signal_spec, hard_threshold, sampled_residual, snr_db
+from oracles import dft_direct, demo_signal_spec, hard_threshold, sampled_residual, snr_db, worst_case_mask
 
 DEMO = demo_signal_spec()
 DEMO_X = synthesize_signal(DEMO)
@@ -122,9 +122,9 @@ def test_sampling_is_circular_convolution_in_frequency():
     n = 127
     x = DEMO_X
     mask = DEMO_MASK
-    lhs = scipy.fft.fft(x * mask.bits)
+    lhs = scipy.fft.fft(x * mask)
     big_x = scipy.fft.fft(x)
-    big_m = scipy.fft.fft(mask.bits.astype(float))
+    big_m = scipy.fft.fft(mask.astype(float))
     rhs = np.array([np.sum(big_x * big_m[(k - np.arange(n)) % n]) for k in range(n)]) / n
     assert np.abs(lhs - rhs).max() < 1e-8 * np.abs(lhs).max()
 
@@ -158,8 +158,8 @@ def test_snr_db_rejects_mismatched_shapes():
 
 def test_fixed_point_of_recovery_step():
     # estimate == true signal stays put when T is below the on-band minimum (10)
-    xs = DEMO_X * DEMO_MASK.bits
-    z = DEMO_X + min(DEMO_MASK.n / DEMO_MASK.n_p, 2.0) * (xs - DEMO_MASK.bits * DEMO_X)
+    xs = DEMO_X * DEMO_MASK
+    z = DEMO_X + min(DEMO_MASK.size / np.count_nonzero(DEMO_MASK), 2.0) * (xs - DEMO_MASK * DEMO_X)
     plan = transform_plan(127)
     out = plan.from_order(plan.synthesize(*plan.analyze(plan.to_order(z)), 5.0))
     assert np.abs(out - DEMO_X).max() < 1e-9
@@ -190,7 +190,7 @@ def test_recover_samples_its_input(n):
     else:
         x, mask, _ = _n8191_case()
     estimate, history = recover(x, mask, reference=x)
-    from_samples, samples_history = recover(x * mask.bits, mask, reference=x)
+    from_samples, samples_history = recover(x * mask, mask, reference=x)
     assert estimate.tobytes() == from_samples.tobytes()
     assert history == samples_history
     assert history[-1][2] >= 40.0
@@ -198,7 +198,7 @@ def test_recover_samples_its_input(n):
 
 def test_low_threshold_admits_alias_bins_on_first_pass():
     # starting below the aliasing-noise floor keeps off-band bins immediately
-    xs = DEMO_X * DEMO_MASK.bits
+    xs = DEMO_X * DEMO_MASK
     kept = hard_threshold(scipy.fft.fft(xs), 1.0)
     support = set(np.flatnonzero(np.abs(kept) > 0.0).tolist())
     assert set(np.flatnonzero(DEMO).tolist()) < support  # strictly larger than the true band
@@ -214,9 +214,9 @@ def test_reference_never_stops_the_loop():
 
 
 def test_converged_estimate_matches_known_samples():
-    xs = DEMO_X * DEMO_MASK.bits
+    xs = DEMO_X * DEMO_MASK
     estimate, _ = recover(xs, DEMO_MASK, iterations=200, reference=DEMO_X)
-    on_mask = estimate * DEMO_MASK.bits
+    on_mask = estimate * DEMO_MASK
     assert np.linalg.norm(on_mask - xs) <= 1e-6 * np.linalg.norm(xs)
 
 
@@ -226,7 +226,7 @@ def _default_t0(xs, mask):
 
 
 def test_default_threshold_rules():
-    xs = DEMO_X * DEMO_MASK.bits
+    xs = DEMO_X * DEMO_MASK
     t0 = _default_t0(xs, DEMO_MASK)
     peak = float(np.abs(scipy.fft.fft(xs)).max())
     assert t0 > peak  # margin above every sampled-spectrum line
@@ -241,7 +241,7 @@ def test_default_threshold_margin_divides_by_n_p():
     n, n_p = 1543, 49
     mask = worst_case_mask(n, n_p)
     assert math.ceil(n * (n_p / n)) == n_p + 1
-    xs = synthesize_signal(random_band_signal(n, 4, seed=3)) * mask.bits
+    xs = synthesize_signal(random_band_signal(n, 4, seed=3)) * mask
     p_hat = n_p / n
     c = ratio_approximation(n, p_hat) + 3.0 * math.sqrt(p_hat * (1.0 - p_hat) * n) / n_p
     want = c * float(np.abs(scipy.fft.fft(xs)).max()) / p_hat
@@ -305,7 +305,7 @@ def test_recover_rejects_non_finite_input_before_any_transform(monkeypatch, n, b
     monkeypatch.setattr(recovery, "transform_plan", no_transform)
     for bit in (0, 1):
         spoiled = x.copy()
-        spoiled[np.flatnonzero(mask.bits == bit)[0]] = bad
+        spoiled[np.flatnonzero(mask == bit)[0]] = bad
         with pytest.raises(ValueError, match="^signal must be finite$"):
             recover(spoiled, mask)
         with pytest.raises(ValueError, match="^signal must be finite$"):
@@ -528,12 +528,12 @@ def test_rader_step_matches_scipy_step(monkeypatch):
     n = 8191
     x = synthesize_signal(random_band_signal(n, 8, seed=7))
     mask = generate_mask(n, 0.5, 8)
-    xs = x * mask.bits
+    xs = x * mask
     rng = np.random.Generator(np.random.Philox(key=9))
     estimate = x + 0.01 * rng.normal(size=n) + 0.2  # off-band noise and a DC offset
     plan = transform_plan(n)
     assert isinstance(plan, spectrum._RaderPlan)
-    z = estimate + min(n / mask.n_p, 2.0) * (xs - mask.bits * estimate)
+    z = estimate + min(n / np.count_nonzero(mask), 2.0) * (xs - mask * estimate)
     spectrum_z = scipy.fft.fft(z)
     ordered = plan.analyze(plan.to_order(z))
     for threshold in (0.0, 0.05, 0.5, 1.0, 5.0, 0.999 * np.abs(spectrum_z).max(), 1e9):
@@ -545,7 +545,7 @@ def test_rader_step_matches_scipy_step(monkeypatch):
         plan.synthesize(*ordered, -1.0)
     # the initial threshold takes its peak from the same magnitudes; here
     # the DC bin, which has no mirror, is the peak of the samples
-    dc_heavy = mask.bits * estimate
+    dc_heavy = mask * estimate
     spectrum_dc = scipy.fft.fft(dc_heavy)
     assert abs(spectrum_dc[0]) == np.abs(spectrum_dc).max()
     with monkeypatch.context() as m:
@@ -581,7 +581,7 @@ def test_rader_plan_selection(monkeypatch):
             assert plan._size == size, n
         mask = generate_mask(8191, 0.5, 1)
         for _ in range(3):
-            recover(mask.bits, mask, iterations=1)
+            recover(mask, mask, iterations=1)
         assert built == list(sizes)
     finally:
         spectrum._cached_rader_plan.cache_clear()
@@ -595,7 +595,7 @@ def test_recover_looks_up_its_plan_once(monkeypatch, n):
     monkeypatch.setattr(recovery, "transform_plan", lambda m: lookups.append(m) or transform_plan(m))
     monkeypatch.setattr(spectrum, "is_prime", lambda m: primality.append(m) or is_prime(m))
     mask = generate_mask(n, 0.5, 1)
-    _, history = recover(mask.bits.astype(np.float64), mask, iterations=3, tol=0.0, reference=mask.bits)
+    _, history = recover(mask.astype(np.float64), mask, iterations=3, tol=0.0, reference=mask)
     assert len(history) == 3
     assert lookups == [n]
     assert primality == ([] if n <= spectrum._RADER_MIN_N else [n])
@@ -646,7 +646,7 @@ def test_rader_recovery_permutes_once(monkeypatch):
 def test_rader_recovery_matches_scipy_oracle(monkeypatch, n):
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
     mask = generate_mask(n, 0.5, 6)
-    xs = x * mask.bits
+    xs = x * mask
     assert isinstance(transform_plan(n), spectrum._RaderPlan)
     estimate, history = recover(x, mask, iterations=50, tol=0.0, reference=x)
 
@@ -658,7 +658,7 @@ def test_rader_recovery_matches_scipy_oracle(monkeypatch, n):
     assert history[0][1] == pytest.approx(t0, rel=1e-12)
     oracle, oracle_kept = np.zeros(n), []
     for i in range(50):
-        z = oracle + min(n / mask.n_p, 2.0) * (xs - mask.bits * oracle)
+        z = oracle + min(n / np.count_nonzero(mask), 2.0) * (xs - mask * oracle)
         kept = hard_threshold(scipy.fft.fft(z), t0 * math.exp(-0.1 * i))
         oracle_kept.append(int(np.count_nonzero(kept)))
         oracle = scipy.fft.ifft(kept).real
@@ -676,7 +676,7 @@ def test_stop_truncates_the_history_and_keeps_forty_db(rate):
     stopped = 0
     for seed in range(40):
         mask = generate_mask(127, rate, seed)
-        xs = DEMO_X * mask.bits
+        xs = DEMO_X * mask
         full_estimate, full = recover(DEMO_X, mask, tol=0.0, reference=DEMO_X)
         estimate, history = recover(DEMO_X, mask, reference=DEMO_X)
         assert len(full) == 50
@@ -698,7 +698,7 @@ def _n8191_case(rate=0.5, mask_seed=6):
     n = 8191
     x = synthesize_signal(random_band_signal(n, 8, seed=5))
     mask = generate_mask(n, rate, mask_seed)
-    return x, mask, x * mask.bits
+    return x, mask, x * mask
 
 
 def test_stop_at_n8191_keeps_over_one_hundred_db():
@@ -726,8 +726,8 @@ def test_recover_never_transforms_the_same_thing_twice(monkeypatch):
     # the first 9 and 10 steps at rate 0.2
     for rate, mask_seed, least_empty in ((0.5, 6, 0), (0.2, 6, 9), (0.2, 7, 10)):
         x, mask, xs = _n8191_case(rate, mask_seed)
-        plan = transform_plan(mask.n)
-        scaled_peak = min(mask.n / mask.n_p, 2.0) * float(plan.analyze(plan.to_order(xs))[1].max())
+        plan = transform_plan(mask.size)
+        scaled_peak = min(mask.size / np.count_nonzero(mask), 2.0) * float(plan.analyze(plan.to_order(xs))[1].max())
         calls = []
         dht = spectrum._RaderPlan.dht
         with monkeypatch.context() as m:
@@ -791,9 +791,9 @@ def test_sampled_residual_values():
 def test_clamped_radicand_warning_names_the_caller_of_recover():
     # one sampled position of 100 gives p_hat = 0.01, where the ratio
     # approximation clamps its radicand; the warning names this file
-    mask = Mask(np.arange(100) == 3)
+    mask = np.arange(100) == 3
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        recover(mask.bits * 1.0, mask, iterations=1)
+        recover(mask * 1.0, mask, iterations=1)
     assert [(w.filename, w.category) for w in caught] == [(__file__, UserWarning)]
     assert "radicand" in str(caught[0].message)
