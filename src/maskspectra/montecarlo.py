@@ -11,6 +11,40 @@ each Monte Carlo command of the CLI makes one call with all its rows or
 rates and builds its report from the pairs, so a CLI call opens at most
 one pool.
 
+The pool is paid for only by a call that starts one:
+
+* It is loaded on first use. ``concurrent.futures``, and with it
+  ``multiprocessing``, ``socket``, ``subprocess`` and ``logging``, is
+  imported only when a call starts a pool (about 10 ms and 2 MB of RSS
+  after numpy), so ``recover``, ``bounds`` and every 1-worker run load
+  none of them. ``montecarlo.ProcessPoolExecutor`` stays a module
+  attribute (PEP 562), which the driver reads at call time, so a test or a
+  benchmark may replace it.
+* It is started by a named method, ``fork`` on Linux (as Python 3.11-3.13
+  do by default; 3.14 makes it ``forkserver``) and the platform's default
+  elsewhere. A pool start plus 4 tiny tasks took 11 ms under fork, 496 ms
+  under forkserver and 632 ms under spawn, and ``figure --mode ratio --n
+  1543 --trials 4096 --workers 2`` ran 37.5k trials/s under fork, 22.9k
+  under forkserver and 19.9k under spawn (median of 4 alternating 10-s
+  benchmark runs, 2 vCPUs): a forked worker starts with numpy and the
+  package already imported.
+* It is skipped where it loses: a call of fewer than ``_POOL_MIN_ELEMS``
+  (2M) mask elements times rates runs in-process at any worker count,
+  since a pool's start and pickling outweigh the second worker there. It
+  cuts the same spans either way, so the bytes are the same. Milliseconds
+  per call, a 2-worker pool against 1 worker in-process, median of 7
+  alternating runs on 2 shared vCPUs::
+
+      N = 127, one rate           1,024   2,048   4,096   8,192  16,384  32,768 trials
+        mask elements             0.13M   0.26M   0.52M   1.04M   2.08M   4.16M
+        pool / in-process         19/3.8  26/7.4  37/16   35/34   56/75   100/189
+      N = 1543, three rates         256     512   1,024   2,048 trials
+        mask elements times rates  1.2M    2.4M    4.7M    9.5M
+        pool / in-process         34/26   52/50   74/101  117/203
+
+  The break-even moves with how much of the second vCPU the host gives:
+  in runs where it gave none, the pool lost at every size up to 4.7M.
+
 A mask is ``u < p`` with uniforms ``u`` that depend on (seed, t) alone,
 so experiments that share (N, seed, trials) differ only in their rate
 and thresholds. The driver gives them one task per span carrying all
@@ -73,7 +107,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +129,29 @@ _BLOCK_ELEMS = 1 << 16  # mask elements per block: 512 KB of uniforms, 512 KB of
 # a row of an 8-row call 13.7 ms; at N = 8191, 0.90 and 0.37 ms; 2 vCPUs).
 _BLOCK_MIN_TRIALS = 16
 _BATCH_ELEMS = 1 << 20  # mask elements times rates per span: one N = 1543 chunk, 16 chunks at N = 127
+# Mask elements times rates below which a call runs in-process at any
+# worker count: on 2 vCPUs a 2-worker pool took 35 ms against 34 in-process
+# at N = 127 and 1.04M elements, and 56 against 75 at 2.08M (the module
+# docstring has the table).
+_POOL_MIN_ELEMS = 2_000_000
+# The pool's start method, named so that Python 3.14's forkserver default
+# (1.6 times fork's time on ratio-n1543; the module docstring has the
+# numbers) does not apply. Fork is safe here only because the package
+# starts no thread before the pool forks; numpy's OpenBLAS thread pool,
+# started on import, shuts itself down across a fork.
+_START_METHOD = "fork" if sys.platform == "linux" else None
+
+
+def __getattr__(name: str):
+    # PEP 562: the pool class, and with it concurrent.futures and
+    # multiprocessing, is imported when a call first starts a pool
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
 
 @dataclass(slots=True)
 class RunningStats:
@@ -302,7 +359,12 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
     more mask elements than a worker's share of the call, each rate gets
     its own tasks instead; either way every bit of the result is the same.
     One pool serves the whole call, with at most ``workers`` workers and at
-    most one worker per chunk and per CPU; one worker runs in-process. Each
+    most one worker per chunk and per CPU; one worker runs in-process, and
+    so does a call of fewer than ``_POOL_MIN_ELEMS`` (2M) mask elements
+    times rates (below 15,749 trials at N = 127), where starting a pool
+    costs more than it saves on 2 vCPUs. The pool class is imported on
+    the first call that starts one, and its workers are forked on Linux
+    and started by the platform's default method elsewhere. Each
     task is a span of whole chunks, at most ``chunks // (4 * workers)`` of
     them and about ``_BATCH_ELEMS`` mask elements, counted by the largest
     chunk as its trials times N times its rate count; in-process and pooled
@@ -314,7 +376,8 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
     workers = min(_integer(workers, "workers", 1), os.cpu_count() or 1)
     if not specs:
         raise ValueError("specs must be non-empty")
-    share = sum(spec.trials * spec.n for spec in specs) / workers  # mask elements per worker
+    elements = sum(spec.trials * spec.n for spec in specs)  # mask elements times rates
+    share = elements / workers  # per worker
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault((spec.n, spec.seed, spec.trials), []).append(i)
@@ -338,8 +401,12 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
         for spec in specs
     ]
     with contextlib.ExitStack() as stack:
-        if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        if workers > 1 and elements >= _POOL_MIN_ELEMS:
+            import multiprocessing
+
+            pool_class = sys.modules[__name__].ProcessPoolExecutor  # patched by tests and the benchmark
+            context = multiprocessing.get_context(_START_METHOD)
+            pool = stack.enter_context(pool_class(max_workers=workers, mp_context=context))
             results = pool.map(_run_span, tasks)
         else:
             results = map(_run_span, tasks)

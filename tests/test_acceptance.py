@@ -160,21 +160,20 @@ def test_criterion_6_four_sigma_tracks_the_maximum(grid_stats):
 
 
 def test_criterion_7_ratio_approximation_fidelity():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # composite lengths in the grid
-        worst = 0.0
-        for n in (1000, 1009, 1543, 4096, 8191, 10007, 65537, 100003, 131071):
-            for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-                n_p = math.ceil(n * p)
-                exact = bounds.worst_case_bound(n, n_p) / n_p
-                diff = abs(bounds.ratio_approximation(n, p) - exact)
-                worst = max(worst, diff)
-                assert diff <= 0.02, (n, p, diff)
-        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-            limit = math.sin(p * math.pi) / (p * math.pi)
-            assert abs(bounds.ratio_approximation(10**6, p) - limit) < 1e-3, p
+    # the approximation is of the contiguous block's peak ratio, which is
+    # the worst case at prime N only, so the composite N = 1000 and 4096
+    # are compared with the block's peak too
+    worst = 0.0
+    for n in (1000, 1009, 1543, 4096, 8191, 10007, 65537, 100003, 131071):
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+            n_p = math.ceil(n * p)
+            exact = worst_case_cosine_sum(n, n_p) / n_p
+            diff = abs(bounds.ratio_approximation(n, p) - exact)
+            worst = max(worst, diff)
+            assert diff <= 0.02, (n, p, diff)
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+        limit = math.sin(p * math.pi) / (p * math.pi)
+        assert abs(bounds.ratio_approximation(10**6, p) - limit) < 1e-3, p
     _report("criterion 7 (approximation fidelity)", f"worst spread {worst:.4f} <= 0.02, limit checks pass")
 
 
@@ -198,8 +197,9 @@ def test_criterion_8_invariant_suites():
         a, b = scipy.fft.fft(x), dft_direct(x)
         assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max(), n
 
-    # deterministic parallel reduction: 1 worker vs 8, bit-identical
-    spec = ExperimentSpec(127, 0.5, 2000, seed=31, thresholds=(("t", 11.0),))
+    # deterministic parallel reduction: 1 worker vs 8, bit-identical; 2.5M
+    # mask elements start a pool
+    spec = ExperimentSpec(127, 0.5, 20000, seed=31, thresholds=(("t", 11.0),))
     [(one, _)] = run_experiment([spec], workers=1)
     [(eight, _)] = run_experiment([spec], workers=8)
     assert one.per_trial_max == eight.per_trial_max

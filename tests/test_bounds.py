@@ -159,13 +159,12 @@ def test_ratio_approximation_domain():
 
 
 def test_ratio_tracks_exact_worst_case_for_large_n():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # composite lengths in the grid
-        for n in (1009, 4096, 8191):
-            for p in np.arange(0.1, 0.95, 0.1):
-                n_p = math.ceil(n * p)
-                exact = worst_case_bound(n, n_p) / n_p
-                assert abs(ratio_approximation(n, float(p)) - exact) <= 0.02, (n, p)
+    # against the contiguous block's peak, the worst case at prime N only
+    for n in (1009, 4096, 8191):
+        for p in np.arange(0.1, 0.95, 0.1):
+            n_p = math.ceil(n * p)
+            exact = worst_case_cosine_sum(n, n_p) / n_p
+            assert abs(ratio_approximation(n, float(p)) - exact) <= 0.02, (n, p)
 
 
 def test_q_function_reference_points():

@@ -313,6 +313,29 @@ def test_figure_ratio_mode_checks_each_rate_with_its_trial_count(capsys):
         assert run_cli(capsys, *argv, "--ps", ps) == (2, "", message)
 
 
+_UNREAD_OPTIONS = {
+    f"{name}{option}": (mode, option)
+    for name, mode, options in (
+        ("approx", ("figure", "--mode", "approx", "--n", "127"), ("--seed", "--trials", "--workers", "--eps", "--rate")),
+        ("ratio", ("figure", "--mode", "ratio", "--n", "127", "--trials", "4"), ("--eps", "--rate")),
+        ("recover-rate-1", ("recover", "--rate", "1"), ("--seed",)),
+    )
+    for option in options
+}
+_BAD_VALUE = {"--seed": "-1", "--trials": "0", "--workers": "0", "--eps": "nan", "--rate": "7"}
+
+
+@pytest.mark.parametrize("mode,option", _UNREAD_OPTIONS.values(), ids=_UNREAD_OPTIONS.keys())
+def test_an_option_a_mode_does_not_read_is_checked_as_where_it_is_read(capsys, mode, option):
+    # figure's bounds mode and recover at a rate below 1 read every one of
+    # these options; a mode that does not read one still rejects a bad
+    # value of it, with the same exit code and message
+    reader = ("recover",) if mode[0] == "recover" else ("figure", "--ns", "127", "--trials", "4")
+    want = run_cli(capsys, *reader, option, _BAD_VALUE[option])
+    assert want[0] == 2 and want[2].startswith("error: ")
+    assert run_cli(capsys, *mode, option, _BAD_VALUE[option]) == want
+
+
 def test_figure_ratio_mode_requires_n(capsys):
     code, _, err = run_cli(capsys, "figure", "--mode", "ratio")
     assert code == 2
@@ -553,7 +576,7 @@ def test_no_subcommand_needs_scipy(tmp_path):
     calls = [
         "bounds --n 127 --p 0.5",
         "bounds --n 8191 --p 0.1 --union --format json",
-        "simulate --n 127 --p 0.5 --trials 1200 --workers 2",
+        "simulate --n 127 --p 0.5 --trials 20000 --workers 2",  # 2.5M mask elements: a pool
         "table1 --trials 4",
         "figure --mode bounds --ns 127,131 --trials 8",
         "figure --mode ratio --n 1543 --trials 8",
@@ -570,6 +593,56 @@ def test_no_subcommand_needs_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"{[0] * len(calls)} []", result.stderr
+
+
+_POOL_MODULES = """
+import sys
+from maskspectra import montecarlo
+from maskspectra.cli import main
+
+def loaded():
+    return [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
+
+out = sys.argv[1]
+codes = [main(["recover", "--out", out]), main(["bounds", "--n", "127", "--p", "0.5"])]
+print(codes, loaded())
+simulate = ["simulate", "--n", "127", "--p", "0.5", "--trials", "20000", "--workers", "2", "--out", out]
+codes = [main(simulate)]
+print(codes, loaded())
+methods, base = [], montecarlo.ProcessPoolExecutor
+
+class Recording(base):
+    def __init__(self, *args, mp_context, **kwargs):
+        methods.append(mp_context.get_start_method())
+        super().__init__(*args, mp_context=mp_context, **kwargs)
+
+montecarlo.ProcessPoolExecutor = Recording
+codes = [main(simulate)]
+print(codes, methods)
+"""
+
+
+def test_pool_modules_load_only_with_a_pool(tmp_path):
+    # recover and bounds start no pool, so they load neither multiprocessing
+    # nor concurrent.futures; a 2-worker simulate of 2.5M mask elements
+    # loads both and names its start method: fork on Linux, where the
+    # package starts no thread before a pool forks, and elsewhere the
+    # platform's default
+    import multiprocessing
+
+    src = str(Path(maskspectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", _POOL_MODULES, str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    method = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
+    assert result.stdout.splitlines()[-3:] == [
+        "[0, 0] []",
+        "[0] ['multiprocessing', 'concurrent.futures']",
+        f"[0] [{method!r}]",
+    ], result.stderr
 
 
 _SKETCH_NO_SCIPY = """

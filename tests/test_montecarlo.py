@@ -83,8 +83,9 @@ def test_run_experiment_reruns_identically():
 
 
 def test_parallel_reduction_bit_identical():
-    # 1 worker vs 4 workers must agree exactly, field by field
-    spec = ExperimentSpec(127, 0.5, 1500, seed=3, thresholds=(("t", 12.0),))
+    # 1 worker vs 4 workers must agree exactly, field by field; 2.5M mask
+    # elements start a pool
+    spec = ExperimentSpec(127, 0.5, 20001, seed=3, thresholds=(("t", 12.0),))
     serial = _stats(spec, workers=1)
     parallel = _stats(spec, workers=4)
     assert serial.per_trial_max.count == parallel.per_trial_max.count
@@ -472,7 +473,7 @@ def fake_pool(monkeypatch):
     opened, spans = [], []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             opened.append(max_workers)
 
         def __enter__(self):
@@ -493,17 +494,19 @@ def test_worker_count_is_clamped_without_spawning(monkeypatch, fake_pool):
     import os
 
     opened, spans = fake_pool
+    # every call here is above the pool's break-even: 1,400 x 1,500 and
+    # 241 x 8,704 are 2.1M mask elements each
     for cpu in (2, 8):
         monkeypatch.setattr(os, "cpu_count", lambda cpu=cpu: cpu)
-        stats = _stats(ExperimentSpec(127, 0.5, 1500, seed=1), workers=100000)
+        stats = _stats(ExperimentSpec(1400, 0.5, 1500, seed=1), workers=100000)
         assert stats.per_trial_max.count == 1500
     assert opened == [2, 3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run_experiment([ExperimentSpec(127, 0.5, 1500, seed=1)], workers=4)
+    run_experiment([ExperimentSpec(1400, 0.5, 1500, seed=1)], workers=4)
     assert opened == [2, 3]  # unknown CPU count: runs serially, opens no pool
     # three chunks go out one per task; 17 chunks on 2 workers in spans of 2
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    run_experiment([ExperimentSpec(31, 0.5, 512 * 17, seed=1)], workers=2)
+    run_experiment([ExperimentSpec(241, 0.5, 512 * 17, seed=1)], workers=2)
     assert opened == [2, 3, 2]
     assert spans == [[512, 512, 476]] * 2 + [[1024] * 8 + [512]]
 
@@ -515,17 +518,19 @@ def test_every_row_shares_one_pool(monkeypatch, fake_pool, capsys):
 
     opened, spans = fake_pool
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # every call here is above the pool's break-even: 2.4M, 2.3M, 2.3M,
+    # 2.1M and 6.2M mask elements times rates
     rows = [
         ExperimentSpec(n, p, trials, seed=3)
-        for n, p, trials in ((127, 0.5, 1100), (131, 0.1, 1100), (131071, 0.5, 2))
+        for n, p, trials in ((127, 0.5, 1100), (131, 0.1, 1100), (131071, 0.5, 16))
     ]
     pooled, serial = run_experiment(rows, workers=2), run_experiment(rows)
     assert [stats for stats, _ in pooled] == [stats for stats, _ in serial]
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(pooled, serial))
     assert opened == [2]
     for argv in (
-        ["figure", "--ns", "127,61", "--trials", "600", "--seed", "3"],
-        ["figure", "--mode", "ratio", "--n", "257", "--ps", "0.1,0.5,0.8", "--trials", "600", "--seed", "3"],
+        ["figure", "--ns", "127,61", "--trials", "12000", "--seed", "3"],
+        ["figure", "--mode", "ratio", "--n", "257", "--ps", "0.1,0.5,0.8", "--trials", "3000", "--seed", "3"],
     ):
         assert main(argv) == 0
         serial = capsys.readouterr().out
@@ -534,20 +539,39 @@ def test_every_row_shares_one_pool(monkeypatch, fake_pool, capsys):
     assert opened == [2, 2, 2]
     # a span holds at most chunks // (4 * workers) chunks and at most
     # _BATCH_ELEMS mask elements, counted by the largest chunk
-    specs = [ExperimentSpec(31, 0.5, 512 * 40, seed=1), ExperimentSpec(7, 0.5, 9)]
+    specs = [ExperimentSpec(101, 0.5, 512 * 40, seed=1), ExperimentSpec(7, 0.5, 9)]
     run_experiment(specs, workers=2)
-    monkeypatch.setattr(mc, "_BATCH_ELEMS", 512 * 31 * 3 + 1)
+    monkeypatch.setattr(mc, "_BATCH_ELEMS", 512 * 101 * 3 + 1)
     run_experiment(specs, workers=2)
     assert spans[-2:] == [[512 * (41 // 8)] * 8 + [9], [512 * 3] * 13 + [512, 9]]
     # three rates that share a draw make one task per chunk, three times the work
-    run_experiment([ExperimentSpec(31, p, 512 * 40, seed=1) for p in (0.2, 0.5, 0.8)], workers=2)
+    run_experiment([ExperimentSpec(101, p, 512 * 40, seed=1) for p in (0.2, 0.5, 0.8)], workers=2)
     assert spans[-1] == [512] * 40
 
 
+def test_small_calls_run_in_process_at_any_worker_count(monkeypatch, fake_pool):
+    # a call of fewer mask elements times rates than the break-even opens
+    # no pool; one trial more opens one; both give the 1-worker bytes
+    import os
+
+    import maskspectra.montecarlo as mc
+
+    opened, _ = fake_pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    below = (mc._POOL_MIN_ELEMS - 1) // 127
+    for trials, pools in ((below, []), (below + 1, [2])):
+        spec = ExperimentSpec(127, 0.5, trials, seed=5, thresholds=(("t", 12.0),))
+        [(stats, bins)] = run_experiment([spec], workers=2)
+        assert opened == pools
+        [(want, want_bins)] = run_experiment([spec], workers=1)
+        assert stats == want and bins.tobytes() == want_bins.tobytes()
+
+
 def test_multi_spec_run_matches_one_run_per_spec():
-    # chunks of specs with different N share one task list and one pool, and
-    # the rates of one (N, seed, trials) share each trial's draw, yet each
-    # spec's result equals its own run field for field
+    # chunks of specs with different N share one task list (run in-process
+    # at any worker count, below the pool's break-even), and the rates of
+    # one (N, seed, trials) share each trial's draw, yet each spec's result
+    # equals its own run field for field
     shared = 2 * 512 + 101  # the last chunk ends inside a pair
     specs = [
         ExperimentSpec(61, 0.1, shared, 4, (("t", 6.0),)),
@@ -617,9 +641,9 @@ def test_rates_split_where_one_task_would_outweigh_a_worker(monkeypatch, fake_po
 
 
 def test_batched_pool_tasks_are_bit_identical():
-    # 17 chunks: a pool gets them in spans of two chunks, yet every field
-    # matches the in-process run exactly
-    spec = ExperimentSpec(31, 0.5, 512 * 17, 6, (("s3", bounds.sigma_bound(31, 0.5, 3)),))
+    # 17 chunks, 2.1M mask elements: a pool gets them in spans of two
+    # chunks, yet every field matches the in-process run exactly
+    spec = ExperimentSpec(241, 0.5, 512 * 17, 6, (("s3", bounds.sigma_bound(241, 0.5, 3)),))
     [(serial, serial_bins)] = run_experiment([spec], workers=1)
     for workers in (2, 3):
         [(stats, bins)] = run_experiment([spec], workers=workers)
@@ -668,7 +692,7 @@ def test_kernel_transforms_at_least_eight_rows_in_place(monkeypatch):
 
 
 def test_noise_ratio_parallel_matches_serial():
-    spec = ExperimentSpec(257, 0.5, 1200, seed=2)
+    spec = ExperimentSpec(257, 0.5, 8000, seed=2)  # 2.1M mask elements: a pool
     [(_, serial)] = run_experiment([spec], workers=1)
     [(_, parallel)] = run_experiment([spec], workers=3)
     assert np.array_equal(serial, parallel)
