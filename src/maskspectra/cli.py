@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import bounds, montecarlo, recovery
-from .masks import _MAX_LENGTH, _UINT64_SPAN, _integer, _real, _support_size, generate_mask
+from .masks import _integer, _real, _seed, _support_size, generate_mask
 
 DEFAULT_SEED = 1729
 
@@ -165,12 +165,6 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def _check_rate_and_eps(args) -> None:
-    # as bounds.thresholds checks them in the bounds mode
-    _real(args.rate, "p", "(0, 1)")
-    _real(args.eps, "epsilon", "(0, 1)")
-
-
 def cmd_figure(args) -> int:
     # each mode also checks the options it does not read, with the bounds
     # mode's message, so a bad value is an error in every mode
@@ -193,7 +187,6 @@ def cmd_figure(args) -> int:
     elif args.n is None:
         raise ValueError(f"--n is required for mode {args.mode!r}")
     elif args.mode == "ratio":
-        _check_rate_and_eps(args)
         ps = _parse_list(args.ps, "--ps", float, "numbers")
         names = [f"ratio_p{p:g}" for p in ps]
         if len(set(names)) != len(names):
@@ -201,6 +194,7 @@ def cmd_figure(args) -> int:
         # per rate, the per-bin max over trials of |A_k|/(N*p): the
         # aliasing-noise level of the sampled spectrum against the signal line
         specs = [montecarlo.ExperimentSpec(args.n, p, args.trials, args.seed) for p in ps]
+        bounds.gaussian_bound(args.n, args.rate, epsilon=args.eps)  # checks --rate and --eps
         curves = [
             bin_max / (args.n * p) for p, (_, bin_max) in zip(ps, montecarlo.run_experiment(specs, args.workers))
         ]
@@ -209,12 +203,9 @@ def cmd_figure(args) -> int:
             for k in range(1, args.n)
         ]
     elif args.mode == "approx":
-        _integer(args.n, "n", 2, _MAX_LENGTH)
-        _check_rate_and_eps(args)
-        # as ExperimentSpec and run_experiment check them
-        _integer(args.trials, "trials", 1, 1 << 64)
-        _integer(args.seed, "seed", 0, _UINT64_SPAN - 1)
-        _integer(args.workers, "workers", 1)
+        bounds.gaussian_bound(args.n, args.rate, epsilon=args.eps)  # checks --n, --rate and --eps
+        montecarlo.ExperimentSpec(args.n, args.rate, args.trials, args.seed)  # checks --trials and --seed
+        _integer(args.workers, "workers", 1)  # as run_experiment checks it
         # the approximation needs N*p >= 1 and a radicand >= 0; the radicand
         # leaves out low-p points at some N up to 114 (p = 0.01 at N = 100),
         # and at every N >= 2 keeps some
@@ -245,7 +236,7 @@ _HISTORY_COLUMNS = ("iteration", "threshold", "snr_db", "residual", "kept")
 
 def cmd_recover(args) -> int:
     _real(args.rate, "--rate", "(0, 1]")
-    _integer(args.seed, "seed", 0, _UINT64_SPAN - 1)  # as generate_mask checks it, even where no mask is drawn
+    _seed(args.seed)  # as generate_mask checks it, even where no mask is drawn
     signal_path = args.signal if args.signal else recovery.demo_signal_path()
     if not os.path.isfile(signal_path):
         raise ValueError(f"signal fixture not found: {signal_path}")

@@ -79,14 +79,15 @@ def _support_size(n: int, p: float) -> int:
     return math.ceil(n * p * (1 - _ROUNDING))
 
 
+def _seed(seed) -> int:
+    """Check a 64-bit ``seed``; return it as an int."""
+    return _integer(seed, "seed", 0, _UINT64_SPAN - 1)
+
+
 def _mask_params(n, p, seed) -> tuple[int, float, int]:
     """Check mask length ``n``, rate ``p`` and 64-bit ``seed``, in that
     order; return them as int, float and int."""
-    return (
-        _integer(n, "mask length n", 2, _MAX_LENGTH),
-        _real(p, "sampling rate p", "(0, 1)"),
-        _integer(seed, "seed", 0, _UINT64_SPAN - 1),
-    )
+    return _integer(n, "mask length n", 2, _MAX_LENGTH), _real(p, "sampling rate p", "(0, 1)"), _seed(seed)
 
 
 def _prime_factors(m: int) -> list[int]:

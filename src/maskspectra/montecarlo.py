@@ -21,8 +21,10 @@ The pool is paid for only by a call that starts one:
   attribute (PEP 562), which the driver reads at call time, so a test or a
   benchmark may replace it.
 * It is started by a named method, ``fork`` on Linux (as Python 3.11-3.13
-  do by default; 3.14 makes it ``forkserver``) and the platform's default
-  elsewhere. A pool start plus 4 tiny tasks took 11 ms under fork, 496 ms
+  do by default; 3.14 makes it ``forkserver``) when the calling process
+  runs no other Python thread, and the platform's default in a process
+  with more threads (where a fork can deadlock the child) or on another
+  platform. A pool start plus 4 tiny tasks took 11 ms under fork, 496 ms
   under forkserver and 632 ms under spawn, and ``figure --mode ratio --n
   1543 --trials 4096 --workers 2`` ran 37.5k trials/s under fork, 22.9k
   under forkserver and 19.9k under spawn (median of 4 alternating 10-s
@@ -43,7 +45,8 @@ The pool is paid for only by a call that starts one:
         pool / in-process         34/26   52/50   74/101  117/203
 
   The break-even moves with how much of the second vCPU the host gives:
-  in runs where it gave none, the pool lost at every size up to 4.7M.
+  in runs where it gave none, the pool lost at every size up to 4.7M. It
+  was measured with 2 workers only; at more workers it is unmeasured.
 
 A mask is ``u < p`` with uniforms ``u`` that depend on (seed, t) alone,
 so experiments that share (N, seed, trials) differ only in their rate
@@ -108,6 +111,7 @@ import contextlib
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,9 +140,11 @@ _BATCH_ELEMS = 1 << 20  # mask elements times rates per span: one N = 1543 chunk
 _POOL_MIN_ELEMS = 2_000_000
 # The pool's start method, named so that Python 3.14's forkserver default
 # (1.6 times fork's time on ratio-n1543; the module docstring has the
-# numbers) does not apply. Fork is safe here only because the package
-# starts no thread before the pool forks; numpy's OpenBLAS thread pool,
-# started on import, shuts itself down across a fork.
+# numbers) does not apply. Fork is safe only while the forking process
+# runs no other Python thread: the package starts none, but a caller may,
+# so run_experiment names it only when the calling process runs one
+# thread, and otherwise keeps the platform's default. numpy's OpenBLAS
+# thread pool, started on import, shuts itself down across a fork.
 _START_METHOD = "fork" if sys.platform == "linux" else None
 
 
@@ -362,9 +368,12 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
     most one worker per chunk and per CPU; one worker runs in-process, and
     so does a call of fewer than ``_POOL_MIN_ELEMS`` (2M) mask elements
     times rates (below 15,749 trials at N = 127), where starting a pool
-    costs more than it saves on 2 vCPUs. The pool class is imported on
-    the first call that starts one, and its workers are forked on Linux
-    and started by the platform's default method elsewhere. Each
+    costs more than it saves on 2 vCPUs (the break-even was not measured
+    at more workers). The pool class is imported on the first call that
+    starts one. Its workers are forked on Linux when the calling process
+    runs no other Python thread; a call from a process with more threads,
+    or on another platform, starts them by the platform's default method,
+    since forking a process with threads can deadlock the child. Each
     task is a span of whole chunks, at most ``chunks // (4 * workers)`` of
     them and about ``_BATCH_ELEMS`` mask elements, counted by the largest
     chunk as its trials times N times its rate count; in-process and pooled
@@ -405,7 +414,7 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
             import multiprocessing
 
             pool_class = sys.modules[__name__].ProcessPoolExecutor  # patched by tests and the benchmark
-            context = multiprocessing.get_context(_START_METHOD)
+            context = multiprocessing.get_context(_START_METHOD if threading.active_count() == 1 else None)
             pool = stack.enter_context(pool_class(max_workers=workers, mp_context=context))
             results = pool.map(_run_span, tasks)
         else:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from maskspectra import bounds
+from maskspectra import bounds, montecarlo
 from maskspectra.masks import generate_mask
 from maskspectra.montecarlo import ExperimentSpec, run_experiment
 from maskspectra.recovery import (
@@ -177,7 +177,7 @@ def test_criterion_7_ratio_approximation_fidelity():
     _report("criterion 7 (approximation fidelity)", f"worst spread {worst:.4f} <= 0.02, limit checks pass")
 
 
-def test_criterion_8_invariant_suites():
+def test_criterion_8_invariant_suites(monkeypatch):
     # Parseval, conjugate symmetry, DC bin = n_p: 1000 masks over three lengths
     for n, count in ((7, 334), (127, 333), (1543, 333)):
         for t in range(count):
@@ -197,9 +197,10 @@ def test_criterion_8_invariant_suites():
         a, b = scipy.fft.fft(x), dft_direct(x)
         assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max(), n
 
-    # deterministic parallel reduction: 1 worker vs 8, bit-identical; 2.5M
-    # mask elements start a pool
-    spec = ExperimentSpec(127, 0.5, 20000, seed=31, thresholds=(("t", 11.0),))
+    # deterministic parallel reduction: 1 worker vs 8, bit-identical, with
+    # the break-even lowered so the 8-worker run starts a pool
+    monkeypatch.setattr(montecarlo, "_POOL_MIN_ELEMS", 0)
+    spec = ExperimentSpec(127, 0.5, 2000, seed=31, thresholds=(("t", 11.0),))
     [(one, _)] = run_experiment([spec], workers=1)
     [(eight, _)] = run_experiment([spec], workers=8)
     assert one.per_trial_max == eight.per_trial_max

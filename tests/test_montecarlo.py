@@ -82,10 +82,18 @@ def test_run_experiment_reruns_identically():
     assert a.n_p_stats == b.n_p_stats
 
 
-def test_parallel_reduction_bit_identical():
-    # 1 worker vs 4 workers must agree exactly, field by field; 2.5M mask
-    # elements start a pool
-    spec = ExperimentSpec(127, 0.5, 20001, seed=3, thresholds=(("t", 12.0),))
+@pytest.fixture
+def pool_at_any_size(monkeypatch):
+    """Lower the pool's break-even to 0, so a multi-worker call of any size
+    starts a real process pool."""
+    import maskspectra.montecarlo as mc
+
+    monkeypatch.setattr(mc, "_POOL_MIN_ELEMS", 0)
+
+
+def test_parallel_reduction_bit_identical(pool_at_any_size):
+    # 1 worker vs 4 workers must agree exactly, field by field
+    spec = ExperimentSpec(127, 0.5, 1500, seed=3, thresholds=(("t", 12.0),))
     serial = _stats(spec, workers=1)
     parallel = _stats(spec, workers=4)
     assert serial.per_trial_max.count == parallel.per_trial_max.count
@@ -567,11 +575,42 @@ def test_small_calls_run_in_process_at_any_worker_count(monkeypatch, fake_pool):
         assert stats == want and bins.tobytes() == want_bins.tobytes()
 
 
-def test_multi_spec_run_matches_one_run_per_spec():
-    # chunks of specs with different N share one task list (run in-process
-    # at any worker count, below the pool's break-even), and the rates of
-    # one (N, seed, trials) share each trial's draw, yet each spec's result
-    # equals its own run field for field
+def test_start_method_is_named_only_from_a_single_thread(monkeypatch, fake_pool, pool_at_any_size):
+    # the pool gets the named start method where the caller runs one
+    # thread, and the platform's default where it runs more, since a fork
+    # there can deadlock the child
+    import multiprocessing
+    import os
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    import maskspectra.montecarlo as mc
+
+    methods, fake = [], mc.ProcessPoolExecutor
+
+    class Recording(fake):
+        def __init__(self, max_workers, mp_context):
+            methods.append(mp_context.get_start_method())
+            super().__init__(max_workers, mp_context)
+
+    default = multiprocessing.get_start_method()
+    named = next(method for method in multiprocessing.get_all_start_methods() if method != default)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(mc, "_START_METHOD", named)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    specs = [ExperimentSpec(127, 0.5, 600, seed=1)]
+    assert threading.active_count() == 1
+    want = run_experiment(specs, workers=2)
+    with ThreadPoolExecutor(max_workers=1) as caller:
+        got = caller.submit(run_experiment, specs, 2).result(timeout=60)
+    assert methods == [named, default]
+    assert got[0][0] == want[0][0] and got[0][1].tobytes() == want[0][1].tobytes()
+
+
+def test_multi_spec_run_matches_one_run_per_spec(pool_at_any_size):
+    # chunks of specs with different N share one task list and one pool, and
+    # the rates of one (N, seed, trials) share each trial's draw, yet each
+    # spec's result equals its own run field for field
     shared = 2 * 512 + 101  # the last chunk ends inside a pair
     specs = [
         ExperimentSpec(61, 0.1, shared, 4, (("t", 6.0),)),
@@ -640,10 +679,10 @@ def test_rates_split_where_one_task_would_outweigh_a_worker(monkeypatch, fake_po
     assert rates_per_task == [3] * 8
 
 
-def test_batched_pool_tasks_are_bit_identical():
-    # 17 chunks, 2.1M mask elements: a pool gets them in spans of two
-    # chunks, yet every field matches the in-process run exactly
-    spec = ExperimentSpec(241, 0.5, 512 * 17, 6, (("s3", bounds.sigma_bound(241, 0.5, 3)),))
+def test_batched_pool_tasks_are_bit_identical(pool_at_any_size):
+    # 17 chunks: a pool gets them in spans of two chunks, yet every field
+    # matches the in-process run exactly
+    spec = ExperimentSpec(31, 0.5, 512 * 17, 6, (("s3", bounds.sigma_bound(31, 0.5, 3)),))
     [(serial, serial_bins)] = run_experiment([spec], workers=1)
     for workers in (2, 3):
         [(stats, bins)] = run_experiment([spec], workers=workers)
@@ -691,8 +730,8 @@ def test_kernel_transforms_at_least_eight_rows_in_place(monkeypatch):
     assert np.array_equal(blocked_bins, whole_bins)
 
 
-def test_noise_ratio_parallel_matches_serial():
-    spec = ExperimentSpec(257, 0.5, 8000, seed=2)  # 2.1M mask elements: a pool
+def test_noise_ratio_parallel_matches_serial(pool_at_any_size):
+    spec = ExperimentSpec(257, 0.5, 1200, seed=2)
     [(_, serial)] = run_experiment([spec], workers=1)
     [(_, parallel)] = run_experiment([spec], workers=3)
     assert np.array_equal(serial, parallel)
