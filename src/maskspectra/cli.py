@@ -165,15 +165,34 @@ def cmd_table1(args) -> int:
     return 0
 
 
+def _check_ns(args) -> None:
+    """Check figure's --ns, --rate and --eps as the bounds mode does:
+    ``bounds.thresholds`` checks each N by ``gaussian_bound`` first."""
+    for n in _parse_list(args.ns, "--ns", int, "integers"):
+        bounds.gaussian_bound(n, args.rate, epsilon=args.eps)
+
+
+def _ratio_specs(args, n: int) -> tuple[list[str], list[montecarlo.ExperimentSpec]]:
+    """The ratio mode's column names and one spec per rate of --ps at mask
+    length ``n``, with --trials and --seed."""
+    ps = _parse_list(args.ps, "--ps", float, "numbers")
+    names = [f"ratio_p{p:g}" for p in ps]
+    if len(set(names)) != len(names):
+        raise ValueError(f"--ps {args.ps!r} names a column twice: {', '.join(names)}")
+    return names, [montecarlo.ExperimentSpec(n, p, args.trials, args.seed) for p in ps]
+
+
 def cmd_figure(args) -> int:
-    # each mode also checks the options it does not read, with the bounds
-    # mode's message, so a bad value is an error in every mode
+    # each mode also checks the options it does not read, by the call of
+    # the mode that reads them, so a bad value is an error in every mode
+    # with the same message
     if args.mode == "bounds":
         # per-N bound and simulation curves at a fixed sampling rate
         ns = _parse_list(args.ns, "--ns", int, "integers")
         # every N's thresholds come first, so a bad --eps fails before any trial runs
         limits = [bounds.thresholds(n, args.rate, epsilon=args.eps) for n in ns]
         specs = [montecarlo.ExperimentSpec(n, args.rate, args.trials, args.seed) for n in ns]
+        _ratio_specs(args, ns[0] if args.n is None else args.n)  # checks --n and --ps
         records = [
             {
                 "N": n,
@@ -187,16 +206,13 @@ def cmd_figure(args) -> int:
     elif args.n is None:
         raise ValueError(f"--n is required for mode {args.mode!r}")
     elif args.mode == "ratio":
-        ps = _parse_list(args.ps, "--ps", float, "numbers")
-        names = [f"ratio_p{p:g}" for p in ps]
-        if len(set(names)) != len(names):
-            raise ValueError(f"--ps {args.ps!r} names a column twice: {', '.join(names)}")
         # per rate, the per-bin max over trials of |A_k|/(N*p): the
         # aliasing-noise level of the sampled spectrum against the signal line
-        specs = [montecarlo.ExperimentSpec(args.n, p, args.trials, args.seed) for p in ps]
-        bounds.gaussian_bound(args.n, args.rate, epsilon=args.eps)  # checks --rate and --eps
+        names, specs = _ratio_specs(args, args.n)
+        _check_ns(args)
         curves = [
-            bin_max / (args.n * p) for p, (_, bin_max) in zip(ps, montecarlo.run_experiment(specs, args.workers))
+            bin_max / (args.n * spec.p)
+            for spec, (_, bin_max) in zip(specs, montecarlo.run_experiment(specs, args.workers))
         ]
         records = [
             {"k": k, **{name: float(curve[k - 1]) for name, curve in zip(names, curves)}}
@@ -204,7 +220,8 @@ def cmd_figure(args) -> int:
         ]
     elif args.mode == "approx":
         bounds.gaussian_bound(args.n, args.rate, epsilon=args.eps)  # checks --n, --rate and --eps
-        montecarlo.ExperimentSpec(args.n, args.rate, args.trials, args.seed)  # checks --trials and --seed
+        _check_ns(args)
+        _ratio_specs(args, args.n)  # checks --ps, --trials and --seed
         _integer(args.workers, "workers", 1)  # as run_experiment checks it
         # the approximation needs N*p >= 1 and a radicand >= 0; the radicand
         # leaves out low-p points at some N up to 114 (p = 0.01 at N = 100),

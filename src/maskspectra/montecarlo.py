@@ -31,11 +31,12 @@ The pool is paid for only by a call that starts one:
   benchmark runs, 2 vCPUs): a forked worker starts with numpy and the
   package already imported.
 * It is skipped where it loses: a call of fewer than ``_POOL_MIN_ELEMS``
-  (2M) mask elements times rates runs in-process at any worker count,
-  since a pool's start and pickling outweigh the second worker there. It
-  cuts the same spans either way, so the bytes are the same. Milliseconds
-  per call, a 2-worker pool against 1 worker in-process, median of 7
-  alternating runs on 2 shared vCPUs::
+  (2M) mask elements times rates is the 1-worker call at any worker
+  count, since a pool's start and pickling outweigh the second worker
+  there. It runs in-process with the 1-worker task list: rates that share
+  a draw share each task, and a span holds up to a quarter of the chunks.
+  Milliseconds per call, a 2-worker pool against 1 worker in-process,
+  median of 7 alternating runs on 2 shared vCPUs::
 
       N = 127, one rate           1,024   2,048   4,096   8,192  16,384  32,768 trials
         mask elements             0.13M   0.26M   0.52M   1.04M   2.08M   4.16M
@@ -81,8 +82,8 @@ whole chunks of ``_CHUNK_TRIALS`` trials, at most a quarter of a
 worker's share of the call's chunks and about ``_BATCH_ELEMS`` mask
 elements, counted by the largest chunk as trials times N times rates, so
 at N = 1543 each span is one chunk and an N = 131071 span never holds
-two. In-process and pooled runs cut the same spans, and results come
-back in task order.
+two. One worker count, fixed before the cut, decides the split, the
+spans and whether a pool runs them, and results come back in task order.
 
 Buffer lifetime: the block buffers (uniforms, a second 0/1 target where
 a task has several rates, the packed transform, the magnitudes and the
@@ -133,10 +134,10 @@ _BLOCK_ELEMS = 1 << 16  # mask elements per block: 512 KB of uniforms, 512 KB of
 # a row of an 8-row call 13.7 ms; at N = 8191, 0.90 and 0.37 ms; 2 vCPUs).
 _BLOCK_MIN_TRIALS = 16
 _BATCH_ELEMS = 1 << 20  # mask elements times rates per span: one N = 1543 chunk, 16 chunks at N = 127
-# Mask elements times rates below which a call runs in-process at any
-# worker count: on 2 vCPUs a 2-worker pool took 35 ms against 34 in-process
-# at N = 127 and 1.04M elements, and 56 against 75 at 2.08M (the module
-# docstring has the table).
+# Mask elements times rates below which a call is its 1-worker call, run
+# in-process, at any worker count: on 2 vCPUs a 2-worker pool took 35 ms
+# against 34 in-process at N = 127 and 1.04M elements, and 56 against 75
+# at 2.08M (the module docstring has the table).
 _POOL_MIN_ELEMS = 2_000_000
 # The pool's start method, named so that Python 3.14's forkserver default
 # (1.6 times fork's time on ratio-n1543; the module docstring has the
@@ -364,20 +365,22 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
     task carries all their rates. Where a chunk of such a task would hold
     more mask elements than a worker's share of the call, each rate gets
     its own tasks instead; either way every bit of the result is the same.
-    One pool serves the whole call, with at most ``workers`` workers and at
-    most one worker per chunk and per CPU; one worker runs in-process, and
-    so does a call of fewer than ``_POOL_MIN_ELEMS`` (2M) mask elements
-    times rates (below 15,749 trials at N = 127), where starting a pool
-    costs more than it saves on 2 vCPUs (the break-even was not measured
-    at more workers). The pool class is imported on the first call that
-    starts one. Its workers are forked on Linux when the calling process
-    runs no other Python thread; a call from a process with more threads,
-    or on another platform, starts them by the platform's default method,
-    since forking a process with threads can deadlock the child. Each
-    task is a span of whole chunks, at most ``chunks // (4 * workers)`` of
-    them and about ``_BATCH_ELEMS`` mask elements, counted by the largest
-    chunk as its trials times N times its rate count; in-process and pooled
-    runs cut the same spans. No kernel buffer outlives its span.
+    The worker count is fixed once, before the tasks are cut: at most
+    ``workers``, one per CPU and one per chunk, and 1 for a call of fewer
+    than ``_POOL_MIN_ELEMS`` (2M) mask elements times rates (below 15,749
+    trials at N = 127), where starting a pool costs more than it saves on
+    2 vCPUs (the break-even was not measured at more workers). Such a call
+    is the 1-worker call, task list and all. The split, the spans and the
+    executor read that one count: one worker runs in-process, and more
+    share one pool for the whole call. The pool class is imported on the
+    first call that starts one. Its workers are forked on Linux when the
+    calling process runs no other Python thread; a call from a process
+    with more threads, or on another platform, starts them by the
+    platform's default method, since forking a process with threads can
+    deadlock the child. Each task is a span of whole chunks, at most
+    ``chunks // (4 * workers)`` of them and about ``_BATCH_ELEMS`` mask
+    elements, counted by the largest chunk as its trials times N times its
+    rate count. No kernel buffer outlives its span.
 
     Any worker failure propagates and the whole result is discarded;
     there are no partial results.
@@ -386,14 +389,16 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
     if not specs:
         raise ValueError("specs must be non-empty")
     elements = sum(spec.trials * spec.n for spec in specs)  # mask elements times rates
-    share = elements / workers  # per worker
+    # below the break-even a pool's start and pickling outweigh a second
+    # worker, so the call runs the 1-worker plan in-process
+    workers = workers if elements >= _POOL_MIN_ELEMS else 1
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault((spec.n, spec.seed, spec.trials), []).append(i)
     parts = []  # (n, seed, trials, the specs whose rates one task carries)
     for (n, seed, trials), members in groups.items():
         # a task that outweighs a worker's share leaves the other workers idle
-        split = min(trials, _CHUNK_TRIALS) * n * len(members) > share
+        split = min(trials, _CHUNK_TRIALS) * n * len(members) * workers > elements
         parts += [(n, seed, trials, [i]) for i in members] if split else [(n, seed, trials, members)]
     chunks = sum(-(-trials // _CHUNK_TRIALS) for _, _, trials, _ in parts)
     workers = min(workers, chunks)
@@ -410,7 +415,7 @@ def run_experiment(specs: list[ExperimentSpec], workers: int = 1) -> list[tuple[
         for spec in specs
     ]
     with contextlib.ExitStack() as stack:
-        if workers > 1 and elements >= _POOL_MIN_ELEMS:
+        if workers > 1:
             import multiprocessing
 
             pool_class = sys.modules[__name__].ProcessPoolExecutor  # patched by tests and the benchmark

@@ -313,27 +313,49 @@ def test_figure_ratio_mode_checks_each_rate_with_its_trial_count(capsys):
         assert run_cli(capsys, *argv, "--ps", ps) == (2, "", message)
 
 
+_BAD_VALUE = {
+    "--seed": "-1",
+    "--trials": "0",
+    "--workers": "0",
+    "--eps": "nan",
+    "--rate": "7",
+    "--ns": "1,x",
+    "--ps": "x",
+    "--n": "1",
+}
+# an entry "option=value" checks that value instead of the option's _BAD_VALUE
 _UNREAD_OPTIONS = {
-    f"{name}{option}": (mode, option)
-    for name, mode, options in (
-        ("approx", ("figure", "--mode", "approx", "--n", "127"), ("--seed", "--trials", "--workers", "--eps", "--rate")),
-        ("ratio", ("figure", "--mode", "ratio", "--n", "127", "--trials", "4"), ("--eps", "--rate")),
+    f"{name}{entry}": (mode, option, value or _BAD_VALUE[option])
+    for name, mode, entries in (
+        (
+            "approx",
+            ("figure", "--mode", "approx", "--n", "127"),
+            ("--seed", "--trials", "--workers", "--eps", "--rate", "--ns", "--ns=127,1", "--ps", "--ps=0.5,1"),
+        ),
+        ("ratio", ("figure", "--mode", "ratio", "--n", "127", "--trials", "4"), ("--eps", "--rate", "--ns", "--ns=1")),
+        ("bounds", ("figure", "--ns", "127", "--trials", "4"), ("--n", "--ps", "--ps=2", "--ps=0.5,0.5")),
         ("recover-rate-1", ("recover", "--rate", "1"), ("--seed",)),
     )
-    for option in options
+    for entry in entries
+    for option, _, value in [entry.partition("=")]
 }
-_BAD_VALUE = {"--seed": "-1", "--trials": "0", "--workers": "0", "--eps": "nan", "--rate": "7"}
 
 
-@pytest.mark.parametrize("mode,option", _UNREAD_OPTIONS.values(), ids=_UNREAD_OPTIONS.keys())
-def test_an_option_a_mode_does_not_read_is_checked_as_where_it_is_read(capsys, mode, option):
-    # figure's bounds mode and recover at a rate below 1 read every one of
-    # these options; a mode that does not read one still rejects a bad
-    # value of it, with the same exit code and message
-    reader = ("recover",) if mode[0] == "recover" else ("figure", "--ns", "127", "--trials", "4")
-    want = run_cli(capsys, *reader, option, _BAD_VALUE[option])
+@pytest.mark.parametrize("mode,option,value", _UNREAD_OPTIONS.values(), ids=_UNREAD_OPTIONS.keys())
+def test_an_option_a_mode_does_not_read_is_checked_as_where_it_is_read(capsys, mode, option, value):
+    # recover at a rate below 1 reads --seed, figure's ratio mode --n and
+    # --ps, and its bounds mode every other one of these options; a mode
+    # that does not read one still rejects a bad value of it, with the
+    # same exit code and message
+    if mode[0] == "recover":
+        reader = ("recover",)
+    elif option in ("--n", "--ps"):
+        reader = ("figure", "--mode", "ratio", "--n", "127", "--trials", "4")
+    else:
+        reader = ("figure", "--ns", "127", "--trials", "4")
+    want = run_cli(capsys, *reader, option, value)
     assert want[0] == 2 and want[2].startswith("error: ")
-    assert run_cli(capsys, *mode, option, _BAD_VALUE[option]) == want
+    assert run_cli(capsys, *mode, option, value) == want
 
 
 def test_figure_ratio_mode_requires_n(capsys):

@@ -575,6 +575,36 @@ def test_small_calls_run_in_process_at_any_worker_count(monkeypatch, fake_pool):
         assert stats == want and bins.tobytes() == want_bins.tobytes()
 
 
+def test_small_calls_send_the_one_worker_task_list(monkeypatch, fake_pool):
+    # below the break-even the worker count is 1 before the tasks are cut:
+    # three rates at N = 257 and 600 trials (462k mask elements times
+    # rates) share one draw per trial in the 1-worker spans at any count
+    import os
+
+    import maskspectra.montecarlo as mc
+
+    opened, _ = fake_pool
+    sent, original = [], mc._run_span
+
+    def recording(task):
+        sent.append(task)
+        return original(task)
+
+    monkeypatch.setattr(mc, "_run_span", recording)
+    specs = [ExperimentSpec(257, p, 600, seed=3) for p in (0.1, 0.5, 0.8)]
+    want = run_experiment(specs, workers=1)
+    one_worker = list(sent)
+    assert [(start, stop, len(rates)) for _, _, start, stop, rates in one_worker] == [(0, 512, 3), (512, 600, 3)]
+    for cpus, workers in ((2, 2), (8, 100000)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        sent.clear()
+        got = run_experiment(specs, workers)
+        assert sent == one_worker
+        assert [stats for stats, _ in got] == [stats for stats, _ in want]
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+    assert opened == []
+
+
 def test_start_method_is_named_only_from_a_single_thread(monkeypatch, fake_pool, pool_at_any_size):
     # the pool gets the named start method where the caller runs one
     # thread, and the platform's default where it runs more, since a fork
@@ -651,10 +681,11 @@ def test_rates_of_one_draw_key_each_trial_once(monkeypatch):
     assert sorted(keyed) == list(range(1024))
 
 
-def test_rates_split_where_one_task_would_outweigh_a_worker(monkeypatch, fake_pool):
+def test_rates_split_where_one_task_would_outweigh_a_worker(monkeypatch, fake_pool, pool_at_any_size):
     # 600 trials make a 512-trial and an 88-trial chunk: with 2 workers,
     # three rates per task would leave one worker most of the work, so each
-    # rate gets its own tasks; at 4096 trials the rates share them
+    # rate gets its own tasks; at 4096 trials the rates share them. The
+    # 600-trial call is below the break-even, lowered here so a pool runs it
     import os
 
     import maskspectra.montecarlo as mc
