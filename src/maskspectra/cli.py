@@ -165,34 +165,29 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def _check_ns(args) -> None:
-    """Check figure's --ns, --rate and --eps as the bounds mode does:
-    ``bounds.thresholds`` checks each N by ``gaussian_bound`` first."""
-    for n in _parse_list(args.ns, "--ns", int, "integers"):
+def cmd_figure(args) -> int:
+    # every option is read here, once, before the mode is picked, so a bad
+    # value of any option is an error in every mode, with one message: --ns,
+    # --rate and --eps first (bounds.thresholds checks each N by
+    # gaussian_bound first), then --n, --ps, --trials and --seed, then --workers
+    ns = _parse_list(args.ns, "--ns", int, "integers")
+    for n in ns:
         bounds.gaussian_bound(n, args.rate, epsilon=args.eps)
-
-
-def _ratio_specs(args, n: int) -> tuple[list[str], list[montecarlo.ExperimentSpec]]:
-    """The ratio mode's column names and one spec per rate of --ps at mask
-    length ``n``, with --trials and --seed."""
+    if args.mode != "bounds" and args.n is None:
+        raise ValueError(f"--n is required for mode {args.mode!r}")
     ps = _parse_list(args.ps, "--ps", float, "numbers")
     names = [f"ratio_p{p:g}" for p in ps]
     if len(set(names)) != len(names):
         raise ValueError(f"--ps {args.ps!r} names a column twice: {', '.join(names)}")
-    return names, [montecarlo.ExperimentSpec(n, p, args.trials, args.seed) for p in ps]
-
-
-def cmd_figure(args) -> int:
-    # each mode also checks the options it does not read, by the call of
-    # the mode that reads them, so a bad value is an error in every mode
-    # with the same message
+    # one spec per rate, each checking (N, p, seed) and then the trial count
+    rate_specs = [
+        montecarlo.ExperimentSpec(ns[0] if args.n is None else args.n, p, args.trials, args.seed) for p in ps
+    ]
+    _integer(args.workers, "workers", 1)  # as run_experiment checks it
     if args.mode == "bounds":
         # per-N bound and simulation curves at a fixed sampling rate
-        ns = _parse_list(args.ns, "--ns", int, "integers")
-        # every N's thresholds come first, so a bad --eps fails before any trial runs
         limits = [bounds.thresholds(n, args.rate, epsilon=args.eps) for n in ns]
         specs = [montecarlo.ExperimentSpec(n, args.rate, args.trials, args.seed) for n in ns]
-        _ratio_specs(args, ns[0] if args.n is None else args.n)  # checks --n and --ps
         records = [
             {
                 "N": n,
@@ -203,36 +198,28 @@ def cmd_figure(args) -> int:
             }
             for n, limit, (stats, _) in zip(ns, limits, montecarlo.run_experiment(specs, args.workers))
         ]
-    elif args.n is None:
-        raise ValueError(f"--n is required for mode {args.mode!r}")
     elif args.mode == "ratio":
         # per rate, the per-bin max over trials of |A_k|/(N*p): the
         # aliasing-noise level of the sampled spectrum against the signal line
-        names, specs = _ratio_specs(args, args.n)
-        _check_ns(args)
         curves = [
             bin_max / (args.n * spec.p)
-            for spec, (_, bin_max) in zip(specs, montecarlo.run_experiment(specs, args.workers))
+            for spec, (_, bin_max) in zip(rate_specs, montecarlo.run_experiment(rate_specs, args.workers))
         ]
         records = [
             {"k": k, **{name: float(curve[k - 1]) for name, curve in zip(names, curves)}}
             for k in range(1, args.n)
         ]
-    elif args.mode == "approx":
-        bounds.gaussian_bound(args.n, args.rate, epsilon=args.eps)  # checks --n, --rate and --eps
-        _check_ns(args)
-        _ratio_specs(args, args.n)  # checks --ps, --trials and --seed
-        _integer(args.workers, "workers", 1)  # as run_experiment checks it
-        # the approximation needs N*p >= 1 and a radicand >= 0; the radicand
-        # leaves out low-p points at some N up to 114 (p = 0.01 at N = 100),
-        # and at every N >= 2 keeps some
-        ps = [
+    else:
+        # the worst-case ratio against its closed form, which needs N*p >= 1
+        # and a radicand >= 0; the radicand leaves out low-p points at some N
+        # up to 114 (p = 0.01 at N = 100), and at every N >= 2 keeps some
+        grid = [
             p
             for p in (i / 100.0 for i in range(1, 100))
             if args.n * p >= 1.0 and bounds._ratio_radicand(args.n, p) >= 0.0
         ]
         records = []
-        for p in ps:
+        for p in grid:
             n_p = _support_size(args.n, p)
             records.append(
                 {
@@ -242,8 +229,6 @@ def cmd_figure(args) -> int:
                     "approx_ratio": bounds.ratio_approximation(args.n, p),
                 }
             )
-    else:
-        raise ValueError(f"unknown figure mode {args.mode!r}")
     _emit(_render(records, args.format), args.out)
     return 0
 
@@ -268,9 +253,10 @@ def cmd_recover(args) -> int:
     _, _, final_snr, residual, kept = history[-1]
     n_p = int(np.count_nonzero(mask))
     # the residual stop, or the iteration cap; and whether the kept bins,
-    # as unknowns, number at most half the samples (Candes, Romberg and Tao)
+    # as unknowns, number at most half the samples (Candes, Romberg and
+    # Tao), or every sample was taken, when the samples are the signal
     stopped = "tol" if args.tol > 0 and residual <= args.tol else "cap"
-    identified = "yes" if 2 * kept <= n_p else "no"
+    identified = "yes" if 2 * kept <= n_p or n_p == n else "no"
     summary = (
         f"recover: n={n} rate={args.rate:g} n_p={n_p} seed={args.seed} "
         f"iterations={len(history)} residual={residual:.3g} final_snr_db={final_snr:.3f} "

@@ -358,6 +358,22 @@ def test_an_option_a_mode_does_not_read_is_checked_as_where_it_is_read(capsys, m
     assert run_cli(capsys, *mode, option, value) == want
 
 
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        (("--n", "1"), "error: mask length n must be an integer in [2, 4294967296], got 1\n"),
+        (("--n", "127", "--ns", "1,x", "--ps", "x"), "error: --ns expects comma-separated integers, got '1,x'\n"),
+    ],
+    ids=["n", "ns-before-ps"],
+)
+def test_every_figure_mode_rejects_bad_options_with_one_message(capsys, options, message):
+    # figure reads every option once, before it picks a mode, so every mode
+    # gives the same exit code and message, and with two bad options names
+    # the same one
+    for mode in ("bounds", "ratio", "approx"):
+        assert run_cli(capsys, "figure", "--mode", mode, "--trials", "4", *options) == (2, "", message), mode
+
+
 def test_figure_ratio_mode_requires_n(capsys):
     code, _, err = run_cli(capsys, "figure", "--mode", "ratio")
     assert code == 2
@@ -438,6 +454,19 @@ def test_recover_says_why_it_stopped_and_whether_it_is_identified(capsys, tmp_pa
     # full sampling counts every sample
     fields = summary("--rate", "1")[1]
     assert (fields["n_p"], fields["stopped"], fields["identified"]) == ("127", "tol", "yes")
+
+
+def test_recover_at_full_sampling_is_identified_whatever_it_keeps(capsys, tmp_path):
+    # at rate 1 the samples are the signal: a 126-bin signal keeps more bins
+    # than half its 127 samples, and is still identified
+    signal, out = tmp_path / "dense127.csv", tmp_path / "history.csv"
+    write_signal_csv(signal, synthesize_signal(random_band_signal(127, 63, seed=3)))
+    code, stdout, err = run_cli(capsys, "recover", "--signal", str(signal), "--rate", "1", "--out", str(out))
+    assert code == 0 and err == ""
+    fields = _summary_fields(stdout)
+    kept = int(out.read_text().strip().split("\n")[-1].split(",")[4])
+    assert (fields["n_p"], kept, fields["identified"]) == ("127", 126, "yes")
+    assert float(fields["final_snr_db"]) >= 100.0
 
 
 def test_recover_rejects_bad_tol(capsys):
