@@ -131,37 +131,46 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_table1(args) -> int:
-    """Simulated maxima next to the worst-case bound per reference row.
-
-    sim_max_mean is the mean over trials of the per-trial max; sim_ratio
-    divides it by n_p = ceil(N*p). bound_ratio is bound/(N*p), the
-    normalization the reference table prints. Rows at N >= 65536 run at
-    most 1000 trials; ``simulate`` with the row's N and p and the same
-    --trials and --seed gives the same statistics at any trial count.
-    """
-    large_n_trials = min(args.trials, _LARGE_N_TRIALS)
-    specs = [
-        montecarlo.ExperimentSpec(n, p, large_n_trials if n >= _LARGE_N else args.trials, args.seed)
-        for n, p in TABLE1_ROWS
-    ]
+def _bound_records(rows, seed: int, workers: int, epsilon: float) -> list[dict]:
+    """The simulated peak beside the bounds, one record per (N, p, trials)
+    row, from one run_experiment call: the record table1 and figure --mode
+    bounds print. trials is the count the engine ran; sim_ratio divides
+    sim_max_mean by n_p = ceil(N*p); the threshold columns are
+    bounds.thresholds at (N, p, epsilon), and worst_case_ratio_np is
+    worst_case / (N*p), as in bound_report."""
+    limits = [bounds.thresholds(n, p, epsilon=epsilon) for n, p, _ in rows]
+    specs = [montecarlo.ExperimentSpec(n, p, trials, seed) for n, p, trials in rows]
     records = []
-    for (n, p), (stats, _) in zip(TABLE1_ROWS, montecarlo.run_experiment(specs, args.workers)):
-        n_p = _support_size(n, p)
-        bound = bounds.worst_case_bound(n, n_p)
+    for (n, p, _), limit, (stats, _) in zip(rows, limits, montecarlo.run_experiment(specs, workers)):
+        peaks, n_p = stats.per_trial_max, _support_size(n, p)
         records.append(
             {
                 "N": n,
                 "p": p,
                 "n_p": n_p,
-                "sim_max_mean": stats.per_trial_max.mean,
-                "sim_global_max": stats.per_trial_max.max,
-                "sim_ratio": stats.per_trial_max.mean / n_p,
-                "bound_worst": bound,
-                "bound_ratio": bound / (n * p),
+                "trials": peaks.count,
+                "sim_max_mean": peaks.mean,
+                "sim_global_max": peaks.max,
+                "sim_ratio": peaks.mean / n_p,
+                "mean_abs": stats.mean_abs.mean,
+                **limit,
+                "worst_case_ratio_np": limit["worst_case"] / (n * p),
             }
         )
-    _emit(_render(records, args.format), args.out)
+    return records
+
+
+def cmd_table1(args) -> int:
+    """Simulated maxima next to the bounds per reference row, at
+    bounds.thresholds' default eps of 1e-4.
+
+    Rows at N >= 65536 run at most 1000 trials, and the trials column
+    shows what each row ran; ``simulate`` with the row's N and p and the
+    same --trials and --seed gives the same statistics at any trial count.
+    """
+    capped = min(args.trials, _LARGE_N_TRIALS)
+    rows = [(n, p, capped if n >= _LARGE_N else args.trials) for n, p in TABLE1_ROWS]
+    _emit(_render(_bound_records(rows, args.seed, args.workers, 1e-4), args.format), args.out)
     return 0
 
 
@@ -186,18 +195,7 @@ def cmd_figure(args) -> int:
     _integer(args.workers, "workers", 1)  # as run_experiment checks it
     if args.mode == "bounds":
         # per-N bound and simulation curves at a fixed sampling rate
-        limits = [bounds.thresholds(n, args.rate, epsilon=args.eps) for n in ns]
-        specs = [montecarlo.ExperimentSpec(n, args.rate, args.trials, args.seed) for n in ns]
-        records = [
-            {
-                "N": n,
-                "sim_max_mean": stats.per_trial_max.mean,
-                "sim_global_max": stats.per_trial_max.max,
-                "mean_abs": stats.mean_abs.mean,
-                **limit,
-            }
-            for n, limit, (stats, _) in zip(ns, limits, montecarlo.run_experiment(specs, args.workers))
-        ]
+        records = _bound_records([(n, args.rate, args.trials) for n in ns], args.seed, args.workers, args.eps)
     elif args.mode == "ratio":
         # per rate, the per-bin max over trials of |A_k|/(N*p): the
         # aliasing-noise level of the sampled spectrum against the signal line
@@ -252,11 +250,11 @@ def cmd_recover(args) -> int:
     csv_text = records_to_csv([dict(zip(_HISTORY_COLUMNS, row)) for row in history])
     _, _, final_snr, residual, kept = history[-1]
     n_p = int(np.count_nonzero(mask))
-    # the residual stop, or the iteration cap; and whether the kept bins,
-    # as unknowns, number at most half the samples (Candes, Romberg and
-    # Tao), or every sample was taken, when the samples are the signal
+    # the residual stop, or the iteration cap; and whether some bins were
+    # kept and, as unknowns, number at most half the samples (Candes, Romberg
+    # and Tao), or every sample was taken, when the samples are the signal
     stopped = "tol" if args.tol > 0 and residual <= args.tol else "cap"
-    identified = "yes" if 2 * kept <= n_p or n_p == n else "no"
+    identified = "yes" if kept > 0 and (2 * kept <= n_p or n_p == n) else "no"
     summary = (
         f"recover: n={n} rate={args.rate:g} n_p={n_p} seed={args.seed} "
         f"iterations={len(history)} residual={residual:.3g} final_snr_db={final_snr:.3f} "

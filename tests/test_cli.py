@@ -57,20 +57,20 @@ def test_bounds_invalid_flag_exits_2(capsys):
     assert "n" in err
 
 
+# the one record of table1 and figure --mode bounds
+BOUND_RECORD_COLUMNS = [
+    "N", "p", "n_p", "trials", "sim_max_mean", "sim_global_max", "sim_ratio", "mean_abs",
+    "gaussian_T", "sigma3", "sigma4", "worst_case", "worst_case_ratio_np",
+]
+
 REPORT_COLUMNS = [
     (
         ("bounds", "--n", "1543", "--p", "0.8", "--eps", "1e-6"),
         ["n", "p", "n_p", "epsilon", "worst_case", "worst_case_ratio", "worst_case_ratio_np",
          "gaussian_T", "gaussian_T_approx", "sigma3", "sigma4", "ratio_approx"],
     ),
-    (
-        ("table1", "--trials", "2"),
-        ["N", "p", "n_p", "sim_max_mean", "sim_global_max", "sim_ratio", "bound_worst", "bound_ratio"],
-    ),
-    (
-        ("figure", "--ns", "127,131", "--trials", "20"),
-        ["N", "sim_max_mean", "sim_global_max", "mean_abs", "gaussian_T", "sigma3", "sigma4", "worst_case"],
-    ),
+    (("table1", "--trials", "2"), BOUND_RECORD_COLUMNS),
+    (("figure", "--ns", "127,131", "--trials", "20"), BOUND_RECORD_COLUMNS),
     (
         ("figure", "--mode", "ratio", "--n", "31", "--ps", "0.1,0.5", "--trials", "20"),
         ["k", "ratio_p0.1", "ratio_p0.5"],
@@ -196,10 +196,25 @@ def test_table1_shape_and_determinism(capsys, tmp_path):
     assert run_cli(capsys, *args, "--out", str(out_b))[0] == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     header, rows = parse_csv(out_a.read_text())
-    assert header == ["N", "p", "n_p", "sim_max_mean", "sim_global_max", "sim_ratio", "bound_worst", "bound_ratio"]
+    assert header == BOUND_RECORD_COLUMNS
     assert len(rows) == 9
-    assert rows[0]["bound_worst"] == f"{bounds.worst_case_bound(127, 64):.9g}"
+    assert rows[0]["worst_case"] == f"{bounds.worst_case_bound(127, 64):.9g}"
     assert rows[3]["N"] == "1543" and rows[6]["N"] == "131071"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_figure_bounds_record_is_a_table1_row(capsys, fmt):
+    # both commands build their records in one place: figure at table1's
+    # first (N, p), trials and seed prints that row, key for key
+    def records(*argv):
+        code, out, _ = run_cli(capsys, *argv, "--trials", "16", "--seed", "1729", "--format", fmt)
+        assert code == 0
+        return json.loads(out) if fmt == "json" else parse_csv(out)[1]
+
+    [figure] = records("figure", "--ns", "127", "--rate", "0.5")
+    table = records("table1")
+    assert list(figure) == BOUND_RECORD_COLUMNS
+    assert figure == table[0]
 
 
 def test_figure_bounds_mode_layering(capsys):
@@ -454,6 +469,16 @@ def test_recover_says_why_it_stopped_and_whether_it_is_identified(capsys, tmp_pa
     # full sampling counts every sample
     fields = summary("--rate", "1")[1]
     assert (fields["n_p"], fields["stopped"], fields["identified"]) == ("127", "tol", "yes")
+
+
+def test_recover_that_keeps_no_bin_is_not_identified(capsys, tmp_path):
+    # three iterations at rate 0.2 keep no bin: 2*0 <= n_p, yet an empty
+    # estimate fits no sample and identifies nothing
+    out = tmp_path / "history.csv"
+    code, stdout, err = run_cli(capsys, "recover", "--rate", "0.2", "--iters", "3", "--out", str(out))
+    assert code == 0 and err == ""
+    assert [int(line.split(",")[4]) for line in out.read_text().strip().split("\n")[1:]] == [0, 0, 0]
+    assert stdout.endswith(" stopped=cap identified=no\n")
 
 
 def test_recover_at_full_sampling_is_identified_whatever_it_keeps(capsys, tmp_path):

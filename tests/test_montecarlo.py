@@ -177,8 +177,8 @@ def test_table1_row_values(monkeypatch, capsys):
     rows = _json_stdout(["table1", "--trials", "3000", "--seed", "7"], capsys)
     row = rows[0]
     assert row["n_p"] == 64
-    assert row["bound_worst"] == pytest.approx(40.426, abs=1e-3)
-    assert round(row["bound_ratio"], 3) == 0.637
+    assert row["worst_case"] == pytest.approx(40.426, abs=1e-3)
+    assert round(row["worst_case_ratio_np"], 3) == 0.637
     assert row["sim_max_mean"] == pytest.approx(11.55, rel=0.10)
     assert row["sim_ratio"] == pytest.approx(row["sim_max_mean"] / 64)
 
@@ -212,6 +212,16 @@ def test_table1_caps_large_n_rows_in_one_place(monkeypatch, capsys):
     big = [(n, 1500) for n, _ in small]
     assert calls == [big + [(131071, 1000)] * 3]
     capsys.readouterr()
+
+
+def test_table1_trials_column_shows_the_cap(monkeypatch, capsys):
+    # each row says how many trials the engine ran: the capped count on the
+    # large-N rows, --trials on the others
+    import maskspectra.cli as cli
+
+    monkeypatch.setattr(cli, "_LARGE_N_TRIALS", 4)
+    rows = _json_stdout(["table1", "--trials", "5"], capsys)
+    assert [(row["N"], row["trials"]) for row in rows] == [(n, 4 if n == 131071 else 5) for n, _ in TABLE1_ROWS]
 
 
 def test_table1_large_n_rows_match_simulate(capsys):
